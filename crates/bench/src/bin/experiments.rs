@@ -1575,9 +1575,10 @@ fn roundtrip(quick: bool) {
         let baseline_json = std::env::var("HEIDL_BENCH_BASELINE")
             .ok()
             .and_then(|p| std::fs::read_to_string(p).ok());
-        // Both protocols are gated: the text tokenizer's scratch reuse is
-        // as load-bearing as the CDR encoder pool, and only a per-workload
-        // ratchet notices one of them regressing.
+        // Both protocols are gated: the text codec's in-place scanning and
+        // direct-to-buffer formatting are as load-bearing as the CDR
+        // encoder pool, and only a per-workload ratchet notices one of
+        // them regressing.
         for (name, measured) in
             [("echo_cdr", echo_cdr.allocs_per_call), ("echo_text", echo_text.allocs_per_call)]
         {

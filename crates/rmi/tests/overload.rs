@@ -298,6 +298,35 @@ fn overload_health_object_is_reachable_by_hand_typed_text() {
     server.shutdown();
 }
 
+/// Regression (remote DoS): a line holding U+000B outside quotes sent the
+/// eager text tokenizer into an endless loop that grew memory past every
+/// decode limit — one such line typed over telnet wedged a reader thread.
+/// It now comes back as an ordinary diagnostic, and the server keeps
+/// answering on other connections.
+#[test]
+fn overload_vertical_tab_line_gets_a_diagnostic_and_the_server_stays_up() {
+    let (server, _objref) = serve_sleeper(ServerPolicy::default());
+    let ep = server.endpoint().unwrap();
+    let read_line = |stream: &mut std::net::TcpStream| {
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let (mut line, mut byte) = (Vec::new(), [0u8; 1]);
+        while stream.read(&mut byte).expect("a reply within the timeout") == 1 && byte[0] != b'\n' {
+            line.push(byte[0]);
+        }
+        String::from_utf8(line).unwrap()
+    };
+    let mut hostile = std::net::TcpStream::connect((ep.host.as_str(), ep.port)).unwrap();
+    hostile.write_all(b"\x0b\n").unwrap();
+    let diagnostic = read_line(&mut hostile);
+    assert!(diagnostic.starts_with("0 2 \"IDL:heidl/BadRequest:1.0\""), "{diagnostic}");
+
+    let mut second = std::net::TcpStream::connect((ep.host.as_str(), ep.port)).unwrap();
+    let probe = format!("1 \"@tcp:{}:{}#0#IDL:heidl/Health:1.0\" \"ping\" T\n", ep.host, ep.port);
+    second.write_all(probe.as_bytes()).unwrap();
+    assert_eq!(read_line(&mut second), "1 0 \"pong\"");
+    server.shutdown();
+}
+
 // ---- server-side decode limits ------------------------------------------
 
 #[test]

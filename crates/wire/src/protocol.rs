@@ -286,24 +286,43 @@ pub trait Protocol: Send + Sync + fmt::Debug {
     }
 }
 
+/// Splits the last whitespace-separated word off `line`: `(rest, word)`.
+fn last_word(line: &[u8]) -> (&[u8], &[u8]) {
+    let line = line.trim_ascii_end();
+    line.split_at(line.iter().rposition(u8::is_ascii_whitespace).map_or(0, |i| i + 1))
+}
+
+/// Splits one trailing text section `"<marker>" <a> <b>` off the end of
+/// `line`, walking words backwards so the cost is the section's, not the
+/// body's: `(rest, a, b)`, with `a` checked to be an unsigned integer.
+/// The marker must stand as a token of its own — a string argument that
+/// contains the marker bytes encodes with escaped quotes (`\"~ctx\"`), so
+/// its word never equals the marker. As the tokenizer reads a closing
+/// quote, `a` may be glued to the marker (`"~ctx"42 7`).
+fn split_text_tail<'a>(line: &'a [u8], marker: &str) -> Option<(&'a [u8], u64, &'a str)> {
+    let (rest, b) = last_word(line);
+    let (rest, a) = last_word(rest);
+    fn quoted<'w>(w: &'w [u8], marker: &str) -> Option<&'w [u8]> {
+        w.strip_prefix(b"\"")?.strip_prefix(marker.as_bytes())?.strip_prefix(b"\"")
+    }
+    let (rest, a) = match quoted(a, marker) {
+        Some(glued) => (rest, glued),
+        None => {
+            let (rest, m) = last_word(rest);
+            quoted(m, marker).filter(|after| after.is_empty())?;
+            (rest, a)
+        }
+    };
+    Some((rest, std::str::from_utf8(a).ok()?.parse().ok()?, std::str::from_utf8(b).ok()?))
+}
+
 /// Strips one trailing text chunk section (`"~chunk" <n> <last>`), if
 /// present and well-formed, so the token/context extractors can inspect
 /// the tail beneath it.
-fn strip_text_chunk(s: &str) -> &str {
-    let needle = "\"~chunk\"";
-    let Some(idx) = s.rfind(needle) else {
-        return s;
-    };
-    if idx > 0 && !s.as_bytes()[idx - 1].is_ascii_whitespace() {
-        return s;
-    }
-    let mut tail = s[idx + needle.len()..].split_ascii_whitespace();
-    let index_ok = tail.next().is_some_and(|t| t.parse::<u64>().is_ok());
-    let last_ok = matches!(tail.next(), Some("0" | "1"));
-    if index_ok && last_ok && tail.next().is_none() {
-        s[..idx].trim_end()
-    } else {
-        s
+fn strip_text_chunk(line: &[u8]) -> &[u8] {
+    match split_text_tail(line, TEXT_CHUNK_MARKER) {
+        Some((rest, _, "0" | "1")) => rest,
+        _ => line,
     }
 }
 
@@ -334,10 +353,7 @@ impl Protocol for TextProtocol {
     }
 
     fn decoder(&self, body: Vec<u8>) -> WireResult<Box<dyn Decoder>> {
-        // The text decoder owns its tokens; the body storage recycles now.
-        let dec = TextDecoder::new(&body);
-        pool::recycle(body);
-        Ok(Box::new(dec?))
+        self.decoder_with_limits(body, &DecodeLimits::default())
     }
 
     fn frame(&self, body: &[u8], out: &mut Vec<u8>) {
@@ -367,9 +383,8 @@ impl Protocol for TextProtocol {
         body: Vec<u8>,
         limits: &DecodeLimits,
     ) -> WireResult<Box<dyn Decoder>> {
-        let dec = TextDecoder::with_limits(&body, *limits);
-        pool::recycle(body);
-        Ok(Box::new(dec?))
+        // The decoder reads in place; the body's storage recycles with it.
+        Ok(Box::new(TextDecoder::validated(PooledBuf::from(body), *limits)?))
     }
 
     fn deframe_limited(
@@ -444,9 +459,9 @@ impl Protocol for TextProtocol {
         body: &'a [u8],
         limits: &DecodeLimits,
     ) -> WireResult<Box<dyn Decoder + 'a>> {
-        // The text decoder tokenizes up front and owns its tokens; the win
-        // here is skipping the body copy `decoder_with_limits` requires.
-        Ok(Box::new(TextDecoder::with_limits(body, *limits)?))
+        // Lazy: a header peek scans only the tokens it reads, and a
+        // malformed token past them is the full parse's to report.
+        Ok(Box::new(TextDecoder::peek(body, *limits)))
     }
 
     fn encode_context(&self, enc: &mut dyn Encoder, call_id: u64, parent_id: u64) -> bool {
@@ -459,24 +474,10 @@ impl Protocol for TextProtocol {
     }
 
     fn extract_context(&self, body: &[u8]) -> Option<(u64, u64)> {
-        // The chunk section is the outermost suffix; look beneath it.
-        let s = strip_text_chunk(std::str::from_utf8(body).ok()?);
-        // The marker is the *last* `"~ctx"` token: anything after it must be
-        // exactly two unsigned integers running to end-of-line. A string
-        // argument containing the marker bytes encodes with escaped quotes
-        // (`\"~ctx\"`), so the token-boundary check below rejects it.
-        let needle = "\"~ctx\"";
-        let idx = s.rfind(needle)?;
-        if idx > 0 && !s.as_bytes()[idx - 1].is_ascii_whitespace() {
-            return None;
-        }
-        let mut tail = s[idx + needle.len()..].split_ascii_whitespace();
-        let call_id = tail.next()?.parse().ok()?;
-        let parent_id = tail.next()?.parse().ok()?;
-        if tail.next().is_some() {
-            return None;
-        }
-        Some((call_id, parent_id))
+        // The chunk section is the outermost suffix; beneath it the
+        // context section, when present, runs to end-of-line.
+        let (_, call_id, parent_id) = split_text_tail(strip_text_chunk(body), TEXT_CONTEXT_MARKER)?;
+        Some((call_id, parent_id.parse().ok()?))
     }
 
     fn encode_token(&self, enc: &mut dyn Encoder, session: u64, seq: u64) -> bool {
@@ -490,31 +491,16 @@ impl Protocol for TextProtocol {
     }
 
     fn extract_token(&self, body: &[u8]) -> Option<(u64, u64)> {
-        // The chunk section is the outermost suffix; look beneath it.
-        let s = strip_text_chunk(std::str::from_utf8(body).ok()?);
-        // The marker is the *last* `"~tok"` token. After it come exactly
-        // two unsigned integers, followed either by end-of-line or by a
-        // complete context section (`"~ctx" <id> <id>`) — the one suffix
-        // allowed after a token. A string argument containing the marker
-        // bytes encodes with escaped quotes, so the token-boundary check
-        // rejects it.
-        let needle = "\"~tok\"";
-        let idx = s.rfind(needle)?;
-        if idx > 0 && !s.as_bytes()[idx - 1].is_ascii_whitespace() {
-            return None;
-        }
-        let mut tail = s[idx + needle.len()..].split_ascii_whitespace();
-        let session = tail.next()?.parse().ok()?;
-        let seq = tail.next()?.parse().ok()?;
-        match tail.next() {
-            None => Some((session, seq)),
-            Some(tok) if tok == format!("\"{TEXT_CONTEXT_MARKER}\"") => {
-                let _: u64 = tail.next()?.parse().ok()?;
-                let _: u64 = tail.next()?.parse().ok()?;
-                tail.next().is_none().then_some((session, seq))
-            }
-            Some(_) => None,
-        }
+        // Beneath the chunk section the token section runs either to
+        // end-of-line or to a complete context section — the one suffix
+        // allowed after a token.
+        let line = strip_text_chunk(body);
+        let (_, session, seq) = split_text_tail(line, TEXT_TOKEN_MARKER).or_else(|| {
+            let (line, _, parent_id) = split_text_tail(line, TEXT_CONTEXT_MARKER)?;
+            parent_id.parse::<u64>().ok()?;
+            split_text_tail(line, TEXT_TOKEN_MARKER)
+        })?;
+        Some((session, seq.parse().ok()?))
     }
 
     fn encode_chunk(&self, enc: &mut dyn Encoder, index: u64, last: bool) -> bool {
@@ -528,28 +514,13 @@ impl Protocol for TextProtocol {
     }
 
     fn extract_chunk(&self, body: &[u8]) -> Option<(u64, bool)> {
-        let s = std::str::from_utf8(body).ok()?;
-        // The marker is the *last* `"~chunk"` token, and the section is the
-        // outermost suffix: exactly two integers run to end-of-line, with
-        // the last-flag restricted to 0 or 1. A string argument containing
-        // the marker bytes encodes with escaped quotes, so the
-        // token-boundary check rejects it.
-        let needle = "\"~chunk\"";
-        let idx = s.rfind(needle)?;
-        if idx > 0 && !s.as_bytes()[idx - 1].is_ascii_whitespace() {
-            return None;
+        // The section is the outermost suffix: it runs to end-of-line,
+        // with the last-flag restricted to 0 or 1.
+        match split_text_tail(body, TEXT_CHUNK_MARKER)? {
+            (_, index, "0") => Some((index, false)),
+            (_, index, "1") => Some((index, true)),
+            _ => None,
         }
-        let mut tail = s[idx + needle.len()..].split_ascii_whitespace();
-        let index = tail.next()?.parse().ok()?;
-        let last = match tail.next()? {
-            "0" => false,
-            "1" => true,
-            _ => return None,
-        };
-        if tail.next().is_some() {
-            return None;
-        }
-        Some((index, last))
     }
 }
 

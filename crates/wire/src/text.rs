@@ -28,8 +28,13 @@
 use crate::codec::{Decoder, Encoder};
 use crate::error::{WireError, WireResult};
 use crate::limits::DecodeLimits;
+use crate::pool::PooledBuf;
+use std::borrow::Cow;
+use std::io::Write;
 
-/// Encoder for the text protocol.
+/// Encoder for the text protocol. Every primitive is written straight
+/// into the pooled output buffer — digits, float text and escapes
+/// included — so marshaling a value allocates nothing.
 ///
 /// ```
 /// use heidl_wire::{Encoder, TextEncoder};
@@ -41,25 +46,75 @@ use crate::limits::DecodeLimits;
 /// ```
 #[derive(Debug)]
 pub struct TextEncoder {
-    out: String,
+    out: Vec<u8>,
     depth: u32,
 }
 
 impl TextEncoder {
     /// Creates an empty encoder. The output buffer is drawn from the
-    /// process-wide [`pool`](crate::pool) (pooled buffers are stored
-    /// cleared, so reusing one as a `String` is free).
+    /// process-wide [`pool`](crate::pool), so steady-state encoding does
+    /// not allocate.
     pub fn new() -> Self {
-        let buf = crate::pool::global().take_vec();
-        debug_assert!(buf.is_empty());
-        TextEncoder { out: String::from_utf8(buf).unwrap_or_default(), depth: 0 }
+        TextEncoder { out: crate::pool::global().take_vec(), depth: 0 }
     }
 
-    fn token(&mut self, t: &str) {
+    /// Starts a token: one space after whatever came before.
+    fn sep(&mut self) {
         if !self.out.is_empty() {
-            self.out.push(' ');
+            self.out.push(b' ');
         }
-        self.out.push_str(t);
+    }
+
+    fn token(&mut self, t: &[u8]) {
+        self.sep();
+        self.out.extend_from_slice(t);
+    }
+
+    fn integer(&mut self, v: i128) {
+        self.sep();
+        if v < 0 {
+            self.out.push(b'-');
+        }
+        let mut v = v.unsigned_abs() as u64;
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        self.out.extend_from_slice(&digits[at..]);
+    }
+
+    /// `{:?}` is the shortest form that round-trips.
+    fn float(&mut self, v: impl std::fmt::Debug) {
+        self.sep();
+        write!(self.out, "{v:?}").expect("writing to a Vec cannot fail");
+    }
+
+    /// Writes `s` between `quote`s, copying unescaped runs whole.
+    fn quoted(&mut self, quote: u8, s: &[u8]) {
+        self.sep();
+        self.out.push(quote);
+        let mut run = 0;
+        for (i, &b) in s.iter().enumerate() {
+            let escape = match b {
+                b'\\' => b'\\',
+                b'\n' => b'n',
+                b'\r' => b'r',
+                b' ' if quote == b'\'' => b's',
+                b if b == quote => b,
+                _ => continue,
+            };
+            self.out.extend_from_slice(&s[run..i]);
+            self.out.extend_from_slice(&[b'\\', escape]);
+            run = i + 1;
+        }
+        self.out.extend_from_slice(&s[run..]);
+        self.out.push(quote);
     }
 }
 
@@ -71,107 +126,57 @@ impl Default for TextEncoder {
 
 impl Drop for TextEncoder {
     fn drop(&mut self) {
-        crate::pool::recycle(std::mem::take(&mut self.out).into_bytes());
+        crate::pool::recycle(std::mem::take(&mut self.out));
     }
 }
 
-fn escape_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            _ => out.push(c),
+/// Every integer type widens into [`TextEncoder::integer`].
+macro_rules! put_integers {
+    ($($put:ident($ty:ty)),*) => {$(
+        fn $put(&mut self, v: $ty) {
+            self.integer(v.into());
         }
-    }
-    out.push('"');
-    out
-}
-
-fn escape_char(c: char) -> String {
-    match c {
-        '\'' => "'\\''".to_owned(),
-        '\\' => "'\\\\'".to_owned(),
-        '\n' => "'\\n'".to_owned(),
-        '\r' => "'\\r'".to_owned(),
-        ' ' => "'\\s'".to_owned(),
-        c => format!("'{c}'"),
-    }
+    )*};
 }
 
 impl Encoder for TextEncoder {
-    fn put_bool(&mut self, v: bool) {
-        self.token(if v { "T" } else { "F" });
-    }
+    put_integers!(put_octet(u8), put_short(i16), put_ushort(u16), put_long(i32), put_ulong(u32));
+    put_integers!(put_longlong(i64), put_ulonglong(u64), put_len(u32));
 
-    fn put_octet(&mut self, v: u8) {
-        self.token(&v.to_string());
+    fn put_bool(&mut self, v: bool) {
+        self.token(if v { b"T" } else { b"F" });
     }
 
     fn put_char(&mut self, v: char) {
-        let t = escape_char(v);
-        self.token(&t);
-    }
-
-    fn put_short(&mut self, v: i16) {
-        self.token(&v.to_string());
-    }
-
-    fn put_ushort(&mut self, v: u16) {
-        self.token(&v.to_string());
-    }
-
-    fn put_long(&mut self, v: i32) {
-        self.token(&v.to_string());
-    }
-
-    fn put_ulong(&mut self, v: u32) {
-        self.token(&v.to_string());
-    }
-
-    fn put_longlong(&mut self, v: i64) {
-        self.token(&v.to_string());
-    }
-
-    fn put_ulonglong(&mut self, v: u64) {
-        self.token(&v.to_string());
+        self.quoted(b'\'', v.encode_utf8(&mut [0; 4]).as_bytes());
     }
 
     fn put_float(&mut self, v: f32) {
-        // `{:?}` produces shortest round-trippable form.
-        self.token(&format!("{v:?}"));
+        self.float(v);
     }
 
     fn put_double(&mut self, v: f64) {
-        self.token(&format!("{v:?}"));
+        self.float(v);
     }
 
     fn put_string(&mut self, v: &str) {
-        let t = escape_string(v);
-        self.token(&t);
-    }
-
-    fn put_len(&mut self, n: u32) {
-        self.token(&n.to_string());
+        self.quoted(b'"', v.as_bytes());
     }
 
     fn begin(&mut self) {
         self.depth += 1;
-        self.token("{");
+        self.token(b"{");
     }
 
     fn end(&mut self) {
         assert!(self.depth > 0, "end() without matching begin() — stub generator bug");
         self.depth -= 1;
-        self.token("}");
+        self.token(b"}");
     }
 
     fn finish(&mut self) -> Vec<u8> {
         assert_eq!(self.depth, 0, "finish() with {} unclosed begin()s", self.depth);
-        std::mem::take(&mut self.out).into_bytes()
+        std::mem::take(&mut self.out)
     }
 
     fn position(&self) -> usize {
@@ -179,40 +184,119 @@ impl Encoder for TextEncoder {
     }
 }
 
-/// One tokenized span into the decoder's normalized buffer. `quote`
-/// records the token class — `0` for bare tokens, `b'"'` for string
-/// tokens, `b'\''` for char tokens — which the getters check to detect
-/// type confusion (a quoted `"42"` must not parse as a number).
-#[derive(Debug, Clone, Copy)]
-struct TokSpan {
-    start: usize,
-    end: usize,
-    quote: u8,
+/// The bytes that separate tokens. One set serves both uses — skipped
+/// between tokens, and ending a bare token — so the scanner consumes at
+/// least one byte per token whatever the line holds.
+const fn is_sep(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\n' | b'\r')
 }
 
-/// Decoder for the text protocol.
+/// Offset of the first token byte at or after `at`.
+#[inline]
+fn skip_seps(buf: &[u8], at: usize) -> usize {
+    buf[at..].iter().position(|&b| !is_sep(b)).map_or(buf.len(), |n| at + n)
+}
+
+fn utf8_error(what: &'static str, e: std::str::Utf8Error) -> WireError {
+    WireError::Malformed { what, detail: format!("not valid UTF-8: {e}") }
+}
+
+/// Scans the token starting at `at` (not a separator), still in wire
+/// form: `(raw, quote, end)`. `quote` is the token class — `0` for bare
+/// tokens, `b'"'` for strings, `b'\''` for chars — which the getters check
+/// to detect type confusion (a quoted `"42"` must not parse as a number);
+/// `raw` excludes the quotes and `end` is the offset just past the token.
+/// The string bound is enforced here, on the unescaped length, before
+/// anything is materialized (the `+ 1` and `+ 2` preserve the historical
+/// count: CDR string lengths include the NUL byte, and quoted tokens
+/// carried their opening quote).
+#[inline]
+fn scan<'a>(buf: &'a [u8], at: usize, limits: &DecodeLimits) -> WireResult<(&'a [u8], u8, usize)> {
+    let max = limits.max_string_bytes as usize;
+    let over = |len: usize| match len > max {
+        true => Err(WireError::Bounds { what: "string", len: len as u64, max: max as u64 }),
+        false => Ok(()),
+    };
+    let quote = buf[at];
+    if quote != b'"' && quote != b'\'' {
+        let end = buf[at..].iter().position(|&b| is_sep(b)).map_or(buf.len(), |n| at + n);
+        over(end - at + 1)?;
+        return Ok((&buf[at..end], 0, end));
+    }
+    let (start, mut i, mut escapes) = (at + 1, at + 1, 0);
+    let detail = loop {
+        i += buf[i..].iter().position(|&b| b == quote || b == b'\\').unwrap_or(buf.len() - i);
+        over(i - start - escapes + 2)?;
+        match buf.get(i) {
+            None => break "unterminated quote",
+            Some(b'\\') if i + 1 == buf.len() => break "dangling escape",
+            Some(b'\\') => (i, escapes) = (i + 2, escapes + 1),
+            Some(_) => return Ok((&buf[start..i], quote, i + 1)),
+        }
+    };
+    Err(WireError::Malformed { what: "quoted token", detail: detail.into() })
+}
+
+/// A quoted token's bytes with escapes resolved; borrowed when it has none.
+fn unescape(raw: &[u8]) -> Cow<'_, [u8]> {
+    if !raw.contains(&b'\\') {
+        return Cow::Borrowed(raw);
+    }
+    let mut out = Vec::with_capacity(raw.len());
+    let mut rest = raw;
+    while let Some(i) = rest.iter().position(|&b| b == b'\\') {
+        out.extend_from_slice(&rest[..i]);
+        out.push(match rest[i + 1] {
+            b'n' => b'\n',
+            b'r' => b'\r',
+            b's' => b' ',
+            other => other,
+        });
+        rest = &rest[i + 2..];
+    }
+    out.extend_from_slice(rest);
+    Cow::Owned(out)
+}
+
+/// A quoted token as text. Only a peeked message can fail here: the
+/// full-parse constructors validated the whole line.
+fn text(raw: &[u8], what: &'static str) -> WireResult<String> {
+    String::from_utf8(unescape(raw).into_owned()).map_err(|e| utf8_error(what, e.utf8_error()))
+}
+
+/// A token for an error detail: as typed when bare, else unescaped.
+fn show(raw: &[u8], quote: u8) -> String {
+    let bytes = if quote == 0 { Cow::Borrowed(raw) } else { unescape(raw) };
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// Decoder for the text protocol: a lazy cursor over the message bytes.
 ///
-/// Tokenization is span-based: escapes are normalized into one shared
-/// buffer and each token is a `(start, end, quote-class)` triple into it,
-/// so decoding a message costs two allocations (buffer + span table)
-/// instead of one `String` per token.
+/// Nothing is copied or tabulated up front. Each getter scans one token
+/// in place — numbers parse straight out of the line, a string is
+/// unescaped only when [`Decoder::get_string`] asks for it,
+/// [`Decoder::skip_string`] is a pure scan — and [`DecodeLimits`] are
+/// enforced as each token is scanned, so reading the first *k* tokens
+/// costs O(those tokens), not O(message). The storage `B` is a
+/// [`PooledBuf`] that recycles when the decoder drops, or a borrowed
+/// `&[u8]` for [`Protocol::peek_decoder`](crate::Protocol::peek_decoder).
+///
+/// The full-parse constructors ([`TextDecoder::new`], `with_limits`,
+/// [`Protocol::decoder`](crate::Protocol), `decoder_with_limits`) first
+/// validate the whole line in one copy-free pre-scan: invalid UTF-8, an
+/// over-long token or an unterminated quote anywhere fails construction.
+/// A *peek* decoder reports a malformed token only when a getter reads it.
 #[derive(Debug)]
-pub struct TextDecoder {
-    buf: String,
-    spans: Vec<TokSpan>,
+pub struct TextDecoder<B = PooledBuf> {
+    buf: B,
+    /// Offset of the next token's first byte, or the line's length.
     pos: usize,
     depth: u32,
     limits: DecodeLimits,
 }
 
-impl Drop for TextDecoder {
-    fn drop(&mut self) {
-        crate::pool::recycle(std::mem::take(&mut self.buf).into_bytes());
-    }
-}
-
 impl TextDecoder {
-    /// Tokenizes a text-protocol message with [`DecodeLimits::default`].
+    /// Validates a text-protocol message with [`DecodeLimits::default`].
     ///
     /// # Errors
     ///
@@ -222,7 +306,7 @@ impl TextDecoder {
         TextDecoder::with_limits(bytes, DecodeLimits::default())
     }
 
-    /// Tokenizes a text-protocol message under explicit [`DecodeLimits`]:
+    /// Validates a text-protocol message under explicit [`DecodeLimits`]:
     /// tokens longer than the string bound, sequence lengths beyond their
     /// bound, and `{`/`}` nesting past the depth bound all fail cleanly —
     /// the same contract the CDR decoder enforces on its length prefixes.
@@ -231,139 +315,122 @@ impl TextDecoder {
     ///
     /// As [`TextDecoder::new`], plus [`WireError::Bounds`] violations.
     pub fn with_limits(bytes: &[u8], limits: DecodeLimits) -> WireResult<Self> {
-        let text = std::str::from_utf8(bytes).map_err(|e| WireError::Malformed {
-            what: "text message",
-            detail: format!("not valid UTF-8: {e}"),
-        })?;
-        let (buf, spans) = tokenize(text, &limits)?;
-        Ok(TextDecoder { buf, spans, pos: 0, depth: 0, limits })
+        let mut buf = crate::pool::global().get();
+        buf.extend_from_slice(bytes);
+        TextDecoder::validated(buf, limits)
+    }
+}
+
+impl<B: AsRef<[u8]>> TextDecoder<B> {
+    /// A lazy decoder over `buf`: malformed tokens surface when read.
+    pub(crate) fn peek(buf: B, limits: DecodeLimits) -> Self {
+        let pos = skip_seps(buf.as_ref(), 0);
+        TextDecoder { buf, pos, depth: 0, limits }
     }
 
-    fn next(&mut self, what: &'static str) -> WireResult<(&str, u8)> {
-        let sp = *self.spans.get(self.pos).ok_or(WireError::UnexpectedEnd { what })?;
-        self.pos += 1;
-        Ok((&self.buf[sp.start..sp.end], sp.quote))
+    /// [`TextDecoder::peek`] after a pre-scan of every token.
+    pub(crate) fn validated(buf: B, limits: DecodeLimits) -> WireResult<Self> {
+        let bytes = buf.as_ref();
+        std::str::from_utf8(bytes).map_err(|e| utf8_error("text message", e))?;
+        let mut at = skip_seps(bytes, 0);
+        while at < bytes.len() {
+            at = skip_seps(bytes, scan(bytes, at, &limits)?.2);
+        }
+        Ok(TextDecoder::peek(buf, limits))
+    }
+
+    fn next(&mut self, what: &'static str) -> WireResult<(&[u8], u8)> {
+        let buf = self.buf.as_ref();
+        if self.pos >= buf.len() {
+            return Err(WireError::UnexpectedEnd { what });
+        }
+        let (raw, quote, end) = scan(buf, self.pos, &self.limits)?;
+        self.pos = skip_seps(buf, end);
+        Ok((raw, quote))
     }
 
     fn parse_num<T: std::str::FromStr>(&mut self, what: &'static str) -> WireResult<T>
     where
         T::Err: std::fmt::Display,
     {
-        let (t, quote) = self.next(what)?;
+        let (raw, quote) = self.next(what)?;
         if quote != 0 {
-            return Err(WireError::Malformed {
-                what,
-                detail: format!("expected bare token, got quoted `{t}`"),
-            });
+            let detail = format!("expected bare token, got quoted `{}`", show(raw, quote));
+            return Err(WireError::Malformed { what, detail });
         }
+        let t = std::str::from_utf8(raw).map_err(|e| utf8_error(what, e))?;
         t.parse().map_err(|e| WireError::Malformed { what, detail: format!("`{t}`: {e}") })
     }
-}
 
-fn tokenize(text: &str, limits: &DecodeLimits) -> WireResult<(String, Vec<TokSpan>)> {
-    // The string bound is enforced here, while a token accumulates, so a
-    // hostile message cannot grow the buffer by a giant token (`extra`
-    // preserves the historical count: quoted tokens carried their opening
-    // quote, and the `+ 1` mirrors CDR, whose string lengths include the
-    // NUL byte).
-    let max_tok = limits.max_string_bytes as usize;
-    let over = |len: usize, extra: usize| -> WireResult<()> {
-        if len + extra > max_tok {
-            return Err(WireError::Bounds {
-                what: "string",
-                len: (len + extra) as u64,
-                max: max_tok as u64,
-            });
+    /// Integers parse in the same pass that scans them. Anything but plain
+    /// in-range digits (a `+`, an overflow, a quoted token, a token over
+    /// the string bound) is left unread for [`TextDecoder::parse_num`],
+    /// which accepts or diagnoses it exactly as `str::parse` does.
+    fn parse_int<T>(&mut self, what: &'static str) -> WireResult<T>
+    where
+        T: std::str::FromStr + TryFrom<i128>,
+        T::Err: std::fmt::Display,
+    {
+        let buf = self.buf.as_ref();
+        let negative = buf.get(self.pos) == Some(&b'-');
+        let start = self.pos + usize::from(negative);
+        let mut end = start;
+        let mut v = Some(0u64);
+        while let Some(d) = buf.get(end).filter(|b| b.is_ascii_digit()) {
+            v = v.and_then(|v| v.checked_mul(10)?.checked_add(u64::from(d - b'0')));
+            end += 1;
         }
-        Ok(())
-    };
-    // Pooled buffers are stored cleared, so reusing one as a String is
-    // free; the decoder's Drop recycles it.
-    let mut buf = String::from_utf8(crate::pool::global().take_vec()).unwrap_or_default();
-    debug_assert!(buf.is_empty());
-    let mut spans = Vec::new();
-    let mut chars = text.chars().peekable();
-    while let Some(&c) = chars.peek() {
-        match c {
-            ' ' | '\t' | '\n' | '\r' => {
-                chars.next();
+        let fits = end - self.pos < self.limits.max_string_bytes as usize;
+        let whole = end > start && buf.get(end).is_none_or(|&b| is_sep(b));
+        // `-0` is left to `str::parse`, which refuses it for unsigned types.
+        let v = v.filter(|&v| fits && whole && !(negative && v == 0)).map(i128::from);
+        match v.and_then(|v| T::try_from(if negative { -v } else { v }).ok()) {
+            Some(v) => {
+                self.pos = skip_seps(buf, end);
+                Ok(v)
             }
-            '"' | '\'' => {
-                let quote = c;
-                chars.next();
-                let start = buf.len();
-                let mut closed = false;
-                while let Some(c) = chars.next() {
-                    match c {
-                        '\\' => match chars.next() {
-                            Some('n') => buf.push('\n'),
-                            Some('r') => buf.push('\r'),
-                            Some('s') => buf.push(' '),
-                            Some(e) => buf.push(e),
-                            None => {
-                                return Err(WireError::Malformed {
-                                    what: "quoted token",
-                                    detail: "dangling escape".into(),
-                                });
-                            }
-                        },
-                        c if c == quote => {
-                            closed = true;
-                            break;
-                        }
-                        c => buf.push(c),
-                    }
-                    over(buf.len() - start, 2)?;
-                }
-                if !closed {
-                    return Err(WireError::Malformed {
-                        what: "quoted token",
-                        detail: "unterminated quote".into(),
-                    });
-                }
-                spans.push(TokSpan { start, end: buf.len(), quote: quote as u8 });
-            }
-            _ => {
-                let start = buf.len();
-                while let Some(&c) = chars.peek() {
-                    if c.is_whitespace() {
-                        break;
-                    }
-                    buf.push(c);
-                    chars.next();
-                    over(buf.len() - start, 1)?;
-                }
-                spans.push(TokSpan { start, end: buf.len(), quote: 0 });
+            None => self.parse_num(what),
+        }
+    }
+
+    /// The next token's raw bytes; it must be quoted with `quote`.
+    fn quoted(&mut self, what: &'static str, quote: u8) -> WireResult<&[u8]> {
+        match self.next(what)? {
+            (raw, q) if q == quote => Ok(raw),
+            (raw, q) => {
+                let detail = format!("expected quoted {what}, got `{}`", show(raw, q));
+                Err(WireError::Malformed { what, detail })
             }
         }
     }
-    Ok((buf, spans))
 }
 
-impl Decoder for TextDecoder {
+macro_rules! get_integers {
+    ($($get:ident -> $ty:ty: $what:literal),*) => {$(
+        fn $get(&mut self) -> WireResult<$ty> {
+            self.parse_int($what)
+        }
+    )*};
+}
+
+impl<B: AsRef<[u8]> + Send> Decoder for TextDecoder<B> {
+    get_integers!(get_octet -> u8: "octet", get_short -> i16: "short", get_long -> i32: "long");
+    get_integers!(get_ushort -> u16: "unsigned short", get_ulong -> u32: "unsigned long");
+    get_integers!(get_longlong -> i64: "long long", get_ulonglong -> u64: "unsigned long long");
+
     fn get_bool(&mut self) -> WireResult<bool> {
         match self.next("boolean")? {
-            ("T", 0) => Ok(true),
-            ("F", 0) => Ok(false),
-            (other, _) => Err(WireError::Malformed {
+            (b"T", 0) => Ok(true),
+            (b"F", 0) => Ok(false),
+            (other, q) => Err(WireError::Malformed {
                 what: "boolean",
-                detail: format!("expected T or F, got `{other}`"),
+                detail: format!("expected T or F, got `{}`", show(other, q)),
             }),
         }
     }
 
-    fn get_octet(&mut self) -> WireResult<u8> {
-        self.parse_num("octet")
-    }
-
     fn get_char(&mut self) -> WireResult<char> {
-        let (t, quote) = self.next("char")?;
-        if quote != b'\'' {
-            return Err(WireError::Malformed {
-                what: "char",
-                detail: format!("expected quoted char, got `{t}`"),
-            });
-        }
+        let t = text(self.quoted("char", b'\'')?, "char")?;
         let mut chars = t.chars();
         match (chars.next(), chars.next()) {
             (Some(c), None) => Ok(c),
@@ -372,30 +439,6 @@ impl Decoder for TextDecoder {
                 detail: format!("expected exactly one character, got `{t}`"),
             }),
         }
-    }
-
-    fn get_short(&mut self) -> WireResult<i16> {
-        self.parse_num("short")
-    }
-
-    fn get_ushort(&mut self) -> WireResult<u16> {
-        self.parse_num("unsigned short")
-    }
-
-    fn get_long(&mut self) -> WireResult<i32> {
-        self.parse_num("long")
-    }
-
-    fn get_ulong(&mut self) -> WireResult<u32> {
-        self.parse_num("unsigned long")
-    }
-
-    fn get_longlong(&mut self) -> WireResult<i64> {
-        self.parse_num("long long")
-    }
-
-    fn get_ulonglong(&mut self) -> WireResult<u64> {
-        self.parse_num("unsigned long long")
     }
 
     fn get_float(&mut self) -> WireResult<f32> {
@@ -407,31 +450,15 @@ impl Decoder for TextDecoder {
     }
 
     fn get_string(&mut self) -> WireResult<String> {
-        let (t, quote) = self.next("string")?;
-        if quote == b'"' {
-            Ok(t.to_owned())
-        } else {
-            Err(WireError::Malformed {
-                what: "string",
-                detail: format!("expected quoted string, got `{t}`"),
-            })
-        }
+        text(self.quoted("string", b'"')?, "string")
     }
 
     fn skip_string(&mut self) -> WireResult<()> {
-        let (t, quote) = self.next("string")?;
-        if quote == b'"' {
-            Ok(())
-        } else {
-            Err(WireError::Malformed {
-                what: "string",
-                detail: format!("expected quoted string, got `{t}`"),
-            })
-        }
+        self.quoted("string", b'"').map(|_| ())
     }
 
     fn get_len(&mut self) -> WireResult<u32> {
-        let n: u32 = self.parse_num("sequence length")?;
+        let n: u32 = self.parse_int("sequence length")?;
         let max = self.limits.max_sequence_len;
         if n > max {
             return Err(WireError::Bounds { what: "sequence", len: n.into(), max: max.into() });
@@ -441,9 +468,10 @@ impl Decoder for TextDecoder {
 
     fn begin(&mut self) -> WireResult<()> {
         match self.next("begin marker")? {
-            ("{", 0) => {}
-            (other, _) => {
-                return Err(WireError::Nesting { detail: format!("expected `{{`, got `{other}`") })
+            (b"{", 0) => {}
+            (other, q) => {
+                let detail = format!("expected `{{`, got `{}`", show(other, q));
+                return Err(WireError::Nesting { detail });
             }
         }
         if self.depth >= self.limits.max_depth {
@@ -459,18 +487,18 @@ impl Decoder for TextDecoder {
 
     fn end(&mut self) -> WireResult<()> {
         match self.next("end marker")? {
-            ("}", 0) => {
+            (b"}", 0) => {
                 self.depth = self.depth.saturating_sub(1);
                 Ok(())
             }
-            (other, _) => {
-                Err(WireError::Nesting { detail: format!("expected `}}`, got `{other}`") })
-            }
+            (other, q) => Err(WireError::Nesting {
+                detail: format!("expected `}}`, got `{}`", show(other, q)),
+            }),
         }
     }
 
     fn at_end(&self) -> bool {
-        self.pos >= self.spans.len()
+        self.pos >= self.buf.as_ref().len()
     }
 }
 

@@ -197,3 +197,57 @@ proptest! {
         }
     }
 }
+
+/// Every Unicode whitespace character, both quotes, the escape character
+/// and the structure markers, plus a few ordinary token bytes.
+const TRICKY: &[char] = &[
+    '\t', '\n', '\u{b}', '\u{c}', '\r', ' ', '\u{85}', '\u{a0}', '\u{1680}', '\u{2000}',
+    '\u{2001}', '\u{2002}', '\u{2003}', '\u{2004}', '\u{2005}', '\u{2006}', '\u{2007}', '\u{2008}',
+    '\u{2009}', '\u{200a}', '\u{2028}', '\u{2029}', '\u{202f}', '\u{205f}', '\u{3000}', '"', '\'',
+    '\\', '{', '}', 'T', '1', '-', '.', 'x',
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Regression: the eager tokenizer skipped only `' ' \t \n \r` between
+    /// tokens but ended a bare token on any Unicode whitespace, so a line
+    /// holding U+000B (or U+0085, U+00A0, ...) outside quotes produced
+    /// empty tokens forever. Valid-UTF-8 lines over that alphabet must
+    /// construct (or fail) and drain in bounded steps: a token is at
+    /// least one byte, so a line never yields more tokens than bytes.
+    #[test]
+    fn unicode_whitespace_never_wedges_the_text_decoder(
+        picks in proptest::collection::vec(0usize..TRICKY.len(), 0..96),
+    ) {
+        let line: String = picks.iter().map(|&i| TRICKY[i]).collect();
+        let limits = tight();
+        if let Ok(dec) = TextProtocol.decoder_with_limits(line.clone().into_bytes(), &limits) {
+            drain_decoder(dec);
+        }
+        // The lazy peek decoder reports a malformed token when it reaches
+        // it (and stays there), so its drain is bounded by count.
+        let mut peek = TextProtocol.peek_decoder(line.as_bytes(), &limits).unwrap();
+        for _ in 0..=line.len() {
+            let _ = peek.get_string().is_err() && peek.get_double().is_err();
+        }
+        if let Ok(mut dec) = TextProtocol.decoder_with_limits(line.clone().into_bytes(), &limits) {
+            let mut tokens = 0;
+            while !dec.at_end() {
+                let _ = dec.get_bool(); // consumes one token of any class
+                tokens += 1;
+                prop_assert!(tokens <= line.len(), "more tokens than bytes in {line:?}");
+            }
+        }
+    }
+}
+
+/// The line from the bug report, verbatim.
+#[test]
+fn vertical_tab_line_returns() {
+    let mut dec = heidl_wire::TextDecoder::new(b"1 \x0b 2").unwrap();
+    assert_eq!(dec.get_long().unwrap(), 1);
+    assert!(matches!(dec.get_long(), Err(WireError::Malformed { .. })));
+    assert_eq!(dec.get_long().unwrap(), 2);
+    assert!(dec.at_end());
+}

@@ -57,7 +57,10 @@ use crate::error::{RmiError, RmiResult};
 use crate::metrics::{Counter, Metrics};
 use crate::objref::{Endpoint, ObjectRef};
 use crate::retry::may_retry;
-use crate::server::{HEALTH_OBJECT_ID, HEALTH_TYPE_ID, METRICS_OBJECT_ID, METRICS_TYPE_ID};
+use crate::server::{
+    WorkerPool, HEALTH_OBJECT_ID, HEALTH_TYPE_ID, METRICS_OBJECT_ID, METRICS_TYPE_ID,
+    WORKER_THREADS,
+};
 use crate::trace::{self, TraceLevel};
 use crate::transport::{Connector, TcpTransport, Transport};
 use heidl_wire::{DecodeLimits, Protocol, TextProtocol};
@@ -250,14 +253,15 @@ impl RouterBuilder {
             protocol: self.protocol,
             source: self.source,
             pool,
-            policy: self.policy,
             metrics,
+            forwarders: WorkerPool::new(WORKER_THREADS, self.policy.max_in_flight),
             in_flight: AtomicUsize::new(0),
             connections: AtomicUsize::new(0),
             shed_requests: AtomicU64::new(0),
             rotation: AtomicU64::new(0),
             affinity: Mutex::new(HashMap::new()),
             running: Arc::new(AtomicBool::new(true)),
+            policy: self.policy,
         });
         let loop_shared = Arc::clone(&shared);
         let acceptor = std::thread::Builder::new()
@@ -280,6 +284,10 @@ struct RouterShared {
     pool: ConnectionPool,
     policy: RouterPolicy,
     metrics: Arc<Metrics>,
+    /// The threads forwards run on: resident ones, so a forward costs no
+    /// thread creation, with transient overflow when a burst (or backends
+    /// slow to answer) occupies them all. `in_flight` caps both.
+    forwarders: WorkerPool,
     in_flight: AtomicUsize,
     connections: AtomicUsize,
     shed_requests: AtomicU64,
@@ -523,16 +531,14 @@ fn router_connection(transport: Box<dyn Transport>, shared: &Arc<RouterShared>) 
         let job_shared = Arc::clone(shared);
         let job_writer = Arc::clone(&writer);
         let job_conns = Arc::clone(&conns);
-        let spawned =
-            std::thread::Builder::new().name("heidl-router-fwd".to_owned()).spawn(move || {
-                let reply =
-                    forward_one(&job_shared, &job_conns, body, request_id, response_expected);
-                job_shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-                if let Some(reply) = reply {
-                    let _ = job_writer.send(&reply);
-                }
-            });
-        if spawned.is_err() {
+        let accepted = shared.forwarders.submit(Box::new(move || {
+            let reply = forward_one(&job_shared, &job_conns, body, request_id, response_expected);
+            job_shared.in_flight.fetch_sub(1, Ordering::SeqCst);
+            if let Some(reply) = reply {
+                let _ = job_writer.send(&reply);
+            }
+        }));
+        if !accepted {
             shared.in_flight.fetch_sub(1, Ordering::SeqCst);
             if response_expected {
                 let busy =

@@ -77,7 +77,7 @@ use std::time::{Duration, Instant};
 /// Resident dispatch threads per server; requests beyond this run on
 /// transient overflow threads (bounded by the policy) so a dispatch that
 /// itself blocks (e.g. on a nested remote call) can never starve the pool.
-const WORKER_THREADS: usize = 4;
+pub(crate) const WORKER_THREADS: usize = 4;
 
 /// Well-known object id of the built-in `_health` object every server
 /// serves. Exported ids start at 1, so 0 can never collide.
@@ -525,15 +525,17 @@ fn nudge_addr(local: SocketAddr) -> SocketAddr {
     addr
 }
 
-type Job = Box<dyn FnOnce() + Send>;
+pub(crate) type Job = Box<dyn FnOnce() + Send>;
 
 /// A small fixed pool of dispatch threads with *bounded* overflow: when
 /// every resident worker is occupied, the job runs on a transient thread
 /// instead of queueing behind a potentially blocked dispatch — but only
 /// up to the policy's overflow budget. Past that, `submit` refuses and
 /// the caller sheds the request with `Busy` instead of letting a slow
-/// servant grow one thread per queued request without bound.
-struct WorkerPool {
+/// servant grow one thread per queued request without bound. The router
+/// runs its forwards on one too (a forward blocks on its backend exactly
+/// as a dispatch may block on a nested call).
+pub(crate) struct WorkerPool {
     tx: crossbeam::channel::Sender<Job>,
     busy: Arc<AtomicUsize>,
     workers: usize,
@@ -542,7 +544,7 @@ struct WorkerPool {
 }
 
 impl WorkerPool {
-    fn new(workers: usize, max_overflow: usize) -> WorkerPool {
+    pub(crate) fn new(workers: usize, max_overflow: usize) -> WorkerPool {
         let (tx, rx) = crossbeam::channel::unbounded::<Job>();
         let busy = Arc::new(AtomicUsize::new(0));
         for i in 0..workers {
@@ -562,7 +564,7 @@ impl WorkerPool {
     /// Runs `job` on a resident worker or a transient overflow thread.
     /// Returns `false` (dropping the job unrun) when every resident
     /// worker is busy and the overflow budget is exhausted.
-    fn submit(&self, job: Job) -> bool {
+    pub(crate) fn submit(&self, job: Job) -> bool {
         // `busy` counts submitted-but-unfinished pool jobs; the check is a
         // heuristic (races only cost an occasional extra thread), but it
         // guarantees a job is never queued behind `workers` blocked ones.

@@ -148,6 +148,74 @@ fn untokened_calls_round_robin_across_backends() {
     }
 }
 
+/// A backend servant that holds every `wait` call until `parties` of them
+/// are inside it together.
+struct RendezvousSkel {
+    base: SkeletonBase,
+    barrier: std::sync::Barrier,
+}
+
+impl Skeleton for RendezvousSkel {
+    fn type_id(&self) -> &str {
+        self.base.type_id()
+    }
+
+    fn dispatch(
+        &self,
+        method: &str,
+        args: &mut dyn Decoder,
+        reply: &mut dyn Encoder,
+    ) -> RmiResult<DispatchOutcome> {
+        match self.base.find(method) {
+            Some(0) => {
+                self.barrier.wait();
+                reply.put_longlong(args.get_longlong()?);
+                Ok(DispatchOutcome::Handled)
+            }
+            _ => self.base.dispatch_parents(method, args, reply),
+        }
+    }
+}
+
+/// Forwards run on a few resident router threads, but a burst wider than
+/// those must still forward concurrently (on overflow threads), never
+/// queue behind a forward that is waiting for its backend: every call here
+/// completes only once all of them are inside the servant at once.
+#[test]
+fn a_burst_wider_than_the_resident_forwarders_forwards_concurrently() {
+    const BURST: usize = 12;
+    let backend = Orb::new();
+    let endpoint = backend.serve("127.0.0.1:0").unwrap();
+    backend
+        .export(Arc::new(RendezvousSkel {
+            base: SkeletonBase::new(REC_TYPE_ID, DispatchKind::Hash, ["wait"], vec![]),
+            barrier: std::sync::Barrier::new(BURST),
+        }))
+        .unwrap();
+    let source = Arc::new(SharedBackends::with_endpoints([endpoint]));
+    let router = Router::builder(source).start("127.0.0.1:0").unwrap();
+    let target = router.service_ref(1, REC_TYPE_ID);
+
+    let client = Orb::new();
+    // Twice: the second burst finds the resident forwarders already used.
+    for round in 0..2 {
+        std::thread::scope(|scope| {
+            for i in 0..BURST as i64 {
+                let (client, target) = (&client, &target);
+                scope.spawn(move || {
+                    let arg = round * 100 + i;
+                    let got = invoke(client, target, "wait", arg, RetryClass::IfIdempotent);
+                    assert_eq!(got.unwrap(), arg);
+                });
+            }
+        });
+    }
+
+    client.shutdown();
+    router.shutdown();
+    backend.shutdown();
+}
+
 /// The router answers `_health` and `_metrics` itself: both stay readable
 /// with an empty membership, and application calls are answered `Busy`
 /// (retry-safe) rather than hanging or tearing the connection.

@@ -25,8 +25,8 @@ use crate::error::{RmiError, RmiResult};
 use crate::objref::Endpoint;
 use crate::reactor::{self, Action, ReactorHandle, Source, EPOLLERR, EPOLLIN, EPOLLRDHUP};
 use crate::trace::{self, TraceLevel};
-use crate::transport::{Connector, TcpConnector, Transport, TransportMode, RECV_CHUNK};
-use heidl_wire::{pool, DecodeLimits, FrameBuf, PooledBuf, Protocol, MAX_FRAME_HEADER};
+use crate::transport::{Connector, TcpConnector, Transport, TransportMode};
+use heidl_wire::{pool, DecodeLimits, FrameBuf, PooledBuf, Protocol, MAX_FRAME_HEADER, RECV_CHUNK};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::ops::Deref;
@@ -34,25 +34,43 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Writes one framed message without materializing the frame: protocols
-/// that describe their framing as header + body + trailer
-/// ([`Protocol::frame_parts`]) go out through a single vectored write;
-/// others fall back to staging the frame in a pooled buffer.
+/// Writes one framed message through a single vectored write (see
+/// [`with_frame`]).
 pub(crate) fn write_framed(
     transport: &mut dyn Transport,
     protocol: &dyn Protocol,
-    body: &[u8],
+    body: &[&[u8]],
 ) -> RmiResult<()> {
+    Ok(with_frame(protocol, body, |frame| transport.send_vectored(frame))?)
+}
+
+/// Frames a body given as up to three `parts` (concatenated in order)
+/// without materializing it, and hands `write` the frame as slices:
+/// protocols that describe their framing as header + body + trailer
+/// ([`Protocol::frame_parts`]) yield the stack header, the parts as they
+/// lie, and the trailer; others fall back to staging the frame in a
+/// pooled buffer.
+pub(crate) fn with_frame<R>(
+    protocol: &dyn Protocol,
+    body: &[&[u8]],
+    write: impl FnOnce(&[&[u8]]) -> R,
+) -> R {
+    let n = body.len();
+    assert!(n <= 3, "a frame body has at most three parts");
     let mut header = [0u8; MAX_FRAME_HEADER];
-    if let Some((header_len, trailer)) = protocol.frame_parts(body.len(), &mut header) {
-        transport.send_vectored(&[&header[..header_len], body, trailer])?;
+    let len = body.iter().map(|part| part.len()).sum();
+    if let Some((header_len, trailer)) = protocol.frame_parts(len, &mut header) {
+        let mut frame: [&[u8]; 5] = [&[]; 5];
+        frame[0] = &header[..header_len];
+        frame[1..=n].copy_from_slice(body);
+        frame[n + 1] = trailer;
+        write(&frame[..n + 2])
     } else {
         let mut framed = pool::global().get();
-        framed.reserve(body.len() + MAX_FRAME_HEADER);
-        protocol.frame(body, &mut framed);
-        transport.send(&framed)?;
+        framed.reserve(len + MAX_FRAME_HEADER);
+        protocol.frame(&body.concat(), &mut framed);
+        write(&[&framed])
     }
-    Ok(())
 }
 
 /// A message channel over a transport: framing + buffering.
@@ -107,7 +125,7 @@ impl ObjectCommunicator {
     ///
     /// Propagates transport failures.
     pub fn send(&mut self, body: &[u8]) -> RmiResult<()> {
-        write_framed(self.transport.as_mut(), self.protocol.as_ref(), body)
+        write_framed(self.transport.as_mut(), self.protocol.as_ref(), &[body])
     }
 
     /// Receives the next complete message body, or `None` on orderly close.
@@ -118,12 +136,20 @@ impl ObjectCommunicator {
     pub fn recv(&mut self) -> RmiResult<Option<PooledBuf>> {
         loop {
             if let Some(body) = self.protocol.deframe_pooled(&mut self.inbuf, &self.limits)? {
-                // A jumbo frame may have ballooned the read buffer; give
-                // the excess back once it is drained.
+                // A jumbo text line may have ballooned the read buffer;
+                // give the excess back once it is drained.
                 self.inbuf.maybe_shrink();
                 return Ok(Some(body));
             }
-            let n = self.transport.recv_into(self.inbuf.input())?;
+            // A large frame's body is read straight into its own buffer,
+            // waiting for all of it at once: those bytes are the frame's.
+            let filling = self.inbuf.filling_body();
+            let (input, lacking) = self.inbuf.input();
+            let n = if filling {
+                self.transport.recv_body_into(input, lacking)?
+            } else {
+                self.transport.recv_into(input)?
+            };
             if n == 0 {
                 if self.inbuf.is_empty() {
                     return Ok(None);
@@ -828,10 +854,10 @@ impl MuxConnection {
             // already accepted for sending.
             let mut writer = self.writer.lock();
             self.flush_pipeline(writer.as_mut());
-            return write_framed(writer.as_mut(), self.protocol.as_ref(), body);
+            return write_framed(writer.as_mut(), self.protocol.as_ref(), &[body]);
         }
         let mut writer = self.writer.lock();
-        write_framed(writer.as_mut(), self.protocol.as_ref(), body)
+        write_framed(writer.as_mut(), self.protocol.as_ref(), &[body])
     }
 
     /// Stages a small oneway frame and returns without waiting for the
@@ -873,7 +899,7 @@ impl MuxConnection {
     fn send_pipelined(&self, body: &[u8]) -> RmiResult<()> {
         if let Some(mut writer) = self.writer.try_lock() {
             self.flush_pipeline(writer.as_mut());
-            return write_framed(writer.as_mut(), self.protocol.as_ref(), body);
+            return write_framed(writer.as_mut(), self.protocol.as_ref(), &[body]);
         }
         let my_seq = {
             let mut q = self.pipeline.queue.lock();
@@ -1110,19 +1136,22 @@ impl Source for DemuxSource {
             if drained {
                 return Action::Keep;
             }
-            // ...then pull more until the socket runs dry. A read shorter
-            // than `RECV_CHUNK` emptied the kernel buffer: deliver what it
+            // ...then pull more until the socket runs dry (straight into a
+            // large frame's body while one is arriving). A read shorter
+            // than asked for emptied the kernel buffer: deliver what it
             // returned, then stop without paying the `EWOULDBLOCK`
             // confirmation syscall (level-triggered epoll re-reports the
             // fd if more bytes race in).
-            match self.transport.try_recv_into(self.buf.input()) {
+            let (input, lacking) = self.buf.input();
+            let max = lacking.min(RECV_CHUNK);
+            match self.transport.try_recv_into(input, max) {
                 Ok(Some(0)) => {
                     trace::emit_with(TraceLevel::Debug, "demux", || {
                         format!("connection to {} closed by peer", self.peer)
                     });
                     return Action::Drop;
                 }
-                Ok(Some(n)) => drained = n < RECV_CHUNK,
+                Ok(Some(n)) => drained = n < max,
                 Ok(None) => return Action::Keep,
                 Err(e) => {
                     trace::emit_with(TraceLevel::Warn, "demux", || {

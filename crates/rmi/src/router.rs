@@ -418,7 +418,7 @@ impl ClientWriter {
     fn send(&self, body: &[u8]) -> RmiResult<()> {
         let result = {
             let mut transport = self.transport.lock();
-            write_framed(transport.as_mut(), self.protocol.as_ref(), body)
+            write_framed(transport.as_mut(), self.protocol.as_ref(), &[body])
         };
         if result.is_ok() {
             self.metrics.add(Counter::BytesOut, body.len() as u64);

@@ -48,7 +48,7 @@ use crate::call::{
     extract_call_context, extract_invocation_token, peek_reply_id, peek_route, IncomingCall,
     ReplyBuilder, ReplyStatus,
 };
-use crate::communicator::{write_framed, ObjectCommunicator};
+use crate::communicator::{with_frame, write_framed, ObjectCommunicator};
 use crate::error::{RmiError, RmiResult};
 use crate::metrics::{Counter, Metrics};
 use crate::objref::Endpoint;
@@ -63,8 +63,8 @@ use crate::stream::{
     StreamServant, StreamWindow, TokenBucket, STREAM_ACK_OBJECT_ID, STREAM_EXPIRED_REPO_ID,
 };
 use crate::trace::{self, TraceLevel};
-use crate::transport::{TcpTransport, Transport, RECV_CHUNK};
-use heidl_wire::{pool, FrameBuf, PooledBuf, MAX_FRAME_HEADER};
+use crate::transport::{TcpTransport, Transport};
+use heidl_wire::{pool, FrameBuf, PooledBuf, RECV_CHUNK};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::IoSlice;
@@ -670,15 +670,44 @@ fn accept_loop(
 /// and the reactor's queueing non-blocking [`ConnWriter`] both implement
 /// it, so [`route_frame`] and the worker pool are engine-agnostic.
 pub(crate) trait ReplySink: Send + Sync {
+    /// Frames one reply whose body is `body` (up to three parts,
+    /// concatenated) and writes it whole — or, on the reactor, queues
+    /// what the socket will not take yet. The `send*` methods wrap it
+    /// with byte accounting and buffer recycling.
+    fn write_frame(&self, body: &[&[u8]]) -> RmiResult<()>;
+
+    /// The registry reply bytes are counted in.
+    fn metrics(&self) -> &Metrics;
+
     /// Writes one framed reply, recycling the (pooled) body storage once
     /// the bytes are on the wire (or queued for it).
-    fn send(&self, body: Vec<u8>) -> RmiResult<()>;
+    fn send(&self, body: Vec<u8>) -> RmiResult<()> {
+        let result = write_reply(self, &[&body], true);
+        pool::recycle(body);
+        result
+    }
 
     /// As [`Self::send`] but without touching the byte counters: replies
     /// to the built-in `_health`/`_metrics` objects — including heartbeat
     /// pings — are runtime chatter, not application traffic, and must not
     /// skew `_metrics` byte totals.
-    fn send_unmetered(&self, body: Vec<u8>) -> RmiResult<()>;
+    fn send_unmetered(&self, body: Vec<u8>) -> RmiResult<()> {
+        let result = write_reply(self, &[&body], false);
+        pool::recycle(body);
+        result
+    }
+
+    /// Writes one framed reply whose body is `envelope` with `payload`
+    /// spliced in at byte `at` — `envelope[..at] · payload ·
+    /// envelope[at..]` — as one gathered write: the payload goes to the
+    /// socket from the buffer its producer filled, never through an
+    /// encoder. The envelope's storage is recycled as in [`Self::send`].
+    fn send_spliced(&self, envelope: Vec<u8>, at: usize, payload: Vec<u8>) -> RmiResult<()> {
+        let (head, tail) = envelope.split_at(at);
+        let result = write_reply(self, &[head, &payload, tail], true);
+        pool::recycle(envelope);
+        result
+    }
 
     /// Tears the connection down: shuts the socket down so the read side
     /// (blocked thread or reactor source) observes EOF and cleans up.
@@ -694,6 +723,25 @@ pub(crate) trait ReplySink: Send + Sync {
     }
 }
 
+/// Writes one reply through `sink`, counting its body bytes when
+/// `metered`. A write failure is traced here — the one choke point every
+/// reply passes through — so a connection torn down mid-reply never
+/// vanishes silently.
+fn write_reply(sink: &(impl ReplySink + ?Sized), body: &[&[u8]], metered: bool) -> RmiResult<()> {
+    let result = sink.write_frame(body);
+    match &result {
+        Ok(()) if metered => {
+            let len = body.iter().map(|part| part.len() as u64).sum();
+            sink.metrics().add(Counter::BytesOut, len);
+        }
+        Ok(()) => {}
+        Err(e) => trace::emit_with(TraceLevel::Warn, "server", || {
+            format!("reply write failed; dropping connection: {e}")
+        }),
+    }
+    result
+}
+
 /// The write half of a connection, shared by every dispatch that answers
 /// on it. Frames under a brief lock so interleaved replies stay whole.
 struct ReplyWriter {
@@ -702,36 +750,13 @@ struct ReplyWriter {
     metrics: Arc<Metrics>,
 }
 
-impl ReplyWriter {
-    /// Takes the body by value so its (pooled) storage can be recycled
-    /// once the bytes are on the wire. A write failure is traced here —
-    /// the one choke point every reply passes through — so a connection
-    /// torn down mid-reply never vanishes silently.
-    fn send_with_accounting(&self, body: Vec<u8>, metered: bool) -> RmiResult<()> {
-        let len = body.len();
-        let result = {
-            let mut transport = self.transport.lock();
-            write_framed(transport.as_mut(), self.protocol.as_ref(), &body)
-        };
-        heidl_wire::pool::recycle(body);
-        match &result {
-            Ok(()) if metered => self.metrics.add(Counter::BytesOut, len as u64),
-            Ok(()) => {}
-            Err(e) => trace::emit_with(TraceLevel::Warn, "server", || {
-                format!("reply write failed; dropping connection: {e}")
-            }),
-        }
-        result
-    }
-}
-
 impl ReplySink for ReplyWriter {
-    fn send(&self, body: Vec<u8>) -> RmiResult<()> {
-        self.send_with_accounting(body, true)
+    fn write_frame(&self, body: &[&[u8]]) -> RmiResult<()> {
+        write_framed(self.transport.lock().as_mut(), self.protocol.as_ref(), body)
     }
 
-    fn send_unmetered(&self, body: Vec<u8>) -> RmiResult<()> {
-        self.send_with_accounting(body, false)
+    fn metrics(&self) -> &Metrics {
+        &self.metrics
     }
 
     fn force_close(&self) {
@@ -1147,10 +1172,8 @@ fn pump_stream(
         if let Some(bucket) = &shared.stream_bucket {
             bucket.pace(fragment.len() as u64);
         }
-        let mut reply = ReplyBuilder::ok(protocol.as_ref(), request_id);
-        reply.results().put_string(&fragment);
-        let _ = protocol.encode_chunk(reply.results(), index, last);
-        if sink.send(reply.into_body()).is_err() {
+        let sent = send_chunk(sink.as_ref(), protocol.as_ref(), request_id, index, last, fragment);
+        if sent.is_err() {
             break true;
         }
         if last {
@@ -1190,6 +1213,33 @@ fn pump_stream(
             "IDL:heidl/StreamAborted:1.0",
             "stream aborted: credit window stalled",
         ));
+    }
+}
+
+/// Sends one stream fragment as an OK reply carrying the chunk section.
+/// Where the protocol writes strings verbatim (CDR), the fragment is
+/// spliced into the frame as the servant produced it — reply header and
+/// length prefix before it, NUL and chunk section after — so its bytes
+/// go from the servant's `String` to the socket with no encoder copy.
+/// Text escapes its strings, so there the fragment is marshaled like any
+/// result. The wire bytes are the same either way.
+fn send_chunk(
+    sink: &dyn ReplySink,
+    protocol: &dyn heidl_wire::Protocol,
+    request_id: u64,
+    index: u64,
+    last: bool,
+    fragment: String,
+) -> RmiResult<()> {
+    let mut reply = ReplyBuilder::ok(protocol, request_id);
+    let at = protocol.put_string_spliced(reply.results(), fragment.len());
+    if at.is_none() {
+        reply.results().put_string(&fragment);
+    }
+    let _ = protocol.encode_chunk(reply.results(), index, last);
+    match at {
+        Some(at) => sink.send_spliced(reply.into_body(), at, fragment.into_bytes()),
+        None => sink.send(reply.into_body()),
     }
 }
 
@@ -1560,51 +1610,6 @@ struct ConnWriter {
 }
 
 impl ConnWriter {
-    fn send_with_accounting(&self, body: Vec<u8>, metered: bool) -> RmiResult<()> {
-        let len = body.len();
-        let result = self.write_frame(&body);
-        pool::recycle(body);
-        match &result {
-            Ok(()) if metered => self.metrics.add(Counter::BytesOut, len as u64),
-            Ok(()) => {}
-            Err(e) => trace::emit_with(TraceLevel::Warn, "server", || {
-                format!("reply write failed; dropping connection: {e}")
-            }),
-        }
-        result
-    }
-
-    /// Frames and writes one reply body. Runs on a worker thread: the
-    /// frame goes straight to the socket when nothing is queued (the hot
-    /// path touches the reactor not at all); otherwise — or when the
-    /// kernel buffer fills mid-write — the remainder is queued and
-    /// `EPOLLOUT` armed for continuation.
-    fn write_frame(&self, body: &[u8]) -> RmiResult<()> {
-        let mut header = [0u8; MAX_FRAME_HEADER];
-        let arm = {
-            let mut inner = self.inner.lock();
-            let result = if let Some((header_len, trailer)) =
-                self.protocol.frame_parts(body.len(), &mut header)
-            {
-                inner.write_parts(&[&header[..header_len], body, trailer])
-            } else {
-                let mut framed = pool::global().get();
-                framed.reserve(body.len() + MAX_FRAME_HEADER);
-                self.protocol.frame(body, &mut framed);
-                inner.write_parts(&[&framed])
-            };
-            inner.settle(&self.budget);
-            result?
-        };
-        if arm {
-            // Queue transitioned (or stayed) non-empty: make sure the loop
-            // watches for writability. Redundant re-arms are harmless —
-            // the source itself disarms once the queue drains.
-            self.reactor.rearm(self.token, EPOLLIN | EPOLLOUT | EPOLLRDHUP);
-        }
-        Ok(())
-    }
-
     /// Continues the queued write (reactor thread, `EPOLLOUT`).
     fn flush(&self) -> FlushState {
         let mut inner = self.inner.lock();
@@ -1690,8 +1695,8 @@ impl WriterInner {
         // One gathered `sendmsg` per attempt: the framed reply reaches the
         // wire whole, so the client's readiness loop wakes once per reply
         // instead of once per part (header, body, ...).
-        debug_assert!(parts.len() <= 3, "frame has at most header, body, trailer");
-        let mut storage = [IoSlice::new(&[]); 3];
+        debug_assert!(parts.len() <= 5, "frame has at most header, three body parts, trailer");
+        let mut storage = [IoSlice::new(&[]); 5];
         for (slot, part) in storage.iter_mut().zip(parts) {
             *slot = IoSlice::new(part);
         }
@@ -1722,12 +1727,28 @@ impl WriterInner {
 }
 
 impl ReplySink for ConnWriter {
-    fn send(&self, body: Vec<u8>) -> RmiResult<()> {
-        self.send_with_accounting(body, true)
+    /// Runs on a worker thread: the frame goes straight to the socket
+    /// when nothing is queued (the hot path touches the reactor not at
+    /// all); otherwise — or when the kernel buffer fills mid-write — the
+    /// remainder is queued and `EPOLLOUT` armed for continuation.
+    fn write_frame(&self, body: &[&[u8]]) -> RmiResult<()> {
+        let arm = {
+            let mut inner = self.inner.lock();
+            let result = with_frame(self.protocol.as_ref(), body, |frame| inner.write_parts(frame));
+            inner.settle(&self.budget);
+            result?
+        };
+        if arm {
+            // Queue transitioned (or stayed) non-empty: make sure the loop
+            // watches for writability. Redundant re-arms are harmless —
+            // the source itself disarms once the queue drains.
+            self.reactor.rearm(self.token, EPOLLIN | EPOLLOUT | EPOLLRDHUP);
+        }
+        Ok(())
     }
 
-    fn send_unmetered(&self, body: Vec<u8>) -> RmiResult<()> {
-        self.send_with_accounting(body, false)
+    fn metrics(&self) -> &Metrics {
+        &self.metrics
     }
 
     fn force_close(&self) {
@@ -1827,14 +1848,17 @@ impl Source for ConnSource {
                 if drained {
                     break;
                 }
-                // ...then pull more until the socket runs dry. A read
-                // shorter than `RECV_CHUNK` emptied the kernel buffer:
+                // ...then pull more until the socket runs dry (straight
+                // into a large frame's body while one is arriving). A read
+                // shorter than asked for emptied the kernel buffer:
                 // deframe what it returned, then stop without paying the
                 // `EWOULDBLOCK` confirmation syscall (level-triggered
                 // epoll re-reports the fd if more bytes race in).
-                match self.transport.try_recv_into(self.buf.input()) {
+                let (input, lacking) = self.buf.input();
+                let max = lacking.min(RECV_CHUNK);
+                match self.transport.try_recv_into(input, max) {
                     Ok(Some(0)) => return Action::Drop,
-                    Ok(Some(n)) => drained = n < RECV_CHUNK,
+                    Ok(Some(n)) => drained = n < max,
                     Ok(None) => break,
                     Err(_) => return Action::Drop,
                 }
@@ -1854,5 +1878,127 @@ impl Source for ConnSource {
         } else {
             Action::Keep
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::InProcTransport;
+    use heidl_wire::{CdrProtocol, Protocol, TextProtocol};
+    use std::io::Read;
+
+    /// Fragments for the chunk-frame oracle: empty, one byte, an odd
+    /// size, exactly one read chunk, a whole 256 KiB stream chunk,
+    /// multi-byte UTF-8, every character text escapes, and seeded random
+    /// lengths.
+    fn fragments() -> Vec<String> {
+        let mut out = vec![
+            String::new(),
+            "x".to_owned(),
+            "odd".repeat(333),
+            "a".repeat(RECV_CHUNK),
+            "b".repeat(256 * 1024),
+            "é€😀".repeat(1001),
+            "\"quoted\" \\slash\\ new\nline\ttab\rcr 'tick'".repeat(77),
+        ];
+        let mut seed = 0x2545_F491_4F6C_DD1Du64;
+        for _ in 0..4 {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            out.push("r".repeat((seed % 300_000) as usize));
+        }
+        out
+    }
+
+    /// Sends every case through `send_chunk` into `sink`; returns the
+    /// frames the encoder path writes for the same cases:
+    /// `ReplyBuilder::ok` + `put_string` + `encode_chunk`, framed whole.
+    fn send_cases(sink: &dyn ReplySink, protocol: &dyn Protocol) -> Vec<u8> {
+        let mut expected = Vec::new();
+        for (i, fragment) in fragments().into_iter().enumerate() {
+            let id = 100 + i as u64;
+            for (index, last) in [(0, false), (0, true), (u64::MAX - 1, false), (9, true)] {
+                let mut reply = ReplyBuilder::ok(protocol, id);
+                reply.results().put_string(&fragment);
+                let _ = protocol.encode_chunk(reply.results(), index, last);
+                protocol.frame(&reply.into_body(), &mut expected);
+                send_chunk(sink, protocol, id, index, last, fragment.clone()).unwrap();
+            }
+        }
+        expected
+    }
+
+    fn assert_same_bytes(got: &[u8], expected: &[u8], protocol: &dyn Protocol) {
+        let first_diff = got.iter().zip(expected).position(|(a, b)| a != b);
+        assert!(
+            got == expected,
+            "{}: wrote {} bytes, expected {}, first difference at {first_diff:?}",
+            protocol.name(),
+            got.len(),
+            expected.len()
+        );
+    }
+
+    /// Through the blocking writer, the chunk frames the pump writes
+    /// (spliced on CDR, encoded on text) are the encoder path's bytes.
+    #[test]
+    fn chunk_frames_match_the_encoder_path_through_reply_writer() {
+        for protocol in [Arc::new(TextProtocol) as Arc<dyn Protocol>, Arc::new(CdrProtocol)] {
+            let (ours, mut peer) = InProcTransport::pair();
+            let writer = ReplyWriter {
+                transport: Mutex::new(Box::new(ours)),
+                protocol: Arc::clone(&protocol),
+                metrics: Arc::new(Metrics::new()),
+            };
+            let expected = send_cases(&writer, protocol.as_ref());
+            drop(writer);
+            let mut got = Vec::new();
+            while peer.recv_into(&mut got).unwrap() > 0 {}
+            assert_same_bytes(&got, &expected, protocol.as_ref());
+        }
+    }
+
+    /// The same oracle through the reactor's queueing writer, over a real
+    /// socket whose buffer fills, so partial writes and the queue are hit.
+    #[test]
+    fn chunk_frames_match_the_encoder_path_through_conn_writer() {
+        let reactor = reactor::spawn("heidl-reactor-oracle").unwrap();
+        for protocol in [Arc::new(TextProtocol) as Arc<dyn Protocol>, Arc::new(CdrProtocol)] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let reader = std::thread::spawn(move || {
+                let mut got = Vec::new();
+                peer.read_to_end(&mut got).unwrap();
+                got
+            });
+            let (ours, _) = listener.accept().unwrap();
+            let writer = ConnWriter {
+                inner: Mutex::new(WriterInner {
+                    transport: Box::new(TcpTransport::from_stream(ours).unwrap()),
+                    queue: Vec::new(),
+                    pos: 0,
+                    queued_since: None,
+                    dead: false,
+                    accounted: 0,
+                }),
+                reactor: reactor.clone(),
+                // No source is registered under it: this test flushes.
+                token: reactor.alloc_id(),
+                protocol: Arc::clone(&protocol),
+                metrics: Arc::new(Metrics::new()),
+                last_activity: Mutex::new(Instant::now()),
+                budget: Arc::new(ReplyBudget::new(usize::MAX)),
+            };
+            let expected = send_cases(&writer, protocol.as_ref());
+            while writer.has_backlog() {
+                assert!(!matches!(writer.flush(), FlushState::Dead));
+                std::thread::yield_now();
+            }
+            writer.force_close();
+            assert_same_bytes(&reader.join().unwrap(), &expected, protocol.as_ref());
+        }
+        reactor.shutdown();
     }
 }

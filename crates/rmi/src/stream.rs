@@ -212,23 +212,21 @@ impl StreamBody {
 
     /// Streams an already-built string, splitting it into budget-sized
     /// fragments on `char` boundaries (a fragment may exceed the budget by
-    /// at most one multi-byte `char`).
+    /// at most one multi-byte `char`). Each pull copies out just its
+    /// fragment, so a fragment holds no more memory than its bytes.
     pub fn from_string(payload: String) -> StreamBody {
-        let mut rest = payload;
+        let mut at = 0;
         StreamBody::from_fn(move |max| {
-            if rest.is_empty() {
+            if at >= payload.len() {
                 return None;
             }
-            let mut cut = max.min(rest.len());
-            while cut < rest.len() && !rest.is_char_boundary(cut) {
+            let mut cut = (at + max).min(payload.len());
+            while !payload.is_char_boundary(cut) {
                 cut += 1;
             }
-            if cut >= rest.len() {
-                Some(std::mem::take(&mut rest))
-            } else {
-                let tail = rest.split_off(cut);
-                Some(std::mem::replace(&mut rest, tail))
-            }
+            let fragment = payload[at..cut].to_owned();
+            at = cut;
+            Some(fragment)
         })
     }
 
@@ -530,6 +528,20 @@ mod tests {
         assert_eq!(out, "aébéc");
         assert!(fragments >= 2);
         assert!(body.next_fragment(3).is_none(), "exhausted body stays exhausted");
+    }
+
+    #[test]
+    fn body_from_string_fragments_hold_only_their_own_bytes() {
+        // Multi-byte chars throughout, so cuts land mid-char and round up.
+        let payload = "aé€😀".repeat(10_000);
+        let budget = 1000;
+        let mut body = StreamBody::from_string(payload.clone());
+        let mut out = String::new();
+        while let Some(f) = body.next_fragment(budget) {
+            assert!(f.capacity() <= budget + 3, "fragment pins {} bytes", f.capacity());
+            out.push_str(&f);
+        }
+        assert_eq!(out, payload);
     }
 
     #[test]

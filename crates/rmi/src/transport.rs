@@ -5,14 +5,9 @@
 //! crossbeam channels.
 
 use crate::objref::Endpoint;
+use heidl_wire::RECV_CHUNK;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
-
-/// Bytes pulled per [`Transport::try_recv_into`] call. Part of that
-/// method's contract: a read returning fewer bytes than this emptied the
-/// socket buffer, so a level-triggered source may stop draining without a
-/// confirming `EWOULDBLOCK` syscall.
-pub(crate) const RECV_CHUNK: usize = 16 * 1024;
 
 /// A bidirectional byte stream.
 pub trait Transport: Send {
@@ -54,6 +49,26 @@ pub trait Transport: Send {
     /// Propagates transport read failures.
     fn recv_into(&mut self, buf: &mut Vec<u8>) -> io::Result<usize>;
 
+    /// Reads part of a large frame's body, appending to `buf`: the next
+    /// `need` bytes on the stream are known to belong to that frame
+    /// (see [`FrameBuf::input`](heidl_wire::FrameBuf::input)), so an
+    /// implementation may block until all of them have arrived and should
+    /// read no further. Returns the number read; `0` means the peer
+    /// closed the stream.
+    ///
+    /// The default makes one [`Transport::recv_into`], which may return
+    /// fewer bytes or more (the `FrameBuf` hands a surplus back to the
+    /// next frame). TCP overrides it to read straight into `buf`'s spare
+    /// capacity.
+    ///
+    /// # Errors
+    ///
+    /// Propagates transport read failures.
+    fn recv_body_into(&mut self, buf: &mut Vec<u8>, need: usize) -> io::Result<usize> {
+        let _ = need;
+        self.recv_into(buf)
+    }
+
     /// A short human-readable peer description for diagnostics.
     fn peer(&self) -> String;
 
@@ -84,17 +99,18 @@ pub trait Transport: Send {
     /// handles sharing the file description (implemented with per-call
     /// `MSG_DONTWAIT`, not `O_NONBLOCK`).
     ///
-    /// Implementations pull at most [`RECV_CHUNK`] bytes per call; a
-    /// shorter return means the kernel buffer was emptied, which
-    /// level-triggered sources use to skip the `EWOULDBLOCK`
-    /// confirmation syscall (epoll re-reports the fd if more arrives).
+    /// Implementations pull at most `max` bytes per call (callers pass at
+    /// most [`RECV_CHUNK`]); a shorter return means the kernel buffer was
+    /// emptied, which level-triggered sources use to skip the
+    /// `EWOULDBLOCK` confirmation syscall (epoll re-reports the fd if more
+    /// arrives).
     ///
     /// # Errors
     ///
     /// Propagates transport read failures; `Unsupported` when the
     /// transport has no nonblocking path (the default).
-    fn try_recv_into(&mut self, buf: &mut Vec<u8>) -> io::Result<Option<usize>> {
-        let _ = buf;
+    fn try_recv_into(&mut self, buf: &mut Vec<u8>, max: usize) -> io::Result<Option<usize>> {
+        let _ = (buf, max);
         Err(io::Error::new(io::ErrorKind::Unsupported, "no nonblocking read"))
     }
 
@@ -264,10 +280,18 @@ impl Transport for TcpTransport {
     }
 
     fn recv_into(&mut self, buf: &mut Vec<u8>) -> io::Result<usize> {
-        let mut chunk = [0u8; 16 * 1024];
+        let mut chunk = [0u8; RECV_CHUNK];
         let n = self.stream.read(&mut chunk)?;
         buf.extend_from_slice(&chunk[..n]);
         Ok(n)
+    }
+
+    fn recv_body_into(&mut self, buf: &mut Vec<u8>, need: usize) -> io::Result<usize> {
+        // Every one of these bytes belongs to the frame, so waiting for
+        // all of them never stalls the reader early, and `take` never
+        // reads into the next frame. `read_to_end` fills the spare
+        // capacity in place: no stack bounce, no zeroing.
+        (&self.stream).take(need as u64).read_to_end(buf)
     }
 
     fn peer(&self) -> String {
@@ -298,12 +322,25 @@ impl Transport for TcpTransport {
         }
     }
 
-    fn try_recv_into(&mut self, buf: &mut Vec<u8>) -> io::Result<Option<usize>> {
+    fn try_recv_into(&mut self, buf: &mut Vec<u8>, max: usize) -> io::Result<Option<usize>> {
         let Some(fd) = self.raw_fd() else {
             return Err(io::Error::new(io::ErrorKind::Unsupported, "no raw fd"));
         };
+        let max = max.min(RECV_CHUNK);
+        let start = buf.len();
+        if buf.capacity() - start >= max {
+            // Room already reserved (a large frame's body): receive in
+            // place. Zeroing the room costs what zeroing a stack chunk
+            // would, and the copy out of that chunk is gone.
+            buf.resize(start + max, 0);
+            let got = epoll_shim::recv_nonblocking(fd, &mut buf[start..]);
+            buf.truncate(start + got.as_ref().map_or(0, |n| n.unwrap_or(0)));
+            return got;
+        }
+        // Otherwise bounce through the stack rather than grow a
+        // connection's small read buffer just to offer the kernel room.
         let mut chunk = [0u8; RECV_CHUNK];
-        match epoll_shim::recv_nonblocking(fd, &mut chunk)? {
+        match epoll_shim::recv_nonblocking(fd, &mut chunk[..max])? {
             Some(n) => {
                 buf.extend_from_slice(&chunk[..n]);
                 Ok(Some(n))

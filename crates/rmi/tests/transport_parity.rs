@@ -5,10 +5,11 @@
 //! format and one routing path. The second half of the file then leans on
 //! the reactor specifically: dribbled partial reads, partial writes to a
 //! slow reader, slow-loris eviction by the sweep timer, and the headline
-//! scaling property (no per-connection threads).
+//! scaling property (no per-connection threads). The last section drives
+//! every reader, on both engines, through the large-frame path.
 
 use heidl_rmi::*;
-use heidl_wire::{CdrProtocol, Decoder, Encoder, Protocol, TextProtocol};
+use heidl_wire::{CdrProtocol, DecodeLimits, Decoder, Encoder, Protocol, TextProtocol};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -227,25 +228,32 @@ fn raw_request(protocol: &dyn Protocol, target: &ObjectRef, method: &str, arg: &
     framed
 }
 
-/// Reads frames off `stream` until one deframes, then parses it as a reply.
-fn read_reply(stream: &mut TcpStream, protocol: &dyn Protocol) -> Reply {
-    let mut acc = Vec::new();
+/// Reads one whole frame's body off `stream`, keeping any bytes past it
+/// in `acc` for the next call.
+fn read_frame(stream: &mut TcpStream, protocol: &dyn Protocol, acc: &mut Vec<u8>) -> Vec<u8> {
     let mut chunk = [0u8; 64 * 1024];
     loop {
-        match protocol.deframe(&mut acc).unwrap() {
-            Some(body) => return Reply::parse(body, protocol).unwrap(),
-            None => {
-                let n = stream.read(&mut chunk).unwrap();
-                assert!(n > 0, "peer closed before a full reply arrived");
-                acc.extend_from_slice(&chunk[..n]);
-            }
+        if let Some(body) = protocol.deframe(acc).unwrap() {
+            return body;
         }
+        let n = stream.read(&mut chunk).unwrap();
+        assert!(n > 0, "peer closed before a whole frame arrived");
+        acc.extend_from_slice(&chunk[..n]);
     }
 }
 
+/// Reads frames off `stream` until one deframes, then parses it as a reply.
+fn read_reply(stream: &mut TcpStream, protocol: &dyn Protocol) -> Reply {
+    Reply::parse(read_frame(stream, protocol, &mut Vec::new()), protocol).unwrap()
+}
+
+/// A raw connection whose reads are bounded, so a server that never
+/// answers fails the test instead of hanging it.
 fn connect_raw(server: &Orb) -> TcpStream {
     let endpoint = server.endpoint().unwrap();
-    TcpStream::connect((endpoint.host.as_str(), endpoint.port)).unwrap()
+    let stream = TcpStream::connect((endpoint.host.as_str(), endpoint.port)).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    stream
 }
 
 #[test]
@@ -445,4 +453,215 @@ fn reactor_does_not_spawn_per_connection_threads() {
     drop(idle);
     client_orb.shutdown();
     server.shutdown();
+}
+
+// ---- large frames: bodies read straight into their own buffer -----------
+//
+// A CDR frame whose body is longer than one read chunk is not gathered in
+// the connection's read buffer: its body gets a buffer of the declared
+// length and the rest of the frame is read into it. Every reader takes
+// that path — the server's (driven here by a raw client) and the
+// client's (driven by a scripted raw server) — on both engines.
+
+/// Seeded xorshift, so a failing boundary pattern replays.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0 % n as u64) as usize
+    }
+}
+
+/// At least `n` bytes of multi-byte text: a byte landing in the wrong
+/// place breaks the UTF-8 as well as the comparison.
+fn large_text(n: usize, seed: u64) -> String {
+    let mut rng = Rng(seed | 1);
+    let alphabet = ['a', 'Z', '0', 'é', '€', '😀', ' '];
+    let mut out = String::with_capacity(n + 4);
+    while out.len() < n {
+        out.push(alphabet[rng.below(alphabet.len())]);
+    }
+    out
+}
+
+/// Writes `bytes` in seeded pieces — single bytes, a split 12-byte
+/// header, pieces straddling the 16 KiB read size — pausing after each so
+/// the reader sees the boundaries.
+fn dribble(stream: &mut TcpStream, bytes: &[u8], seed: u64) {
+    const PIECES: [usize; 11] = [1, 2, 3, 7, 12, 100, 4096, 16383, 16384, 16385, 40_000];
+    let mut rng = Rng(seed | 1);
+    let mut rest = bytes;
+    while !rest.is_empty() {
+        let n = PIECES[rng.below(PIECES.len())].min(rest.len());
+        stream.write_all(&rest[..n]).unwrap();
+        rest = &rest[n..];
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+fn request_id(body: &[u8]) -> u64 {
+    CdrProtocol.decoder(body.to_vec()).unwrap().get_ulonglong().unwrap()
+}
+
+#[test]
+fn large_request_dribbled_across_reads_in_both_modes() {
+    for (seed, mode) in MODES.into_iter().enumerate() {
+        let (server, objref) = serve(mode, Arc::new(CdrProtocol), ServerPolicy::default());
+        let mut stream = connect_raw(&server);
+        stream.set_nodelay(true).unwrap();
+        let text = large_text(50_000, seed as u64);
+        dribble(&mut stream, &raw_request(&CdrProtocol, &objref, "shout", &text), seed as u64);
+        let mut reply = read_reply(&mut stream, &CdrProtocol);
+        assert_eq!(reply.results().get_string().unwrap(), text.to_uppercase(), "mode {mode:?}");
+        server.shutdown();
+    }
+}
+
+#[test]
+fn two_large_requests_and_a_small_one_in_one_write_in_both_modes() {
+    for mode in MODES {
+        let (server, objref) = serve(mode, Arc::new(CdrProtocol), ServerPolicy::default());
+        let mut stream = connect_raw(&server);
+        let texts = [large_text(70_000, 1), large_text(20_000, 2), "small".to_owned()];
+        let mut ids = Vec::new();
+        let mut batch = Vec::new();
+        for text in &texts {
+            let framed = raw_request(&CdrProtocol, &objref, "shout", text);
+            ids.push(request_id(&framed[12..]));
+            batch.extend_from_slice(&framed);
+        }
+        stream.write_all(&batch).unwrap();
+        // Replies come back in completion order; correlate them by id.
+        let mut acc = Vec::new();
+        let mut answered = std::collections::HashMap::new();
+        for _ in 0..texts.len() {
+            let body = read_frame(&mut stream, &CdrProtocol, &mut acc);
+            let mut reply = Reply::parse(body, &CdrProtocol).unwrap();
+            answered.insert(reply.request_id(), reply.results().get_string().unwrap());
+        }
+        for (id, text) in ids.iter().zip(&texts) {
+            assert_eq!(answered[id], text.to_uppercase(), "mode {mode:?}");
+        }
+        server.shutdown();
+    }
+}
+
+#[test]
+fn oversized_declared_length_is_refused_from_the_header_in_both_modes() {
+    const MAX: u64 = 256 * 1024;
+    for mode in MODES {
+        let limits = DecodeLimits::default().with_max_frame_bytes(MAX);
+        let policy = ServerPolicy::default().with_decode_limits(limits);
+        let (server, _) = serve(mode, Arc::new(CdrProtocol), policy);
+        let mut stream = connect_raw(&server);
+        let mut header = b"GIOP\x01\x00\x01\x00".to_vec();
+        header.extend_from_slice(&(MAX as u32 + 1).to_le_bytes());
+        stream.write_all(&header).unwrap();
+        // Twelve bytes are all it takes: the server hangs up without
+        // waiting for (or making room for) the body it was promised.
+        let hung_up = match stream.read(&mut [0u8; 64]) {
+            Ok(n) => n == 0,
+            Err(e) => {
+                !matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
+            }
+        };
+        assert!(hung_up, "mode {mode:?}: the server waited for an oversized body");
+        // ...and is otherwise unharmed.
+        let client = client(mode, Arc::new(CdrProtocol));
+        let mut pong =
+            DynCall::new(&client, &server.health_ref().unwrap(), "ping").invoke().unwrap();
+        assert_eq!(pong.next_string().unwrap(), "pong", "mode {mode:?}");
+        client.shutdown();
+        server.shutdown();
+    }
+}
+
+/// A scripted CDR peer in place of a stream server: accepts one
+/// connection, reads the stream request, and lets `answer` write what it
+/// likes to the request's id. It then half-closes and drains (the
+/// client's credit acks) until the client hangs up.
+fn scripted_stream_server(
+    answer: impl FnOnce(&mut TcpStream, u64) + Send + 'static,
+) -> (ObjectRef, std::thread::JoinHandle<()>) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let endpoint = Endpoint::new("giop", "127.0.0.1", listener.local_addr().unwrap().port());
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        stream.set_nodelay(true).unwrap();
+        let request = read_frame(&mut stream, &CdrProtocol, &mut Vec::new());
+        answer(&mut stream, request_id(&request));
+        let _ = stream.shutdown(std::net::Shutdown::Write);
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let _ = std::io::copy(&mut stream, &mut std::io::sink());
+    });
+    (ObjectRef::new(endpoint, 1, "IDL:Parity/Blob:1.0"), peer)
+}
+
+/// One framed chunk of a streamed CDR reply to `id`.
+fn chunk_frame(id: u64, index: u64, last: bool, fragment: &str) -> Vec<u8> {
+    let mut reply = ReplyBuilder::ok(&CdrProtocol, id);
+    reply.results().put_string(fragment);
+    CdrProtocol.encode_chunk(reply.results(), index, last);
+    let mut framed = Vec::new();
+    CdrProtocol.frame(&reply.into_body(), &mut framed);
+    framed
+}
+
+/// Opens a stream whose every chunk wait is bounded, so a broken read
+/// path fails the test instead of hanging it.
+fn open_stream(client: &Orb, target: &ObjectRef) -> ReplyStream {
+    let bounded = CallOptions::builder().deadline(Duration::from_secs(20)).build();
+    client.invoke_stream_with(client.call(target, "pour"), bounded).unwrap()
+}
+
+#[test]
+fn client_reads_large_chunks_dribbled_or_batched_in_both_modes() {
+    let fragments = [large_text(40_000, 3), large_text(300_000, 4), "tail".to_owned()];
+    for mode in MODES {
+        for batched in [false, true] {
+            let frames = fragments.clone();
+            let (target, peer) = scripted_stream_server(move |stream, id| {
+                let mut bytes = Vec::new();
+                for (i, fragment) in frames.iter().enumerate() {
+                    bytes.extend(chunk_frame(id, i as u64, i + 1 == frames.len(), fragment));
+                }
+                if batched {
+                    stream.write_all(&bytes).unwrap();
+                } else {
+                    dribble(stream, &bytes, 5);
+                }
+            });
+            let client = client(mode, Arc::new(CdrProtocol));
+            let mut stream = open_stream(&client, &target);
+            for fragment in &fragments {
+                let got = stream.next_chunk().unwrap();
+                assert_eq!(got.as_deref(), Some(fragment.as_str()), "mode {mode:?} {batched}");
+            }
+            assert_eq!(stream.next_chunk().unwrap(), None);
+            // Hanging up (the pooled connection closes with its last
+            // holder) is what ends the peer's drain.
+            drop((stream, client));
+            peer.join().unwrap();
+        }
+    }
+}
+
+#[test]
+fn peer_closing_mid_body_disconnects_the_stream_in_both_modes() {
+    for mode in MODES {
+        let (target, peer) = scripted_stream_server(|stream, id| {
+            let frame = chunk_frame(id, 0, false, &large_text(200_000, 6));
+            stream.write_all(&frame[..frame.len() / 2]).unwrap();
+        });
+        let client = client(mode, Arc::new(CdrProtocol));
+        // Disconnected, not the deadline: the cut surfaces as soon as the
+        // peer's FIN lands mid-body.
+        let got = open_stream(&client, &target).next_chunk();
+        assert!(matches!(got, Err(RmiError::Disconnected)), "mode {mode:?}: {got:?}");
+        drop(client);
+        peer.join().unwrap();
+    }
 }

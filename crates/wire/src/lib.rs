@@ -45,7 +45,7 @@ pub use codec::{Decoder, Encoder};
 pub use error::{WireError, WireResult};
 pub use limits::DecodeLimits;
 pub use plan::{CdrStructPlan, FieldKind, PlanValue};
-pub use pool::{BufPool, FrameBuf, PooledBuf};
+pub use pool::{BufPool, FrameBuf, PooledBuf, RECV_CHUNK};
 pub use protocol::{
     by_name, CdrProtocol, Protocol, TextProtocol, CDR_CHUNK_LEN, CDR_CHUNK_MAGIC, CDR_CONTEXT_LEN,
     CDR_CONTEXT_MAGIC, CDR_TOKEN_LEN, CDR_TOKEN_MAGIC, MAX_FRAME_HEADER, TEXT_CHUNK_MARKER,

@@ -17,11 +17,14 @@
 //!   at the tail, the deframer consumes from the head, and compaction is
 //!   lazy and amortized — replacing the per-frame `drain(..).collect()`
 //!   plus `to_vec()` double copy with a single copy into a pooled buffer.
+//!   A length-prefixed frame longer than [`RECV_CHUNK`] skips even that
+//!   copy: its body is read straight into a buffer of its own.
 //!
 //! The pool interacts with [`DecodeLimits`](crate::DecodeLimits) only
 //! indirectly: limits decide whether bytes are accepted at all; the pool
 //! decides whether the backing storage is worth keeping afterwards.
 
+use crate::error::WireResult;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -272,20 +275,34 @@ const COMPACT_MIN: usize = 4 * 1024;
 /// connection's lifetime).
 const SHRINK_TRIGGER: usize = 128 * 1024;
 
+/// Bytes a transport pulls into a [`FrameBuf`]'s tail per read, and the
+/// body length past which a length-prefixed frame is read straight into
+/// a buffer of its own instead ([`FrameBuf::take_declared`]). One number
+/// for both: a body that fits in one read gains nothing from skipping
+/// the tail.
+pub const RECV_CHUNK: usize = 16 * 1024;
+
 /// A consume-from-front read buffer for stream deframing.
 ///
-/// The transport appends received bytes at the tail ([`FrameBuf::input`]);
+/// The transport appends received bytes where [`FrameBuf::input`] points;
 /// the deframer reads [`FrameBuf::bytes`] and drops parsed prefixes with
 /// [`FrameBuf::consume`]. Consuming just advances a read offset; the
 /// consumed region is reclaimed lazily — when the buffer drains empty
 /// (the common case: one frame per read) or when the dead prefix grows
 /// past [`COMPACT_MIN`] and dominates the live bytes, keeping compaction
 /// cost amortized O(1) per byte.
+///
+/// A frame whose header declares a body longer than [`RECV_CHUNK`] never
+/// passes through the buffer: [`FrameBuf::take_declared`] gives the body
+/// a buffer reserved for its length, and `input` points reads at that body
+/// until it is complete, so its bytes are copied once — socket to body.
 #[derive(Debug, Default)]
 pub struct FrameBuf {
     buf: Vec<u8>,
     start: usize,
     initial_capacity: usize,
+    /// A large frame's body while it arrives, with its declared length.
+    body: Option<(PooledBuf, usize)>,
 }
 
 impl FrameBuf {
@@ -301,12 +318,16 @@ impl FrameBuf {
 
     /// Creates an empty buffer pre-sized to `capacity`.
     pub fn with_capacity(capacity: usize) -> Self {
-        FrameBuf { buf: Vec::with_capacity(capacity), start: 0, initial_capacity: capacity }
+        FrameBuf {
+            buf: Vec::with_capacity(capacity),
+            initial_capacity: capacity,
+            ..Self::default()
+        }
     }
 
     /// Wraps existing bytes (read offset zero, no pre-sizing).
     pub fn from_vec(buf: Vec<u8>) -> Self {
-        FrameBuf { buf, start: 0, initial_capacity: 0 }
+        FrameBuf { buf, ..Self::default() }
     }
 
     /// The unconsumed bytes.
@@ -319,9 +340,9 @@ impl FrameBuf {
         self.buf.len() - self.start
     }
 
-    /// True when no unconsumed bytes remain.
+    /// True when no unconsumed bytes remain and no frame is part-read.
     pub fn is_empty(&self) -> bool {
-        self.start >= self.buf.len()
+        self.start >= self.buf.len() && self.body.is_none()
     }
 
     /// Total capacity of the backing storage.
@@ -352,15 +373,82 @@ impl FrameBuf {
         self.start = 0;
     }
 
-    /// Tail access for the transport read loop: received bytes must only
-    /// be *appended* (`recv_into`-style); truncating below the already
-    /// buffered length breaks the read offset.
-    pub fn input(&mut self) -> &mut Vec<u8> {
-        &mut self.buf
+    /// Where the transport read loop appends next, and the most it may
+    /// append: the body of a large frame still arriving, with the bytes
+    /// it lacks, or else the tail of the buffer, [`RECV_CHUNK`] at a time.
+    /// Received bytes must only be *appended*; truncating below the
+    /// already buffered length breaks the read offset.
+    pub fn input(&mut self) -> (&mut Vec<u8>, usize) {
+        match &mut self.body {
+            Some((body, len)) => {
+                let lacking = *len - body.len();
+                (&mut **body, lacking)
+            }
+            None => (&mut self.buf, RECV_CHUNK),
+        }
     }
 
-    /// Appends bytes at the tail.
-    pub fn extend_from_slice(&mut self, bytes: &[u8]) {
+    /// True while [`FrameBuf::input`] points at a large frame's body:
+    /// every byte it lacks belongs to that frame, so a blocking reader
+    /// may wait for all of them without ever reading past the frame.
+    pub fn filling_body(&self) -> bool {
+        self.body.is_some()
+    }
+
+    /// Extracts the next frame of a length-prefixed protocol — the one
+    /// deframing path such a protocol needs. `declared` reads the header
+    /// off the buffered bytes: `Ok(None)` while it is incomplete, else
+    /// `(header_len, body_len)` once the protocol has checked the length
+    /// against its limits, so an oversized length fails here before any
+    /// body buffer exists.
+    ///
+    /// A body of at most [`RECV_CHUNK`] bytes is copied out of the buffer
+    /// once all of it has arrived. A longer one is given a pooled buffer
+    /// reserved for its length as soon as the header is in: the bytes
+    /// already buffered move into it, and [`FrameBuf::input`] points the
+    /// transport at it until the rest has landed there, so it comes back
+    /// with no copy through this buffer and without growing it. A
+    /// transport that cannot bound its reads may append past the body;
+    /// that surplus opens the next frame and is moved back here.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `declared` reports for a corrupt or oversized header.
+    pub fn take_declared(
+        &mut self,
+        declared: impl FnOnce(&[u8]) -> WireResult<Option<(usize, usize)>>,
+    ) -> WireResult<Option<PooledBuf>> {
+        if self.body.is_none() {
+            let Some((header, len)) = declared(self.bytes())? else { return Ok(None) };
+            let have = (self.len() - header).min(len);
+            if have < len && len <= RECV_CHUNK {
+                return Ok(None);
+            }
+            let mut body = global().get();
+            if len > RECV_CHUNK {
+                body.reserve_exact(len);
+            }
+            body.extend_from_slice(&self.bytes()[header..header + have]);
+            self.consume(header + have);
+            self.body = Some((body, len));
+        }
+        let (body, len) = self.body.as_mut().expect("a body is being read");
+        if body.len() < *len {
+            return Ok(None);
+        }
+        self.buf.extend_from_slice(&body[*len..]);
+        body.truncate(*len);
+        Ok(self.body.take().map(|(body, _)| body))
+    }
+
+    /// Appends received bytes as a transport read would: into a large
+    /// frame's body up to its declared length, the rest at the tail.
+    pub fn extend_from_slice(&mut self, mut bytes: &[u8]) {
+        if let Some((body, len)) = &mut self.body {
+            let n = (*len - body.len()).min(bytes.len());
+            body.extend_from_slice(&bytes[..n]);
+            bytes = &bytes[n..];
+        }
         self.buf.extend_from_slice(bytes);
     }
 
@@ -373,7 +461,9 @@ impl FrameBuf {
         }
     }
 
-    /// Unwraps into a plain `Vec` holding exactly the unconsumed bytes.
+    /// Unwraps into a plain `Vec` holding exactly the unconsumed bytes (a
+    /// large frame's part-read body is not among them: its header has
+    /// been consumed).
     pub fn into_vec(mut self) -> Vec<u8> {
         if self.start > 0 {
             self.compact();

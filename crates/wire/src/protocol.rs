@@ -167,17 +167,40 @@ pub trait Protocol: Send + Sync + fmt::Debug {
         None
     }
 
+    /// Reports the body length the frame at the front of `buffered`
+    /// declares, as `(header_len, body_len)`, once its header is complete
+    /// (`Ok(None)` before that). The length is checked against `limits`
+    /// first, so a reader learns it only when it is acceptable, and can
+    /// size the body's buffer before the body arrives.
+    ///
+    /// The default, and the text protocol, return `Ok(None)`: their frames
+    /// end at a delimiter, so the length is known only at the end.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a corrupt header or a declared length over
+    /// `limits.max_frame_bytes` ([`WireError::Bounds`]).
+    fn declared_body_len(
+        &self,
+        buffered: &[u8],
+        limits: &DecodeLimits,
+    ) -> WireResult<Option<(usize, usize)>> {
+        let _ = (buffered, limits);
+        Ok(None)
+    }
+
     /// Extracts the next complete message body from a [`FrameBuf`] read
     /// cursor, consuming its bytes, or returns `Ok(None)` when more input
-    /// is needed. The body comes back in one pooled buffer — the shipped
-    /// protocols copy each frame exactly once, instead of the
-    /// drain-then-copy the `Vec`-based [`Protocol::deframe`] performs.
+    /// is needed. The body comes back in one pooled buffer. Text lines
+    /// are copied out of the cursor once; CDR goes through
+    /// [`FrameBuf::take_declared`] with its [`Protocol::declared_body_len`],
+    /// so a body over [`RECV_CHUNK`](crate::RECV_CHUNK) is read straight
+    /// into its own buffer and not copied at all.
     ///
     /// The default implementation adapts [`Protocol::deframe_limited`]
     /// (third-party protocols keep compiling, with one extra copy); both
-    /// shipped protocols override it with a single-copy cursor path whose
-    /// accept/reject behavior is byte-identical to the legacy entry
-    /// points.
+    /// shipped protocols override it, with accept/reject behavior
+    /// byte-identical to the legacy entry points.
     ///
     /// # Errors
     ///
@@ -233,6 +256,22 @@ pub trait Protocol: Send + Sync + fmt::Debug {
     /// byte-identical to a pre-context peer's view.
     fn extract_context(&self, body: &[u8]) -> Option<(u64, u64)> {
         let _ = body;
+        None
+    }
+
+    /// Encodes what [`Encoder::put_string`] would for a `len`-byte string
+    /// *except the string's bytes*, and returns the position in the
+    /// encoded body where they belong; the caller splices them in there
+    /// when it writes the frame, so a large string goes to the socket
+    /// from its owner without passing through the encoder. Anything
+    /// encoded afterwards lands `len` bytes further along the wire than
+    /// the encoder knows, so only position-independent sections (the
+    /// chunk section) may follow.
+    ///
+    /// `None` (the default, and text, whose strings are escaped on the
+    /// way) means the bytes must go through `put_string`.
+    fn put_string_spliced(&self, enc: &mut dyn Encoder, len: usize) -> Option<usize> {
+        let _ = (enc, len);
         None
     }
 
@@ -561,35 +600,8 @@ impl Protocol for CdrProtocol {
     }
 
     fn deframe(&self, buf: &mut Vec<u8>) -> WireResult<Option<Vec<u8>>> {
-        if buf.len() < GIOP_HEADER_LEN {
-            return Ok(None);
-        }
-        if &buf[..4] != GIOP_MAGIC {
-            return Err(WireError::Malformed {
-                what: "GIOP header",
-                detail: format!("bad magic {:?}", &buf[..4]),
-            });
-        }
-        if buf[4] != 1 {
-            return Err(WireError::Malformed {
-                what: "GIOP header",
-                detail: format!("unsupported major version {}", buf[4]),
-            });
-        }
-        let len = u32::from_le_bytes(buf[8..12].try_into().expect("4 bytes"));
-        if len > MAX_BODY {
-            return Err(WireError::Bounds {
-                what: "GIOP body",
-                len: len.into(),
-                max: MAX_BODY.into(),
-            });
-        }
-        let total = GIOP_HEADER_LEN + len as usize;
-        if buf.len() < total {
-            return Ok(None);
-        }
-        let frame: Vec<u8> = buf.drain(..total).collect();
-        Ok(Some(frame[GIOP_HEADER_LEN..].to_vec()))
+        // The default limits are the protocol's own sanity bound.
+        self.deframe_limited(buf, &DecodeLimits::default())
     }
 
     fn decoder_with_limits(
@@ -605,17 +617,13 @@ impl Protocol for CdrProtocol {
         buf: &mut Vec<u8>,
         limits: &DecodeLimits,
     ) -> WireResult<Option<Vec<u8>>> {
-        // The declared body length is checked against the policy bound
-        // *before* waiting for (or allocating room for) the body: a 4 GB
-        // length prefix costs the attacker 12 bytes and us nothing.
-        if buf.len() >= GIOP_HEADER_LEN && &buf[..4] == GIOP_MAGIC {
-            let len = u32::from_le_bytes(buf[8..12].try_into().expect("4 bytes"));
-            let max = limits.max_frame_bytes.min(u64::from(MAX_BODY));
-            if u64::from(len) > max {
-                return Err(WireError::Bounds { what: "GIOP body", len: len.into(), max });
-            }
+        let Some((header, len)) = self.declared_body_len(buf, limits)? else { return Ok(None) };
+        if buf.len() < header + len {
+            return Ok(None);
         }
-        self.deframe(buf)
+        let body = buf[header..header + len].to_vec();
+        buf.drain(..header + len);
+        Ok(Some(body))
     }
 
     fn frame_parts(
@@ -632,45 +640,43 @@ impl Protocol for CdrProtocol {
         Some((GIOP_HEADER_LEN, b""))
     }
 
+    fn declared_body_len(
+        &self,
+        buffered: &[u8],
+        limits: &DecodeLimits,
+    ) -> WireResult<Option<(usize, usize)>> {
+        if buffered.len() < GIOP_HEADER_LEN {
+            return Ok(None);
+        }
+        if &buffered[..4] != GIOP_MAGIC {
+            return Err(WireError::Malformed {
+                what: "GIOP header",
+                detail: format!("bad magic {:?}", &buffered[..4]),
+            });
+        }
+        if buffered[4] != 1 {
+            return Err(WireError::Malformed {
+                what: "GIOP header",
+                detail: format!("unsupported major version {}", buffered[4]),
+            });
+        }
+        // The declared length is checked against both the policy bound
+        // and the protocol sanity bound before anything is sized from it:
+        // a 4 GB length prefix costs the attacker 12 bytes and us nothing.
+        let len = u32::from_le_bytes(buffered[8..12].try_into().expect("4 bytes"));
+        let max = limits.max_frame_bytes.min(u64::from(MAX_BODY));
+        if u64::from(len) > max {
+            return Err(WireError::Bounds { what: "GIOP body", len: len.into(), max });
+        }
+        Ok(Some((GIOP_HEADER_LEN, len as usize)))
+    }
+
     fn deframe_pooled(
         &self,
         buf: &mut FrameBuf,
         limits: &DecodeLimits,
     ) -> WireResult<Option<PooledBuf>> {
-        let total = {
-            let bytes = buf.bytes();
-            if bytes.len() < GIOP_HEADER_LEN {
-                return Ok(None);
-            }
-            if &bytes[..4] != GIOP_MAGIC {
-                return Err(WireError::Malformed {
-                    what: "GIOP header",
-                    detail: format!("bad magic {:?}", &bytes[..4]),
-                });
-            }
-            if bytes[4] != 1 {
-                return Err(WireError::Malformed {
-                    what: "GIOP header",
-                    detail: format!("unsupported major version {}", bytes[4]),
-                });
-            }
-            // The declared length is checked against both the policy bound
-            // and the protocol sanity bound before any allocation.
-            let len = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-            let max = limits.max_frame_bytes.min(u64::from(MAX_BODY));
-            if u64::from(len) > max {
-                return Err(WireError::Bounds { what: "GIOP body", len: len.into(), max });
-            }
-            let total = GIOP_HEADER_LEN + len as usize;
-            if bytes.len() < total {
-                return Ok(None);
-            }
-            total
-        };
-        let mut body = pool::global().get();
-        body.extend_from_slice(&buf.bytes()[GIOP_HEADER_LEN..total]);
-        buf.consume(total);
-        Ok(Some(body))
+        buf.take_declared(|buffered| self.declared_body_len(buffered, limits))
     }
 
     fn peek_decoder<'a>(
@@ -702,6 +708,16 @@ impl Protocol for CdrProtocol {
         let call_id = u64::from_le_bytes(body[n - 20..n - 12].try_into().expect("8 bytes"));
         let parent_id = u64::from_le_bytes(body[n - 12..n - 4].try_into().expect("8 bytes"));
         Some((call_id, parent_id))
+    }
+
+    fn put_string_spliced(&self, enc: &mut dyn Encoder, len: usize) -> Option<usize> {
+        // `put_string` writes the aligned count (NUL included), the bytes
+        // verbatim, then the NUL: everything but the bytes is encoded
+        // here, and they belong between the count and the NUL.
+        enc.put_ulong(len as u32 + 1);
+        let at = enc.position();
+        enc.put_octet(0);
+        Some(at)
     }
 
     fn encode_token(&self, enc: &mut dyn Encoder, session: u64, seq: u64) -> bool {
@@ -786,6 +802,7 @@ pub fn by_name(name: &str) -> Option<Box<dyn Protocol>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RECV_CHUNK;
 
     fn frame_roundtrip(p: &dyn Protocol) {
         let mut enc = p.encoder();
@@ -919,6 +936,97 @@ mod tests {
         let mut framed = Vec::new();
         CdrProtocol.frame(b"ok", &mut framed);
         assert_eq!(CdrProtocol.deframe_limited(&mut framed, &limits).unwrap().unwrap(), b"ok");
+    }
+
+    /// A body longer than `RECV_CHUNK` lands in a buffer of its own,
+    /// however the bytes are dribbled in: the cursor never grows to hold
+    /// it, and the frame after it deframes as usual.
+    #[test]
+    fn cdr_large_body_fills_its_own_buffer() {
+        let big: Vec<u8> = (0..RECV_CHUNK * 3 + 7).map(|i| i as u8).collect();
+        let mut stream = Vec::new();
+        CdrProtocol.frame(&big, &mut stream);
+        CdrProtocol.frame(b"tail", &mut stream);
+        let limits = DecodeLimits::default();
+        for piece in [1, 5, 12, 13, 999, RECV_CHUNK, stream.len()] {
+            let mut fb = FrameBuf::new();
+            let mut got = Vec::new();
+            for bytes in stream.chunks(piece) {
+                fb.extend_from_slice(bytes);
+                while let Some(body) = CdrProtocol.deframe_pooled(&mut fb, &limits).unwrap() {
+                    got.push(body.detach());
+                }
+                if got.is_empty() && piece < big.len() {
+                    assert_eq!(fb.filling_body(), fb.bytes().is_empty(), "piece {piece}");
+                }
+            }
+            assert_eq!(got, [big.clone(), b"tail".to_vec()], "piece {piece}");
+            assert!(got[0].capacity() >= big.len());
+            if piece <= RECV_CHUNK {
+                assert!(fb.capacity() <= 2 * RECV_CHUNK, "piece {piece}: {}", fb.capacity());
+            }
+            assert!(fb.is_empty());
+        }
+    }
+
+    /// A transport that cannot bound its reads may run past a large body;
+    /// those bytes open the next frame.
+    #[test]
+    fn surplus_past_a_large_body_opens_the_next_frame() {
+        let big = vec![7u8; RECV_CHUNK + 1];
+        let mut stream = Vec::new();
+        CdrProtocol.frame(&big, &mut stream);
+        CdrProtocol.frame(b"next", &mut stream);
+        let limits = DecodeLimits::default();
+        let mut fb = FrameBuf::new();
+        fb.extend_from_slice(&stream[..100]);
+        assert_eq!(CdrProtocol.deframe_pooled(&mut fb, &limits).unwrap(), None);
+        let (target, lacking) = fb.input();
+        assert_eq!(lacking, big.len() - (100 - GIOP_HEADER_LEN));
+        target.extend_from_slice(&stream[100..]);
+        assert_eq!(CdrProtocol.deframe_pooled(&mut fb, &limits).unwrap().unwrap(), big);
+        assert_eq!(CdrProtocol.deframe_pooled(&mut fb, &limits).unwrap().unwrap(), b"next");
+        assert!(fb.is_empty());
+    }
+
+    /// A declared length over the bound is refused from the header alone:
+    /// no body buffer is taken and nothing is consumed.
+    #[test]
+    fn oversized_declared_length_is_refused_before_a_body_buffer() {
+        let limits = DecodeLimits::default().with_max_frame_bytes(RECV_CHUNK as u64 * 4);
+        let mut hdr = b"GIOP\x01\x00\x01\x00".to_vec();
+        hdr.extend_from_slice(&(RECV_CHUNK as u32 * 4 + 1).to_le_bytes());
+        let mut fb = FrameBuf::from_vec(hdr.clone());
+        assert!(matches!(
+            CdrProtocol.deframe_pooled(&mut fb, &limits),
+            Err(WireError::Bounds { what: "GIOP body", .. })
+        ));
+        assert!(!fb.filling_body());
+        assert_eq!(fb.bytes(), hdr);
+        assert_eq!(TextProtocol.declared_body_len(b"\"x\"\n", &limits).unwrap(), None);
+    }
+
+    /// Splicing a string's bytes in where `put_string_spliced` says they
+    /// belong rebuilds exactly what `put_string` encodes, at any
+    /// alignment; text declines, since its strings are escaped.
+    #[test]
+    fn cdr_spliced_string_matches_put_string() {
+        for misalign in 0..8 {
+            for s in ["", "a", "héllo wörld", "\0nul"] {
+                let mut whole = CdrProtocol.encoder();
+                let mut spliced = CdrProtocol.encoder();
+                for _ in 0..misalign {
+                    whole.put_octet(1);
+                    spliced.put_octet(1);
+                }
+                whole.put_string(s);
+                let at = CdrProtocol.put_string_spliced(&mut *spliced, s.len()).unwrap();
+                let mut body = spliced.finish();
+                body.splice(at..at, s.bytes());
+                assert_eq!(body, whole.finish(), "{s:?} at {misalign}");
+            }
+        }
+        assert_eq!(TextProtocol.put_string_spliced(&mut *TextProtocol.encoder(), 3), None);
     }
 
     #[test]

@@ -330,11 +330,40 @@ fn rust_codec_op(prefix: &str, desc: &str) -> String {
     format!("{prefix}_{suffix}")
 }
 
-/// The codec op for a sequence's *element* type.
-fn rust_seq_elem_op(prefix: &str, desc: &str) -> String {
-    match TypeDesc::parse(desc) {
-        Some(TypeDesc::Sequence(elem, _)) => rust_codec_op(prefix, &elem.to_string()),
-        _ => rust_codec_op(prefix, desc),
+/// The element of a sequence descriptor (or the descriptor itself).
+fn seq_elem(desc: &str) -> Option<TypeDesc> {
+    match TypeDesc::parse(desc)? {
+        TypeDesc::Sequence(elem, _) => Some(*elem),
+        other => Some(other),
+    }
+}
+
+/// How the templates marshal a sequence, by its element: `primitive`
+/// (one bulk codec call per sequence), `string` or `enum` (an element
+/// loop), else the element's category, which the rust mapping leaves
+/// unmapped.
+fn rust_seq_elem_kind(desc: &str) -> String {
+    match seq_elem(desc) {
+        Some(TypeDesc::Primitive(p)) if p != "any" && p != "void" => "primitive".to_owned(),
+        Some(TypeDesc::Primitive(p)) => p,
+        Some(TypeDesc::String(_)) => "string".to_owned(),
+        Some(TypeDesc::Named(cat, _)) => cat,
+        Some(TypeDesc::Sequence(..)) => "sequence".to_owned(),
+        None => String::new(),
+    }
+}
+
+/// The bulk codec call for a sequence of primitives: `put_double_seq`,
+/// `get_long_seq`. Any other element kind names a method no codec has
+/// (`put_struct_seq`), so an unmapped sequence fails to compile saying
+/// what it is.
+fn rust_seq_op(prefix: &str, desc: &str) -> String {
+    match rust_seq_elem_kind(desc).as_str() {
+        "primitive" => {
+            let elem = seq_elem(desc).map(|e| e.to_string()).unwrap_or_default();
+            format!("{}_seq", rust_codec_op(prefix, &elem))
+        }
+        kind => format!("{prefix}_{kind}_seq"),
     }
 }
 
@@ -376,8 +405,12 @@ pub fn rust_registry() -> MapRegistry {
     });
     r.register("Rust::PutOp", |s| rust_codec_op("put", s));
     r.register("Rust::GetOp", |s| rust_codec_op("get", s));
-    r.register("Rust::SeqElemPut", |s| rust_seq_elem_op("put", s));
-    r.register("Rust::SeqElemGet", |s| rust_seq_elem_op("get", s));
+    r.register("Rust::SeqElemPut", |s| rust_seq_op("put", s));
+    r.register("Rust::SeqElemGet", |s| rust_seq_op("get", s));
+    r.register("Rust::SeqElemKind", rust_seq_elem_kind);
+    r.register("Rust::SeqElemType", |s| {
+        seq_elem(s).map(|e| rust_type(&e.to_string())).unwrap_or_else(|| s.to_owned())
+    });
     // snake_case / lowercase IDL names → CamelCase Rust variant names.
     r.register("Rust::Capitalize", |s| local(s).split('_').map(capitalize).collect::<String>());
     r
@@ -497,8 +530,21 @@ mod tests {
         assert_eq!(rust_codec_op("put", "long"), "put_long");
         assert_eq!(rust_codec_op("get", "string"), "get_string");
         assert_eq!(rust_codec_op("put", "ulonglong"), "put_ulonglong");
-        assert_eq!(rust_seq_elem_op("put", "sequence<double>"), "put_double");
-        assert_eq!(rust_seq_elem_op("get", "sequence<string>"), "get_string");
+        assert_eq!(rust_seq_op("put", "sequence<double>"), "put_double_seq");
+        assert_eq!(rust_seq_op("get", "sequence<boolean,8>"), "get_bool_seq");
+        assert_eq!(rust_seq_op("put", "sequence<struct:M::S>"), "put_struct_seq");
+    }
+
+    #[test]
+    fn rust_seq_elem_kinds() {
+        assert_eq!(rust_seq_elem_kind("sequence<ulonglong>"), "primitive");
+        assert_eq!(rust_seq_elem_kind("sequence<string>"), "string");
+        assert_eq!(rust_seq_elem_kind("sequence<enum:M::Color>"), "enum");
+        assert_eq!(rust_seq_elem_kind("sequence<any>"), "any");
+        assert_eq!(rust_seq_elem_kind("sequence<sequence<long>>"), "sequence");
+        let r = rust_registry();
+        assert_eq!(r.apply("Rust::SeqElemType", "sequence<enum:M::Color>").unwrap(), "Color");
+        assert_eq!(r.apply("Rust::SeqElemType", "sequence<octet>").unwrap(), "u8");
     }
 
     #[test]

@@ -119,46 +119,6 @@ impl CallOptions {
     pub fn builder() -> CallOptionsBuilder {
         CallOptionsBuilder { options: CallOptions::default() }
     }
-
-    /// Options with a per-call deadline.
-    #[deprecated(note = "use `CallOptions::builder().deadline(..).build()`")]
-    pub fn with_deadline(deadline: Duration) -> CallOptions {
-        CallOptions::builder().deadline(deadline).build()
-    }
-
-    /// Options declaring the call idempotent (safe to retry even after
-    /// request bytes were written).
-    #[deprecated(note = "use `CallOptions::builder().retry_class(RetryClass::Safe).build()`")]
-    pub fn idempotent() -> CallOptions {
-        CallOptions::builder().retry_class(RetryClass::Safe).build()
-    }
-
-    /// Options with a per-call retry policy override.
-    #[deprecated(note = "use `CallOptions::builder().retry_policy(..).build()`")]
-    pub fn with_retry_policy(policy: RetryPolicy) -> CallOptions {
-        CallOptions::builder().retry_policy(policy).build()
-    }
-
-    /// Adds a deadline to these options.
-    #[deprecated(note = "use `CallOptions::builder().deadline(..).build()`")]
-    pub fn and_deadline(mut self, deadline: Duration) -> CallOptions {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Marks these options idempotent.
-    #[deprecated(note = "use `CallOptions::builder().retry_class(RetryClass::Safe).build()`")]
-    pub fn and_idempotent(mut self) -> CallOptions {
-        self.idempotent = true;
-        self
-    }
-
-    /// Adds a retry-policy override to these options.
-    #[deprecated(note = "use `CallOptions::builder().retry_policy(..).build()`")]
-    pub fn and_retry_policy(mut self, policy: RetryPolicy) -> CallOptions {
-        self.retry_policy = Some(policy);
-        self
-    }
 }
 
 /// Builder for [`CallOptions`] — the single public way to construct
@@ -1569,20 +1529,5 @@ mod tests {
         assert!(options.idempotent);
         assert_eq!(options.retry_policy, Some(RetryPolicy::none()));
         assert_eq!(options.cached_ttl, Some(Duration::from_millis(200)));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructors_still_produce_equivalent_options() {
-        let old = CallOptions::with_deadline(Duration::from_millis(10));
-        assert_eq!(old.deadline, Some(Duration::from_millis(10)));
-        let old = CallOptions::idempotent();
-        assert!(old.idempotent && old.retry);
-        let old = CallOptions::with_retry_policy(RetryPolicy::none())
-            .and_deadline(Duration::from_millis(7))
-            .and_idempotent();
-        assert_eq!(old.retry_policy, Some(RetryPolicy::none()));
-        assert_eq!(old.deadline, Some(Duration::from_millis(7)));
-        assert!(old.idempotent);
     }
 }

@@ -25,9 +25,94 @@
 //! here) needs no wire-format change; `heidl-rmi` parses the profile
 //! list and drives endpoint failover above this codec.
 
-use crate::codec::{Decoder, Encoder};
+use crate::codec::{primitive_seqs, Decoder, Encoder};
 use crate::error::{WireError, WireResult};
 use crate::limits::DecodeLimits;
+
+/// A primitive's CDR layout: `SIZE` little-endian bytes aligned to `SIZE`.
+/// Size equals alignment for every CDR primitive, so a run of them needs
+/// at most one pad, before its first element — which is what lets a
+/// sequence travel as one bounds-checked block.
+trait CdrPrimitive: Copy {
+    const SIZE: usize;
+    /// What a truncated read reports.
+    const WHAT: &'static str;
+    /// `[u8; SIZE]`.
+    type Bytes: AsRef<[u8]>;
+    fn to_wire(self) -> Self::Bytes;
+    /// Decodes one value from exactly `SIZE` bytes.
+    fn read(bytes: &[u8]) -> WireResult<Self>;
+    /// Decodes every value of a run of whole elements, failing on the
+    /// first malformed one.
+    fn read_run(run: &[u8]) -> WireResult<Vec<Self>> {
+        let mut out = Vec::with_capacity(run.len() / Self::SIZE);
+        for bytes in run.chunks_exact(Self::SIZE) {
+            out.push(Self::read(bytes)?);
+        }
+        Ok(out)
+    }
+}
+
+/// Numbers cannot be malformed, so their runs decode without a per-element
+/// `Result`: an exact-size iterator the compiler turns into a block copy.
+macro_rules! cdr_numbers {
+    ($($ty:ty: $what:literal),*) => {$(
+        impl CdrPrimitive for $ty {
+            const SIZE: usize = std::mem::size_of::<$ty>();
+            const WHAT: &'static str = $what;
+            type Bytes = [u8; std::mem::size_of::<$ty>()];
+            fn to_wire(self) -> Self::Bytes {
+                self.to_le_bytes()
+            }
+            fn read(bytes: &[u8]) -> WireResult<Self> {
+                Ok(<$ty>::from_le_bytes(bytes.try_into().expect("exact size slice")))
+            }
+            fn read_run(run: &[u8]) -> WireResult<Vec<Self>> {
+                let each = |b: &[u8]| <$ty>::from_le_bytes(b.try_into().expect("exact size slice"));
+                Ok(run.chunks_exact(Self::SIZE).map(each).collect())
+            }
+        }
+    )*};
+}
+
+cdr_numbers!(u8: "octet", i16: "short", u16: "unsigned short", i32: "long", u32: "unsigned long");
+cdr_numbers!(i64: "long long", u64: "unsigned long long", f32: "float", f64: "double");
+
+impl CdrPrimitive for bool {
+    const SIZE: usize = 1;
+    const WHAT: &'static str = "boolean";
+    type Bytes = [u8; 1];
+    fn to_wire(self) -> [u8; 1] {
+        [u8::from(self)]
+    }
+    fn read(bytes: &[u8]) -> WireResult<Self> {
+        match bytes[0] {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(WireError::Malformed {
+                what: "boolean",
+                detail: format!("expected 0 or 1, got {other}"),
+            }),
+        }
+    }
+}
+
+/// A 32-bit Unicode scalar (see the module docs).
+impl CdrPrimitive for char {
+    const SIZE: usize = 4;
+    const WHAT: &'static str = "char";
+    type Bytes = [u8; 4];
+    fn to_wire(self) -> [u8; 4] {
+        (self as u32).to_le_bytes()
+    }
+    fn read(bytes: &[u8]) -> WireResult<Self> {
+        let v = u32::read(bytes)?;
+        char::from_u32(v).ok_or_else(|| WireError::Malformed {
+            what: "char",
+            detail: format!("invalid scalar value {v:#x}"),
+        })
+    }
+}
 
 /// Encoder for the CDR binary protocol.
 ///
@@ -59,6 +144,27 @@ impl CdrEncoder {
             self.buf.resize(self.buf.len() + (n - rem), 0);
         }
     }
+
+    fn put_one<T: CdrPrimitive>(&mut self, v: T) {
+        self.align(T::SIZE);
+        self.buf.extend_from_slice(v.to_wire().as_ref());
+    }
+
+    /// The bytes of `put_len` plus one `put_one` per element: an empty run
+    /// writes no pad, a non-empty one pads once, grows the buffer once and
+    /// fills it in place.
+    fn put_run<T: CdrPrimitive>(&mut self, v: &[T]) {
+        self.put_len(v.len() as u32);
+        if v.is_empty() {
+            return;
+        }
+        self.align(T::SIZE);
+        let start = self.buf.len();
+        self.buf.resize(start + v.len() * T::SIZE, 0);
+        for (dst, &x) in self.buf[start..].chunks_exact_mut(T::SIZE).zip(v) {
+            dst.copy_from_slice(x.to_wire().as_ref());
+        }
+    }
 }
 
 impl Default for CdrEncoder {
@@ -75,59 +181,20 @@ impl Drop for CdrEncoder {
     }
 }
 
+macro_rules! cdr_puts {
+    ($($put_seq:ident, $put:ident, $get_seq:ident, $get:ident: $ty:ty;)*) => {$(
+        fn $put(&mut self, v: $ty) {
+            self.put_one(v);
+        }
+
+        fn $put_seq(&mut self, v: &[$ty]) {
+            self.put_run(v);
+        }
+    )*};
+}
+
 impl Encoder for CdrEncoder {
-    fn put_bool(&mut self, v: bool) {
-        self.buf.push(u8::from(v));
-    }
-
-    fn put_octet(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn put_char(&mut self, v: char) {
-        self.align(4);
-        self.buf.extend_from_slice(&(v as u32).to_le_bytes());
-    }
-
-    fn put_short(&mut self, v: i16) {
-        self.align(2);
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn put_ushort(&mut self, v: u16) {
-        self.align(2);
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn put_long(&mut self, v: i32) {
-        self.align(4);
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn put_ulong(&mut self, v: u32) {
-        self.align(4);
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn put_longlong(&mut self, v: i64) {
-        self.align(8);
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn put_ulonglong(&mut self, v: u64) {
-        self.align(8);
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn put_float(&mut self, v: f32) {
-        self.align(4);
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn put_double(&mut self, v: f64) {
-        self.align(8);
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
+    primitive_seqs!(cdr_puts);
 
     fn put_string(&mut self, v: &str) {
         // CDR: ulong byte count including the terminating NUL, then bytes.
@@ -198,80 +265,52 @@ impl<B: AsRef<[u8]>> CdrDecoder<B> {
 
     fn take(&mut self, n: usize, what: &'static str) -> WireResult<&[u8]> {
         let buf = self.buf.as_ref();
-        if self.pos + n > buf.len() {
-            return Err(WireError::UnexpectedEnd { what });
+        match self.pos.checked_add(n) {
+            Some(end) if end <= buf.len() => {
+                let s = &buf[self.pos..end];
+                self.pos = end;
+                Ok(s)
+            }
+            _ => Err(WireError::UnexpectedEnd { what }),
         }
-        let s = &buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
     }
 }
 
-macro_rules! get_le {
-    ($self:ident, $ty:ty, $align:expr, $what:expr) => {{
-        $self.align($align);
-        let bytes = $self.take(std::mem::size_of::<$ty>(), $what)?;
-        Ok(<$ty>::from_le_bytes(bytes.try_into().expect("exact size slice")))
-    }};
+impl<B: AsRef<[u8]> + Send> CdrDecoder<B> {
+    fn get_one<T: CdrPrimitive>(&mut self) -> WireResult<T> {
+        self.align(T::SIZE);
+        T::read(self.take(T::SIZE, T::WHAT)?)
+    }
+
+    /// What `get_len` plus one `get_one` per element reads, with the whole
+    /// run bounds-checked before the vector is allocated: a length prefix
+    /// the body cannot back fails with `UnexpectedEnd` and allocates
+    /// nothing.
+    fn get_run<T: CdrPrimitive>(&mut self) -> WireResult<Vec<T>> {
+        let n = self.get_len()? as usize;
+        if n == 0 {
+            return Ok(Vec::new());
+        }
+        self.align(T::SIZE);
+        let len = n.checked_mul(T::SIZE).ok_or(WireError::UnexpectedEnd { what: T::WHAT })?;
+        T::read_run(self.take(len, T::WHAT)?)
+    }
+}
+
+macro_rules! cdr_gets {
+    ($($put_seq:ident, $put:ident, $get_seq:ident, $get:ident: $ty:ty;)*) => {$(
+        fn $get(&mut self) -> WireResult<$ty> {
+            self.get_one()
+        }
+
+        fn $get_seq(&mut self) -> WireResult<Vec<$ty>> {
+            self.get_run()
+        }
+    )*};
 }
 
 impl<B: AsRef<[u8]> + Send> Decoder for CdrDecoder<B> {
-    fn get_bool(&mut self) -> WireResult<bool> {
-        match self.take(1, "boolean")?[0] {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(WireError::Malformed {
-                what: "boolean",
-                detail: format!("expected 0 or 1, got {other}"),
-            }),
-        }
-    }
-
-    fn get_octet(&mut self) -> WireResult<u8> {
-        Ok(self.take(1, "octet")?[0])
-    }
-
-    fn get_char(&mut self) -> WireResult<char> {
-        self.align(4);
-        let bytes = self.take(4, "char")?;
-        let v = u32::from_le_bytes(bytes.try_into().expect("exact size slice"));
-        char::from_u32(v).ok_or_else(|| WireError::Malformed {
-            what: "char",
-            detail: format!("invalid scalar value {v:#x}"),
-        })
-    }
-
-    fn get_short(&mut self) -> WireResult<i16> {
-        get_le!(self, i16, 2, "short")
-    }
-
-    fn get_ushort(&mut self) -> WireResult<u16> {
-        get_le!(self, u16, 2, "unsigned short")
-    }
-
-    fn get_long(&mut self) -> WireResult<i32> {
-        get_le!(self, i32, 4, "long")
-    }
-
-    fn get_ulong(&mut self) -> WireResult<u32> {
-        get_le!(self, u32, 4, "unsigned long")
-    }
-
-    fn get_longlong(&mut self) -> WireResult<i64> {
-        get_le!(self, i64, 8, "long long")
-    }
-
-    fn get_ulonglong(&mut self) -> WireResult<u64> {
-        get_le!(self, u64, 8, "unsigned long long")
-    }
-
-    fn get_float(&mut self) -> WireResult<f32> {
-        get_le!(self, f32, 4, "float")
-    }
-
-    fn get_double(&mut self) -> WireResult<f64> {
-        get_le!(self, f64, 8, "double")
-    }
+    primitive_seqs!(cdr_gets);
 
     fn get_string(&mut self) -> WireResult<String> {
         let len = self.get_ulong()?;

@@ -9,8 +9,92 @@
 //! Both the text protocol and the CDR binary protocol implement
 //! [`Encoder`]/[`Decoder`], so generated stubs and skeletons are protocol
 //! independent — the paper's "abstract interface to the ORB".
+//!
+//! A sequence of primitives also travels in one call:
+//! `put_<t>_seq` / `get_<t>_seq` for each of the eleven primitive types.
+//! Their default bodies are the element loop (length, then one
+//! `put_<t>`/`get_<t>` per element, statically dispatched inside the
+//! codec), which the text codec keeps; the CDR codec overrides them to
+//! copy the run as one block. Either way the bytes are those of the loop.
 
 use crate::error::WireResult;
+
+/// The primitives that have a bulk sequence method, one row each:
+/// `put_<t>_seq, put_<t>, get_<t>_seq, get_<t>: type`. `$then!` receives
+/// every row, so the trait defaults below and a codec's overrides are
+/// generated from the same list.
+macro_rules! primitive_seqs {
+    ($then:ident) => {
+        $then! {
+            put_bool_seq, put_bool, get_bool_seq, get_bool: bool;
+            put_octet_seq, put_octet, get_octet_seq, get_octet: u8;
+            put_char_seq, put_char, get_char_seq, get_char: char;
+            put_short_seq, put_short, get_short_seq, get_short: i16;
+            put_ushort_seq, put_ushort, get_ushort_seq, get_ushort: u16;
+            put_long_seq, put_long, get_long_seq, get_long: i32;
+            put_ulong_seq, put_ulong, get_ulong_seq, get_ulong: u32;
+            put_longlong_seq, put_longlong, get_longlong_seq, get_longlong: i64;
+            put_ulonglong_seq, put_ulonglong, get_ulonglong_seq, get_ulonglong: u64;
+            put_float_seq, put_float, get_float_seq, get_float: f32;
+            put_double_seq, put_double, get_double_seq, get_double: f64;
+        }
+    };
+}
+pub(crate) use primitive_seqs;
+
+/// Default bulk puts: the length, then one put per element.
+macro_rules! put_seq_defaults {
+    ($($put_seq:ident, $put:ident, $get_seq:ident, $get:ident: $ty:ty;)*) => {$(
+        #[doc = concat!("Appends a sequence: its length, then each element as [`Encoder::",
+            stringify!($put), "`] writes it. The bytes are exactly those of that loop; ",
+            "a codec with a fixed layout overrides this to write the run in one pass.")]
+        fn $put_seq(&mut self, v: &[$ty]) {
+            self.put_len(v.len() as u32);
+            for &x in v {
+                self.$put(x);
+            }
+        }
+    )*};
+}
+
+/// Default bulk gets: the length, then one get per element.
+macro_rules! get_seq_defaults {
+    ($($put_seq:ident, $put:ident, $get_seq:ident, $get:ident: $ty:ty;)*) => {$(
+        #[doc = concat!("Reads a sequence written by [`Encoder::", stringify!($put_seq),
+            "`]: its length, then each element as [`Decoder::", stringify!($get),
+            "`] reads it.\n\n# Errors\n\nAs [`Decoder::get_len`] and [`Decoder::",
+            stringify!($get), "`]; the first bad element ends the read.")]
+        fn $get_seq(&mut self) -> WireResult<Vec<$ty>> {
+            let n = self.get_len()?;
+            let mut out = seq_buffer(n);
+            for _ in 0..n {
+                out.push(self.$get()?);
+            }
+            Ok(out)
+        }
+    )*};
+}
+
+/// Most bytes [`seq_buffer`] reserves before any element has been read.
+const SEQ_RESERVE_BYTES: usize = 8 * 1024;
+
+/// An empty vector for a sequence whose length prefix announced `n`
+/// elements. The prefix comes off the wire, so it is not trusted with an
+/// allocation: the vector reserves room for at most 8 KiB of elements and
+/// grows only as elements are actually decoded. A hostile length then
+/// fails on the bytes that are not there, having allocated next to
+/// nothing.
+///
+/// ```
+/// let v: Vec<f64> = heidl_wire::seq_buffer(64 * 1024 * 1024);
+/// assert_eq!(v.capacity(), 1024);
+/// let v: Vec<f64> = heidl_wire::seq_buffer(3);
+/// assert_eq!(v.capacity(), 3);
+/// ```
+pub fn seq_buffer<T>(n: u32) -> Vec<T> {
+    let cap = SEQ_RESERVE_BYTES / std::mem::size_of::<T>().max(1);
+    Vec::with_capacity((n as usize).min(cap))
+}
 
 /// Marshals primitive values and structure markers into a message body.
 ///
@@ -59,6 +143,8 @@ pub trait Encoder: Send {
     /// span of the encoded body (e.g. "the argument bytes of this call")
     /// without re-encoding.
     fn position(&self) -> usize;
+
+    primitive_seqs!(put_seq_defaults);
 }
 
 /// Unmarshals values written by the matching [`Encoder`].
@@ -172,6 +258,8 @@ pub trait Decoder: Send {
     fn end(&mut self) -> WireResult<()>;
     /// True when all input has been consumed.
     fn at_end(&self) -> bool;
+
+    primitive_seqs!(get_seq_defaults);
 }
 
 #[cfg(test)]

@@ -41,7 +41,7 @@ pub mod text;
 
 pub use cdr::{CdrDecoder, CdrEncoder};
 pub use chunk::ChunkAssembler;
-pub use codec::{Decoder, Encoder};
+pub use codec::{seq_buffer, Decoder, Encoder};
 pub use error::{WireError, WireResult};
 pub use limits::DecodeLimits;
 pub use plan::{CdrStructPlan, FieldKind, PlanValue};

@@ -335,10 +335,7 @@ impl PlayerStub {
         frames: Vec<i32>,
     ) -> RmiResult<()> {
         let mut _call = self.orb.call(&self.objref, "seek");
-        _call.args().put_len(frames.len() as u32);
-        for _x in &frames {
-            _call.args().put_long(*_x);
-        }
+        _call.args().put_long_seq(&frames);
         let _options = heidl_rmi::CallOptions::default();
         self.orb.invoke_with(_call, _options)?;
         Ok(())
@@ -457,12 +454,7 @@ impl Skeleton for PlayerSkel {
                 Ok(DispatchOutcome::Handled)
             }
             Some(4) => {
-                let _n = args.get_len()?;
-                let mut _seq = Vec::with_capacity(_n as usize);
-                for _ in 0.._n {
-                    _seq.push(args.get_long()?);
-                }
-                let frames = _seq;
+                let frames = args.get_long_seq()?;
                 self.target.seek(
                     frames
                 )?;
@@ -549,12 +541,7 @@ impl LibraryStub {
             .cached(std::time::Duration::from_millis(200))
             .build();
         let mut _reply = self.orb.invoke_with(_call, _options)?;
-        let _n = _reply.results().get_len()?;
-        let mut _out = Vec::with_capacity(_n as usize);
-        for _ in 0.._n {
-            _out.push(_reply.results().get_long()?);
-        }
-        Ok(_out)
+        Ok(_reply.results().get_long_seq()?)
     }
     pub fn command(
         &self,
@@ -658,10 +645,7 @@ impl Skeleton for LibrarySkel {
             Some(2) => {
                 let _result = self.target.durations(
                 )?;
-                reply.put_len(_result.len() as u32);
-                for _x in &_result {
-                    reply.put_long(*_x);
-                }
+                reply.put_long_seq(&_result);
                 Ok(DispatchOutcome::Handled)
             }
             Some(3) => {

@@ -1604,36 +1604,6 @@ fn roundtrip(quick: bool) {
             }
         }
     }
-
-    // CI throughput ratchet (HEIDL_BENCH_ASSERT_CPS=1): CDR echo round-trip
-    // throughput must stay within 15% of the checked-in baseline. The
-    // margin is generous because shared runners are noisy — this trips on
-    // real regressions (a lock or allocation storm on the hot path), not
-    // on scheduler jitter.
-    if std::env::var("HEIDL_BENCH_ASSERT_CPS").is_ok() {
-        let base = std::env::var("HEIDL_BENCH_BASELINE")
-            .ok()
-            .and_then(|p| std::fs::read_to_string(p).ok())
-            .and_then(|prev| baseline_field(&prev, "echo_cdr", "calls_per_sec"));
-        match base {
-            Some(base) if base > 0.0 => {
-                let measured = echo_cdr.calls_per_sec;
-                let floor = base * 0.85;
-                if measured < floor {
-                    eprintln!(
-                        "throughput regression: echo_cdr {measured:.0} calls/sec < floor \
-                         {floor:.0} (baseline {base:.0}, 15% margin)"
-                    );
-                    std::process::exit(1);
-                }
-                println!(
-                    "cps gate ok: echo_cdr {measured:.0} calls/sec \
-                     (baseline {base:.0}, floor {floor:.0})"
-                );
-            }
-            _ => println!("cps gate skipped: no parsable HEIDL_BENCH_BASELINE"),
-        }
-    }
 }
 
 // ---- c10k ----------------------------------------------------------------

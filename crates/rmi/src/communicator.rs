@@ -8,8 +8,9 @@
 //! This module goes one step past the paper's one-call-at-a-time cache:
 //! a [`MuxConnection`] multiplexes any number of concurrent in-flight
 //! requests over a single socket, correlating out-of-order replies by the
-//! request id that leads every message (see `call.rs`). A dedicated demux
-//! thread owns the read half; callers park on reusable per-thread reply
+//! request id that leads every message (see `call.rs`). A [`Demux`] owns
+//! the read half — on a thread of its own or as a client-reactor source,
+//! one state machine either way; callers park on reusable per-thread reply
 //! slots until their reply (or their deadline) arrives.
 //!
 //! The hot path is allocation-light: frames go out as vectored writes
@@ -74,11 +75,19 @@ pub(crate) fn with_frame<R>(
 }
 
 /// A message channel over a transport: framing + buffering.
+///
+/// The one reader of the runtime: every connection, server or client,
+/// blocking thread or reactor source, deframes through [`Self::recv`] or
+/// its nonblocking twin [`Self::try_recv`].
 pub struct ObjectCommunicator {
     transport: Box<dyn Transport>,
     protocol: Arc<dyn Protocol>,
     inbuf: FrameBuf,
     limits: DecodeLimits,
+    /// Set by a [`Self::try_recv`] read that came back short: the kernel
+    /// buffer is empty, so once the buffered frames are out it reports
+    /// "nothing more" without a confirming `EWOULDBLOCK` read.
+    drained: bool,
 }
 
 impl std::fmt::Debug for ObjectCommunicator {
@@ -106,7 +115,7 @@ impl ObjectCommunicator {
         protocol: Arc<dyn Protocol>,
         limits: DecodeLimits,
     ) -> Self {
-        ObjectCommunicator { transport, protocol, inbuf: FrameBuf::new(), limits }
+        ObjectCommunicator { transport, protocol, inbuf: FrameBuf::new(), limits, drained: false }
     }
 
     /// The protocol in use.
@@ -117,6 +126,11 @@ impl ObjectCommunicator {
     /// Peer description for diagnostics.
     pub fn peer(&self) -> String {
         self.transport.peer()
+    }
+
+    /// The read half's file descriptor, when a reactor can watch it.
+    pub(crate) fn raw_fd(&self) -> Option<i32> {
+        self.transport.raw_fd()
     }
 
     /// Sends one message body, framed.
@@ -135,10 +149,7 @@ impl ObjectCommunicator {
     /// Propagates transport failures and stream corruption.
     pub fn recv(&mut self) -> RmiResult<Option<PooledBuf>> {
         loop {
-            if let Some(body) = self.protocol.deframe_pooled(&mut self.inbuf, &self.limits)? {
-                // A jumbo text line may have ballooned the read buffer;
-                // give the excess back once it is drained.
-                self.inbuf.maybe_shrink();
+            if let Some(body) = self.buffered()? {
                 return Ok(Some(body));
             }
             // A large frame's body is read straight into its own buffer,
@@ -151,11 +162,57 @@ impl ObjectCommunicator {
                 self.transport.recv_into(input)?
             };
             if n == 0 {
-                if self.inbuf.is_empty() {
-                    return Ok(None);
-                }
-                return Err(RmiError::Disconnected);
+                return self.closed();
             }
+        }
+    }
+
+    /// [`Self::recv`] for a readiness-driven reader: `None` once nothing
+    /// more can be had without blocking, otherwise exactly what `recv`
+    /// would have returned. Reads are nonblocking and at most
+    /// [`RECV_CHUNK`] (straight into a large frame's body while one is
+    /// arriving); a read shorter than asked for emptied the kernel buffer,
+    /// so after the frames it completed this reports `None` without the
+    /// `EWOULDBLOCK` confirmation syscall — level-triggered epoll
+    /// re-reports the fd if more bytes race in.
+    pub(crate) fn try_recv(&mut self) -> Option<RmiResult<Option<PooledBuf>>> {
+        loop {
+            match self.buffered() {
+                Ok(None) => {}
+                got => return Some(got),
+            }
+            if std::mem::take(&mut self.drained) {
+                return None;
+            }
+            let (input, lacking) = self.inbuf.input();
+            let max = lacking.min(RECV_CHUNK);
+            match self.transport.try_recv_into(input, max) {
+                Ok(Some(0)) => return Some(self.closed()),
+                Ok(Some(n)) => self.drained = n < max,
+                Ok(None) => return None,
+                Err(e) => return Some(Err(e.into())),
+            }
+        }
+    }
+
+    /// The next complete frame already buffered, if any.
+    fn buffered(&mut self) -> RmiResult<Option<PooledBuf>> {
+        let body = self.protocol.deframe_pooled(&mut self.inbuf, &self.limits)?;
+        if body.is_some() {
+            // A jumbo text line may have ballooned the read buffer; give
+            // the excess back once it is drained.
+            self.inbuf.maybe_shrink();
+        }
+        Ok(body)
+    }
+
+    /// The outcome of end-of-stream: orderly between frames, a lost
+    /// connection inside one.
+    fn closed(&self) -> RmiResult<Option<PooledBuf>> {
+        if self.inbuf.is_empty() {
+            Ok(None)
+        } else {
+            Err(RmiError::Disconnected)
         }
     }
 
@@ -399,46 +456,6 @@ impl StreamTable {
     }
 }
 
-/// Routes one received reply body: a registered stream gets the frame
-/// queued (unregistering on the final chunk or an unchunked envelope), a
-/// pending one-shot caller gets woken, and anything else is a late reply,
-/// dropped. Returns `false` when the body is unintelligible — the caller
-/// gives up on the connection.
-fn deliver_reply(
-    body: PooledBuf,
-    protocol: &dyn Protocol,
-    streams: &StreamTable,
-    pending: &PendingTable,
-    peer: &str,
-) -> bool {
-    match peek_reply_id(&body, protocol) {
-        Ok(id) => {
-            if let Some(slot) = streams.get(id) {
-                // The final chunk — or an unchunked reply, which ends a
-                // stream in one envelope — retires the registration.
-                let last = protocol.extract_chunk(&body).is_none_or(|(_, last)| last);
-                slot.push(body);
-                if last {
-                    streams.remove(id);
-                }
-            } else if let Some(slot) = pending.remove(id) {
-                slot.deliver(Ok(body));
-            } else {
-                trace::emit_with(TraceLevel::Debug, "demux", || {
-                    format!("dropping late reply from {peer}")
-                });
-            }
-            true
-        }
-        Err(e) => {
-            trace::emit_with(TraceLevel::Warn, "demux", || {
-                format!("unintelligible reply from {peer}: {e}")
-            });
-            false
-        }
-    }
-}
-
 /// How many independent locks the pending-reply table is split across.
 const PENDING_SHARDS: usize = 8;
 
@@ -627,13 +644,13 @@ impl MuxConnection {
         MuxConnection::over_mode(transport, protocol, TransportMode::Threaded)
     }
 
-    /// As [`MuxConnection::over`] but selecting the demux engine: in
+    /// As [`MuxConnection::over`] but selecting the demux driver: in
     /// [`TransportMode::Reactor`], a transport that exposes a raw fd gets
-    /// its read half registered as a [`DemuxSource`] on the process-wide
-    /// client reactor — one `heidl-reactor-client` thread demultiplexes
-    /// every pooled connection, instead of one `heidl-demux-*` thread
-    /// each. Transports without an fd (in-process pipes, fault injectors)
-    /// and non-epoll targets fall back to the demux thread transparently.
+    /// its [`Demux`] registered on the process-wide client reactor — one
+    /// `heidl-reactor-client` thread demultiplexes every pooled
+    /// connection, instead of one `heidl-demux-*` thread each. Transports
+    /// without an fd (in-process pipes, fault injectors) and non-epoll
+    /// targets fall back to the demux thread transparently.
     ///
     /// # Errors
     ///
@@ -644,39 +661,32 @@ impl MuxConnection {
         mode: TransportMode,
     ) -> RmiResult<Arc<MuxConnection>> {
         let peer = transport.peer();
-        let use_reactor = mode.reactor_enabled() && transport.raw_fd().is_some();
         let (writer, reader) = transport.split()?;
         let pending = Arc::new(PendingTable::new());
         let streams = Arc::new(StreamTable::new());
         let alive = Arc::new(AtomicBool::new(true));
-        let mut reader = Some(reader);
-        if use_reactor && reader.as_ref().is_some_and(|r| r.raw_fd().is_some()) {
-            if let Some(handle) = reactor::client_reactor() {
-                let token = handle.alloc_id();
-                handle.register(
-                    token,
-                    EPOLLIN | EPOLLRDHUP,
-                    Box::new(DemuxSource {
-                        transport: reader.take().expect("reader present"),
-                        buf: FrameBuf::new(),
-                        protocol: Arc::clone(&protocol),
-                        pending: Arc::clone(&pending),
-                        streams: Arc::clone(&streams),
-                        alive: Arc::clone(&alive),
-                        peer: peer.clone(),
-                    }),
-                );
+        let demux = Demux {
+            comm: ObjectCommunicator::new(reader, Arc::clone(&protocol)),
+            pending: Arc::clone(&pending),
+            streams: Arc::clone(&streams),
+            alive: Arc::clone(&alive),
+            peer: peer.clone(),
+        };
+        let reactor = if mode.reactor_enabled() && demux.comm.raw_fd().is_some() {
+            reactor::client_reactor()
+        } else {
+            None
+        };
+        match reactor {
+            Some(handle) => {
+                handle.register(handle.alloc_id(), EPOLLIN | EPOLLRDHUP, Box::new(demux))
             }
-        }
-        if let Some(reader) = reader {
-            let comm = ObjectCommunicator::new(reader, Arc::clone(&protocol));
-            let demux_pending = Arc::clone(&pending);
-            let demux_streams = Arc::clone(&streams);
-            let demux_alive = Arc::clone(&alive);
-            std::thread::Builder::new()
-                .name(format!("heidl-demux-{peer}"))
-                .spawn(move || demux_loop(comm, demux_pending, demux_streams, demux_alive))
-                .map_err(RmiError::Io)?;
+            None => {
+                std::thread::Builder::new()
+                    .name(format!("heidl-demux-{peer}"))
+                    .spawn(move || demux_loop(demux))
+                    .map_err(RmiError::Io)?;
+            }
         }
         Ok(Arc::new(MuxConnection {
             writer: Mutex::new(writer),
@@ -691,7 +701,7 @@ impl MuxConnection {
         }))
     }
 
-    /// Whether the demux thread is still serving replies.
+    /// Whether the demux is still serving replies.
     pub fn is_alive(&self) -> bool {
         self.alive.load(Ordering::SeqCst)
     }
@@ -743,7 +753,7 @@ impl MuxConnection {
         // quiescent for its next call).
         let slot = REPLY_SLOT.with(Arc::clone);
         self.pending.insert(request_id, Arc::clone(&slot));
-        // The demux thread drains `pending` when it dies; registering
+        // The demux drains `pending` when it dies; registering
         // first and re-checking `alive` after closes the race where it
         // died in between (then nobody would ever wake us).
         if !self.is_alive() {
@@ -961,9 +971,10 @@ impl MuxConnection {
 
     /// Sends a fire-and-forget liveness ping: the request goes out with a
     /// throwaway mailbox registered under `request_id`, and nobody parks
-    /// for the pong — the timer-mode heartbeat checks back one tick later
-    /// with [`MuxConnection::ping_unanswered`]. (A parked wait would stall
-    /// the reactor loop the timer runs on.)
+    /// for the pong — the heartbeat probe checks back one tick later with
+    /// [`MuxConnection::ping_unanswered`]. (A parked wait would stall the
+    /// reactor loop the probe may run on, and serialize a scan behind
+    /// every dead peer.)
     ///
     /// # Errors
     ///
@@ -1008,78 +1019,84 @@ impl MuxConnection {
 impl Drop for MuxConnection {
     fn drop(&mut self) {
         self.alive.store(false, Ordering::SeqCst);
-        // Unblocks the demux thread and closes the socket for the peer.
+        // Gives the demux EOF and closes the socket for the peer.
         self.writer.get_mut().shutdown();
     }
 }
 
-/// The demux thread: reads framed replies off the shared connection and
-/// wakes whichever caller registered the matching request id. Replies with
-/// no registered caller (deadline already passed) are dropped. On any read
-/// failure every parked caller is woken with `Disconnected` — and every
-/// exit path, which used to vanish silently, emits a traced event saying
-/// why the thread died.
-fn demux_loop(
-    mut comm: ObjectCommunicator,
-    pending: Arc<PendingTable>,
-    streams: Arc<StreamTable>,
-    alive: Arc<AtomicBool>,
-) {
-    loop {
-        match comm.recv() {
-            Ok(Some(body)) => {
-                // Unintelligible reply stream: give up on the connection.
-                if !deliver_reply(body, comm.protocol().as_ref(), &streams, &pending, &comm.peer())
-                {
-                    break;
-                }
-            }
-            Ok(None) => {
-                trace::emit_with(TraceLevel::Debug, "demux", || {
-                    format!("connection to {} closed by peer", comm.peer())
-                });
-                break;
-            }
-            Err(e) => {
-                trace::emit_with(TraceLevel::Warn, "demux", || {
-                    format!("read failure on connection to {}: {e}", comm.peer())
-                });
-                break;
-            }
-        }
-    }
-    alive.store(false, Ordering::SeqCst);
-    let slots = pending.drain();
-    if !slots.is_empty() {
-        trace::emit_with(TraceLevel::Warn, "demux", || {
-            format!("disconnecting {} pending caller(s) on {}", slots.len(), comm.peer())
-        });
-    }
-    for slot in slots {
-        slot.deliver(Err(RmiError::Disconnected));
-    }
-    for slot in streams.drain() {
-        slot.fail(RmiError::Disconnected);
-    }
-}
-
-/// The reactor-mode reply demultiplexer: [`demux_loop`]'s state machine,
-/// registered on the process-wide client reactor instead of running on a
-/// per-connection thread. Every readiness event deframes what arrived and
-/// wakes the matching parked caller; EOF or any failure drops the source,
-/// whose teardown (the `Drop` impl) disconnects pending callers exactly
-/// like the thread's exit path.
-struct DemuxSource {
-    transport: Box<dyn Transport>,
-    buf: FrameBuf,
-    protocol: Arc<dyn Protocol>,
+/// One pooled connection's reply side, whichever driver reads it: the
+/// communicator around the read half and the tables its replies route
+/// into. Each reply wakes whichever caller registered its request id;
+/// replies with no registered caller (deadline already passed) are
+/// dropped. Dropping the demux is the connection's death — it marks the
+/// connection dead and wakes every parked caller and stream with
+/// `Disconnected` — and every way it can die emits a traced event saying
+/// why.
+struct Demux {
+    comm: ObjectCommunicator,
     pending: Arc<PendingTable>,
     streams: Arc<StreamTable>,
     alive: Arc<AtomicBool>,
     peer: String,
 }
 
-impl Drop for DemuxSource {
+impl Demux {
+    /// Handles what one read produced; `false` once the connection is done.
+    fn on_read(&self, got: RmiResult<Option<PooledBuf>>) -> bool {
+        match got {
+            Ok(Some(body)) => self.deliver(body),
+            Ok(None) => {
+                trace::emit_with(TraceLevel::Debug, "demux", || {
+                    format!("connection to {} closed by peer", self.peer)
+                });
+                false
+            }
+            Err(e) => {
+                trace::emit_with(TraceLevel::Warn, "demux", || {
+                    format!("read failure on connection to {}: {e}", self.peer)
+                });
+                false
+            }
+        }
+    }
+
+    /// Routes one reply body: a registered stream gets the frame queued
+    /// (unregistering on the final chunk or an unchunked envelope), a
+    /// pending one-shot caller gets woken, and anything else is a late
+    /// reply, dropped. Streams are checked first, so a chunk frame can
+    /// never wake a one-shot caller. Returns `false` when the body is
+    /// unintelligible — the connection is then given up on.
+    fn deliver(&self, body: PooledBuf) -> bool {
+        let protocol = self.comm.protocol().as_ref();
+        let id = match peek_reply_id(&body, protocol) {
+            Ok(id) => id,
+            Err(e) => {
+                trace::emit_with(TraceLevel::Warn, "demux", || {
+                    format!("unintelligible reply from {}: {e}", self.peer)
+                });
+                return false;
+            }
+        };
+        if let Some(slot) = self.streams.get(id) {
+            // The final chunk — or an unchunked reply, which ends a stream
+            // in one envelope — retires the registration.
+            let last = protocol.extract_chunk(&body).is_none_or(|(_, last)| last);
+            slot.push(body);
+            if last {
+                self.streams.remove(id);
+            }
+        } else if let Some(slot) = self.pending.remove(id) {
+            slot.deliver(Ok(body));
+        } else {
+            trace::emit_with(TraceLevel::Debug, "demux", || {
+                format!("dropping late reply from {}", self.peer)
+            });
+        }
+        true
+    }
+}
+
+impl Drop for Demux {
     fn drop(&mut self) {
         self.alive.store(false, Ordering::SeqCst);
         let slots = self.pending.drain();
@@ -1097,70 +1114,34 @@ impl Drop for DemuxSource {
     }
 }
 
-impl Source for DemuxSource {
+/// The blocking driver: a `heidl-demux-*` thread reading until the
+/// connection dies.
+fn demux_loop(mut demux: Demux) {
+    loop {
+        let got = demux.comm.recv();
+        if !demux.on_read(got) {
+            return;
+        }
+    }
+}
+
+/// The reactor driver: every readiness event on the process-wide client
+/// reactor delivers what arrived; the source drops with the connection.
+impl Source for Demux {
     fn fd(&self) -> i32 {
-        self.transport.raw_fd().unwrap_or(-1)
+        self.comm.raw_fd().unwrap_or(-1)
     }
 
     fn on_ready(&mut self, events: u32, _reactor: &ReactorHandle) -> Action {
         if events & EPOLLERR != 0 {
             return Action::Drop;
         }
-        let limits = DecodeLimits::default();
-        let mut drained = false;
-        loop {
-            // Deliver every complete reply already buffered...
-            loop {
-                match self.protocol.deframe_pooled(&mut self.buf, &limits) {
-                    Ok(Some(body)) => {
-                        self.buf.maybe_shrink();
-                        if !deliver_reply(
-                            body,
-                            self.protocol.as_ref(),
-                            &self.streams,
-                            &self.pending,
-                            &self.peer,
-                        ) {
-                            return Action::Drop;
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(e) => {
-                        trace::emit_with(TraceLevel::Warn, "demux", || {
-                            format!("corrupt reply stream from {}: {e}", self.peer)
-                        });
-                        return Action::Drop;
-                    }
-                }
-            }
-            if drained {
-                return Action::Keep;
-            }
-            // ...then pull more until the socket runs dry (straight into a
-            // large frame's body while one is arriving). A read shorter
-            // than asked for emptied the kernel buffer: deliver what it
-            // returned, then stop without paying the `EWOULDBLOCK`
-            // confirmation syscall (level-triggered epoll re-reports the
-            // fd if more bytes race in).
-            let (input, lacking) = self.buf.input();
-            let max = lacking.min(RECV_CHUNK);
-            match self.transport.try_recv_into(input, max) {
-                Ok(Some(0)) => {
-                    trace::emit_with(TraceLevel::Debug, "demux", || {
-                        format!("connection to {} closed by peer", self.peer)
-                    });
-                    return Action::Drop;
-                }
-                Ok(Some(n)) => drained = n < max,
-                Ok(None) => return Action::Keep,
-                Err(e) => {
-                    trace::emit_with(TraceLevel::Warn, "demux", || {
-                        format!("read failure on connection to {}: {e}", self.peer)
-                    });
-                    return Action::Drop;
-                }
+        while let Some(got) = self.comm.try_recv() {
+            if !self.on_read(got) {
+                return Action::Drop;
             }
         }
+        Action::Keep
     }
 }
 
@@ -1552,6 +1533,7 @@ mod tests {
     use crate::call::next_request_id;
     use crate::transport::{InProcTransport, TcpTransport};
     use heidl_wire::{CdrProtocol, TextProtocol};
+    use std::io::Write;
     use std::net::TcpListener;
 
     fn text() -> Arc<dyn Protocol> {
@@ -1974,6 +1956,200 @@ mod tests {
         let got = received.lock();
         assert_eq!(got.len(), 6);
         assert!(String::from_utf8_lossy(&got[4]).contains("ow4"));
+    }
+
+    // ---- one deframe loop, two ways to drive it ---------------------------
+    //
+    // The blocking drivers call `recv`, the reactor drivers `try_recv`.
+    // Fed the same bytes in the same seeded pieces, the two must return
+    // the same frames and end the same way.
+
+    /// Seeded xorshift, so a failing case replays from its seed.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+    }
+
+    /// How a stream ends after its whole frames.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Ending {
+        /// Orderly close between frames.
+        Clean,
+        /// Close inside one more frame's header or body.
+        MidFrame,
+        /// A header declaring `max_frame_bytes + 1`, then silence.
+        Oversized,
+    }
+
+    /// The frame bound every reader below runs under.
+    const MAX_FRAME: u64 = 4 * RECV_CHUNK as u64;
+
+    /// Body lengths around the read size, cycled so each shows up.
+    const SIZES: [usize; 10] = [
+        0,
+        1,
+        100,
+        RECV_CHUNK - 13,
+        RECV_CHUNK - 1,
+        RECV_CHUNK,
+        RECV_CHUNK + 1,
+        2 * RECV_CHUNK + 7,
+        60_000,
+        3,
+    ];
+
+    /// Write sizes: single bytes, a split 12-byte header, pieces
+    /// straddling the read size.
+    const PIECES: [usize; 12] =
+        [1, 2, 3, 7, 12, 13, 100, 4096, RECV_CHUNK - 1, RECV_CHUNK, RECV_CHUNK + 1, 40_000];
+
+    /// Case `seed`: a protocol, the bodies a reader must return, how the
+    /// stream ends, and the bytes on the wire.
+    fn case(seed: u64) -> (Arc<dyn Protocol>, Vec<Vec<u8>>, Ending, Vec<u8>) {
+        let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+        let cdr = seed % 2 == 1;
+        let protocol: Arc<dyn Protocol> =
+            if cdr { Arc::new(CdrProtocol) } else { Arc::new(TextProtocol) };
+        let endings: &[Ending] = if cdr {
+            &[Ending::Clean, Ending::MidFrame, Ending::Oversized]
+        } else {
+            &[Ending::Clean, Ending::MidFrame]
+        };
+        let ending = endings[rng.below(endings.len())];
+        let mut bodies = Vec::new();
+        for i in 0..=rng.below(4) {
+            let len =
+                SIZES[if i == 0 { seed as usize } else { rng.below(SIZES.len()) } % SIZES.len()];
+            // Text frames are lines: no line breaks inside a body.
+            let body: Vec<u8> = if cdr {
+                (0..len).map(|_| rng.below(256) as u8).collect()
+            } else {
+                (0..len).map(|_| b"ab \"\\~9"[rng.below(7)]).collect()
+            };
+            bodies.push(body);
+        }
+        let mut wire = Vec::new();
+        for body in &bodies {
+            protocol.frame(body, &mut wire);
+        }
+        match ending {
+            Ending::Clean => {}
+            Ending::MidFrame => {
+                // A non-empty body, so even a text frame has an inside.
+                let mut last = Vec::new();
+                protocol.frame(&[&bodies[rng.below(bodies.len())][..], b"x"].concat(), &mut last);
+                wire.extend_from_slice(&last[..1 + rng.below(last.len() - 1)]);
+            }
+            Ending::Oversized => {
+                wire.extend_from_slice(b"GIOP\x01\x00\x01\x00");
+                wire.extend_from_slice(&(MAX_FRAME as u32 + 1).to_le_bytes());
+            }
+        }
+        (protocol, bodies, ending, wire)
+    }
+
+    /// Every frame a reader returned, then how the stream ended (`"eof"`
+    /// for an orderly close, else the error), and whether a body buffer
+    /// was left waiting to be filled.
+    type Transcript = (Vec<Vec<u8>>, String, bool);
+
+    fn read_blocking(mut comm: ObjectCommunicator) -> Transcript {
+        let mut frames = Vec::new();
+        let end = loop {
+            match comm.recv() {
+                Ok(Some(body)) => frames.push(body.to_vec()),
+                Ok(None) => break "eof".to_owned(),
+                Err(e) => break format!("{e:?}"),
+            }
+        };
+        (frames, end, comm.inbuf.filling_body())
+    }
+
+    fn read_polling(mut comm: ObjectCommunicator) -> Transcript {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut frames = Vec::new();
+        let end = loop {
+            match comm.try_recv() {
+                Some(Ok(Some(body))) => frames.push(body.to_vec()),
+                Some(Ok(None)) => break "eof".to_owned(),
+                Some(Err(e)) => break format!("{e:?}"),
+                None if Instant::now() > deadline => break "stalled".to_owned(),
+                None => std::thread::sleep(Duration::from_micros(200)),
+            }
+        };
+        (frames, end, comm.inbuf.filling_body())
+    }
+
+    /// Reads case `seed` over two loopback connections at once, one per
+    /// entry point, writing each seeded piece to both.
+    fn both_readers(seed: u64) -> (Transcript, Transcript) {
+        let (protocol, _, ending, wire) = case(seed);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut readers = Vec::new();
+        let mut writers = Vec::new();
+        for polling in [false, true] {
+            writers.push(std::net::TcpStream::connect(addr).unwrap());
+            let (stream, _) = listener.accept().unwrap();
+            // A reader that waits for bytes that never come fails the
+            // comparison instead of hanging the test.
+            stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            let transport = Box::new(TcpTransport::from_stream(stream).unwrap());
+            let limits = DecodeLimits::default().with_max_frame_bytes(MAX_FRAME);
+            let comm = ObjectCommunicator::with_limits(transport, Arc::clone(&protocol), limits);
+            readers.push(std::thread::spawn(move || {
+                if polling {
+                    read_polling(comm)
+                } else {
+                    read_blocking(comm)
+                }
+            }));
+        }
+        let mut rng = Rng(seed ^ 0x2545_F491_4F6C_DD1D);
+        let mut rest = &wire[..];
+        while !rest.is_empty() {
+            let n = PIECES[rng.below(PIECES.len())].min(rest.len());
+            for writer in &mut writers {
+                writer.write_all(&rest[..n]).unwrap();
+            }
+            rest = &rest[n..];
+            if rng.below(3) == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        if ending != Ending::Oversized {
+            for writer in &writers {
+                writer.shutdown(std::net::Shutdown::Write).unwrap();
+            }
+        }
+        let polled = readers.pop().unwrap().join().unwrap();
+        let blocked = readers.pop().unwrap().join().unwrap();
+        (blocked, polled)
+    }
+
+    #[test]
+    fn recv_and_try_recv_return_the_same_frames_and_the_same_end() {
+        for seed in 0..40 {
+            let (_, bodies, ending, _) = case(seed);
+            let (blocked, polled) = both_readers(seed);
+            assert_eq!(blocked, polled, "seed {seed}: recv and try_recv disagree ({ending:?})");
+            let (frames, end, filling) = blocked;
+            assert_eq!(frames, bodies, "seed {seed}: frames ({ending:?})");
+            match ending {
+                Ending::Clean => assert_eq!(end, "eof", "seed {seed}"),
+                Ending::MidFrame => assert_eq!(end, "Disconnected", "seed {seed}"),
+                Ending::Oversized => {
+                    assert!(end.contains("Bounds"), "seed {seed}: {end}");
+                    assert!(!filling, "seed {seed}: a body buffer was made for the refused frame");
+                }
+            }
+        }
     }
 
     #[test]

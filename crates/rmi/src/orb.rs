@@ -37,7 +37,7 @@ use crate::stream::{ReplyStream, StreamServant, STREAM_ACK_OBJECT_ID, STREAM_ACK
 use crate::trace::{self, CallContext, TraceLevel};
 use crate::transport::{Connector, TransportMode};
 use heidl_wire::{pool, Encoder, PooledBuf, Protocol, TextProtocol};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -279,13 +279,13 @@ impl OrbBuilder {
         self
     }
 
-    /// Enables client-side liveness heartbeats: a background thread pings
+    /// Enables client-side liveness heartbeats: a background prober pings
     /// (`_health.ping`) every pooled connection that has been idle longer
     /// than `interval`, evicting dead peers from the pool and recording a
     /// breaker failure — so the *next* call dials fresh (or fails fast)
     /// instead of inheriting a half-dead socket. Connections with borrows
     /// or in-flight calls are never pinged. Off by default; clamped to
-    /// ≥ 1 ms. The thread exits when the ORB is dropped.
+    /// ≥ 1 ms. The prober stops when the ORB is dropped.
     pub fn heartbeat(mut self, interval: Duration) -> OrbBuilder {
         self.heartbeat_interval = Some(interval.max(Duration::from_millis(1)));
         self
@@ -356,12 +356,16 @@ impl OrbBuilder {
         };
         if let Some(interval) = self.heartbeat_interval {
             // The prober holds only a `Weak`: dropping the last ORB handle
-            // lets it notice and stop itself. Under the reactor engine the
-            // prober is a timer on the shared client reactor (no dedicated
-            // thread, fire-and-forget pings settled one tick later);
-            // otherwise it is the classic blocking-ping thread, whose join
-            // handle lives in `OrbInner` so shutdown can wait for it.
-            let weak = Arc::downgrade(&orb.inner);
+            // lets it notice and stop itself. Under the reactor engine its
+            // driver is a timer on the shared client reactor (no dedicated
+            // thread); otherwise it is the `heidl-heartbeat` thread, whose
+            // join handle lives in `OrbInner` so shutdown can wait for it.
+            let mut probe = HeartbeatProbe {
+                orb: Arc::downgrade(&orb.inner),
+                interval,
+                outstanding: Vec::new(),
+            };
+            let tick = (interval / 2).clamp(Duration::from_millis(5), Duration::from_millis(500));
             let client_reactor = if self.transport_mode.reactor_enabled() {
                 reactor::client_reactor()
             } else {
@@ -370,9 +374,16 @@ impl OrbBuilder {
             let handle = match client_reactor {
                 Some(reactor) => {
                     let timer_id = reactor.alloc_id();
-                    let tick =
-                        (interval / 2).clamp(Duration::from_millis(5), Duration::from_millis(500));
-                    reactor.add_timer(timer_id, tick, heartbeat_tick(weak, interval, timer_id));
+                    let on_tick = move |handle: &ReactorHandle| {
+                        if !probe.tick() {
+                            // The ORB is gone. `stop_and_join` already
+                            // queued a cancel; self-cancel too in case the
+                            // inner died without it — double cancel is a
+                            // no-op.
+                            handle.cancel_timer(timer_id);
+                        }
+                    };
+                    reactor.add_timer(timer_id, tick, Box::new(on_tick));
                     // The liveness token is owned by the *handle*, not the
                     // callback: stopping must decrement synchronously even
                     // though the cancel itself is only a queued command
@@ -385,13 +396,17 @@ impl OrbBuilder {
                     }
                 }
                 None => {
-                    let stop = Arc::new(StopSignal::default());
-                    let thread_stop = Arc::clone(&stop);
+                    // Dropping `stop` wakes the thread out of its tick wait.
+                    let (stop, stopped) = crossbeam::channel::unbounded::<()>();
                     let thread = std::thread::Builder::new()
                         .name("heidl-heartbeat".to_owned())
-                        .spawn(move || heartbeat_loop(weak, interval, thread_stop))
+                        .spawn(move || {
+                            let _alive = HeartbeatAlive::enter();
+                            let timeout = Err(crossbeam::channel::RecvTimeoutError::Timeout);
+                            while stopped.recv_timeout(tick) == timeout && probe.tick() {}
+                        })
                         .expect("spawn heartbeat thread");
-                    HeartbeatHandle::Thread { stop, thread: Some(thread) }
+                    HeartbeatHandle::Thread { stop: Some(stop), thread: Some(thread) }
                 }
             };
             *orb.inner.heartbeat.lock() = Some(handle);
@@ -400,44 +415,14 @@ impl OrbBuilder {
     }
 }
 
-/// A settable flag threads can wait on with a timeout: the heartbeat
-/// prober parks here between ticks, so a shutdown wakes it immediately
-/// instead of waiting out the tick.
-#[derive(Default)]
-struct StopSignal {
-    stopped: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl StopSignal {
-    /// Requests a stop and wakes every waiter.
-    fn request(&self) {
-        *self.stopped.lock() = true;
-        self.cv.notify_all();
-    }
-
-    /// Waits up to `timeout` for a stop request. Returns `true` when the
-    /// stop was requested (spurious wakeups re-check the flag).
-    fn wait(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut stopped = self.stopped.lock();
-        while !*stopped {
-            let Some(remaining) =
-                deadline.checked_duration_since(Instant::now()).filter(|r| !r.is_zero())
-            else {
-                return *stopped;
-            };
-            self.cv.wait_for(&mut stopped, remaining);
-        }
-        true
-    }
-}
-
 /// Handle to the heartbeat prober, in whichever shape it runs.
 enum HeartbeatHandle {
-    /// Dedicated `heidl-heartbeat` thread (threaded engine, or reactor
-    /// unavailable): stop signal plus join handle.
-    Thread { stop: Arc<StopSignal>, thread: Option<std::thread::JoinHandle<()>> },
+    /// Dedicated `heidl-heartbeat` thread (threaded driver, or reactor
+    /// unavailable): stop channel plus join handle.
+    Thread {
+        stop: Option<crossbeam::channel::Sender<()>>,
+        thread: Option<std::thread::JoinHandle<()>>,
+    },
     /// Periodic timer on the shared client reactor (reactor engine). The
     /// [`HeartbeatAlive`] token lives *here* rather than in the timer
     /// callback so stopping decrements the live count synchronously.
@@ -453,7 +438,7 @@ impl HeartbeatHandle {
     fn stop_and_join(&mut self) {
         match self {
             HeartbeatHandle::Thread { stop, thread } => {
-                stop.request();
+                drop(stop.take());
                 if let Some(thread) = thread.take() {
                     let _ = thread.join();
                 }
@@ -508,79 +493,32 @@ fn fresh_session_id() -> u64 {
     nanos ^ COUNTER.fetch_add(1, Ordering::Relaxed).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// The heartbeat prober (see [`OrbBuilder::heartbeat`]). Ticks at half
-/// the interval so a connection is probed within ~1.5 intervals of going
-/// idle; each tick scans a pool snapshot and pings only connections that
-/// are alive, unborrowed, quiescent, and idle past the interval.
-fn heartbeat_loop(orb: Weak<OrbInner>, interval: Duration, stop: Arc<StopSignal>) {
-    let _alive = HeartbeatAlive::enter();
-    let tick = (interval / 2).clamp(Duration::from_millis(5), Duration::from_millis(500));
-    loop {
-        if stop.wait(tick) {
-            return;
-        }
-        let Some(inner) = orb.upgrade() else { return };
-        for (endpoint, conns) in inner.pool.scan() {
-            for conn in conns {
-                if !conn.is_alive() {
-                    // The demux thread already saw the peer die (EOF/RST);
-                    // evict the corpse now instead of leaving it for the
-                    // next checkout to trip over.
-                    inner.pool.discard(&endpoint, &conn);
-                    continue;
-                }
-                if conn.borrow_count() > 0 || conn.in_flight() > 0 || conn.idle_for() < interval {
-                    continue;
-                }
-                let health = ObjectRef::new(endpoint.clone(), HEALTH_OBJECT_ID, HEALTH_TYPE_ID);
-                let call = Call::request(&health, "ping", inner.protocol.as_ref());
-                let request_id = call.request_id();
-                let body = call.into_body();
-                inner.metrics.inc(Counter::HeartbeatsSent);
-                let outcome = conn.call(request_id, &body, Some(interval.min(PING_TIMEOUT)));
-                pool::recycle(body);
-                if outcome.is_err() {
-                    // Dead peer: evict the socket so the next call dials
-                    // fresh, and count a breaker failure so a flapping
-                    // endpoint trips to fail-fast without burning a call.
-                    inner.pool.discard(&endpoint, &conn);
-                    inner.pool.breaker(&endpoint).record_failure();
-                }
-            }
-        }
-    }
-}
-
-/// Upper bound on how long a heartbeat ping waits for its pong.
-const PING_TIMEOUT: Duration = Duration::from_secs(1);
-
-/// Builds the reactor-timer variant of the prober (see
-/// [`OrbBuilder::heartbeat`]). Same pool scan and skip conditions as
-/// [`heartbeat_loop`], but nothing blocks the shared client reactor:
-/// pings are fire-and-forget ([`MuxConnection::send_ping`]) and each tick
-/// begins by settling the previous round — a ping still unanswered after
-/// a whole tick means the peer is gone, so the connection is evicted and
-/// its breaker charged, exactly like a timed-out blocking ping.
-fn heartbeat_tick(
+/// The heartbeat prober (see [`OrbBuilder::heartbeat`]), one scan per
+/// tick at half the interval, so a connection is probed within ~1.5
+/// intervals of going idle; whichever driver runs it, nothing blocks.
+/// Each scan walks a pool snapshot and pings only connections that are
+/// alive, unborrowed, quiescent, and idle past the interval. Pings are
+/// fire-and-forget ([`MuxConnection::send_ping`]) and each tick begins by
+/// settling the previous round: a ping still unanswered after a whole tick
+/// means the peer is gone, so the connection is evicted and its breaker
+/// charged — and N dead peers cost one tick, not N serial timeouts.
+struct HeartbeatProbe {
     orb: Weak<OrbInner>,
     interval: Duration,
-    timer_id: u64,
-) -> Box<dyn FnMut(&ReactorHandle) + Send> {
-    let mut outstanding: Vec<(Endpoint, Arc<MuxConnection>, u64)> = Vec::new();
-    Box::new(move |handle| {
-        let Some(inner) = orb.upgrade() else {
-            // Last ORB handle is gone. `stop_and_join` already queued a
-            // cancel; self-cancel too in case the inner died without it
-            // (the handle was `mem::forget`-ed, say) — double cancel is a
-            // no-op.
-            outstanding.clear();
-            handle.cancel_timer(timer_id);
-            return;
+    outstanding: Vec<(Endpoint, Arc<MuxConnection>, u64)>,
+}
+
+impl HeartbeatProbe {
+    /// One scan; `false` once the ORB is gone.
+    fn tick(&mut self) -> bool {
+        let Some(inner) = self.orb.upgrade() else {
+            self.outstanding.clear();
+            return false;
         };
         // Settle first so `in_flight` is accurate for this tick's scan: a
         // pong (or a demux-side death) removed the pending entry, so a
         // still-pending ping is a silent peer.
-        for (endpoint, conn, request_id) in outstanding.drain(..) {
+        for (endpoint, conn, request_id) in self.outstanding.drain(..) {
             if conn.ping_unanswered(request_id) {
                 inner.pool.discard(&endpoint, &conn);
                 inner.pool.breaker(&endpoint).record_failure();
@@ -589,10 +527,16 @@ fn heartbeat_tick(
         for (endpoint, conns) in inner.pool.scan() {
             for conn in conns {
                 if !conn.is_alive() {
+                    // The demux already saw the peer die (EOF/RST); evict
+                    // the corpse now instead of leaving it for the next
+                    // checkout to trip over.
                     inner.pool.discard(&endpoint, &conn);
                     continue;
                 }
-                if conn.borrow_count() > 0 || conn.in_flight() > 0 || conn.idle_for() < interval {
+                if conn.borrow_count() > 0
+                    || conn.in_flight() > 0
+                    || conn.idle_for() < self.interval
+                {
                     continue;
                 }
                 let health = ObjectRef::new(endpoint.clone(), HEALTH_OBJECT_ID, HEALTH_TYPE_ID);
@@ -603,7 +547,10 @@ fn heartbeat_tick(
                 let outcome = conn.send_ping(request_id, &body);
                 pool::recycle(body);
                 match outcome {
-                    Ok(()) => outstanding.push((endpoint.clone(), conn, request_id)),
+                    Ok(()) => self.outstanding.push((endpoint.clone(), conn, request_id)),
+                    // Dead peer: evict the socket so the next call dials
+                    // fresh, and count a breaker failure so a flapping
+                    // endpoint trips to fail-fast without burning a call.
                     Err(_) => {
                         inner.pool.discard(&endpoint, &conn);
                         inner.pool.breaker(&endpoint).record_failure();
@@ -611,7 +558,8 @@ fn heartbeat_tick(
                 }
             }
         }
-    })
+        true
+    }
 }
 
 /// A handle to the per-address-space ORB state. Cheap to clone.
@@ -782,12 +730,11 @@ impl Orb {
 
     /// Stops and joins the heartbeat prober (idempotent; no-op when
     /// heartbeats were never enabled). The join is bounded: the prober
-    /// parks on the stop signal between ticks, and a mid-scan prober
-    /// finishes its current probe (itself deadline-bounded) before it
-    /// re-checks.
+    /// parks on the stop signal between ticks, and a scan in progress
+    /// never waits on a peer.
     fn stop_heartbeat(&self) {
         // Take the handle *then* release the lock: joining can block for
-        // the tail of an in-flight probe, and the prober never takes this
+        // the tail of a scan in progress, and the prober never takes this
         // lock, but keeping join outside the critical section is cheap
         // insurance against future lock-order knots.
         let handle = self.inner.heartbeat.lock().take();
@@ -1384,17 +1331,14 @@ impl Orb {
             ));
         }
         self.check_protocol(call.target())?;
-        let endpoint = call.target().endpoint.clone();
-        let target = call.target().clone();
-        let method = call.method().to_owned();
+        let (target, method, body) = call.into_parts();
         self.inner.interceptors.fire(CallPhase::ClientSend, &target, &method, true);
-        let body = call.into_body();
         self.inner.metrics.inc(Counter::Oneways);
         self.inner.metrics.add(Counter::BytesOut, body.len() as u64);
         let result = self
             .inner
             .pool
-            .checkout(&endpoint, &self.inner.protocol)
+            .checkout(&target.endpoint, &self.inner.protocol)
             .and_then(|conn| conn.send_oneway(&body));
         pool::recycle(body);
         if result.is_err() {
@@ -1481,7 +1425,7 @@ impl Drop for OrbInner {
     fn drop(&mut self) {
         // Join the heartbeat prober first: it holds only a `Weak` to this
         // inner (upgrade now fails), so the join is bounded by one tick
-        // plus the tail of an in-flight probe.
+        // plus the tail of a scan in progress.
         if let Some(handle) = self.heartbeat.get_mut().take() {
             let mut handle = handle;
             handle.stop_and_join();

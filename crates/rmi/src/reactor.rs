@@ -3,18 +3,21 @@
 //! One reactor thread owns an epoll instance and every socket registered
 //! with it: the server's listener, every accepted connection's read half,
 //! and (on the process-wide client reactor) every pooled connection's
-//! demultiplexer. Sources are level-triggered state machines — each
-//! readiness event drains the socket until `EWOULDBLOCK`, deframing with
-//! the same `FrameBuf`/`BufPool` zero-copy path the blocking transport
-//! uses, so wire behavior is byte-identical between the two modes.
+//! demultiplexer. Sources are level-triggered drivers of the same
+//! connection state machines the blocking threads drive — each readiness
+//! event drains the socket (until a short read or `EWOULDBLOCK`) through
+//! `ObjectCommunicator::try_recv`, the nonblocking twin of the `recv` a
+//! blocking reader calls, so wire behavior is byte-identical between the
+//! two modes.
 //!
 //! Cross-thread control (registering a freshly accepted source, arming
 //! `EPOLLOUT` for a queued reply, cancelling a timer, shutdown) goes
 //! through a command queue plus an `eventfd` wakeup; the loop drains the
-//! queue at the top of every iteration. Timers are a simple sorted-scan
-//! list driving the `epoll_wait` timeout — heartbeat probing and
-//! idle/write-stall sweeps run as timers on the loop instead of dedicated
-//! scan threads.
+//! queue at the top of every iteration. Timers are an unsorted `Vec`
+//! scanned for its earliest deadline to set the `epoll_wait` timeout: the
+//! timer load is at most one idle/write-stall sweep per server plus one
+//! heartbeat probe per ORB, so a scan of a handful beats any ordered
+//! structure — and those run on the loop instead of dedicated threads.
 
 use epoll_shim::{Epoll, Event, EventFd};
 use parking_lot::Mutex;

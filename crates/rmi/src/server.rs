@@ -25,24 +25,29 @@
 //! decoded under the policy's `DecodeLimits`. The built-in `_health`
 //! object (well-known id `0`) reports the resulting counters.
 //!
-//! ## Two I/O engines, one routing path
+//! ## One connection state machine, two drivers
 //!
-//! The server runs its sockets on one of two engines, selected by
+//! Every accepted socket goes through one admission function ([`admit`])
+//! and becomes one [`Connection`]: the `ObjectCommunicator` around its
+//! read half, its reply sink, and the routing context, torn down by its
+//! `Drop`. Each frame the communicator deframes goes down the one
+//! [`route_frame`] path to the shared worker pool. What
 //! [`TransportMode`](crate::TransportMode) (`HEIDL_TRANSPORT` or
-//! `OrbBuilder::transport_mode`):
+//! `OrbBuilder::transport_mode`) selects is only who drives it:
 //!
-//! * **threaded** (the historical engine): a blocking accept loop plus one
-//!   `heidl-conn` reader thread per connection;
-//! * **reactor**: a single `heidl-reactor-{port}` epoll readiness loop
-//!   owns the listener and every connection — accepted sockets become
-//!   per-connection state machines ([`ConnSource`]/[`ConnWriter`]) that
-//!   deframe with `MSG_DONTWAIT` reads and continue partial reply writes
-//!   when `EPOLLOUT` says the peer caught up, so ten thousand idle
-//!   connections cost zero threads instead of ten thousand.
+//! * **threaded**: a blocking accept loop, and per connection a
+//!   `heidl-conn` thread blocked in `recv`, replies written by a blocking
+//!   [`ReplyWriter`];
+//! * **reactor**: one `heidl-reactor-{port}` epoll loop owns the listener
+//!   and every connection, calling `try_recv` on readiness
+//!   ([`ConnSource`]); replies go out through a queueing [`ConnWriter`]
+//!   that continues partial writes when `EPOLLOUT` says the peer caught
+//!   up, so ten thousand idle connections cost zero threads instead of
+//!   ten thousand.
 //!
-//! Both engines deframe into the same [`route_frame`] routing path and
-//! dispatch on the same worker pool, so policy enforcement and wire
-//! behavior are byte-identical; only the thread economics differ.
+//! Policy enforcement and wire bytes are the same either way; only the
+//! thread economics differ. Fd-less transports (a `HEIDL_FAULT_PLAN` run)
+//! always take the blocking driver.
 
 use crate::call::{
     extract_call_context, extract_invocation_token, peek_reply_id, peek_route, IncomingCall,
@@ -64,7 +69,7 @@ use crate::stream::{
 };
 use crate::trace::{self, TraceLevel};
 use crate::transport::{TcpTransport, Transport};
-use heidl_wire::{pool, FrameBuf, PooledBuf, RECV_CHUNK};
+use heidl_wire::{pool, PooledBuf};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::IoSlice;
@@ -163,7 +168,7 @@ impl ServerShared {
         // The global reply-queue byte budget: per-connection queue caps do
         // not stop *many* slow readers from collectively growing RSS, so
         // once the sum of queued reply bytes crosses the policy line, new
-        // work is shed until writers drain. (The threaded engine's
+        // work is shed until writers drain. (The blocking driver's
         // blocking writes never queue, so its accounting stays at zero.)
         if self.reply_budget.exhausted() {
             return Err(format!(
@@ -308,7 +313,7 @@ pub(crate) struct ServerHandle {
     shared: Arc<ServerShared>,
 }
 
-/// Which I/O engine is serving the sockets (see the module docs).
+/// Which driver is serving the sockets (see the module docs).
 enum Engine {
     Threaded {
         running: Arc<AtomicBool>,
@@ -325,101 +330,32 @@ enum Engine {
 }
 
 impl ServerHandle {
-    /// Binds `addr` and starts serving under the ORB's `ServerPolicy`, on
-    /// the engine its `TransportMode` selects. The reactor engine requires
-    /// raw socket fds, so a `HEIDL_FAULT_PLAN` run (every accepted
-    /// transport wrapped in a fd-less fault injector) falls back to the
-    /// threaded engine.
+    /// Binds `addr` and starts serving under the ORB's `ServerPolicy`,
+    /// driven as its `TransportMode` selects. The reactor needs raw
+    /// socket fds, so a `HEIDL_FAULT_PLAN` run (every accepted transport
+    /// wrapped in a fd-less fault injector) takes the blocking driver.
     pub(crate) fn start(addr: &str, orb: Orb) -> RmiResult<ServerHandle> {
-        if orb.transport_mode().reactor_enabled() && crate::fault::FaultPlan::from_env().is_none() {
-            ServerHandle::start_reactor(addr, orb)
+        let listener = TcpListener::bind(addr)?;
+        let local = listener.local_addr()?;
+        let endpoint = Endpoint::new(orb.protocol().name(), local.ip().to_string(), local.port());
+        let policy = orb.server_policy().clone();
+        let workers = Arc::new(WorkerPool::new(WORKER_THREADS, policy.max_overflow_threads));
+        let shared = Arc::new(ServerShared::new(policy, Arc::clone(orb.metrics())));
+        let engine = if orb.transport_mode().reactor_enabled()
+            && crate::fault::FaultPlan::from_env().is_none()
+        {
+            start_reactor(listener, orb, workers, &shared)?
         } else {
-            ServerHandle::start_threaded(addr, orb)
-        }
-    }
-
-    /// The historical engine: a blocking accept loop plus one reader
-    /// thread per accepted connection.
-    fn start_threaded(addr: &str, orb: Orb) -> RmiResult<ServerHandle> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let endpoint = Endpoint::new(orb.protocol().name(), local.ip().to_string(), local.port());
-        let running = Arc::new(AtomicBool::new(true));
-        let flag = Arc::clone(&running);
-        let policy = orb.server_policy().clone();
-        let workers = Arc::new(WorkerPool::new(WORKER_THREADS, policy.max_overflow_threads));
-        let shared = Arc::new(ServerShared::new(policy, Arc::clone(orb.metrics())));
-        let loop_shared = Arc::clone(&shared);
-        let acceptor = std::thread::Builder::new()
-            .name(format!("heidl-accept-{}", local.port()))
-            .spawn(move || accept_loop(listener, orb, flag, workers, loop_shared))
-            .map_err(RmiError::Io)?;
-        Ok(ServerHandle {
-            endpoint,
-            local,
-            engine: Engine::Threaded { running, acceptor: Some(acceptor) },
-            shared,
-        })
-    }
-
-    /// The readiness-loop engine: one epoll thread owns the listener and
-    /// every connection; dispatch still runs on the shared worker pool.
-    fn start_reactor(addr: &str, orb: Orb) -> RmiResult<ServerHandle> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local = listener.local_addr()?;
-        let endpoint = Endpoint::new(orb.protocol().name(), local.ip().to_string(), local.port());
-        let policy = orb.server_policy().clone();
-        let workers = Arc::new(WorkerPool::new(WORKER_THREADS, policy.max_overflow_threads));
-        let shared = Arc::new(ServerShared::new(policy, Arc::clone(orb.metrics())));
-        let handle =
-            reactor::spawn(&format!("heidl-reactor-{}", local.port())).map_err(RmiError::Io)?;
-        let accept_closed = Arc::new(AtomicBool::new(false));
-        let accept_token = handle.alloc_id();
-        handle.register(
-            accept_token,
-            EPOLLIN,
-            Box::new(AcceptSource {
-                listener,
-                orb,
-                workers,
-                shared: Arc::clone(&shared),
-                closed: Arc::clone(&accept_closed),
-            }),
-        );
-        // The socket timeouts the threaded engine sets are meaningless for
-        // MSG_DONTWAIT I/O, so a sweep timer polices them instead: idle
-        // peers (read_idle_timeout) and peers too slow to take their
-        // replies (write_timeout) get force-closed, which surfaces as an
-        // EOF event on their source.
-        let idle = shared.policy.read_idle_timeout;
-        let stall = shared.policy.write_timeout;
-        if idle.is_some() || stall.is_some() {
-            let tightest = [idle, stall].into_iter().flatten().min().unwrap_or_default();
-            let period =
-                (tightest / 4).clamp(Duration::from_millis(10), Duration::from_millis(1000));
-            let sweep_shared = Arc::clone(&shared);
-            handle.add_timer(
-                handle.alloc_id(),
-                period,
-                Box::new(move |_| {
-                    let sinks: Vec<_> = sweep_shared.conns.lock().values().cloned().collect();
-                    for weak in sinks {
-                        if let Some(sink) = weak.upgrade() {
-                            if sink.stalled(idle, stall) {
-                                sink.force_close();
-                            }
-                        }
-                    }
-                }),
-            );
-        }
-        Ok(ServerHandle {
-            endpoint,
-            local,
-            engine: Engine::Reactor { reactor: handle, accept_token, accept_closed },
-            shared,
-        })
+            let running = Arc::new(AtomicBool::new(true));
+            let flag = Arc::clone(&running);
+            let loop_shared = Arc::clone(&shared);
+            let acceptor = std::thread::Builder::new()
+                .name(format!("heidl-accept-{}", local.port()))
+                .spawn(move || accept_loop(listener, orb, flag, workers, loop_shared))
+                .map_err(RmiError::Io)?;
+            Engine::Threaded { running, acceptor: Some(acceptor) }
+        };
+        Ok(ServerHandle { endpoint, local, engine, shared })
     }
 
     pub(crate) fn endpoint(&self) -> &Endpoint {
@@ -432,16 +368,10 @@ impl ServerHandle {
 
     /// Stops the accept loop immediately; in-flight dispatches race the
     /// process teardown (the historical `shutdown()` semantics).
-    /// Established connections keep being served on both engines until
+    /// Established connections keep being served by either driver until
     /// their peers disconnect.
     pub(crate) fn stop(mut self) {
         self.halt_accepting();
-        if let Engine::Reactor { reactor, .. } = &self.engine {
-            // Exit once the last connection's source is gone — the
-            // reactor-thread analogue of `heidl-conn` threads outliving
-            // the acceptor.
-            reactor.retire();
-        }
     }
 
     /// Graceful drain: stop accepting, shed new requests with `Busy`,
@@ -476,9 +406,6 @@ impl ServerHandle {
                 writer.force_close();
             }
         }
-        if let Engine::Reactor { reactor, .. } = &self.engine {
-            reactor.retire();
-        }
         drained
     }
 
@@ -501,7 +428,7 @@ impl ServerHandle {
                 reactor.close(*accept_token);
                 // Wait (bounded) until the listener has actually dropped,
                 // so the port is free when we return — same guarantee the
-                // threaded engine gets from joining its accept thread.
+                // blocking driver gets from joining its accept thread.
                 let deadline = Instant::now() + Duration::from_secs(1);
                 while !accept_closed.load(Ordering::SeqCst) && Instant::now() < deadline {
                     if !reactor.is_live() {
@@ -509,6 +436,10 @@ impl ServerHandle {
                     }
                     std::thread::sleep(Duration::from_millis(1));
                 }
+                // Exit once the last connection's source is gone — the
+                // reactor-thread analogue of `heidl-conn` threads
+                // outliving the acceptor.
+                reactor.retire();
             }
         }
     }
@@ -633,42 +564,88 @@ fn accept_loop(
                 continue;
             }
         };
-        // Connection admission: over the cap (or draining), close
-        // immediately — cheaper than a reader thread per rejected peer.
-        if shared.connections.load(Ordering::SeqCst) >= shared.policy.max_connections
-            || shared.draining.load(Ordering::SeqCst)
-        {
-            shared.shed_connection();
-            drop(stream);
+        let prepare = |transport: TcpTransport| -> Box<dyn Transport> {
+            // Slow-client protection: an idle reader or a blocked reply
+            // write times out at the socket, tearing the connection down.
+            let _ = transport
+                .set_timeouts(shared.policy.read_idle_timeout, shared.policy.write_timeout);
+            let transport: Box<dyn Transport> = Box::new(transport);
+            match &fault_plan {
+                Some(plan) => {
+                    let label = transport.peer();
+                    Box::new(crate::fault::FaultInjector::wrap(transport, Arc::clone(plan), label))
+                }
+                None => transport,
+            }
+        };
+        let Some((mut conn, _)) = admit(stream, &orb, &workers, &shared, prepare, |half| {
+            Arc::new(ReplyWriter {
+                transport: Mutex::new(half),
+                protocol: Arc::clone(orb.protocol()),
+                metrics: Arc::clone(&shared.metrics),
+            })
+        }) else {
             continue;
-        }
-        shared.connections.fetch_add(1, Ordering::SeqCst);
-        let conn_guard = ConnGuard { shared: Arc::clone(&shared) };
-        let Ok(transport) = TcpTransport::from_stream(stream) else { continue };
-        // Slow-client protection: an idle reader or a blocked reply write
-        // times out at the socket, tearing the connection down.
-        let _ =
-            transport.set_timeouts(shared.policy.read_idle_timeout, shared.policy.write_timeout);
-        let mut transport: Box<dyn Transport> = Box::new(transport);
-        if let Some(plan) = &fault_plan {
-            let label = transport.peer();
-            transport =
-                Box::new(crate::fault::FaultInjector::wrap(transport, Arc::clone(plan), label));
-        }
-        let conn_orb = orb.clone();
-        let conn_workers = Arc::clone(&workers);
-        let conn_shared = Arc::clone(&shared);
+        };
+        // The blocking driver: a reader thread that routes until the peer
+        // closes, a read fails, or a reply write does.
         let _ = std::thread::Builder::new().name("heidl-conn".to_owned()).spawn(move || {
-            let _conn_guard = conn_guard;
-            connection_loop(transport, conn_orb, conn_workers, conn_shared);
+            while let Ok(Some(body)) = conn.comm.recv() {
+                if !route_frame(&conn, body) {
+                    break;
+                }
+            }
         });
     }
 }
 
+/// Admission for one accepted socket, whichever driver will serve it:
+/// past the connection cap (or while draining) the socket is closed at
+/// once — cheaper than a reader per rejected peer — and counted;
+/// otherwise it takes a connection slot, `prepare` readies the transport,
+/// `writer` builds the reply writer on the write half, and the
+/// writer is registered for drain and sweep. Fig 5 (1): the read half is
+/// wrapped in a new `ObjectCommunicator`.
+fn admit<W: ReplySink + 'static>(
+    stream: TcpStream,
+    orb: &Orb,
+    workers: &Arc<WorkerPool>,
+    shared: &Arc<ServerShared>,
+    prepare: impl FnOnce(TcpTransport) -> Box<dyn Transport>,
+    writer: impl FnOnce(Box<dyn Transport>) -> Arc<W>,
+) -> Option<(Connection, Arc<W>)> {
+    if shared.connections.load(Ordering::SeqCst) >= shared.policy.max_connections
+        || shared.draining.load(Ordering::SeqCst)
+    {
+        shared.shed_connection();
+        return None;
+    }
+    shared.connections.fetch_add(1, Ordering::SeqCst);
+    let slot = ConnGuard { shared: Arc::clone(shared) };
+    let transport = prepare(TcpTransport::from_stream(stream).ok()?);
+    let (write_half, read_half) = transport.split().ok()?;
+    let writer = writer(write_half);
+    let sink: Arc<dyn ReplySink> = Arc::clone(&writer) as Arc<dyn ReplySink>;
+    let conn_id = shared.next_conn_id.fetch_add(1, Ordering::SeqCst);
+    shared.conns.lock().insert(conn_id, Arc::downgrade(&sink));
+    let protocol = Arc::clone(orb.protocol());
+    let conn = Connection {
+        comm: ObjectCommunicator::with_limits(read_half, protocol, shared.policy.decode_limits),
+        sink,
+        orb: orb.clone(),
+        workers: Arc::clone(workers),
+        shared: Arc::clone(shared),
+        per_conn: Arc::new(AtomicUsize::new(0)),
+        conn_id,
+        _slot: slot,
+    };
+    Some((conn, writer))
+}
+
 /// A connection's write half, as every dispatch job (and the drain and
-/// sweep paths) sees it: the threaded engine's blocking [`ReplyWriter`]
-/// and the reactor's queueing non-blocking [`ConnWriter`] both implement
-/// it, so [`route_frame`] and the worker pool are engine-agnostic.
+/// sweep paths) sees it: the blocking driver's [`ReplyWriter`] and the
+/// reactor's queueing non-blocking [`ConnWriter`] both implement it, so
+/// [`route_frame`] and the worker pool are driver-agnostic.
 pub(crate) trait ReplySink: Send + Sync {
     /// Frames one reply whose body is `body` (up to three parts,
     /// concatenated) and writes it whole — or, on the reactor, queues
@@ -713,20 +690,27 @@ pub(crate) trait ReplySink: Send + Sync {
     /// (blocked thread or reactor source) observes EOF and cleans up.
     fn force_close(&self);
 
-    /// Whether the connection has gone idle past `idle_after` or has had
-    /// reply bytes queued without progress past `write_stall`. Only the
-    /// reactor writer reports either — the threaded engine's socket
-    /// timeouts already police both.
-    fn stalled(&self, idle_after: Option<Duration>, write_stall: Option<Duration>) -> bool {
+    /// Why the connection should be closed, if it has gone idle past
+    /// `idle_after` or has had reply bytes queued without progress past
+    /// `write_stall`. Only the reactor writer reports either — the
+    /// blocking driver's socket timeouts already police both.
+    fn stalled(
+        &self,
+        idle_after: Option<Duration>,
+        write_stall: Option<Duration>,
+    ) -> Option<&'static str> {
         let _ = (idle_after, write_stall);
-        false
+        None
     }
 }
 
 /// Writes one reply through `sink`, counting its body bytes when
-/// `metered`. A write failure is traced here — the one choke point every
-/// reply passes through — so a connection torn down mid-reply never
-/// vanishes silently.
+/// `metered` — the one choke point every reply passes through, so it owns
+/// the death rule: a failed write may have left part of a frame on the
+/// wire, after which nothing framed can follow, so the connection is
+/// closed (the reader then sees EOF) before the failure is traced. Each
+/// writer also refuses further writes from under its own lock, so no
+/// other reply slips in between.
 fn write_reply(sink: &(impl ReplySink + ?Sized), body: &[&[u8]], metered: bool) -> RmiResult<()> {
     let result = sink.write_frame(body);
     match &result {
@@ -735,15 +719,19 @@ fn write_reply(sink: &(impl ReplySink + ?Sized), body: &[&[u8]], metered: bool) 
             sink.metrics().add(Counter::BytesOut, len);
         }
         Ok(()) => {}
-        Err(e) => trace::emit_with(TraceLevel::Warn, "server", || {
-            format!("reply write failed; dropping connection: {e}")
-        }),
+        Err(e) => {
+            sink.force_close();
+            trace::emit_with(TraceLevel::Warn, "server", || {
+                format!("reply write failed; dropping connection: {e}")
+            });
+        }
     }
     result
 }
 
-/// The write half of a connection, shared by every dispatch that answers
-/// on it. Frames under a brief lock so interleaved replies stay whole.
+/// The blocking driver's write half, shared by every dispatch that
+/// answers on the connection. Frames under a brief lock so interleaved
+/// replies stay whole.
 struct ReplyWriter {
     transport: Mutex<Box<dyn Transport>>,
     protocol: Arc<dyn heidl_wire::Protocol>,
@@ -752,7 +740,14 @@ struct ReplyWriter {
 
 impl ReplySink for ReplyWriter {
     fn write_frame(&self, body: &[&[u8]]) -> RmiResult<()> {
-        write_framed(self.transport.lock().as_mut(), self.protocol.as_ref(), body)
+        let mut transport = self.transport.lock();
+        let result = write_framed(transport.as_mut(), self.protocol.as_ref(), body);
+        if result.is_err() {
+            // Shut down before unlocking: the next reply fails instead of
+            // following a torn frame.
+            transport.shutdown();
+        }
+        result
     }
 
     fn metrics(&self) -> &Metrics {
@@ -764,19 +759,35 @@ impl ReplySink for ReplyWriter {
     }
 }
 
-/// Routes one deframed request — the single path both engines feed. The
-/// read side (a `heidl-conn` thread or a reactor [`ConnSource`]) calls
-/// this once per frame; returns `false` when the reply sink failed and
-/// the connection should be torn down.
-fn route_frame(
-    body: PooledBuf,
-    orb: &Orb,
-    workers: &WorkerPool,
-    shared: &Arc<ServerShared>,
-    per_conn: &Arc<AtomicUsize>,
-    sink: &Arc<dyn ReplySink>,
+/// One admitted connection, whichever driver reads it: the communicator
+/// around its read half, its reply sink, and what routing needs. Its drop
+/// is the connection's teardown.
+struct Connection {
+    comm: ObjectCommunicator,
+    sink: Arc<dyn ReplySink>,
+    orb: Orb,
+    workers: Arc<WorkerPool>,
+    shared: Arc<ServerShared>,
+    /// This connection's share of the in-flight budget.
+    per_conn: Arc<AtomicUsize>,
     conn_id: u64,
-) -> bool {
+    _slot: ConnGuard,
+}
+
+impl Drop for Connection {
+    fn drop(&mut self) {
+        self.shared.conns.lock().remove(&self.conn_id);
+        // Streams pumping toward this connection can never be acked again;
+        // fail them fast instead of letting each wait out the credit timeout.
+        self.shared.close_conn_streams(self.conn_id);
+    }
+}
+
+/// Routes one deframed request — the single path both drivers feed,
+/// once per frame; returns `false` when the reply sink failed and the
+/// connection should be torn down.
+fn route_frame(conn: &Connection, body: PooledBuf) -> bool {
+    let (orb, shared, sink, conn_id) = (&conn.orb, &conn.shared, &conn.sink, conn.conn_id);
     let protocol = orb.protocol();
     let limits = &shared.policy.decode_limits;
     let body_len = body.len() as u64;
@@ -808,7 +819,7 @@ fn route_frame(
         // an overload shed is silent (but counted).
         Ok((_, false, _)) => {
             shared.metrics.add(Counter::BytesIn, body_len);
-            match shared.try_admit(per_conn) {
+            match shared.try_admit(&conn.per_conn) {
                 Ok(guard) => {
                     let _ = handle_request(body.into(), orb, shared);
                     drop(guard);
@@ -818,7 +829,7 @@ fn route_frame(
         }
         Ok((request_id, true, object_id)) => {
             shared.metrics.add(Counter::BytesIn, body_len);
-            match shared.try_admit(per_conn) {
+            match shared.try_admit(&conn.per_conn) {
                 Ok(guard) => {
                     let job_orb = orb.clone();
                     let job_sink = Arc::clone(sink);
@@ -850,7 +861,7 @@ fn route_frame(
                             }
                         }),
                     };
-                    let accepted = workers.submit(job);
+                    let accepted = conn.workers.submit(job);
                     if !accepted {
                         // The dropped job released its guard; tell the
                         // client to back off.
@@ -886,42 +897,6 @@ fn route_frame(
         }
     }
     true
-}
-
-/// Serves one connection until the peer closes it: the reader thread
-/// deframes and routes (shedding what admission control refuses),
-/// workers dispatch and reply.
-fn connection_loop(
-    transport: Box<dyn Transport>,
-    orb: Orb,
-    workers: Arc<WorkerPool>,
-    shared: Arc<ServerShared>,
-) {
-    let protocol = Arc::clone(orb.protocol());
-    let limits = shared.policy.decode_limits;
-    // Fig 5 (1): wrap the read half in a new ObjectCommunicator.
-    let Ok((write_half, read_half)) = transport.split() else { return };
-    let writer = Arc::new(ReplyWriter {
-        transport: Mutex::new(write_half),
-        protocol: Arc::clone(&protocol),
-        metrics: Arc::clone(&shared.metrics),
-    });
-    let sink: Arc<dyn ReplySink> = Arc::clone(&writer) as Arc<dyn ReplySink>;
-    // Register for force-close at drain timeout; deregister on exit.
-    let conn_id = shared.next_conn_id.fetch_add(1, Ordering::SeqCst);
-    shared.conns.lock().insert(conn_id, Arc::downgrade(&sink));
-    // This connection's share of the in-flight budget.
-    let per_conn = Arc::new(AtomicUsize::new(0));
-    let mut comm = ObjectCommunicator::with_limits(read_half, Arc::clone(&protocol), limits);
-    while let Ok(Some(body)) = comm.recv() {
-        if !route_frame(body, &orb, &workers, &shared, &per_conn, &sink, conn_id) {
-            break;
-        }
-    }
-    shared.conns.lock().remove(&conn_id);
-    // Streams pumping toward this connection can never be acked again;
-    // fail them fast instead of letting each wait out the credit timeout.
-    shared.close_conn_streams(conn_id);
 }
 
 /// Fig 5 (2)-(4): decode the request, select the skeleton by object id,
@@ -1450,11 +1425,55 @@ fn dispatch_request(
     }
 }
 
-// ---- reactor engine -----------------------------------------------------
+// ---- reactor driver -----------------------------------------------------
+
+/// The readiness-loop driver: one epoll thread owns the listener and every
+/// connection; dispatch still runs on the shared worker pool.
+fn start_reactor(
+    listener: TcpListener,
+    orb: Orb,
+    workers: Arc<WorkerPool>,
+    shared: &Arc<ServerShared>,
+) -> RmiResult<Engine> {
+    listener.set_nonblocking(true)?;
+    let port = listener.local_addr()?.port();
+    let reactor = reactor::spawn(&format!("heidl-reactor-{port}")).map_err(RmiError::Io)?;
+    let accept_closed = Arc::new(AtomicBool::new(false));
+    let accept_token = reactor.alloc_id();
+    let closed = Arc::clone(&accept_closed);
+    let source = AcceptSource { listener, orb, workers, shared: Arc::clone(shared), closed };
+    reactor.register(accept_token, EPOLLIN, Box::new(source));
+    // The socket timeouts the blocking driver sets are meaningless for
+    // MSG_DONTWAIT I/O, so a sweep timer polices them instead: idle peers
+    // (read_idle_timeout) and peers too slow to take their replies
+    // (write_timeout) get force-closed, which surfaces as an EOF event on
+    // their source.
+    let idle = shared.policy.read_idle_timeout;
+    let stall = shared.policy.write_timeout;
+    if let Some(tightest) = [idle, stall].into_iter().flatten().min() {
+        let period = (tightest / 4).clamp(Duration::from_millis(10), Duration::from_millis(1000));
+        let sweep_shared = Arc::clone(shared);
+        let sweep = move |_: &ReactorHandle| {
+            let sinks: Vec<_> =
+                sweep_shared.conns.lock().iter().map(|(&id, w)| (id, w.clone())).collect();
+            for (conn_id, weak) in sinks {
+                let Some(sink) = weak.upgrade() else { continue };
+                if let Some(reason) = sink.stalled(idle, stall) {
+                    sink.force_close();
+                    trace::emit_with(TraceLevel::Warn, "server", || {
+                        format!("closing connection {conn_id}: {reason}")
+                    });
+                }
+            }
+        };
+        reactor.add_timer(reactor.alloc_id(), period, Box::new(sweep));
+    }
+    Ok(Engine::Reactor { reactor, accept_token, accept_closed })
+}
 
 /// The listener as a reactor source: each readiness event drains the
 /// accept queue (nonblocking listener) and registers every admitted
-/// connection as a [`ConnSource`]/[`ConnWriter`] pair on the same loop.
+/// connection as a [`ConnSource`] on the same loop.
 struct AcceptSource {
     listener: TcpListener,
     orb: Orb,
@@ -1479,7 +1498,26 @@ impl Source for AcceptSource {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    register_reactor_conn(stream, &self.orb, &self.workers, &self.shared, reactor);
+                    let token = reactor.alloc_id();
+                    // No socket timeouts here: MSG_DONTWAIT I/O never
+                    // blocks on them, and the sweep timer polices
+                    // idle/stalled peers instead.
+                    let plain = |transport| Box::new(transport) as Box<dyn Transport>;
+                    let writer = |half| {
+                        Arc::new(ConnWriter::new(
+                            half,
+                            reactor.clone(),
+                            token,
+                            &self.orb,
+                            &self.shared,
+                        ))
+                    };
+                    if let Some((conn, writer)) =
+                        admit(stream, &self.orb, &self.workers, &self.shared, plain, writer)
+                    {
+                        let source = Box::new(ConnSource { conn, writer });
+                        reactor.register(token, EPOLLIN | EPOLLRDHUP, source);
+                    }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 // The aborted connection is gone; the next queue entry
@@ -1500,66 +1538,6 @@ impl Source for AcceptSource {
         }
         Action::Keep
     }
-}
-
-/// Admission + registration for one reactor-accepted connection: the
-/// readiness-loop counterpart of the tail of [`accept_loop`].
-fn register_reactor_conn(
-    stream: TcpStream,
-    orb: &Orb,
-    workers: &Arc<WorkerPool>,
-    shared: &Arc<ServerShared>,
-    reactor: &ReactorHandle,
-) {
-    // Connection admission: over the cap (or draining), close
-    // immediately — cheaper than a registered source per rejected peer.
-    if shared.connections.load(Ordering::SeqCst) >= shared.policy.max_connections
-        || shared.draining.load(Ordering::SeqCst)
-    {
-        shared.shed_connection();
-        drop(stream);
-        return;
-    }
-    shared.connections.fetch_add(1, Ordering::SeqCst);
-    let conn_guard = ConnGuard { shared: Arc::clone(shared) };
-    let Ok(transport) = TcpTransport::from_stream(stream) else { return };
-    // No socket timeouts here: MSG_DONTWAIT I/O never blocks on them, and
-    // the sweep timer polices idle/stalled peers instead.
-    let transport: Box<dyn Transport> = Box::new(transport);
-    let Ok((write_half, read_half)) = transport.split() else { return };
-    let token = reactor.alloc_id();
-    let writer = Arc::new(ConnWriter {
-        inner: Mutex::new(WriterInner {
-            transport: write_half,
-            queue: Vec::new(),
-            pos: 0,
-            queued_since: None,
-            dead: false,
-            accounted: 0,
-        }),
-        reactor: reactor.clone(),
-        token,
-        protocol: Arc::clone(orb.protocol()),
-        metrics: Arc::clone(&shared.metrics),
-        last_activity: Mutex::new(Instant::now()),
-        budget: Arc::clone(&shared.reply_budget),
-    });
-    let sink: Arc<dyn ReplySink> = Arc::clone(&writer) as Arc<dyn ReplySink>;
-    let conn_id = shared.next_conn_id.fetch_add(1, Ordering::SeqCst);
-    shared.conns.lock().insert(conn_id, Arc::downgrade(&sink));
-    let source = ConnSource {
-        transport: read_half,
-        buf: FrameBuf::new(),
-        writer,
-        sink,
-        orb: orb.clone(),
-        workers: Arc::clone(workers),
-        shared: Arc::clone(shared),
-        per_conn: Arc::new(AtomicUsize::new(0)),
-        conn_id,
-        _conn: conn_guard,
-    };
-    reactor.register(token, EPOLLIN | EPOLLRDHUP, Box::new(source));
 }
 
 /// What [`ConnWriter::flush`] left behind.
@@ -1589,7 +1567,7 @@ struct WriterInner {
     accounted: usize,
 }
 
-/// The reactor engine's reply writer: framing and accounting match
+/// The reactor driver's reply writer: framing and accounting match
 /// [`ReplyWriter`] byte-for-byte, but writes are `MSG_DONTWAIT` — when
 /// the kernel buffer fills, the remainder queues here and the connection
 /// arms `EPOLLOUT`; the loop continues the write when the peer catches
@@ -1610,6 +1588,32 @@ struct ConnWriter {
 }
 
 impl ConnWriter {
+    fn new(
+        transport: Box<dyn Transport>,
+        reactor: ReactorHandle,
+        token: u64,
+        orb: &Orb,
+        shared: &ServerShared,
+    ) -> ConnWriter {
+        let inner = WriterInner {
+            transport,
+            queue: Vec::new(),
+            pos: 0,
+            queued_since: None,
+            dead: false,
+            accounted: 0,
+        };
+        ConnWriter {
+            inner: Mutex::new(inner),
+            reactor,
+            token,
+            protocol: Arc::clone(orb.protocol()),
+            metrics: Arc::clone(&shared.metrics),
+            last_activity: Mutex::new(Instant::now()),
+            budget: Arc::clone(&shared.reply_budget),
+        }
+    }
+
     /// Continues the queued write (reactor thread, `EPOLLOUT`).
     fn flush(&self) -> FlushState {
         let mut inner = self.inner.lock();
@@ -1760,48 +1764,41 @@ impl ReplySink for ConnWriter {
         inner.transport.shutdown();
     }
 
-    fn stalled(&self, idle_after: Option<Duration>, write_stall: Option<Duration>) -> bool {
+    fn stalled(
+        &self,
+        idle_after: Option<Duration>,
+        write_stall: Option<Duration>,
+    ) -> Option<&'static str> {
         if let (Some(stall), Some(since)) = (write_stall, self.inner.lock().queued_since) {
             if since.elapsed() >= stall {
-                return true;
+                return Some("reply write stalled past write_timeout");
             }
         }
-        match idle_after {
-            Some(idle) => self.last_activity.lock().elapsed() >= idle,
-            None => false,
-        }
+        let idle = idle_after.is_some_and(|idle| self.last_activity.lock().elapsed() >= idle);
+        idle.then_some("idle past read_idle_timeout")
     }
 }
 
-/// One connection's read-side state machine on the reactor: deframes
-/// everything a readiness event made available and feeds each frame to
-/// [`route_frame`] — exactly what a `heidl-conn` thread does, minus the
-/// thread.
+/// The reactor driver of one [`Connection`]: every readiness event
+/// continues a queued reply write and routes each frame `try_recv`
+/// deframes — what a `heidl-conn` thread does, minus the thread.
 struct ConnSource {
-    transport: Box<dyn Transport>,
-    buf: FrameBuf,
+    conn: Connection,
+    /// The same writer as `conn`'s sink, with its reactor-only half:
+    /// `EPOLLOUT` continuation, read activity, teardown.
     writer: Arc<ConnWriter>,
-    /// `writer`, pre-coerced once so routing does not re-coerce per frame.
-    sink: Arc<dyn ReplySink>,
-    orb: Orb,
-    workers: Arc<WorkerPool>,
-    shared: Arc<ServerShared>,
-    per_conn: Arc<AtomicUsize>,
-    conn_id: u64,
-    _conn: ConnGuard,
 }
 
 impl Drop for ConnSource {
     fn drop(&mut self) {
-        self.shared.conns.lock().remove(&self.conn_id);
-        self.shared.close_conn_streams(self.conn_id);
+        // Nothing will flush the queue again: later sends fail fast.
         self.writer.mark_dead();
     }
 }
 
 impl Source for ConnSource {
     fn fd(&self) -> i32 {
-        self.transport.raw_fd().unwrap_or(-1)
+        self.conn.comm.raw_fd().unwrap_or(-1)
     }
 
     fn on_ready(&mut self, events: u32, _reactor: &ReactorHandle) -> Action {
@@ -1818,49 +1815,10 @@ impl Source for ConnSource {
         }
         if events & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0 {
             self.writer.touch();
-            let mut drained = false;
-            loop {
-                // Drain every complete frame already buffered...
-                loop {
-                    match self
-                        .orb
-                        .protocol()
-                        .deframe_pooled(&mut self.buf, &self.shared.policy.decode_limits)
-                    {
-                        Ok(Some(body)) => {
-                            self.buf.maybe_shrink();
-                            if !route_frame(
-                                body,
-                                &self.orb,
-                                &self.workers,
-                                &self.shared,
-                                &self.per_conn,
-                                &self.sink,
-                                self.conn_id,
-                            ) {
-                                return Action::Drop;
-                            }
-                        }
-                        Ok(None) => break,
-                        Err(_) => return Action::Drop,
-                    }
-                }
-                if drained {
-                    break;
-                }
-                // ...then pull more until the socket runs dry (straight
-                // into a large frame's body while one is arriving). A read
-                // shorter than asked for emptied the kernel buffer:
-                // deframe what it returned, then stop without paying the
-                // `EWOULDBLOCK` confirmation syscall (level-triggered
-                // epoll re-reports the fd if more bytes race in).
-                let (input, lacking) = self.buf.input();
-                let max = lacking.min(RECV_CHUNK);
-                match self.transport.try_recv_into(input, max) {
-                    Ok(Some(0)) => return Action::Drop,
-                    Ok(Some(n)) => drained = n < max,
-                    Ok(None) => break,
-                    Err(_) => return Action::Drop,
+            while let Some(got) = self.conn.comm.try_recv() {
+                let Ok(Some(body)) = got else { return Action::Drop };
+                if !route_frame(&self.conn, body) {
+                    return Action::Drop;
                 }
             }
         }
@@ -1885,7 +1843,7 @@ impl Source for ConnSource {
 mod tests {
     use super::*;
     use crate::transport::InProcTransport;
-    use heidl_wire::{CdrProtocol, Protocol, TextProtocol};
+    use heidl_wire::{CdrProtocol, Protocol, TextProtocol, RECV_CHUNK};
     use std::io::Read;
 
     /// Fragments for the chunk-frame oracle: empty, one byte, an odd

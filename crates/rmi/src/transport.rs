@@ -142,18 +142,22 @@ pub trait Transport: Send {
     }
 }
 
-/// Which concurrency model the ORB's transports run under.
+/// Who drives the ORB's connections.
 ///
-/// `Threaded` is the historical model: one reader thread per accepted
-/// connection, one demux thread per pooled client connection, one
-/// heartbeat scan thread. `Reactor` moves all of those onto a single
-/// epoll readiness loop per server (plus one shared client-side loop);
-/// only the dispatch worker pool keeps its threads. Transports without a
-/// file descriptor (in-process pipes, fault injectors) always use the
-/// threaded path regardless of mode.
+/// Each connection is one state machine — the server's connection and
+/// the client's reply demultiplexer, both reading through one
+/// `ObjectCommunicator` — plus one heartbeat probe per ORB; the mode
+/// picks only who drives them. `Threaded` blocks a thread in `recv` per
+/// accepted connection and per pooled client connection, and runs the
+/// probe on a `heidl-heartbeat` thread. `Reactor` calls the nonblocking
+/// `try_recv` from a single epoll readiness loop per server (plus one
+/// shared client-side loop, which also runs the probe as a timer); only
+/// the dispatch worker pool keeps its threads. Transports without a file
+/// descriptor (in-process pipes, fault injectors) always take the
+/// blocking driver regardless of mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportMode {
-    /// Thread-per-connection blocking I/O (the default).
+    /// A blocking thread per connection (the default).
     #[default]
     Threaded,
     /// Shared epoll readiness loop; falls back to `Threaded` on targets

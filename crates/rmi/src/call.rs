@@ -27,16 +27,15 @@
 //!
 //! When call tracing is enabled, a request body may additionally end with
 //! the protocols' optional **trailing context section** carrying
-//! `(call-id, parent-id)` — see [`Call::attach_context`] and
-//! [`extract_call_context`]. Old peers never read past the declared
-//! arguments, so the section is invisible to them; on the text protocol a
-//! telnet user joins a trace by typing ` "~ctx" 42 7` at the end of a
-//! request line.
+//! `(call-id, parent-id)` — see [`Call::attach_context`]. Old peers never
+//! read past the declared arguments, so the section is invisible to them;
+//! on the text protocol a telnet user joins a trace by typing
+//! ` "~ctx" 42 7` at the end of a request line.
 
 use crate::error::{RmiError, RmiResult};
 use crate::objref::ObjectRef;
 use crate::trace::CallContext;
-use heidl_wire::{DecodeLimits, Decoder, Encoder, Protocol};
+use heidl_wire::{DecodeLimits, Decoder, Encoder, Protocol, Section};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Repository id stamped on [`ReplyStatus::Busy`] replies.
@@ -94,11 +93,11 @@ pub struct Call {
     method: String,
     response_expected: bool,
     enc: Box<dyn Encoder>,
-    /// Byte offset where the argument bytes start (right after the header).
-    args_start: usize,
-    /// Byte offset where the argument bytes end — pinned by
-    /// [`Call::attach_context`] before the context suffix is appended;
-    /// `None` means "arguments run to the end of the body".
+    /// Byte offset where the request id ends and the target begins.
+    id_end: usize,
+    /// Byte offset where the argument bytes end — pinned when the first
+    /// trailing section is attached; `None` means "arguments run to the
+    /// end of the body".
     args_end: Option<usize>,
 }
 
@@ -133,17 +132,17 @@ impl Call {
         let request_id = next_request_id();
         let mut enc = protocol.encoder();
         enc.put_ulonglong(request_id);
+        let id_end = enc.position();
         enc.put_string(&target.to_string());
         enc.put_string(method);
         enc.put_bool(response_expected);
-        let args_start = enc.position();
         Call {
             request_id,
             target: target.clone(),
             method: method.to_owned(),
             response_expected,
             enc,
-            args_start,
+            id_end,
             args_end: None,
         }
     }
@@ -178,10 +177,7 @@ impl Call {
     /// is a suffix; anything put after it would corrupt the tail). Returns
     /// `false` when `protocol` has no context encoding.
     pub fn attach_context(&mut self, protocol: &dyn Protocol, ctx: CallContext) -> bool {
-        if self.args_end.is_none() {
-            self.args_end = Some(self.enc.position());
-        }
-        protocol.encode_context(self.enc.as_mut(), ctx.call_id, ctx.parent_id)
+        self.attach(protocol, Section::Context, ctx.call_id, ctx.parent_id)
     }
 
     /// Appends the wire-level trailing invocation-token section to this
@@ -191,10 +187,7 @@ impl Call {
     /// the end of the body. Returns `false` when `protocol` has no token
     /// encoding.
     pub fn attach_token(&mut self, protocol: &dyn Protocol, token: InvocationToken) -> bool {
-        if self.args_end.is_none() {
-            self.args_end = Some(self.enc.position());
-        }
-        protocol.encode_token(self.enc.as_mut(), token.session, token.seq)
+        self.attach(protocol, Section::Token, token.session, token.seq)
     }
 
     /// Appends the wire-level trailing chunk section to this call, marking
@@ -204,20 +197,23 @@ impl Call {
     /// the chunk section is the outermost. Returns `false` when `protocol`
     /// has no chunk encoding.
     pub fn attach_stream_request(&mut self, protocol: &dyn Protocol, window_bytes: u64) -> bool {
+        self.attach(protocol, Section::Chunk, window_bytes, 0)
+    }
+
+    /// Appends one trailing section, first pinning where the arguments end.
+    fn attach(&mut self, protocol: &dyn Protocol, section: Section, a: u64, b: u64) -> bool {
         if self.args_end.is_none() {
             self.args_end = Some(self.enc.position());
         }
-        protocol.encode_chunk(self.enc.as_mut(), window_bytes, false)
+        protocol.attach_section(self.enc.as_mut(), section, a, b)
     }
 
-    /// The byte range of the marshaled arguments within the body that
-    /// [`Call::into_body`] will produce. Excludes the request header —
-    /// which embeds the per-call request id — and any trailing token or
-    /// context section, so two calls to the same method with equal
-    /// arguments yield equal spans. This is what the `@cached` result
-    /// cache keys on.
-    pub fn args_span(&self) -> std::ops::Range<usize> {
-        self.args_start..self.args_end.unwrap_or_else(|| self.enc.position())
+    /// The byte range from the end of the request id to the end of the
+    /// arguments: target, method, response flag and arguments — what
+    /// identifies a `@cached` invocation, and nothing that changes per
+    /// call.
+    pub(crate) fn cache_key_span(&self) -> std::ops::Range<usize> {
+        self.id_end..self.args_end.unwrap_or_else(|| self.enc.position())
     }
 
     /// Completes the request, yielding the message body to send.
@@ -236,14 +232,6 @@ impl Call {
         let Call { target, method, mut enc, .. } = self;
         (target, method, enc.finish())
     }
-}
-
-/// Recovers the trailing [`CallContext`] from a received request body, if
-/// the peer stamped one. Purely a tail inspection: bodies without the
-/// section (from old peers, or with tracing disabled) return `None` and
-/// decode exactly as before.
-pub fn extract_call_context(body: &[u8], protocol: &dyn Protocol) -> Option<CallContext> {
-    protocol.extract_context(body).map(|(call_id, parent_id)| CallContext { call_id, parent_id })
 }
 
 /// An exactly-once invocation identity: a per-ORB session id plus a
@@ -319,37 +307,6 @@ impl IncomingCall {
         let response_expected = dec.get_bool()?;
         Ok(IncomingCall { request_id, target, method, response_expected, args: dec })
     }
-}
-
-/// Reads just `(request-id, response-expected)` from a request body without
-/// consuming it, so a server's reader thread can route the message (reply
-/// expected or not) before the full parse happens on a worker.
-///
-/// # Errors
-///
-/// Fails when the header does not unmarshal or the reference is malformed.
-pub fn peek_request_header(body: &[u8], protocol: &dyn Protocol) -> RmiResult<(u64, bool)> {
-    peek_request_header_limited(body, protocol, &DecodeLimits::default())
-}
-
-/// [`peek_request_header`] with explicit [`DecodeLimits`], for server
-/// reader threads that must not allocate for hostile length prefixes.
-///
-/// # Errors
-///
-/// Fails when the header does not unmarshal, violates `limits`, or the
-/// reference is malformed.
-pub fn peek_request_header_limited(
-    body: &[u8],
-    protocol: &dyn Protocol,
-    limits: &DecodeLimits,
-) -> RmiResult<(u64, bool)> {
-    let mut dec = protocol.peek_decoder(body, limits)?;
-    let request_id = dec.get_ulonglong()?;
-    dec.skip_string()?; // target
-    dec.skip_string()?; // method
-    let response_expected = dec.get_bool()?;
-    Ok((request_id, response_expected))
 }
 
 /// One-pass routing peek for the server's reader thread: reads
@@ -549,10 +506,7 @@ mod tests {
             assert!(call.attach_context(p.as_ref(), CallContext { call_id: id, parent_id: 3 }));
             let body = call.into_body();
 
-            assert_eq!(
-                extract_call_context(&body, p.as_ref()),
-                Some(CallContext { call_id: id, parent_id: 3 })
-            );
+            assert_eq!(p.extract_context(&body), Some((id, 3)));
             // The "old reader": parses header + declared args, stops there.
             let mut incoming = IncomingCall::parse(body, p.as_ref()).unwrap();
             assert_eq!(incoming.request_id, id);
@@ -563,31 +517,30 @@ mod tests {
 
     /// A request carrying both the token and context sections parses
     /// identically for an old reader, and each tail is recoverable —
-    /// including the args span the `@cached` cache keys on, which must
-    /// exclude both suffixes.
+    /// including the key the `@cached` cache keys on, which must exclude
+    /// the request id and both suffixes.
     #[test]
     fn request_with_token_and_context_is_old_reader_compatible() {
         for p in protocols() {
             let mut plain = Call::request(&target(), "p", p.as_ref());
             plain.args().put_long(7);
-            let plain_span = plain.args_span();
+            let plain_span = plain.cache_key_span();
+            let plain = plain.into_body();
 
             let mut call = Call::request(&target(), "p", p.as_ref());
             let id = call.request_id();
             call.args().put_long(7);
             assert!(call.attach_token(p.as_ref(), InvocationToken { session: 99, seq: 5 }));
             assert!(call.attach_context(p.as_ref(), CallContext { call_id: id, parent_id: 3 }));
-            assert_eq!(call.args_span(), plain_span, "{}", p.name());
+            let span = call.cache_key_span();
             let body = call.into_body();
+            assert_eq!(body[span], plain[plain_span], "{}", p.name());
 
             assert_eq!(
                 extract_invocation_token(&body, p.as_ref()),
                 Some(InvocationToken { session: 99, seq: 5 })
             );
-            assert_eq!(
-                extract_call_context(&body, p.as_ref()),
-                Some(CallContext { call_id: id, parent_id: 3 })
-            );
+            assert_eq!(p.extract_context(&body), Some((id, 3)));
             // The "old reader": parses header + declared args, stops there.
             let mut incoming = IncomingCall::parse(body, p.as_ref()).unwrap();
             assert_eq!(incoming.request_id, id);
@@ -606,11 +559,12 @@ mod tests {
 
     #[test]
     fn peek_helpers_read_headers_without_consuming() {
+        let limits = DecodeLimits::default();
         for p in protocols() {
             let call = Call::oneway(&target(), "stop", p.as_ref());
             let id = call.request_id();
             let body = call.into_body();
-            assert_eq!(peek_request_header(&body, p.as_ref()).unwrap(), (id, false));
+            assert_eq!(peek_route(&body, p.as_ref(), &limits).unwrap(), (id, false, Some(42)));
             // The body is untouched and still parses fully.
             let incoming = IncomingCall::parse(body, p.as_ref()).unwrap();
             assert_eq!(incoming.request_id, id);
@@ -691,7 +645,7 @@ mod tests {
         let limits = DecodeLimits::strict();
         let err = IncomingCall::parse_limited(body.clone(), &CdrProtocol, &limits).unwrap_err();
         assert!(matches!(err, RmiError::Wire(_)), "{err}");
-        let err = peek_request_header_limited(&body, &CdrProtocol, &limits).unwrap_err();
+        let err = peek_route(&body, &CdrProtocol, &limits).unwrap_err();
         assert!(matches!(err, RmiError::Wire(_)), "{err}");
     }
 

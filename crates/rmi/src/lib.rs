@@ -119,9 +119,8 @@ pub mod transport;
 
 pub use breaker::{BreakerConfig, BreakerObserver, BreakerState, CircuitBreaker, ProbeToken};
 pub use call::{
-    extract_call_context, extract_invocation_token, next_request_id, peek_reply_id,
-    peek_reply_status, peek_request_header, peek_request_header_limited, Call, IncomingCall,
-    InvocationToken, Reply, ReplyBuilder, ReplyStatus, BUSY_REPO_ID,
+    extract_invocation_token, next_request_id, peek_reply_id, peek_reply_status, Call,
+    IncomingCall, InvocationToken, Reply, ReplyBuilder, ReplyStatus, BUSY_REPO_ID,
 };
 pub use communicator::{
     BreakerListener, CheckedOut, ConnectionPool, MuxConnection, ObjectCommunicator,

@@ -372,6 +372,12 @@ impl Metrics {
     /// counters are unconditional.
     pub fn record_client_call(&self, method: &str, ns: u64, ok: bool) {
         self.inc(if ok { Counter::CallsOk } else { Counter::CallsFailed });
+        self.record_client_op(method, ns, ok);
+    }
+
+    /// The per-op half of [`Metrics::record_client_call`], for calls
+    /// counted elsewhere (oneways, under [`Counter::Oneways`]).
+    pub(crate) fn record_client_op(&self, method: &str, ns: u64, ok: bool) {
         if self.detail_enabled() {
             shard_lookup(&self.client_ops, method).record(ns, ok);
         }

@@ -17,8 +17,8 @@
 //! every connection to the binary protocol without touching generated
 //! code.
 
-use crate::breaker::{BreakerConfig, CircuitBreaker, ProbeToken};
-use crate::call::{peek_reply_status, Call, InvocationToken, Reply, ReplyStatus};
+use crate::breaker::BreakerConfig;
+use crate::call::{Call, InvocationToken, Reply};
 use crate::communicator::{ConnectionPool, MuxConnection};
 use crate::error::{RmiError, RmiResult};
 use crate::interceptor::{CallPhase, Interceptor, InterceptorChain};
@@ -26,7 +26,7 @@ use crate::metrics::{Counter, Metrics};
 use crate::objref::{Endpoint, ObjectRef};
 use crate::policy::{ServerHealth, ServerPolicy};
 use crate::reactor::{self, ReactorHandle};
-use crate::result_cache::{CacheKey, ResultCache};
+use crate::result_cache::ResultCache;
 use crate::retry::{may_retry, Backoff, RetryClass, RetryPolicy};
 use crate::serialize::{self, RemoteObject, ValueRegistry};
 use crate::server::{
@@ -562,6 +562,75 @@ impl HeartbeatProbe {
     }
 }
 
+/// Which stages of the invocation pipeline one call kind runs: a
+/// difference between a two-way, a streamed and a oneway call is a row
+/// here, not a second function. Every kind stamps `~ctx` under Debug
+/// tracing, passes breaker admission and records its outcome.
+struct CallKind {
+    /// What the send stage puts on the wire, and what comes back.
+    send: SendKind,
+    /// Stamp `~tok` when the options ask for exactly-once.
+    token: bool,
+    /// Consult, and fill, the `@cached` result cache.
+    cached: bool,
+    /// Run the retry/failover loop; without it, one attempt on the
+    /// primary endpoint.
+    retry: bool,
+}
+
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum SendKind {
+    /// Send the request, await the correlated reply.
+    TwoWay,
+    /// Register a stream slot, send the request with its chunk section.
+    Stream,
+    /// Send the request; nothing comes back.
+    Oneway,
+}
+
+const TWO_WAY: CallKind =
+    CallKind { send: SendKind::TwoWay, token: true, cached: true, retry: true };
+const STREAM: CallKind =
+    CallKind { send: SendKind::Stream, token: true, cached: false, retry: false };
+const ONEWAY: CallKind =
+    CallKind { send: SendKind::Oneway, token: false, cached: false, retry: false };
+
+/// What the pipeline's send stage got back, by call kind.
+enum Sent {
+    /// A two-way reply body, not yet classified.
+    Raw(PooledBuf),
+    /// A classified OK reply, with its raw bytes when the `@cached` store
+    /// wants them.
+    Reply(Reply, Option<Vec<u8>>),
+    /// A stream whose request is on the wire and whose slot is registered.
+    Stream(ReplyStream),
+    /// A oneway on the wire.
+    Oneway,
+}
+
+impl Sent {
+    fn into_reply(self) -> Reply {
+        let Sent::Reply(reply, _) = self else { unreachable!("a two-way call gets a reply") };
+        reply
+    }
+
+    fn into_stream(self) -> ReplyStream {
+        let Sent::Stream(stream) = self else { unreachable!("a streamed call gets a stream") };
+        stream
+    }
+}
+
+/// One invocation past the stamp stage, whatever endpoint an attempt
+/// goes to.
+struct Outgoing {
+    kind: &'static CallKind,
+    target: ObjectRef,
+    method: String,
+    request_id: u64,
+    body: Vec<u8>,
+    options: CallOptions,
+}
+
 /// A handle to the per-address-space ORB state. Cheap to clone.
 #[derive(Clone)]
 pub struct Orb {
@@ -922,94 +991,8 @@ impl Orb {
     /// # Errors
     ///
     /// As [`Orb::invoke`], plus [`RmiError::DeadlineExceeded`].
-    pub fn invoke_with(&self, mut call: Call, options: CallOptions) -> RmiResult<Reply> {
-        self.check_protocol(call.target())?;
-        let request_id = call.request_id();
-        // Exactly-once: stamp the request with this ORB's invocation
-        // token. Attached *before* any trace context — the wire layout is
-        // token-first, context-last — and reused verbatim by every retry
-        // of this invocation, which is what lets the server dedup them.
-        if options.exactly_once && call.response_expected() {
-            let token = InvocationToken {
-                session: self.inner.session_id,
-                seq: self.inner.token_seq.fetch_add(1, Ordering::Relaxed),
-            };
-            call.attach_token(self.inner.protocol.as_ref(), token);
-        }
-        // Call tracing (Debug level): stamp the request with a trailing
-        // wire context — this call's id, plus the id of whatever call we
-        // are currently dispatching as the parent — and make it current
-        // for the duration of the invocation so interceptor fires and
-        // trace events correlate. Costs nothing when tracing is off.
-        let _ctx_guard = if trace::enabled(TraceLevel::Debug) {
-            let ctx = CallContext {
-                call_id: request_id,
-                parent_id: CallContext::current().map_or(0, |c| c.call_id),
-            };
-            call.attach_context(self.inner.protocol.as_ref(), ctx);
-            Some(ctx.enter())
-        } else {
-            None
-        };
-        let args_span = call.args_span();
-        // Take ownership of the target and method along with the body:
-        // the call is done with them, and moving spares an `ObjectRef`
-        // clone plus a `String` allocation on every invocation.
-        let (target, method, body) = call.into_parts();
-        // `@cached` consult: key on the argument bytes only — the header
-        // embeds the per-call request id, which never repeats.
-        let cache_key = options.cached_ttl.map(|_| CacheKey {
-            target: target.to_string(),
-            method: method.clone(),
-            args: body[args_span].to_vec(),
-        });
-        if let Some(key) = &cache_key {
-            if let Some(hit) = self.inner.result_cache.lookup(key) {
-                pool::recycle(body);
-                self.inner.metrics.inc(Counter::CacheHits);
-                return Reply::parse(hit, self.inner.protocol.as_ref());
-            }
-        }
-        self.inner.interceptors.fire(CallPhase::ClientSend, &target, &method, true);
-        let deadline = options.deadline.or(self.inner.default_deadline);
-        self.inner.metrics.add(Counter::BytesOut, body.len() as u64);
-
-        // The latency clock is read only when per-op detail is on:
-        // `record_client_call` ignores the nanos otherwise, and two
-        // `Instant::now()` reads per call are measurable on the
-        // sub-microsecond echo path. (Flipping detail on mid-call records
-        // that one call as 0ns — harmless for a monitoring histogram.)
-        let started = self.inner.metrics.detail_enabled().then(Instant::now);
-        let result =
-            self.invoke_fault_tolerant(&target, &method, request_id, &body, deadline, &options);
-        // The request body is done with the wire on every path; give its
-        // storage back for the next call's encoder.
-        pool::recycle(body);
-        let elapsed_ns = started.map_or(0, |s| s.elapsed().as_nanos() as u64);
-        let reply_body = match result {
-            Ok(b) => b,
-            Err(e) => {
-                // Broken connections were discarded, not re-pooled.
-                self.inner.metrics.record_client_call(&method, elapsed_ns, false);
-                self.inner.interceptors.fire(CallPhase::ClientReceive, &target, &method, false);
-                return Err(e);
-            }
-        };
-        self.inner.metrics.add(Counter::BytesIn, reply_body.len() as u64);
-        let reply_vec: Vec<u8> = reply_body.into();
-        // `Reply::parse` consumes the body, and only an OK-status body
-        // parses to `Ok` — so clone up front and cache on success, which
-        // keeps exception and busy replies out of the cache for free.
-        let raw = if cache_key.is_some() { Some(reply_vec.clone()) } else { None };
-        let reply = Reply::parse(reply_vec, self.inner.protocol.as_ref());
-        if reply.is_ok() {
-            if let (Some(key), Some(raw), Some(ttl)) = (cache_key, raw, options.cached_ttl) {
-                self.inner.result_cache.store(key, raw, ttl);
-            }
-        }
-        self.inner.metrics.record_client_call(&method, elapsed_ns, reply.is_ok());
-        self.inner.interceptors.fire(CallPhase::ClientReceive, &target, &method, reply.is_ok());
-        reply
+    pub fn invoke_with(&self, call: Call, options: CallOptions) -> RmiResult<Reply> {
+        self.pipeline(&TWO_WAY, call, options).map(Sent::into_reply)
     }
 
     /// Invokes a call whose reply is **streamed**: the request carries the
@@ -1040,6 +1023,10 @@ impl Orb {
     /// [`CallOptions::deadline`] (or the ORB default) bounds each
     /// *chunk* wait, not the whole stream.
     ///
+    /// Like a two-way call, the request carries `~ctx` under Debug
+    /// tracing and needs the endpoint's circuit breaker to admit it (an
+    /// open one fails the call with [`RmiError::CircuitOpen`] unsent).
+    ///
     /// The requested window is the ORB's own
     /// [`ServerPolicy::stream_window_bytes`](crate::ServerPolicy) — the
     /// serving side clamps it to *its* policy, and the ack protocol makes
@@ -1047,68 +1034,11 @@ impl Orb {
     ///
     /// # Errors
     ///
-    /// Transport and marshal failures, as [`Orb::invoke`]; also rejects
-    /// oneway calls and protocols without a chunk encoding.
-    pub fn invoke_stream_with(
-        &self,
-        mut call: Call,
-        options: CallOptions,
-    ) -> RmiResult<ReplyStream> {
-        self.check_protocol(call.target())?;
-        if !call.response_expected() {
-            return Err(RmiError::Protocol(
-                "invoke_stream requires a two-way call built with call()".to_owned(),
-            ));
-        }
-        let request_id = call.request_id();
-        if options.exactly_once {
-            let token = InvocationToken {
-                session: self.inner.session_id,
-                seq: self.inner.token_seq.fetch_add(1, Ordering::Relaxed),
-            };
-            call.attach_token(self.inner.protocol.as_ref(), token);
-        }
-        let window = self.inner.server_policy.stream_window_bytes as u64;
-        if !call.attach_stream_request(self.inner.protocol.as_ref(), window) {
-            return Err(RmiError::Protocol(format!(
-                "protocol `{}` has no chunk encoding; streaming is unavailable",
-                self.inner.protocol.name()
-            )));
-        }
-        let endpoint = call.target().endpoint.clone();
-        let (target, method, body) = call.into_parts();
-        self.inner.interceptors.fire(CallPhase::ClientSend, &target, &method, true);
-        self.inner.metrics.add(Counter::BytesOut, body.len() as u64);
-        let checked = match self.inner.pool.checkout(&endpoint, &self.inner.protocol) {
-            Ok(c) => c,
-            Err(e) => {
-                pool::recycle(body);
-                self.inner.interceptors.fire(CallPhase::ClientReceive, &target, &method, false);
-                return Err(e);
-            }
-        };
-        let conn = Arc::clone(checked.connection());
-        let slot = conn.call_streamed(request_id, &body);
-        pool::recycle(body);
-        let slot = match slot {
-            Ok(s) => s,
-            Err(e) => {
-                self.inner.pool.discard(&endpoint, &conn);
-                self.inner.interceptors.fire(CallPhase::ClientReceive, &target, &method, false);
-                return Err(e);
-            }
-        };
-        let ack_target = ObjectRef::new(endpoint, STREAM_ACK_OBJECT_ID, STREAM_ACK_TYPE_ID);
-        Ok(ReplyStream::new(
-            conn,
-            slot,
-            Arc::clone(&self.inner.protocol),
-            request_id,
-            ack_target,
-            window,
-            self.inner.server_policy.decode_limits,
-            options.deadline.or(self.inner.default_deadline),
-        ))
+    /// Transport and marshal failures, as [`Orb::invoke`], and
+    /// [`RmiError::CircuitOpen`]; also rejects oneway calls and protocols
+    /// without a chunk encoding.
+    pub fn invoke_stream_with(&self, call: Call, options: CallOptions) -> RmiResult<ReplyStream> {
+        self.pipeline(&STREAM, call, options).map(Sent::into_stream)
     }
 
     /// Number of stale-connection retries performed (observability).
@@ -1122,6 +1052,102 @@ impl Orb {
         self.inner.session_id
     }
 
+    /// The one client invocation pipeline (Fig 4), whatever the call
+    /// kind: stamp → cache → admit → send → await → classify → record.
+    /// `kind` is the row saying which of the stages the call runs (see
+    /// [`CallKind`]).
+    fn pipeline(
+        &self,
+        kind: &'static CallKind,
+        mut call: Call,
+        options: CallOptions,
+    ) -> RmiResult<Sent> {
+        let misuse = match (kind.send, call.response_expected()) {
+            (SendKind::Stream, false) => "invoke_stream requires a two-way call built with call()",
+            (SendKind::Oneway, true) => "invoke_oneway requires a call built with call_oneway()",
+            _ => "",
+        };
+        if !misuse.is_empty() {
+            return Err(RmiError::Protocol(misuse.to_owned()));
+        }
+        self.check_protocol(call.target())?;
+        let protocol = self.inner.protocol.as_ref();
+        let request_id = call.request_id();
+
+        // Stamp, in the sections' nesting order: token, context, chunk. Every
+        // retry reuses the token verbatim, which lets the server dedup them.
+        if kind.token && options.exactly_once && call.response_expected() {
+            let seq = self.inner.token_seq.fetch_add(1, Ordering::Relaxed);
+            call.attach_token(protocol, InvocationToken { session: self.inner.session_id, seq });
+        }
+        // Call tracing (Debug): this call's id, and the call being dispatched
+        // as its parent, current for the whole invocation so interceptors
+        // and trace events correlate. One relaxed load when tracing is off.
+        let _ctx_guard = trace::enabled(TraceLevel::Debug).then(|| {
+            let parent_id = CallContext::current().map_or(0, |c| c.call_id);
+            let ctx = CallContext { call_id: request_id, parent_id };
+            call.attach_context(protocol, ctx);
+            ctx.enter()
+        });
+        let window = self.inner.server_policy.stream_window_bytes as u64;
+        if kind.send == SendKind::Stream && !call.attach_stream_request(protocol, window) {
+            return Err(RmiError::Protocol(format!(
+                "protocol `{}` has no chunk encoding; streaming is unavailable",
+                protocol.name()
+            )));
+        }
+        let key = call.cache_key_span();
+        // Moving the target and method out spares a clone of each per call.
+        let (target, method, body) = call.into_parts();
+        let out = Outgoing { kind, target, method, request_id, body, options };
+
+        // Cache: the key is borrowed from the request body, so a hit
+        // allocates nothing for it.
+        let cached_ttl = options.cached_ttl.filter(|_| kind.cached);
+        if cached_ttl.is_some() {
+            if let Some(hit) = self.inner.result_cache.lookup(&out.body[key.clone()]) {
+                pool::recycle(out.body);
+                self.inner.metrics.inc(Counter::CacheHits);
+                return Reply::parse(hit, protocol).map(|reply| Sent::Reply(reply, None));
+            }
+        }
+
+        self.inner.interceptors.fire(CallPhase::ClientSend, &out.target, &out.method, true);
+        self.inner.metrics.add(Counter::BytesOut, out.body.len() as u64);
+        let deadline = options.deadline.or(self.inner.default_deadline);
+        // The latency clock is read only when per-op detail is on: two
+        // `Instant::now()` reads are measurable on the echo path.
+        let started = self.inner.metrics.detail_enabled().then(Instant::now);
+        let mut result = if kind.retry {
+            self.invoke_fault_tolerant(&out, deadline)
+        } else {
+            self.attempt_endpoint(&out, &out.target.endpoint, deadline)
+        };
+        if let (Ok(Sent::Reply(_, raw @ Some(_))), Some(ttl)) = (&mut result, cached_ttl) {
+            self.inner.result_cache.store(&out.body[key], raw.take().unwrap_or_default(), ttl);
+        }
+        // The request body is done with the wire; its storage goes back.
+        let Outgoing { target, method, body, .. } = out;
+        pool::recycle(body);
+
+        // Record: every kind lands in the per-op histogram; a oneway
+        // counts under `Oneways`, everything else under calls ok/failed.
+        let elapsed_ns = started.map_or(0, |s| s.elapsed().as_nanos() as u64);
+        let ok = result.is_ok();
+        if kind.send == SendKind::Oneway {
+            self.inner.metrics.inc(Counter::Oneways);
+            self.inner.metrics.record_client_op(&method, elapsed_ns, ok);
+        } else {
+            self.inner.metrics.record_client_call(&method, elapsed_ns, ok);
+        }
+        // Only a two-way call receives anything; the others report a
+        // receive phase when they fail, so interceptors see a pair.
+        if kind.send == SendKind::TwoWay || !ok {
+            self.inner.interceptors.fire(CallPhase::ClientReceive, &target, &method, ok);
+        }
+        result
+    }
+
     /// The fault-tolerant invocation engine: up to `max_attempts` passes
     /// over the reference's endpoints (primary, then fallbacks), with
     /// jittered backoff between passes and the whole schedule bounded by
@@ -1129,26 +1155,19 @@ impl Orb {
     /// sleep surfaces as [`RmiError::DeadlineExceeded`], not as whatever
     /// transport error happened last. Whether a failure may move on to the next
     /// endpoint/pass is decided by its retry-safety class
-    /// ([`classify`]): connect-level failures are always safe, failures
-    /// after bytes were written need [`RetryClass::Safe`] (an idempotent
-    /// declaration), and
+    /// ([`classify`](crate::retry::classify)): connect-level failures are
+    /// always safe, failures after bytes were written need
+    /// [`RetryClass::Safe`] (an idempotent declaration), and
     /// semantic failures (remote exceptions, deadlines) never retry.
     ///
     /// Interceptors observe each extra attempt as a
     /// [`CallPhase::ClientRetry`] with the target re-pointed at the
     /// endpoint about to be tried.
-    fn invoke_fault_tolerant(
-        &self,
-        target: &ObjectRef,
-        method: &str,
-        request_id: u64,
-        body: &[u8],
-        deadline: Option<Duration>,
-        options: &CallOptions,
-    ) -> RmiResult<PooledBuf> {
+    fn invoke_fault_tolerant(&self, out: &Outgoing, deadline: Option<Duration>) -> RmiResult<Sent> {
+        let (target, options) = (&out.target, &out.options);
         let policy = options.retry_policy.unwrap_or(self.inner.retry_policy);
         let overall = deadline.map(|d| Instant::now() + d);
-        let mut backoff = Backoff::new(&policy, request_id);
+        let mut backoff = Backoff::new(&policy, out.request_id);
         let mut last_err: Option<RmiError> = None;
         let mut first_attempt = true;
         for pass in 0..policy.max_attempts.max(1) {
@@ -1172,7 +1191,7 @@ impl Orb {
                     self.inner.interceptors.fire(
                         CallPhase::ClientRetry,
                         &target.at_endpoint(endpoint),
-                        method,
+                        &out.method,
                         true,
                     );
                 }
@@ -1189,8 +1208,8 @@ impl Orb {
                         Some(left)
                     }
                 };
-                match self.attempt_endpoint(endpoint, request_id, body, remaining, options) {
-                    Ok(b) => return Ok(b),
+                match self.attempt_endpoint(out, endpoint, remaining) {
+                    Ok(sent) => return Ok(sent),
                     // A tokened call is resend-safe even when bytes were
                     // written: the server dedups on the token, so a
                     // re-send can at worst replay the cached reply.
@@ -1204,147 +1223,126 @@ impl Orb {
         Err(last_err.unwrap_or_else(|| RmiError::Protocol("no endpoints left to try".to_owned())))
     }
 
-    /// One attempt against one specific endpoint: breaker admission,
-    /// connection checkout, correlated round trip, breaker bookkeeping —
-    /// including the stale-cached-connection heuristic (a *retry-safe*
-    /// failure on a cached connection gets one immediate retry on a fresh
-    /// one; see [`may_retry`]).
+    /// One attempt against one specific endpoint: breaker admission, the
+    /// send ladder, classification, breaker bookkeeping. Every admitted
+    /// [`ProbeToken`](crate::breaker::ProbeToken) is resolved here — an
+    /// unresolved one would wedge a half-open breaker. A failed send or a `Busy` shed counts against
+    /// the endpoint; any other outcome (an exception reply *is* an
+    /// answer) counts for it.
     fn attempt_endpoint(
         &self,
+        out: &Outgoing,
         endpoint: &Endpoint,
-        request_id: u64,
-        body: &[u8],
         deadline: Option<Duration>,
-        options: &CallOptions,
-    ) -> RmiResult<PooledBuf> {
+    ) -> RmiResult<Sent> {
         let breaker = self.inner.pool.breaker(endpoint);
         // The admission token ties the eventual outcome back to the
         // breaker generation that admitted this attempt: if the breaker
         // trips (or is probed) while this call is in flight, a stale
         // outcome is ignored instead of corrupting the newer state.
-        let token = match breaker.try_admit() {
-            Ok(token) => token,
-            Err(retry_after) => {
-                return Err(RmiError::CircuitOpen { endpoint: endpoint.to_string(), retry_after })
+        let token = breaker.try_admit().map_err(|retry_after| RmiError::CircuitOpen {
+            endpoint: endpoint.to_string(),
+            retry_after,
+        })?;
+        let (sent, healthy) = match self.send(out, endpoint, deadline) {
+            // Classify: the reply's header is parsed once, here. A `Busy`
+            // shed surfaces as `ServerBusy`, always safe to retry, and counts
+            // against the endpoint; an exception reply is an answer.
+            Ok(Sent::Raw(reply)) => {
+                self.inner.metrics.add(Counter::BytesIn, reply.len() as u64);
+                let reply: Vec<u8> = reply.into();
+                let raw =
+                    (out.kind.cached && out.options.cached_ttl.is_some()).then(|| reply.clone());
+                let parsed = Reply::parse(reply, self.inner.protocol.as_ref());
+                let busy = matches!(parsed, Err(RmiError::ServerBusy { .. }));
+                (parsed.map(|reply| Sent::Reply(reply, raw)), !busy)
             }
+            Ok(sent) => (Ok(sent), true),
+            Err(e) => (Err(e), false),
         };
-        let checked = match self.inner.pool.checkout(endpoint, &self.inner.protocol) {
-            Ok(c) => c,
-            Err(e) => {
-                breaker.record_outcome(token, false);
-                return Err(e);
-            }
-        };
-        match checked.call(request_id, body, deadline) {
-            Ok(b) => self.accept_reply(b, &breaker, token),
-            // A deadline says nothing about connection health: keep the
-            // connection — but a consistently slow endpoint is unhealthy
-            // for fail-fast purposes, so the breaker counts it.
-            Err(e @ RmiError::DeadlineExceeded { .. }) => {
-                breaker.record_outcome(token, false);
-                Err(e)
-            }
-            Err(first_err)
-                if (checked.from_cache() || options.exactly_once)
-                    && options.retry
-                    && may_retry(&first_err, options.idempotent || options.exactly_once) =>
-            {
-                // The cached connection was stale (or the call carries an
-                // invocation token, making a reconnect transparent even on
-                // a fresh connection); try once on a new one. The gate
-                // means this never re-sends a request the server may
-                // already be executing *unsafely*: mid-call failures only
-                // pass when the call is idempotent or token-deduped.
-                self.inner.pool.discard(endpoint, checked.connection());
-                drop(checked);
-                self.inner.retries.fetch_add(1, Ordering::Relaxed);
-                self.inner.metrics.inc(Counter::Retries);
-                if options.exactly_once {
-                    self.inner.metrics.inc(Counter::Reconnects);
-                }
-                match self.inner.pool.checkout(endpoint, &self.inner.protocol) {
-                    Ok(fresh) => match fresh.call(request_id, body, deadline) {
-                        Ok(b) => self.accept_reply(b, &breaker, token),
-                        Err(e) => {
-                            breaker.record_outcome(token, false);
-                            Err(e)
-                        }
-                    },
-                    Err(_) => {
-                        breaker.record_outcome(token, false);
-                        Err(first_err)
-                    }
-                }
-            }
-            Err(e) => {
-                breaker.record_outcome(token, false);
-                Err(e)
-            }
-        }
+        breaker.record_outcome(token, healthy);
+        sent
     }
 
-    /// Inspects a received reply's status before handing it to the stub:
-    /// a `Busy` status means the server shed the request before dispatch,
-    /// so it surfaces here as [`RmiError::ServerBusy`] (an always-safe
-    /// retry class: the policy loop backs off or fails over instead of
-    /// hammering the overloaded server) and counts as a breaker failure.
-    /// Anything else — including exception replies, which *are* answers —
-    /// records breaker success and flows on to [`Reply::parse`].
-    fn accept_reply(
+    /// The send ladder, once for every kind: checkout → send → discard the
+    /// connection on failure. A deadline says nothing about connection
+    /// health, so that connection stays. A retry-safe failure of a
+    /// two-way call on a *cached* connection — it went stale while idle —
+    /// gets one immediate retry on a fresh one (see [`may_retry`]); so
+    /// does any retry-safe failure of a tokened call, whose reconnect the
+    /// server's replay cache makes transparent.
+    fn send(
         &self,
-        body: PooledBuf,
-        breaker: &Arc<CircuitBreaker>,
-        token: ProbeToken,
-    ) -> RmiResult<PooledBuf> {
-        match peek_reply_status(&body, self.inner.protocol.as_ref()) {
-            Ok((_, ReplyStatus::Busy)) => {
-                breaker.record_outcome(token, false);
-                match Reply::parse(body.into(), self.inner.protocol.as_ref()) {
-                    Err(e) => Err(e),
-                    // Unreachable (a Busy body always parses to an error),
-                    // but never silently swallow a shed.
-                    Ok(_) => Err(RmiError::ServerBusy { detail: "server busy".to_owned() }),
-                }
+        out: &Outgoing,
+        endpoint: &Endpoint,
+        deadline: Option<Duration>,
+    ) -> RmiResult<Sent> {
+        let (request_id, body, options) = (out.request_id, &out.body, &out.options);
+        let mut first_err = None;
+        loop {
+            let checked = match self.inner.pool.checkout(endpoint, &self.inner.protocol) {
+                Ok(c) => c,
+                Err(e) => return Err(first_err.unwrap_or(e)),
+            };
+            let sent = match out.kind.send {
+                SendKind::TwoWay => checked.call(request_id, body, deadline).map(Sent::Raw),
+                SendKind::Stream => checked.call_streamed(request_id, body).map(|slot| {
+                    let ack =
+                        ObjectRef::new(endpoint.clone(), STREAM_ACK_OBJECT_ID, STREAM_ACK_TYPE_ID);
+                    Sent::Stream(ReplyStream::new(
+                        Arc::clone(checked.connection()),
+                        slot,
+                        Arc::clone(&self.inner.protocol),
+                        request_id,
+                        ack,
+                        self.inner.server_policy.stream_window_bytes as u64,
+                        self.inner.server_policy.decode_limits,
+                        deadline,
+                    ))
+                }),
+                SendKind::Oneway => checked.send_oneway(body).map(|()| Sent::Oneway),
+            };
+            let err = match sent {
+                Ok(sent) => return Ok(sent),
+                Err(e @ RmiError::DeadlineExceeded { .. }) => return Err(e),
+                Err(e) => e,
+            };
+            self.inner.pool.discard(endpoint, checked.connection());
+            let stale = first_err.is_none()
+                && out.kind.send == SendKind::TwoWay
+                && (checked.from_cache() || options.exactly_once)
+                && options.retry
+                && may_retry(&err, options.idempotent || options.exactly_once);
+            if !stale {
+                return Err(err);
             }
-            _ => {
-                breaker.record_outcome(token, true);
-                Ok(body)
+            self.inner.retries.fetch_add(1, Ordering::Relaxed);
+            self.inner.metrics.inc(Counter::Retries);
+            if options.exactly_once {
+                self.inner.metrics.inc(Counter::Reconnects);
             }
+            first_err = Some(err);
         }
     }
 
     /// Invokes a `oneway` call: send and forget.
     ///
-    /// Fires `ClientSend` like [`Orb::invoke`]; on a send failure it also
-    /// fires `ClientReceive` with `ok = false`, so interceptors see a
-    /// symmetric pair for failed oneways (successful oneways still fire
+    /// Runs the pipeline of [`Orb::invoke`] minus the reply: the request
+    /// carries `~ctx` under Debug tracing and needs the endpoint's circuit
+    /// breaker to admit it (an open one fails the call with
+    /// [`RmiError::CircuitOpen`] unsent; one that reached the wire counts
+    /// as a breaker success). Fires `ClientSend` like [`Orb::invoke`]; on
+    /// a failure also `ClientReceive` with `ok = false`, so interceptors
+    /// see a symmetric pair for failed oneways (successful oneways fire
     /// only `ClientSend` — there is no reply to receive).
     ///
     /// # Errors
     ///
-    /// Transport failures; also rejects calls built with [`Orb::call`]
-    /// (the server would send a reply nobody reads).
+    /// Transport failures and [`RmiError::CircuitOpen`]; also rejects
+    /// calls built with [`Orb::call`] (the server would send a reply
+    /// nobody reads).
     pub fn invoke_oneway(&self, call: Call) -> RmiResult<()> {
-        if call.response_expected() {
-            return Err(RmiError::Protocol(
-                "invoke_oneway requires a call built with call_oneway()".to_owned(),
-            ));
-        }
-        self.check_protocol(call.target())?;
-        let (target, method, body) = call.into_parts();
-        self.inner.interceptors.fire(CallPhase::ClientSend, &target, &method, true);
-        self.inner.metrics.inc(Counter::Oneways);
-        self.inner.metrics.add(Counter::BytesOut, body.len() as u64);
-        let result = self
-            .inner
-            .pool
-            .checkout(&target.endpoint, &self.inner.protocol)
-            .and_then(|conn| conn.send_oneway(&body));
-        pool::recycle(body);
-        if result.is_err() {
-            self.inner.interceptors.fire(CallPhase::ClientReceive, &target, &method, false);
-        }
-        result
+        self.pipeline(&ONEWAY, call, CallOptions::default()).map(drop)
     }
 
     /// A reference names the protocol its server speaks (`@tcp:...` vs

@@ -51,16 +51,14 @@
 //! hop's liveness, and the router's own counters must stay readable (over
 //! telnet, like any heidl object) even when every backend is down.
 
-use crate::call::{extract_invocation_token, peek_route, IncomingCall, ReplyBuilder, ReplyStatus};
+use crate::call::{extract_invocation_token, peek_route, ReplyBuilder, ReplyStatus};
 use crate::communicator::{write_framed, ConnectionPool, MuxConnection, ObjectCommunicator};
 use crate::error::{RmiError, RmiResult};
 use crate::metrics::{Counter, Metrics};
 use crate::objref::{Endpoint, ObjectRef};
+use crate::policy::ServerHealth;
 use crate::retry::may_retry;
-use crate::server::{
-    WorkerPool, HEALTH_OBJECT_ID, HEALTH_TYPE_ID, METRICS_OBJECT_ID, METRICS_TYPE_ID,
-    WORKER_THREADS,
-};
+use crate::server::{answer_builtin, BuiltinHost, Reserved, WorkerPool, WORKER_THREADS};
 use crate::trace::{self, TraceLevel};
 use crate::transport::{Connector, TcpTransport, Transport};
 use heidl_wire::{DecodeLimits, Protocol, TextProtocol};
@@ -485,9 +483,16 @@ fn router_connection(transport: Box<dyn Transport>, shared: &Arc<RouterShared>) 
             // The built-in objects answer for *this* hop: a client
             // heartbeat is probing the router's liveness, and the
             // router's counters must stay readable with every
-            // backend down.
-            Ok((_, _, Some(HEALTH_OBJECT_ID | METRICS_OBJECT_ID))) => {
-                if let Some(reply) = answer_builtin(body, shared) {
+            // backend down. Stream acks are forwarded like any oneway.
+            Ok((request_id, _, Some(object_id)))
+                if matches!(
+                    Reserved::of(object_id),
+                    Some(Reserved::Health | Reserved::Metrics)
+                ) =>
+            {
+                let answer =
+                    answer_builtin(body, request_id, protocol.as_ref(), &limits, shared.as_ref());
+                if let Some(reply) = answer {
                     if writer.send(&reply).is_err() {
                         break;
                     }
@@ -607,7 +612,7 @@ fn forward_one(
             rotated
         }
     };
-    let deadline = Some(shared.policy.forward_deadline);
+    let tokened = token.is_some();
     let mut last_busy: Option<Vec<u8>> = None;
     for endpoint in &candidates {
         let breaker = shared.pool.breaker(endpoint);
@@ -667,7 +672,7 @@ fn forward_one(
             }
             return None;
         }
-        match forward_exchange(shared, conns, endpoint, conn, probe, &body, request_id, deadline) {
+        match forward_exchange(shared, conns, endpoint, conn, probe, &body, request_id, tokened) {
             Exchange::Reply(reply) => return Some(reply),
             Exchange::Busy(reply) => {
                 if token.is_some() {
@@ -707,7 +712,7 @@ enum Exchange {
 }
 
 /// One request/reply exchange with `endpoint`, with sticky redials for
-/// tokened calls. `probe` is the breaker admission for the first attempt.
+/// `tokened` calls. `probe` is the breaker admission for the first attempt.
 #[allow(clippy::too_many_arguments)]
 fn forward_exchange(
     shared: &Arc<RouterShared>,
@@ -717,15 +722,14 @@ fn forward_exchange(
     probe: crate::breaker::ProbeToken,
     body: &[u8],
     request_id: u64,
-    deadline: Option<Duration>,
+    tokened: bool,
 ) -> Exchange {
     let breaker = shared.pool.breaker(endpoint);
-    let tokened = extract_invocation_token(body, shared.protocol.as_ref()).is_some();
     let mut probe = Some(probe);
     let retries = if tokened { shared.policy.sticky_retries } else { 0 };
     let mut last_err = None;
     for attempt in 0..=retries {
-        match conn.call(request_id, body, deadline) {
+        match conn.call(request_id, body, Some(shared.policy.forward_deadline)) {
             Ok(reply) => {
                 let status = crate::call::peek_reply_status(&reply, shared.protocol.as_ref())
                     .map(|(_, s)| s);
@@ -838,85 +842,30 @@ fn rendezvous_weight(key: u64, endpoint: &Endpoint) -> u64 {
     hash
 }
 
-/// Serves the built-in `_health` and `_metrics` objects for the router
-/// itself. Mirrors the server's wire shapes (`server.rs`) so existing
-/// clients — heartbeat pings included — work unchanged against a router.
-fn answer_builtin(body: Vec<u8>, shared: &Arc<RouterShared>) -> Option<Vec<u8>> {
-    let protocol = Arc::clone(&shared.protocol);
-    let incoming =
-        match IncomingCall::parse_limited(body, protocol.as_ref(), &shared.policy.decode_limits) {
-            Ok(incoming) => incoming,
-            Err(_) => return None,
-        };
-    let response_expected = incoming.response_expected;
-    let object_id = incoming.target.object_id;
-    let reply = match (object_id, incoming.method.as_str()) {
-        (HEALTH_OBJECT_ID, "ping") => {
-            let mut reply = ReplyBuilder::ok(protocol.as_ref(), incoming.request_id);
-            reply.results().put_string("pong");
-            reply.into_body()
+/// The router answers `_health` and `_metrics` for its own hop, with the
+/// server's encodings and its own snapshot.
+impl BuiltinHost for RouterShared {
+    fn health(&self) -> ServerHealth {
+        ServerHealth {
+            accepting: self.running.load(Ordering::SeqCst),
+            in_flight: self.in_flight.load(Ordering::SeqCst) as u64,
+            connections: self.connections.load(Ordering::SeqCst) as u64,
+            shed_requests: self.shed_requests.load(Ordering::SeqCst),
+            shed_connections: 0, // the router refuses no connections
         }
-        (HEALTH_OBJECT_ID, "report") => {
-            let mut reply = ReplyBuilder::ok(protocol.as_ref(), incoming.request_id);
-            let enc = reply.results();
-            enc.put_bool(shared.running.load(Ordering::SeqCst));
-            enc.put_ulonglong(shared.in_flight.load(Ordering::SeqCst) as u64);
-            enc.put_ulonglong(shared.connections.load(Ordering::SeqCst) as u64);
-            enc.put_ulonglong(shared.shed_requests.load(Ordering::SeqCst));
-            enc.put_ulonglong(0); // shed connections: the router refuses none
-            reply.into_body()
-        }
-        (METRICS_OBJECT_ID, "snapshot") => {
-            let snap = shared.metrics.snapshot();
-            let mut reply = ReplyBuilder::ok(protocol.as_ref(), incoming.request_id);
-            let enc = reply.results();
-            for c in Counter::ALL {
-                enc.put_ulonglong(snap.counter(c));
-            }
-            enc.put_ulong(snap.server_ops.len() as u32);
-            for (name, op) in &snap.server_ops {
-                enc.put_string(name);
-                enc.put_ulonglong(op.calls);
-                enc.put_ulonglong(op.failures);
-                enc.put_ulonglong(op.p50_ns);
-                enc.put_ulonglong(op.p99_ns);
-            }
-            reply.into_body()
-        }
-        (METRICS_OBJECT_ID, "reset") => {
-            shared.metrics.reset();
-            let mut reply = ReplyBuilder::ok(protocol.as_ref(), incoming.request_id);
-            reply.results().put_bool(true);
-            reply.into_body()
-        }
-        (METRICS_OBJECT_ID, "dump") => {
-            let gauges = [
-                ("in_flight", shared.in_flight.load(Ordering::SeqCst) as u64),
-                ("connections", shared.connections.load(Ordering::SeqCst) as u64),
-                ("backends", shared.source.backends().len() as u64),
-                ("membership_generation", shared.source.generation()),
-                ("token_pins", shared.affinity.lock().len() as u64),
-            ];
-            let rows = shared.metrics.dump_rows(&gauges);
-            let mut reply = ReplyBuilder::ok(protocol.as_ref(), incoming.request_id);
-            let enc = reply.results();
-            enc.put_ulong(rows.len() as u32);
-            for row in &rows {
-                enc.put_string(row);
-            }
-            reply.into_body()
-        }
-        (id, other) => {
-            let type_id = if id == HEALTH_OBJECT_ID { HEALTH_TYPE_ID } else { METRICS_TYPE_ID };
-            ReplyBuilder::exception(
-                protocol.as_ref(),
-                incoming.request_id,
-                ReplyStatus::SystemException,
-                "IDL:heidl/UnknownMethod:1.0",
-                &RmiError::UnknownMethod { type_id: type_id.to_owned(), method: other.to_owned() }
-                    .to_string(),
-            )
-        }
-    };
-    response_expected.then_some(reply)
+    }
+
+    fn metrics(&self) -> &Metrics {
+        &self.metrics
+    }
+
+    fn gauges(&self) -> Vec<(&'static str, u64)> {
+        vec![
+            ("in_flight", self.in_flight.load(Ordering::SeqCst) as u64),
+            ("connections", self.connections.load(Ordering::SeqCst) as u64),
+            ("backends", self.source.backends().len() as u64),
+            ("membership_generation", self.source.generation()),
+            ("token_pins", self.affinity.lock().len() as u64),
+        ]
+    }
 }

@@ -49,10 +49,7 @@
 //! thread economics differ. Fd-less transports (a `HEIDL_FAULT_PLAN` run)
 //! always take the blocking driver.
 
-use crate::call::{
-    extract_call_context, extract_invocation_token, peek_reply_id, peek_route, IncomingCall,
-    ReplyBuilder, ReplyStatus,
-};
+use crate::call::{peek_reply_id, peek_route, IncomingCall, ReplyBuilder, ReplyStatus};
 use crate::communicator::{with_frame, write_framed, ObjectCommunicator};
 use crate::error::{RmiError, RmiResult};
 use crate::metrics::{Counter, Metrics};
@@ -67,9 +64,9 @@ use crate::skeleton::{DispatchOutcome, Skeleton};
 use crate::stream::{
     StreamServant, StreamWindow, TokenBucket, STREAM_ACK_OBJECT_ID, STREAM_EXPIRED_REPO_ID,
 };
-use crate::trace::{self, TraceLevel};
+use crate::trace::{self, CallContext, ContextGuard, TraceLevel};
 use crate::transport::{TcpTransport, Transport};
-use heidl_wire::{pool, PooledBuf};
+use heidl_wire::{pool, DecodeLimits, PooledBuf, Protocol};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::IoSlice;
@@ -793,41 +790,37 @@ fn route_frame(conn: &Connection, body: PooledBuf) -> bool {
     let body_len = body.len() as u64;
     // One borrowed decode pass yields everything routing needs: the
     // id, the reply-expected flag, and the target object id.
-    match peek_route(&body, protocol.as_ref(), limits) {
-        // `_health` probes and `_metrics` reads bypass admission
-        // control and dispatch inline on the reader (they are cheap
-        // and run no servant code): overload or drain must never
-        // blind observability. They also stay out of the byte
-        // counters — a client heartbeating through a quiet period
-        // must not read back as application traffic.
-        Ok((_, _, Some(HEALTH_OBJECT_ID | METRICS_OBJECT_ID))) => {
-            if let Some(reply) = handle_request(body.into(), orb, shared) {
+    let route = peek_route(&body, protocol.as_ref(), limits);
+    let reserved = route.as_ref().ok().and_then(|&(_, _, object_id)| Reserved::of(object_id?));
+    match (route, reserved) {
+        // The reserved objects are the runtime's own: inline on the
+        // reader, unmetered, past admission (see [`Reserved`]).
+        (Ok(_), Some(Reserved::StreamAck)) => {
+            handle_stream_ack(body.into(), orb, shared, conn_id);
+        }
+        (Ok((request_id, _, _)), Some(_)) => {
+            let host = ServerHost { orb, shared };
+            let answer = answer_builtin(body.into(), request_id, protocol.as_ref(), limits, &host);
+            if let Some(reply) = answer {
                 if sink.send_unmetered(reply).is_err() {
                     return false;
                 }
             }
         }
-        // Stream-credit acks target the reserved ack object and are
-        // handled inline on the reader, unmetered and never queued
-        // behind servant work — a credit grant stuck in the worker
-        // queue would starve the very stream it is meant to unblock.
-        Ok((_, _, Some(STREAM_ACK_OBJECT_ID))) => {
-            handle_stream_ack(body.into(), orb, shared, conn_id);
-        }
         // oneway: dispatch inline so a client's oneway-then-call
         // sequence executes in order; there is no reply to write, so
         // an overload shed is silent (but counted).
-        Ok((_, false, _)) => {
+        (Ok((request_id, false, _)), None) => {
             shared.metrics.add(Counter::BytesIn, body_len);
             match shared.try_admit(&conn.per_conn) {
                 Ok(guard) => {
-                    let _ = handle_request(body.into(), orb, shared);
+                    let _ = handle_request(body.into(), Some(request_id), orb, shared);
                     drop(guard);
                 }
                 Err(_) => shared.shed_request(),
             }
         }
-        Ok((request_id, true, object_id)) => {
+        (Ok((request_id, true, object_id)), None) => {
             shared.metrics.add(Counter::BytesIn, body_len);
             match shared.try_admit(&conn.per_conn) {
                 Ok(guard) => {
@@ -844,19 +837,15 @@ fn route_frame(conn: &Connection, body: PooledBuf) -> bool {
                             // The guard lives until the final chunk is on
                             // the wire — drains wait for whole streams.
                             let _guard = guard;
-                            pump_stream(
-                                job_body,
-                                servant,
-                                &job_orb,
-                                &job_shared,
-                                &job_sink,
-                                conn_id,
-                            );
+                            let (orb, shared, sink) = (&job_orb, &job_shared, &job_sink);
+                            pump_stream(job_body, request_id, servant, orb, shared, sink, conn_id);
                         }),
                         None => Box::new(move || {
                             // The guard lives until the reply is on the wire.
                             let _guard = guard;
-                            if let Some(reply) = handle_request(job_body, &job_orb, &job_shared) {
+                            let id = Some(request_id);
+                            if let Some(reply) = handle_request(job_body, id, &job_orb, &job_shared)
+                            {
                                 let _ = job_sink.send(reply);
                             }
                         }),
@@ -887,9 +876,9 @@ fn route_frame(conn: &Connection, body: PooledBuf) -> bool {
         }
         // Unparsable header — diagnose inline (a telnet user who
         // mistyped wants the error back immediately).
-        Err(_) => {
+        (Err(_), _) => {
             shared.metrics.add(Counter::BytesIn, body_len);
-            if let Some(reply) = handle_request(body.into(), orb, shared) {
+            if let Some(reply) = handle_request(body.into(), None, orb, shared) {
                 if sink.send(reply).is_err() {
                     return false;
                 }
@@ -899,75 +888,264 @@ fn route_frame(conn: &Connection, body: PooledBuf) -> bool {
     true
 }
 
-/// Fig 5 (2)-(4): decode the request, select the skeleton by object id,
-/// dispatch (recursively up the inheritance chain), and build the reply.
-/// Returns `None` for `oneway` requests, which must not be answered.
-pub(crate) fn handle_request(body: Vec<u8>, orb: &Orb, shared: &ServerShared) -> Option<Vec<u8>> {
-    let protocol = Arc::clone(orb.protocol());
-    // Call tracing: when the client stamped the request with a trailing
-    // wire context, make it current for the whole dispatch — server-side
-    // trace events and any *nested* outbound calls this dispatch makes
-    // then carry the caller's id as their parent. Skipped entirely (one
-    // relaxed load) when tracing is off.
-    let _ctx_guard = if trace::enabled(TraceLevel::Debug) {
-        extract_call_context(&body, protocol.as_ref()).map(|ctx| ctx.enter())
-    } else {
-        None
+/// The objects the runtime serves itself, ahead of the skeleton
+/// registry (so `skeleton_count()` stays the number of application
+/// exports). Every one is routed inline on the reader, unmetered and past
+/// admission control: overload or drain must never blind observability,
+/// a heartbeat through a quiet period must not read back as application
+/// traffic, and a credit grant queued behind servant work would starve
+/// the very stream it is meant to unblock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Reserved {
+    /// `_health`: answered by [`answer_builtin`].
+    Health,
+    /// `_metrics`: answered by [`answer_builtin`].
+    Metrics,
+    /// Stream-credit acks: granted into the stream's window, never
+    /// answered ([`handle_stream_ack`]).
+    StreamAck,
+}
+
+impl Reserved {
+    /// The reserved-object table: the row for `object_id`, if reserved.
+    pub(crate) fn of(object_id: u64) -> Option<Reserved> {
+        match object_id {
+            HEALTH_OBJECT_ID => Some(Reserved::Health),
+            METRICS_OBJECT_ID => Some(Reserved::Metrics),
+            STREAM_ACK_OBJECT_ID => Some(Reserved::StreamAck),
+            _ => None,
+        }
+    }
+}
+
+/// Whoever answers `_health` and `_metrics`: a server, or a router
+/// answering for its own hop.
+pub(crate) trait BuiltinHost {
+    /// The snapshot `_health.report` marshals.
+    fn health(&self) -> ServerHealth;
+    /// The registry `_metrics` reads and resets.
+    fn metrics(&self) -> &Metrics;
+    /// The live gauges `_metrics.dump` samples: occupancy values, not
+    /// counters, so they are read here rather than stored in the registry.
+    fn gauges(&self) -> Vec<(&'static str, u64)>;
+}
+
+/// A server as a [`BuiltinHost`].
+struct ServerHost<'a> {
+    orb: &'a Orb,
+    shared: &'a ServerShared,
+}
+
+impl BuiltinHost for ServerHost<'_> {
+    fn health(&self) -> ServerHealth {
+        self.shared.snapshot()
+    }
+
+    fn metrics(&self) -> &Metrics {
+        &self.shared.metrics
+    }
+
+    fn gauges(&self) -> Vec<(&'static str, u64)> {
+        let health = self.shared.snapshot();
+        let pool = self.orb.connections();
+        vec![
+            ("in_flight", health.in_flight),
+            ("connections", health.connections),
+            ("pool_opened", pool.opened_count()),
+            ("pool_pooled", pool.pooled_count() as u64),
+            ("pool_pending", pool.pending_total() as u64),
+            ("reply_cache_entries", self.shared.replay.len() as u64),
+            ("reply_cache_bytes", self.shared.replay.bytes() as u64),
+        ]
+    }
+}
+
+/// Answers one request to `_health` or `_metrics` for `host`; `None` for
+/// a oneway. A request that does not parse gets the `BadRequest`
+/// diagnostic, as on any object. Readable over telnet like any servant:
+///
+/// * `_health.ping` — `"pong"`;
+/// * `_health.report` — `bool accepting · ulonglong in-flight ·
+///   ulonglong connections · ulonglong shed-requests · ulonglong
+///   shed-connections`;
+/// * `_metrics.snapshot` — machine-readable: every counter in
+///   [`Counter::ALL`] order (`ulonglong` each; the order is append-only
+///   so old clients keep decoding), then `ulong` server-op count followed
+///   per op by `string name · ulonglong calls · failures · p50_ns ·
+///   p99_ns`;
+/// * `_metrics.reset` — zeroes the registry, returns `bool` true;
+/// * `_metrics.dump` — human-readable: `ulong` row count then one
+///   `string` per row of [`Metrics::dump_rows`]' table (counters, the
+///   host's gauges, per-op latency buckets).
+pub(crate) fn answer_builtin(
+    body: Vec<u8>,
+    request_id: u64,
+    protocol: &dyn Protocol,
+    limits: &DecodeLimits,
+    host: &dyn BuiltinHost,
+) -> Option<Vec<u8>> {
+    let incoming = match parse_request(body, Some(request_id), protocol, limits) {
+        Ok(incoming) => incoming,
+        Err(bad_request) => return Some(bad_request),
     };
-    // Best-effort id for diagnostics on unparsable requests: both message
-    // kinds lead with the id, so the reply-peek works on requests too.
-    let fallback_id = peek_reply_id(&body, protocol.as_ref()).unwrap_or(0);
-    // Exactly-once: the invocation token rides the body's tail, so it must
-    // be read before parsing consumes the bytes.
-    let token = extract_invocation_token(&body, protocol.as_ref());
-    let mut incoming =
-        match IncomingCall::parse_limited(body, protocol.as_ref(), &shared.policy.decode_limits) {
-            Ok(c) => c,
-            Err(e) => {
-                // The header did not parse, so we cannot know whether a reply
-                // is expected; send the diagnostic (a telnet user wants it).
-                return Some(ReplyBuilder::exception(
-                    protocol.as_ref(),
-                    fallback_id,
-                    ReplyStatus::SystemException,
-                    "IDL:heidl/BadRequest:1.0",
-                    &e.to_string(),
-                ));
+    let (request_id, object_id) = (incoming.request_id, incoming.target.object_id);
+    let mut reply = ReplyBuilder::ok(protocol, request_id);
+    let enc = reply.results();
+    match (object_id, incoming.method.as_str()) {
+        (HEALTH_OBJECT_ID, "ping") => enc.put_string("pong"),
+        (HEALTH_OBJECT_ID, "report") => {
+            let h = host.health();
+            enc.put_bool(h.accepting);
+            enc.put_ulonglong(h.in_flight);
+            enc.put_ulonglong(h.connections);
+            enc.put_ulonglong(h.shed_requests);
+            enc.put_ulonglong(h.shed_connections);
+        }
+        (METRICS_OBJECT_ID, "snapshot") => {
+            let snap = host.metrics().snapshot();
+            for c in Counter::ALL {
+                enc.put_ulonglong(snap.counter(c));
             }
-        };
-    if let (Some(token), true) = (token, incoming.response_expected) {
-        let key = (token.session, token.seq);
+            enc.put_ulong(snap.server_ops.len() as u32);
+            for (name, op) in &snap.server_ops {
+                enc.put_string(name);
+                enc.put_ulonglong(op.calls);
+                enc.put_ulonglong(op.failures);
+                enc.put_ulonglong(op.p50_ns);
+                enc.put_ulonglong(op.p99_ns);
+            }
+        }
+        (METRICS_OBJECT_ID, "reset") => {
+            host.metrics().reset();
+            enc.put_bool(true);
+        }
+        (METRICS_OBJECT_ID, "dump") => {
+            let rows = host.metrics().dump_rows(&host.gauges());
+            enc.put_ulong(rows.len() as u32);
+            for row in &rows {
+                enc.put_string(row);
+            }
+        }
+        (_, method) => {
+            let type_id =
+                if object_id == HEALTH_OBJECT_ID { HEALTH_TYPE_ID } else { METRICS_TYPE_ID };
+            let unknown =
+                RmiError::UnknownMethod { type_id: type_id.to_owned(), method: method.to_owned() };
+            let reply = ReplyBuilder::exception(
+                protocol,
+                request_id,
+                ReplyStatus::SystemException,
+                "IDL:heidl/UnknownMethod:1.0",
+                &unknown.to_string(),
+            );
+            return incoming.response_expected.then_some(reply);
+        }
+    }
+    incoming.response_expected.then(|| reply.into_body())
+}
+
+/// Parses a request under `limits`. One that does not parse is answered
+/// with the `BadRequest` diagnostic, whether or not a reply was expected
+/// (the header did not parse, so nobody knows, and a telnet user wants
+/// it), carrying the id the reader routed it by — or, when routing could
+/// not read one, whatever id leads the body.
+fn parse_request(
+    body: Vec<u8>,
+    routed_id: Option<u64>,
+    protocol: &dyn Protocol,
+    limits: &DecodeLimits,
+) -> Result<IncomingCall, Vec<u8>> {
+    let id = routed_id.unwrap_or_else(|| peek_reply_id(&body, protocol).unwrap_or(0));
+    IncomingCall::parse_limited(body, protocol, limits).map_err(|e| {
+        ReplyBuilder::exception(
+            protocol,
+            id,
+            ReplyStatus::SystemException,
+            "IDL:heidl/BadRequest:1.0",
+            &e.to_string(),
+        )
+    })
+}
+
+/// A request past the prelude, ready for its execute stage.
+struct Admitted {
+    incoming: IncomingCall,
+    /// The exactly-once key, when the request carried a token: the
+    /// completion stage stores the reply under it.
+    replay_key: Option<(u64, u64)>,
+    /// The stream window the request's chunk section asks for — a
+    /// client's streaming opt-in.
+    window: Option<u64>,
+    /// The caller's wire context, current until the dispatch ends.
+    _ctx: Option<ContextGuard>,
+}
+
+/// The request prelude every dispatch runs, skeleton or stream: one walk
+/// over the body's trailing sections; under Debug tracing the caller's
+/// call context made current, so server-side trace events and any
+/// *nested* outbound calls carry the caller's id as their parent; the
+/// parse, with its `BadRequest` diagnostic; and the exactly-once replay
+/// check. `Err` is the reply that already answers the request: the
+/// diagnostic, a replayed reply, or `Busy` for a retry racing its first
+/// execution.
+fn prelude(
+    body: Vec<u8>,
+    routed_id: Option<u64>,
+    protocol: &dyn Protocol,
+    shared: &ServerShared,
+) -> Result<Admitted, Vec<u8>> {
+    // The sections ride the body's tail, so they are read before parsing
+    // consumes the bytes.
+    let tail = protocol.split_tail(&body);
+    let ctx = trace::enabled(TraceLevel::Debug)
+        .then_some(tail.context)
+        .flatten()
+        .map(|(call_id, parent_id)| CallContext { call_id, parent_id }.enter());
+    let incoming = parse_request(body, routed_id, protocol, &shared.policy.decode_limits)?;
+    let replay_key = tail.token.filter(|_| incoming.response_expected);
+    if let Some(key) = replay_key {
         let (decision, purged) = shared.replay.begin(key);
         if purged > 0 {
             shared.metrics.add(Counter::ReplyCacheEvictions, purged);
         }
-        return Some(match decision {
-            ReplayDecision::Execute => {
-                let reply_body = dispatch_request(&mut incoming, orb, shared, &protocol);
-                let evicted = shared.replay.complete(key, &reply_body);
-                if evicted > 0 {
-                    shared.metrics.add(Counter::ReplyCacheEvictions, evicted);
-                }
-                reply_body
-            }
+        match decision {
+            ReplayDecision::Execute => {}
             // A duplicate of a completed invocation: replay the reply
             // byte-for-byte (a retry reuses its request id, so the
             // embedded id already matches) — the servant never re-runs.
             ReplayDecision::Replay(reply_body) => {
                 shared.metrics.inc(Counter::DedupReplays);
-                reply_body
+                return Err(reply_body);
             }
             // A duplicate racing the first execution: Busy is Safe to
             // retry, so the client backs off and replays once complete.
-            ReplayDecision::InFlight => ReplyBuilder::busy(
-                protocol.as_ref(),
-                incoming.request_id,
-                "retry of an in-flight invocation",
-            ),
-        });
+            ReplayDecision::InFlight => {
+                let detail = "retry of an in-flight invocation";
+                return Err(ReplyBuilder::busy(protocol, incoming.request_id, detail));
+            }
+        }
     }
-    let reply_body = dispatch_request(&mut incoming, orb, shared, &protocol);
-    incoming.response_expected.then_some(reply_body)
+    Ok(Admitted { incoming, replay_key, window: tail.chunk.map(|(window, _)| window), _ctx: ctx })
+}
+
+/// Fig 5 (2)-(4): the prelude, then select the skeleton by object id,
+/// dispatch (recursively up the inheritance chain), and build the reply;
+/// an exactly-once reply is cached on the way out. Returns `None` for
+/// `oneway` requests, which must not be answered.
+pub(crate) fn handle_request(
+    body: Vec<u8>,
+    routed_id: Option<u64>,
+    orb: &Orb,
+    shared: &ServerShared,
+) -> Option<Vec<u8>> {
+    let protocol = orb.protocol().as_ref();
+    let mut call = match prelude(body, routed_id, protocol, shared) {
+        Ok(call) => call,
+        Err(answer) => return Some(answer),
+    };
+    let reply = dispatch_request(&mut call.incoming, orb, shared, protocol);
+    complete_replay(shared, call.replay_key, &reply);
+    call.incoming.response_expected.then_some(reply)
 }
 
 /// Handles one inbound flow-control ack (a oneway to the reserved
@@ -995,73 +1173,35 @@ fn handle_stream_ack(body: Vec<u8>, orb: &Orb, shared: &ServerShared, conn_id: u
 const STREAM_CREDIT_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Dispatches one streamed invocation end to end on a worker thread:
-/// opens the servant's [`StreamBody`](crate::stream::StreamBody), then
-/// pumps fragments as chunk-tailed OK replies through the connection's
-/// sink — spending window credit per fragment, pacing through the shared
-/// bucket — until the body is exhausted or the stream aborts.
+/// after the prelude, opens the servant's
+/// [`StreamBody`](crate::stream::StreamBody), then pumps fragments as
+/// chunk-tailed OK replies through the connection's sink — spending
+/// window credit per fragment, pacing through the shared bucket — until
+/// the body is exhausted or the stream aborts.
 ///
 /// A request *without* the chunk tail (a plain caller) gets the whole
 /// payload accumulated into one ordinary reply instead: streaming is a
 /// client opt-in, not a wire break.
 fn pump_stream(
     body: Vec<u8>,
+    request_id: u64,
     servant: Arc<dyn StreamServant>,
     orb: &Orb,
     shared: &Arc<ServerShared>,
     sink: &Arc<dyn ReplySink>,
     conn_id: u64,
 ) {
-    let protocol = Arc::clone(orb.protocol());
-    let _ctx_guard = if trace::enabled(TraceLevel::Debug) {
-        extract_call_context(&body, protocol.as_ref()).map(|ctx| ctx.enter())
-    } else {
-        None
-    };
-    let fallback_id = peek_reply_id(&body, protocol.as_ref()).unwrap_or(0);
-    // The client's opt-in rides the request's chunk tail; its index field
-    // carries the requested credit window in bytes.
-    let requested = protocol.extract_chunk(&body).map(|(window, _)| window);
-    let token = extract_invocation_token(&body, protocol.as_ref());
-    let mut incoming =
-        match IncomingCall::parse_limited(body, protocol.as_ref(), &shared.policy.decode_limits) {
-            Ok(c) => c,
-            Err(e) => {
-                let _ = sink.send(ReplyBuilder::exception(
-                    protocol.as_ref(),
-                    fallback_id,
-                    ReplyStatus::SystemException,
-                    "IDL:heidl/BadRequest:1.0",
-                    &e.to_string(),
-                ));
+    let protocol = orb.protocol().as_ref();
+    // Exactly-once bookkeeping brackets the stream, but the reply cache
+    // never holds the chunks themselves (see the completion below).
+    let Admitted { mut incoming, replay_key, window: requested, _ctx } =
+        match prelude(body, Some(request_id), protocol, shared) {
+            Ok(call) => call,
+            Err(answer) => {
+                let _ = sink.send(answer);
                 return;
             }
         };
-    let request_id = incoming.request_id;
-    // Exactly-once bookkeeping brackets the stream, but the reply cache
-    // never holds the chunks themselves (see the completion below).
-    let replay_key = token.map(|t| (t.session, t.seq));
-    if let Some(key) = replay_key {
-        let (decision, purged) = shared.replay.begin(key);
-        if purged > 0 {
-            shared.metrics.add(Counter::ReplyCacheEvictions, purged);
-        }
-        match decision {
-            ReplayDecision::Execute => {}
-            ReplayDecision::Replay(reply_body) => {
-                shared.metrics.inc(Counter::DedupReplays);
-                let _ = sink.send(reply_body);
-                return;
-            }
-            ReplayDecision::InFlight => {
-                let _ = sink.send(ReplyBuilder::busy(
-                    protocol.as_ref(),
-                    request_id,
-                    "retry of an in-flight invocation",
-                ));
-                return;
-            }
-        }
-    }
     orb.inner.interceptors.fire(
         crate::interceptor::CallPhase::ServerDispatch,
         &incoming.target,
@@ -1087,22 +1227,7 @@ fn pump_stream(
             // An `open` failure is an ordinary (bounded) exception reply;
             // unlike chunks it is perfectly cacheable, so exactly-once
             // retries replay it like any other dispatch failure.
-            let reply = match e {
-                RmiError::Remote { repo_id, detail } => ReplyBuilder::exception(
-                    protocol.as_ref(),
-                    request_id,
-                    ReplyStatus::UserException,
-                    &repo_id,
-                    &detail,
-                ),
-                other => ReplyBuilder::exception(
-                    protocol.as_ref(),
-                    request_id,
-                    ReplyStatus::SystemException,
-                    "IDL:heidl/DispatchFailed:1.0",
-                    &other.to_string(),
-                ),
-            };
+            let reply = failure_reply(protocol, request_id, e);
             complete_replay(shared, replay_key, &reply);
             let _ = sink.send(reply);
             return;
@@ -1116,7 +1241,7 @@ fn pump_stream(
         while let Some(fragment) = stream_body.next_fragment(shared.policy.stream_chunk_bytes) {
             all.push_str(&fragment);
         }
-        let mut reply = ReplyBuilder::ok(protocol.as_ref(), request_id);
+        let mut reply = ReplyBuilder::ok(protocol, request_id);
         reply.results().put_string(&all);
         let reply = reply.into_body();
         complete_replay(shared, replay_key, &reply);
@@ -1147,7 +1272,7 @@ fn pump_stream(
         if let Some(bucket) = &shared.stream_bucket {
             bucket.pace(fragment.len() as u64);
         }
-        let sent = send_chunk(sink.as_ref(), protocol.as_ref(), request_id, index, last, fragment);
+        let sent = send_chunk(sink.as_ref(), protocol, request_id, index, last, fragment);
         if sent.is_err() {
             break true;
         }
@@ -1158,22 +1283,19 @@ fn pump_stream(
         next = upcoming;
     };
     shared.unregister_stream(conn_id, request_id);
-    if let Some(key) = replay_key {
+    if replay_key.is_some() {
         // A streamed reply never enters the reply cache whole — one 64 MiB
         // stream would evict everything else. A retry that lands after the
         // stream went out replays this always-safe-to-retry marker instead
         // and the caller re-invokes.
         let marker = ReplyBuilder::exception(
-            protocol.as_ref(),
+            protocol,
             request_id,
             ReplyStatus::Busy,
             STREAM_EXPIRED_REPO_ID,
             "streamed reply is not replayable; re-invoke",
         );
-        let evicted = shared.replay.complete(key, &marker);
-        if evicted > 0 {
-            shared.metrics.add(Counter::ReplyCacheEvictions, evicted);
-        }
+        complete_replay(shared, replay_key, &marker);
     }
     if aborted {
         trace::emit_with(TraceLevel::Warn, "server", || {
@@ -1182,7 +1304,7 @@ fn pump_stream(
         // Best-effort: a live-but-stalled client gets a terminal
         // (unchunked) exception frame instead of hanging to its timeout.
         let _ = sink.send(ReplyBuilder::exception(
-            protocol.as_ref(),
+            protocol,
             request_id,
             ReplyStatus::SystemException,
             "IDL:heidl/StreamAborted:1.0",
@@ -1229,144 +1351,20 @@ fn complete_replay(shared: &ServerShared, key: Option<(u64, u64)>, reply: &[u8])
     }
 }
 
-/// Serves the built-in `_health` object: `ping` echoes liveness, `report`
-/// marshals the [`ServerHealth`] snapshot as `bool accepting · ulonglong
-/// in-flight · ulonglong connections · ulonglong shed-requests ·
-/// ulonglong shed-connections`. Readable over telnet like any servant.
-fn dispatch_health(
-    incoming: &IncomingCall,
-    shared: &ServerShared,
-    protocol: &Arc<dyn heidl_wire::Protocol>,
-) -> Vec<u8> {
-    let mut reply = ReplyBuilder::ok(protocol.as_ref(), incoming.request_id);
-    match incoming.method.as_str() {
-        "ping" => reply.results().put_string("pong"),
-        "report" => {
-            let h = shared.snapshot();
-            let enc = reply.results();
-            enc.put_bool(h.accepting);
-            enc.put_ulonglong(h.in_flight);
-            enc.put_ulonglong(h.connections);
-            enc.put_ulonglong(h.shed_requests);
-            enc.put_ulonglong(h.shed_connections);
-        }
-        other => {
-            return ReplyBuilder::exception(
-                protocol.as_ref(),
-                incoming.request_id,
-                ReplyStatus::SystemException,
-                "IDL:heidl/UnknownMethod:1.0",
-                &RmiError::UnknownMethod {
-                    type_id: HEALTH_TYPE_ID.to_owned(),
-                    method: other.to_owned(),
-                }
-                .to_string(),
-            );
-        }
-    }
-    reply.into_body()
-}
-
-/// Serves the built-in `_metrics` object (`IDL:heidl/Metrics:1.0`):
-///
-/// * `snapshot` — machine-readable: every counter in [`Counter::ALL`]
-///   order (`ulonglong` each; the order is append-only so old clients
-///   keep decoding), then `ulong` server-op count followed per op by
-///   `string name · ulonglong calls · failures · p50_ns · p99_ns`;
-/// * `reset` — zeroes the registry, returns `bool` true;
-/// * `dump` — human-readable: `ulong` row count then one `string` per
-///   row of [`Metrics::dump_rows`]' table (counters, live gauges,
-///   per-op latency buckets), designed to be read over a raw telnet
-///   session on the text protocol.
-fn dispatch_metrics(
-    incoming: &IncomingCall,
-    orb: &Orb,
-    shared: &ServerShared,
-    protocol: &Arc<dyn heidl_wire::Protocol>,
-) -> Vec<u8> {
-    let metrics = &shared.metrics;
-    let mut reply = ReplyBuilder::ok(protocol.as_ref(), incoming.request_id);
-    match incoming.method.as_str() {
-        "snapshot" => {
-            let snap = metrics.snapshot();
-            let enc = reply.results();
-            for c in Counter::ALL {
-                enc.put_ulonglong(snap.counter(c));
-            }
-            enc.put_ulong(snap.server_ops.len() as u32);
-            for (name, op) in &snap.server_ops {
-                enc.put_string(name);
-                enc.put_ulonglong(op.calls);
-                enc.put_ulonglong(op.failures);
-                enc.put_ulonglong(op.p50_ns);
-                enc.put_ulonglong(op.p99_ns);
-            }
-        }
-        "reset" => {
-            metrics.reset();
-            reply.results().put_bool(true);
-        }
-        "dump" => {
-            // Gauges are sampled here, not stored in the registry: they
-            // are live occupancy values, meaningless as counters.
-            let health = shared.snapshot();
-            let pool = orb.connections();
-            let gauges = [
-                ("in_flight", health.in_flight),
-                ("connections", health.connections),
-                ("pool_opened", pool.opened_count()),
-                ("pool_pooled", pool.pooled_count() as u64),
-                ("pool_pending", pool.pending_total() as u64),
-                ("reply_cache_entries", shared.replay.len() as u64),
-                ("reply_cache_bytes", shared.replay.bytes() as u64),
-            ];
-            let rows = metrics.dump_rows(&gauges);
-            let enc = reply.results();
-            enc.put_ulong(rows.len() as u32);
-            for row in &rows {
-                enc.put_string(row);
-            }
-        }
-        other => {
-            return ReplyBuilder::exception(
-                protocol.as_ref(),
-                incoming.request_id,
-                ReplyStatus::SystemException,
-                "IDL:heidl/UnknownMethod:1.0",
-                &RmiError::UnknownMethod {
-                    type_id: METRICS_TYPE_ID.to_owned(),
-                    method: other.to_owned(),
-                }
-                .to_string(),
-            );
-        }
-    }
-    reply.into_body()
-}
-
 fn dispatch_request(
     incoming: &mut IncomingCall,
     orb: &Orb,
     shared: &ServerShared,
-    protocol: &Arc<dyn heidl_wire::Protocol>,
+    protocol: &dyn Protocol,
 ) -> Vec<u8> {
     let request_id = incoming.request_id;
-    // The well-known health and metrics objects are served by the runtime
-    // itself, not the skeleton registry (so `skeleton_count()` stays the
-    // number of application exports).
-    if incoming.target.object_id == HEALTH_OBJECT_ID {
-        return dispatch_health(incoming, shared, protocol);
-    }
-    if incoming.target.object_id == METRICS_OBJECT_ID {
-        return dispatch_metrics(incoming, orb, shared, protocol);
-    }
     let skeleton = {
         let objects = orb.inner.objects.read();
         objects.get(&incoming.target.object_id).cloned()
     };
     let Some(skeleton) = skeleton else {
         return ReplyBuilder::exception(
-            protocol.as_ref(),
+            protocol,
             request_id,
             ReplyStatus::SystemException,
             "IDL:heidl/UnknownObject:1.0",
@@ -1380,7 +1378,7 @@ fn dispatch_request(
         &incoming.method,
         true,
     );
-    let mut reply = ReplyBuilder::ok(protocol.as_ref(), request_id);
+    let mut reply = ReplyBuilder::ok(protocol, request_id);
     let started = Instant::now();
     let outcome = skeleton.dispatch(&incoming.method, incoming.args.as_mut(), reply.results());
     shared.metrics.record_server_dispatch(
@@ -1397,7 +1395,7 @@ fn dispatch_request(
     match outcome {
         Ok(DispatchOutcome::Handled) => reply.into_body(),
         Ok(DispatchOutcome::NotFound) => ReplyBuilder::exception(
-            protocol.as_ref(),
+            protocol,
             request_id,
             ReplyStatus::SystemException,
             "IDL:heidl/UnknownMethod:1.0",
@@ -1407,16 +1405,20 @@ fn dispatch_request(
             }
             .to_string(),
         ),
-        // A servant-raised exception carries its own repository id.
-        Err(RmiError::Remote { repo_id, detail }) => ReplyBuilder::exception(
-            protocol.as_ref(),
-            request_id,
-            ReplyStatus::UserException,
-            &repo_id,
-            &detail,
-        ),
-        Err(other) => ReplyBuilder::exception(
-            protocol.as_ref(),
+        Err(e) => failure_reply(protocol, request_id, e),
+    }
+}
+
+/// The exception reply for a dispatch that failed with `err`. A
+/// servant-raised exception carries its own repository id.
+fn failure_reply(protocol: &dyn Protocol, request_id: u64, err: RmiError) -> Vec<u8> {
+    match err {
+        RmiError::Remote { repo_id, detail } => {
+            let status = ReplyStatus::UserException;
+            ReplyBuilder::exception(protocol, request_id, status, &repo_id, &detail)
+        }
+        other => ReplyBuilder::exception(
+            protocol,
             request_id,
             ReplyStatus::SystemException,
             "IDL:heidl/DispatchFailed:1.0",

@@ -289,7 +289,7 @@ impl std::fmt::Debug for ReplyStream {
 }
 
 impl ReplyStream {
-    #[allow(clippy::too_many_arguments)] // crate-internal; one call site in invoke_stream_with
+    #[allow(clippy::too_many_arguments)] // crate-internal; one call site, the ORB's send stage
     pub(crate) fn new(
         conn: Arc<MuxConnection>,
         slot: Arc<StreamSlot>,

@@ -1,12 +1,14 @@
 //! Observability-layer integration tests: wire-propagated call context
 //! (including a telnet-style hand-typed one), the built-in `_metrics`
 //! object over a real TCP text-protocol connection, shed-counter
-//! agreement between `_health` and `_metrics`, and breaker transitions
-//! surfacing as metrics.
+//! agreement between `_health` and `_metrics`, breaker transitions
+//! surfacing as metrics, and the call kinds that share the client
+//! pipeline: streamed and oneway calls carry the call context and answer
+//! to the circuit breaker like two-way calls.
 
 use heidl_rmi::trace;
 use heidl_rmi::*;
-use heidl_wire::{Decoder, Encoder};
+use heidl_wire::{CdrProtocol, Decoder, Encoder, Protocol, TextProtocol};
 use std::io::{Read, Write};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
@@ -382,4 +384,230 @@ fn breaker_transitions_are_counted_in_client_metrics() {
         "the Closed -> Open transition was recorded as a metric"
     );
     assert!(client.metrics().get(Counter::CallsFailed) >= 1, "the failed call was counted");
+}
+
+// ---- every call kind runs the one client pipeline -------------------------
+
+/// Every protocol × connection driver pair the pipeline must hold on.
+fn flavours() -> Vec<(Arc<dyn Protocol>, TransportMode)> {
+    let mut out: Vec<(Arc<dyn Protocol>, TransportMode)> = Vec::new();
+    for mode in [TransportMode::Threaded, TransportMode::Reactor] {
+        out.push((Arc::new(TextProtocol), mode));
+        out.push((Arc::new(CdrProtocol), mode));
+    }
+    out
+}
+
+fn orb_for(protocol: &Arc<dyn Protocol>, mode: TransportMode) -> OrbBuilder {
+    Orb::builder().protocol(Arc::clone(protocol)).transport_mode(mode)
+}
+
+/// `pour(long n)`: streams `n` bytes of `x`.
+struct Pour;
+
+impl StreamServant for Pour {
+    fn type_id(&self) -> &str {
+        "IDL:Heidi/Pour:1.0"
+    }
+
+    fn open(&self, _method: &str, args: &mut dyn Decoder) -> RmiResult<StreamBody> {
+        let mut left = args.get_long()? as usize;
+        Ok(StreamBody::from_fn(move |max| {
+            let take = max.min(left);
+            left -= take;
+            (take > 0).then(|| "x".repeat(take))
+        }))
+    }
+}
+
+/// `interface Relay { void relay(); }`: from inside its own dispatch,
+/// streams `pour(16)` from one object and sends a oneway `shout` to
+/// another, recording both nested request ids.
+struct RelaySkel {
+    base: SkeletonBase,
+    via: Orb,
+    pour: ObjectRef,
+    echo: ObjectRef,
+    nested: Arc<Mutex<Vec<u64>>>,
+}
+
+impl Skeleton for RelaySkel {
+    fn type_id(&self) -> &str {
+        self.base.type_id()
+    }
+
+    fn dispatch(
+        &self,
+        method: &str,
+        args: &mut dyn Decoder,
+        reply: &mut dyn Encoder,
+    ) -> RmiResult<DispatchOutcome> {
+        if self.base.find(method) != Some(0) {
+            return self.base.dispatch_parents(method, args, reply);
+        }
+        let mut call = self.via.call(&self.pour, "pour");
+        call.args().put_long(16);
+        self.nested.lock().unwrap().push(call.request_id());
+        assert_eq!(self.via.invoke_stream(call)?.collect_string()?, "x".repeat(16));
+        let mut call = self.via.call_oneway(&self.echo, "shout");
+        call.args().put_string("psst");
+        self.nested.lock().unwrap().push(call.request_id());
+        self.via.invoke_oneway(call)?;
+        Ok(DispatchOutcome::Handled)
+    }
+}
+
+/// Waits up to five seconds for `seen` to be filled.
+fn await_context(seen: &Mutex<Option<CallContext>>) -> Option<CallContext> {
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while std::time::Instant::now() < deadline {
+        if let Some(ctx) = *seen.lock().unwrap() {
+            return Some(ctx);
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    None
+}
+
+#[test]
+fn streamed_and_oneway_calls_carry_the_call_context() {
+    let _guard = trace_lock();
+    trace::set_sink(Arc::new(RingSink::new(256)) as Arc<dyn TraceSink>);
+    trace::set_level(TraceLevel::Debug);
+    for (protocol, mode) in flavours() {
+        let flavour = format!("{} {mode:?}", protocol.name());
+        let backend = orb_for(&protocol, mode).build();
+        backend.serve("127.0.0.1:0").unwrap();
+        let pour = backend.export_stream(Arc::new(Pour)).unwrap();
+        let echo = backend.export(EchoSkel::spawn()).unwrap();
+        let poured = capture_dispatch_context(&backend, "pour");
+        let shouted = capture_dispatch_context(&backend, "shout");
+
+        let front = orb_for(&protocol, mode).build();
+        front.serve("127.0.0.1:0").unwrap();
+        let nested = Arc::new(Mutex::new(Vec::new()));
+        let relay = front
+            .export(Arc::new(RelaySkel {
+                base: SkeletonBase::new(
+                    "IDL:Heidi/Relay:1.0",
+                    DispatchKind::Hash,
+                    ["relay"],
+                    vec![],
+                ),
+                via: orb_for(&protocol, mode).build(),
+                pour,
+                echo,
+                nested: Arc::clone(&nested),
+            }))
+            .unwrap();
+
+        let client = orb_for(&protocol, mode).build();
+        let call = client.call(&relay, "relay");
+        let top = call.request_id();
+        client.invoke(call).unwrap();
+
+        let ids = nested.lock().unwrap().clone();
+        assert_eq!(ids.len(), 2, "{flavour}");
+        let stream_ctx = await_context(&poured);
+        assert_eq!(stream_ctx, Some(CallContext { call_id: ids[0], parent_id: top }), "{flavour}");
+        let oneway_ctx = await_context(&shouted);
+        assert_eq!(oneway_ctx, Some(CallContext { call_id: ids[1], parent_id: top }), "{flavour}");
+        front.shutdown();
+        backend.shutdown();
+    }
+    trace::set_level(TraceLevel::Warn);
+    trace::clear_sink();
+}
+
+fn breaker_client(protocol: &Arc<dyn Protocol>, mode: TransportMode, cooldown: Duration) -> Orb {
+    orb_for(protocol, mode)
+        .circuit_breaker(BreakerConfig {
+            failure_threshold: 1,
+            cooldown,
+            probe_budget: 1,
+            success_threshold: 1,
+        })
+        .build()
+}
+
+#[test]
+fn open_breaker_refuses_streams_and_oneways_before_the_wire() {
+    for (protocol, mode) in flavours() {
+        let flavour = format!("{} {mode:?}", protocol.name());
+        let server = orb_for(&protocol, mode).build();
+        let endpoint = server.serve("127.0.0.1:0").unwrap();
+        let pour = server.export_stream(Arc::new(Pour)).unwrap();
+        let echo = server.export(EchoSkel::spawn()).unwrap();
+        let client = breaker_client(&protocol, mode, Duration::from_secs(60));
+        let breaker = client.connections().breaker(&endpoint);
+        breaker.record_failure();
+        assert_eq!(breaker.state(), BreakerState::Open, "{flavour}");
+
+        let mut call = client.call(&pour, "pour");
+        call.args().put_long(16);
+        let streamed = client.invoke_stream(call).err();
+        assert!(matches!(streamed, Some(RmiError::CircuitOpen { .. })), "{flavour}: {streamed:?}");
+        let mut call = client.call_oneway(&echo, "shout");
+        call.args().put_string("hush");
+        let oneway = client.invoke_oneway(call);
+        assert!(matches!(oneway, Err(RmiError::CircuitOpen { .. })), "{flavour}: {oneway:?}");
+
+        assert_eq!(client.connections().opened_count(), 0, "{flavour}: nothing dialed");
+        assert_eq!(server.metrics().get(Counter::BytesIn), 0, "{flavour}: nothing received");
+        server.shutdown();
+    }
+}
+
+#[test]
+fn a_oneway_half_open_probe_resolves_its_token() {
+    for (protocol, mode) in flavours() {
+        let flavour = format!("{} {mode:?}", protocol.name());
+        let server = orb_for(&protocol, mode).build();
+        let endpoint = server.serve("127.0.0.1:0").unwrap();
+        let echo = server.export(EchoSkel::spawn()).unwrap();
+        let client = breaker_client(&protocol, mode, Duration::from_millis(20));
+        let breaker = client.connections().breaker(&endpoint);
+        breaker.record_failure();
+        std::thread::sleep(Duration::from_millis(40));
+
+        // The cool-down is over: the oneway is admitted as the one probe
+        // the budget allows, and its outcome closes the breaker again.
+        let mut call = client.call_oneway(&echo, "shout");
+        call.args().put_string("probe");
+        client.invoke_oneway(call).unwrap();
+        assert_eq!(breaker.state(), BreakerState::Closed, "{flavour}");
+        assert_eq!(client.metrics().get(Counter::BreakerHalfOpened), 1, "{flavour}");
+        // A probe left unresolved would hold the budget and refuse this.
+        assert_eq!(shout(&client, &echo, "next").unwrap(), "NEXT", "{flavour}");
+        server.shutdown();
+    }
+}
+
+// ---- a router answers its built-in objects like a server ------------------
+
+#[test]
+fn router_answers_a_malformed_builtin_request_with_bad_request() {
+    let router = Router::builder(Arc::new(SharedBackends::new())).start("127.0.0.1:0").unwrap();
+    let ep = router.endpoint().clone();
+    let health = format!("@tcp:{}:{}#{HEALTH_OBJECT_ID}#{HEALTH_TYPE_ID}", ep.host, ep.port);
+    let mut stream = std::net::TcpStream::connect((ep.host.as_str(), ep.port)).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut conn = stream.try_clone().unwrap();
+    let mut read_line = || {
+        let mut line = Vec::new();
+        let mut byte = [0u8; 1];
+        while stream.read(&mut byte).expect("a reply before the timeout") == 1 && byte[0] != b'\n' {
+            line.push(byte[0]);
+        }
+        String::from_utf8(line).unwrap()
+    };
+    // The header peeks fine; the unterminated string argument does not.
+    let bad = format!("5 \"{health}\" \"ping\" T \"oops\n");
+    let good = format!("6 \"{health}\" \"ping\" T\n");
+    conn.write_all(bad.as_bytes()).unwrap();
+    let answer = read_line();
+    assert!(answer.starts_with("5 2 \"IDL:heidl/BadRequest:1.0\""), "{answer}");
+    conn.write_all(good.as_bytes()).unwrap();
+    assert_eq!(read_line(), "6 0 \"pong\"");
+    router.shutdown();
 }

@@ -29,63 +29,42 @@ use std::fmt;
 /// (GIOP-lite uses 12 bytes); see [`Protocol::frame_parts`].
 pub const MAX_FRAME_HEADER: usize = 16;
 
-/// Marker token opening the optional trailing call-context section on the
-/// text protocol: a request line may end with `"~ctx" <call-id> <parent-id>`.
-/// `~` cannot start any ordinary text token (tokens are quoted strings,
-/// chars, numbers, booleans, or braces), so old readers — which stop after
-/// the declared arguments anyway — never trip over it, and a human can type
-/// it over telnet.
+/// Text marker opening the trailing call-context section:
+/// `"~ctx" <call-id> <parent-id>`. `~` cannot start any ordinary text
+/// token (tokens are quoted strings, chars, numbers, booleans, or braces),
+/// so no argument reads as a marker, and a human can type one over telnet.
 pub const TEXT_CONTEXT_MARKER: &str = "~ctx";
 
-/// Magic closing the optional trailing call-context section on the CDR
-/// protocol: the last 20 body bytes are `call-id (u64 LE) · parent-id
-/// (u64 LE) · "HCX1"`. Old readers never look past the declared arguments,
-/// so the section is invisible to them.
+/// Magic closing the CDR call-context section: `call-id (u64 LE) ·
+/// parent-id (u64 LE) · "HCX1"`.
 pub const CDR_CONTEXT_MAGIC: &[u8; 4] = b"HCX1";
 
-/// Byte length of the CDR trailing context section (two `u64` ids plus the
-/// closing magic).
+/// Byte length of the CDR call-context section.
 pub const CDR_CONTEXT_LEN: usize = 20;
 
-/// Marker token opening the optional trailing invocation-token section on
-/// the text protocol: a request line may carry `"~tok" <session> <seq>`
-/// after its declared arguments. Like [`TEXT_CONTEXT_MARKER`], `~` cannot
-/// start any ordinary text token, so positional old readers never see it,
-/// and a human can retype the same token over telnet to exercise the
-/// server's exactly-once replay path.
+/// Text marker opening the trailing invocation-token section:
+/// `"~tok" <session> <seq>` — retyping the same token over telnet
+/// exercises the server's exactly-once replay path.
 pub const TEXT_TOKEN_MARKER: &str = "~tok";
 
-/// Magic closing the optional trailing invocation-token section on the CDR
-/// protocol: the section is `session (u64 LE) · seq (u64 LE) · pad (u32) ·
-/// "HTK1"`. Old readers never look past the declared arguments, so the
-/// section is invisible to them.
+/// Magic closing the CDR invocation-token section: `session (u64 LE) ·
+/// seq (u64 LE) · pad (u32) · "HTK1"`.
 pub const CDR_TOKEN_MAGIC: &[u8; 4] = b"HTK1";
 
-/// Byte length of the CDR trailing invocation-token section (two `u64`
-/// ids, a `u32` pad, and the closing magic). The pad keeps the section end
-/// 8-aligned, so a context section appended after it starts unpadded and
-/// both sections sit at fixed offsets from the end of the body.
+/// Byte length of the CDR invocation-token section. The pad keeps its end
+/// 8-aligned, so a context section after it starts unpadded.
 pub const CDR_TOKEN_LEN: usize = 24;
 
-/// Marker token opening the optional trailing **chunk section** on the
-/// text protocol: a frame belonging to a chunked stream ends with
-/// `"~chunk" <n> <last>`, where `<n>` is the zero-based chunk index and
-/// `<last>` is `0` or `1`. Like the `~tok`/`~ctx` markers, `~` cannot
-/// start any ordinary text token, so positional old readers never see the
-/// section, and a human can hand-type a chunked transfer over telnet.
+/// Text marker opening the trailing **chunk section** of a frame in a
+/// chunked stream: `"~chunk" <n> <last>`, `<n>` the zero-based chunk
+/// index and `<last>` `0` or `1` — a chunked transfer can be hand-typed.
 pub const TEXT_CHUNK_MARKER: &str = "~chunk";
 
-/// Magic closing the optional trailing chunk section on the CDR protocol:
-/// the section is `index (u64 LE) · last (u32 LE, 0 or 1) · "HCH1"`. Old
-/// readers never look past the declared fields, so the section is
-/// invisible to them.
+/// Magic closing the CDR chunk section: `index (u64 LE) · last (u32 LE,
+/// 0 or 1) · "HCH1"`, written as raw octets — never alignment-padded.
 pub const CDR_CHUNK_MAGIC: &[u8; 4] = b"HCH1";
 
-/// Byte length of the CDR trailing chunk section (a `u64` index, a `u32`
-/// last-flag, and the closing magic). The section is written as raw
-/// octets — never alignment-padded — so it is always exactly the last 16
-/// bytes of the frame and strips away cleanly to expose the token and
-/// context tails beneath it.
+/// Byte length of the CDR chunk section.
 pub const CDR_CHUNK_LEN: usize = 16;
 
 /// A wire protocol: codec factory + request demarcation.
@@ -234,29 +213,49 @@ pub trait Protocol: Send + Sync + fmt::Debug {
         Ok(boxed)
     }
 
-    /// Appends an optional **trailing call-context section** (call id +
-    /// parent id) to a message being encoded. Must be called after every
-    /// declared field has been put; readers that do not know about the
-    /// section — including every pre-context peer — never look past the
-    /// declared fields, so the section is backward compatible by
-    /// construction. Returns `false` (and encodes nothing) for protocols
-    /// without a context encoding — the default, so third-party protocols
-    /// keep compiling.
-    fn encode_context(&self, enc: &mut dyn Encoder, call_id: u64, parent_id: u64) -> bool {
-        let _ = (enc, call_id, parent_id);
+    /// Appends one optional **trailing section** carrying the values `a`
+    /// and `b` to a message being encoded. Must be called after every
+    /// declared field has been put, and in [`Section`] order when a
+    /// message carries several. Readers that do not know about a section —
+    /// including every older peer — never look past the declared fields,
+    /// so sections are backward compatible by construction. Returns
+    /// `false` (and encodes nothing) for protocols without section
+    /// encodings — the default, so third-party protocols keep compiling.
+    fn attach_section(&self, enc: &mut dyn Encoder, section: Section, a: u64, b: u64) -> bool {
+        let _ = (enc, section, a, b);
         false
+    }
+
+    /// Peels `section` off the end of `body` when a well-formed one ends
+    /// it: `(rest, a, b)`, where `rest` is the body without the section.
+    /// `None` when the body does not end with that section (or the
+    /// protocol has no section encodings — the default). Order and
+    /// repetition are the walker's business ([`Protocol::split_tail`]),
+    /// not this function's.
+    fn peel_section<'b>(&self, body: &'b [u8], section: Section) -> Option<(&'b [u8], u64, u64)> {
+        let _ = (body, section);
+        None
+    }
+
+    /// Reads every trailing section of a received body in one walk from
+    /// the end inward. A tail inspection only: the declared fields decode
+    /// identically with or without sections, as an older peer sees them.
+    fn split_tail(&self, body: &[u8]) -> Tail {
+        walk_tail(self, body, Section::Token)
+    }
+
+    /// Appends an optional **trailing call-context section** (call id +
+    /// parent id) — [`Protocol::attach_section`] with
+    /// [`Section::Context`].
+    fn encode_context(&self, enc: &mut dyn Encoder, call_id: u64, parent_id: u64) -> bool {
+        self.attach_section(enc, Section::Context, call_id, parent_id)
     }
 
     /// Extracts the trailing call-context section from a received body, if
     /// present, as `(call_id, parent_id)`. `None` when the body carries no
     /// context (or the protocol has no context encoding — the default).
-    ///
-    /// Extraction is a tail inspection only: it never affects how the
-    /// declared fields decode, and a body without the section is left
-    /// byte-identical to a pre-context peer's view.
     fn extract_context(&self, body: &[u8]) -> Option<(u64, u64)> {
-        let _ = body;
-        None
+        walk_tail(self, body, Section::Context).context
     }
 
     /// Encodes what [`Encoder::put_string`] would for a `len`-byte string
@@ -276,53 +275,86 @@ pub trait Protocol: Send + Sync + fmt::Debug {
     }
 
     /// Appends an optional **trailing invocation-token section** (session
-    /// id + per-session sequence number) to a message being encoded. Same
-    /// backward-compatibility contract as [`Protocol::encode_context`]:
-    /// old readers are positional and never look past the declared fields.
-    ///
-    /// When a message carries both suffixes the token section comes
-    /// *first* and the context section *last*, so each stays at a fixed
-    /// position from the end of the body. Returns `false` (and encodes
-    /// nothing) for protocols without a token encoding — the default.
+    /// id + per-session sequence number) — [`Protocol::attach_section`]
+    /// with [`Section::Token`], the innermost section.
     fn encode_token(&self, enc: &mut dyn Encoder, session: u64, seq: u64) -> bool {
-        let _ = (enc, session, seq);
-        false
+        self.attach_section(enc, Section::Token, session, seq)
     }
 
     /// Extracts the trailing invocation-token section from a received
     /// body, if present, as `(session, seq)`. `None` when the body carries
     /// no token (or the protocol has no token encoding — the default).
-    ///
-    /// Like [`Protocol::extract_context`] this is a tail inspection only;
-    /// it tolerates a context section appended after the token.
     fn extract_token(&self, body: &[u8]) -> Option<(u64, u64)> {
-        let _ = body;
-        None
+        walk_tail(self, body, Section::Token).token
     }
 
     /// Appends an optional **trailing chunk section** (`index`, `last`)
-    /// marking this frame as one piece of a chunked stream. Same
-    /// backward-compatibility contract as the token and context sections:
-    /// old positional readers never look past the declared fields. When a
-    /// frame carries several suffixes the chunk section is the
-    /// *outermost* — encode order is token, context, chunk. Returns
-    /// `false` (and encodes nothing) for protocols without a chunk
-    /// encoding — the default.
+    /// marking this frame as one piece of a chunked stream —
+    /// [`Protocol::attach_section`] with [`Section::Chunk`], the outermost
+    /// section.
     fn encode_chunk(&self, enc: &mut dyn Encoder, index: u64, last: bool) -> bool {
-        let _ = (enc, index, last);
-        false
+        self.attach_section(enc, Section::Chunk, index, u64::from(last))
     }
 
     /// Extracts the trailing chunk section from a received body, if
     /// present, as `(index, last)`. `None` when the body carries no chunk
     /// section (or the protocol has no chunk encoding — the default).
-    ///
-    /// A tail inspection only, like [`Protocol::extract_context`]; the
-    /// declared fields decode identically with or without the section.
     fn extract_chunk(&self, body: &[u8]) -> Option<(u64, bool)> {
-        let _ = body;
-        None
+        walk_tail(self, body, Section::Chunk).chunk
     }
+}
+
+/// The optional trailing sections a message body may end with, in
+/// nesting order: the token innermost, then the call context, the chunk
+/// outermost. A body carries each at most once, in this order, so each
+/// sits at a fixed position from the end of what lies beneath it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Section {
+    /// The invocation token: `(session, seq)`.
+    Token,
+    /// The call context: `(call-id, parent-id)`.
+    Context,
+    /// The chunk section: `(index, last)`, `last` being 0 or 1.
+    Chunk,
+}
+
+/// Everything one walk over a body's trailing sections found.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Tail {
+    /// The invocation token `(session, seq)`, if present.
+    pub token: Option<(u64, u64)>,
+    /// The call context `(call-id, parent-id)`, if present.
+    pub context: Option<(u64, u64)>,
+    /// The chunk section `(index, last)`, if present.
+    pub chunk: Option<(u64, bool)>,
+}
+
+/// The section table, one row per [`Section`] in nesting order: how the
+/// section is spelled on each shipped protocol — `(section, text marker,
+/// CDR magic, CDR length)`.
+const SECTIONS: [(Section, &str, &[u8; 4], usize); 3] = [
+    (Section::Token, TEXT_TOKEN_MARKER, CDR_TOKEN_MAGIC, CDR_TOKEN_LEN),
+    (Section::Context, TEXT_CONTEXT_MARKER, CDR_CONTEXT_MAGIC, CDR_CONTEXT_LEN),
+    (Section::Chunk, TEXT_CHUNK_MARKER, CDR_CHUNK_MAGIC, CDR_CHUNK_LEN),
+];
+
+/// The one tail walker: peels the table's rows off the end of `body`,
+/// outermost first, down to `innermost`. Each row is tried once, so a
+/// section repeated or out of its nesting order is never read past.
+fn walk_tail<P: Protocol + ?Sized>(p: &P, body: &[u8], innermost: Section) -> Tail {
+    let mut tail = Tail::default();
+    let mut rest = body;
+    for &(section, ..) in SECTIONS[innermost as usize..].iter().rev() {
+        if let Some((inner, a, b)) = p.peel_section(rest, section) {
+            rest = inner;
+            match section {
+                Section::Token => tail.token = Some((a, b)),
+                Section::Context => tail.context = Some((a, b)),
+                Section::Chunk => tail.chunk = Some((a, b == 1)),
+            }
+        }
+    }
+    tail
 }
 
 /// Splits the last whitespace-separated word off `line`: `(rest, word)`.
@@ -353,29 +385,6 @@ fn split_text_tail<'a>(line: &'a [u8], marker: &str) -> Option<(&'a [u8], u64, &
         }
     };
     Some((rest, std::str::from_utf8(a).ok()?.parse().ok()?, std::str::from_utf8(b).ok()?))
-}
-
-/// Strips one trailing text chunk section (`"~chunk" <n> <last>`), if
-/// present and well-formed, so the token/context extractors can inspect
-/// the tail beneath it.
-fn strip_text_chunk(line: &[u8]) -> &[u8] {
-    match split_text_tail(line, TEXT_CHUNK_MARKER) {
-        Some((rest, _, "0" | "1")) => rest,
-        _ => line,
-    }
-}
-
-/// Strips one trailing CDR chunk section, if present, so the
-/// token/context extractors can inspect the tail beneath it.
-fn cdr_strip_chunk(body: &[u8]) -> &[u8] {
-    let n = body.len();
-    if n >= CDR_CHUNK_LEN && &body[n - 4..] == CDR_CHUNK_MAGIC {
-        let last = u32::from_le_bytes(body[n - 8..n - 4].try_into().expect("4 bytes"));
-        if last <= 1 {
-            return &body[..n - CDR_CHUNK_LEN];
-        }
-    }
-    body
 }
 
 /// The HeidiRMI text protocol: one newline-terminated line per message.
@@ -503,63 +512,27 @@ impl Protocol for TextProtocol {
         Ok(Box::new(TextDecoder::peek(body, *limits)))
     }
 
-    fn encode_context(&self, enc: &mut dyn Encoder, call_id: u64, parent_id: u64) -> bool {
-        // Three ordinary tokens: the line stays printable and a telnet user
-        // can append ` "~ctx" 42 7` to a hand-typed request.
-        enc.put_string(TEXT_CONTEXT_MARKER);
-        enc.put_ulonglong(call_id);
-        enc.put_ulonglong(parent_id);
-        true
-    }
-
-    fn extract_context(&self, body: &[u8]) -> Option<(u64, u64)> {
-        // The chunk section is the outermost suffix; beneath it the
-        // context section, when present, runs to end-of-line.
-        let (_, call_id, parent_id) = split_text_tail(strip_text_chunk(body), TEXT_CONTEXT_MARKER)?;
-        Some((call_id, parent_id.parse().ok()?))
-    }
-
-    fn encode_token(&self, enc: &mut dyn Encoder, session: u64, seq: u64) -> bool {
-        // Three ordinary tokens, just like the context section: the line
-        // stays printable and a telnet user can append ` "~tok" 12345 1`
-        // to a hand-typed request (and retype it to trigger a replay).
-        enc.put_string(TEXT_TOKEN_MARKER);
-        enc.put_ulonglong(session);
-        enc.put_ulonglong(seq);
-        true
-    }
-
-    fn extract_token(&self, body: &[u8]) -> Option<(u64, u64)> {
-        // Beneath the chunk section the token section runs either to
-        // end-of-line or to a complete context section — the one suffix
-        // allowed after a token.
-        let line = strip_text_chunk(body);
-        let (_, session, seq) = split_text_tail(line, TEXT_TOKEN_MARKER).or_else(|| {
-            let (line, _, parent_id) = split_text_tail(line, TEXT_CONTEXT_MARKER)?;
-            parent_id.parse::<u64>().ok()?;
-            split_text_tail(line, TEXT_TOKEN_MARKER)
-        })?;
-        Some((session, seq.parse().ok()?))
-    }
-
-    fn encode_chunk(&self, enc: &mut dyn Encoder, index: u64, last: bool) -> bool {
+    fn attach_section(&self, enc: &mut dyn Encoder, section: Section, a: u64, b: u64) -> bool {
         // Three ordinary tokens: the line stays printable, so a telnet user
-        // can hand-type a chunked transfer by ending each line with
+        // can append ` "~tok" 12345 1` or ` "~ctx" 42 7` to a hand-typed
+        // request, or end each line of a chunked transfer with
         // ` "~chunk" <n> 0` and the final one with ` "~chunk" <n> 1`.
-        enc.put_string(TEXT_CHUNK_MARKER);
-        enc.put_ulonglong(index);
-        enc.put_ulonglong(u64::from(last));
+        enc.put_string(SECTIONS[section as usize].1);
+        enc.put_ulonglong(a);
+        enc.put_ulonglong(b);
         true
     }
 
-    fn extract_chunk(&self, body: &[u8]) -> Option<(u64, bool)> {
-        // The section is the outermost suffix: it runs to end-of-line,
-        // with the last-flag restricted to 0 or 1.
-        match split_text_tail(body, TEXT_CHUNK_MARKER)? {
-            (_, index, "0") => Some((index, false)),
-            (_, index, "1") => Some((index, true)),
-            _ => None,
-        }
+    fn peel_section<'b>(&self, body: &'b [u8], section: Section) -> Option<(&'b [u8], u64, u64)> {
+        let (rest, a, b) = split_text_tail(body, SECTIONS[section as usize].1)?;
+        // The chunk's `last` is spelled exactly `0` or `1`.
+        let b = match b {
+            "0" => 0,
+            "1" => 1,
+            _ if section == Section::Chunk => return None,
+            _ => b.parse().ok()?,
+        };
+        Some((rest, a, b))
     }
 }
 
@@ -687,27 +660,51 @@ impl Protocol for CdrProtocol {
         Ok(Box::new(CdrDecoder::with_limits(body, *limits)))
     }
 
-    fn encode_context(&self, enc: &mut dyn Encoder, call_id: u64, parent_id: u64) -> bool {
-        // Two aligned u64s then the u32 magic. After the first id the
-        // position is 8-aligned, so the ids and the magic are contiguous:
-        // the section always occupies exactly the last CDR_CONTEXT_LEN
-        // bytes of the body, wherever the arguments left the cursor.
-        enc.put_ulonglong(call_id);
-        enc.put_ulonglong(parent_id);
-        enc.put_ulong(u32::from_le_bytes(*CDR_CONTEXT_MAGIC));
+    fn attach_section(&self, enc: &mut dyn Encoder, section: Section, a: u64, b: u64) -> bool {
+        let (_, _, magic, len) = SECTIONS[section as usize];
+        if section == Section::Chunk {
+            // Raw octets, not aligned primitives: the context section ends
+            // 4 mod 8, so an aligned u64 here would pick up padding that
+            // depends on what the section follows. Unpadded bytes keep the
+            // section at a fixed offset from the end no matter where the
+            // body beneath it stopped.
+            let flag = (b as u32).to_le_bytes();
+            for byte in a.to_le_bytes().into_iter().chain(flag).chain(*magic) {
+                enc.put_octet(byte);
+            }
+        } else {
+            // Two aligned u64s, pad words up to the section length, then
+            // the u32 magic. The first u64 8-aligns the cursor, so the
+            // section is contiguous and occupies exactly the last
+            // `cdr_len` bytes, wherever the arguments left the cursor; the
+            // token's pad word ends it 8-aligned, so a context section
+            // after it needs no padding either.
+            enc.put_ulonglong(a);
+            enc.put_ulonglong(b);
+            for _ in 0..(len - 20) / 4 {
+                enc.put_ulong(0);
+            }
+            enc.put_ulong(u32::from_le_bytes(*magic));
+        }
         true
     }
 
-    fn extract_context(&self, body: &[u8]) -> Option<(u64, u64)> {
-        // The chunk section is the outermost suffix; look beneath it.
-        let body = cdr_strip_chunk(body);
-        let n = body.len();
-        if n < CDR_CONTEXT_LEN || &body[n - 4..] != CDR_CONTEXT_MAGIC {
+    fn peel_section<'b>(&self, body: &'b [u8], section: Section) -> Option<(&'b [u8], u64, u64)> {
+        let (_, _, magic, len) = SECTIONS[section as usize];
+        let (rest, tail) = body.split_at(body.len().checked_sub(len)?);
+        if !tail.ends_with(magic) {
             return None;
         }
-        let call_id = u64::from_le_bytes(body[n - 20..n - 12].try_into().expect("8 bytes"));
-        let parent_id = u64::from_le_bytes(body[n - 12..n - 4].try_into().expect("8 bytes"));
-        Some((call_id, parent_id))
+        let a = u64::from_le_bytes(tail[..8].try_into().ok()?);
+        let b = if section == Section::Chunk {
+            match u32::from_le_bytes(tail[8..12].try_into().ok()?) {
+                last @ (0 | 1) => u64::from(last),
+                _ => return None,
+            }
+        } else {
+            u64::from_le_bytes(tail[8..16].try_into().ok()?)
+        };
+        Some((rest, a, b))
     }
 
     fn put_string_spliced(&self, enc: &mut dyn Encoder, len: usize) -> Option<usize> {
@@ -718,74 +715,6 @@ impl Protocol for CdrProtocol {
         let at = enc.position();
         enc.put_octet(0);
         Some(at)
-    }
-
-    fn encode_token(&self, enc: &mut dyn Encoder, session: u64, seq: u64) -> bool {
-        // Two aligned u64s, a pad word, then the u32 magic. The first id
-        // 8-aligns the cursor, so the section is 24 contiguous bytes
-        // ending 8-aligned — a context section encoded after it needs no
-        // alignment padding, keeping both tails at fixed offsets from the
-        // end of the body.
-        enc.put_ulonglong(session);
-        enc.put_ulonglong(seq);
-        enc.put_ulong(0);
-        enc.put_ulong(u32::from_le_bytes(*CDR_TOKEN_MAGIC));
-        true
-    }
-
-    fn extract_token(&self, body: &[u8]) -> Option<(u64, u64)> {
-        // The chunk section is the outermost suffix; look beneath it.
-        let body = cdr_strip_chunk(body);
-        let n = body.len();
-        // Token alone: the section is the last CDR_TOKEN_LEN bytes. Token
-        // + context: the context section occupies the last CDR_CONTEXT_LEN
-        // bytes and the token section sits immediately before it.
-        let magic_end = if n >= CDR_TOKEN_LEN && &body[n - 4..] == CDR_TOKEN_MAGIC {
-            n
-        } else if n >= CDR_CONTEXT_LEN + CDR_TOKEN_LEN
-            && &body[n - 4..] == CDR_CONTEXT_MAGIC
-            && &body[n - CDR_CONTEXT_LEN - 4..n - CDR_CONTEXT_LEN] == CDR_TOKEN_MAGIC
-        {
-            n - CDR_CONTEXT_LEN
-        } else {
-            return None;
-        };
-        let start = magic_end - CDR_TOKEN_LEN;
-        let session = u64::from_le_bytes(body[start..start + 8].try_into().expect("8 bytes"));
-        let seq = u64::from_le_bytes(body[start + 8..start + 16].try_into().expect("8 bytes"));
-        Some((session, seq))
-    }
-
-    fn encode_chunk(&self, enc: &mut dyn Encoder, index: u64, last: bool) -> bool {
-        // Raw octets, not aligned primitives: the context section ends
-        // 4 mod 8, so an aligned u64 here would pick up padding that
-        // depends on what the section follows — and stripping the chunk
-        // tail could no longer expose the token/context tails beneath it.
-        // Sixteen unpadded bytes keep the section at a fixed offset from
-        // the end no matter where the underlying body stopped.
-        for b in index.to_le_bytes() {
-            enc.put_octet(b);
-        }
-        for b in u32::from(last).to_le_bytes() {
-            enc.put_octet(b);
-        }
-        for b in *CDR_CHUNK_MAGIC {
-            enc.put_octet(b);
-        }
-        true
-    }
-
-    fn extract_chunk(&self, body: &[u8]) -> Option<(u64, bool)> {
-        let n = body.len();
-        if n < CDR_CHUNK_LEN || &body[n - 4..] != CDR_CHUNK_MAGIC {
-            return None;
-        }
-        let last = u32::from_le_bytes(body[n - 8..n - 4].try_into().expect("4 bytes"));
-        if last > 1 {
-            return None;
-        }
-        let index = u64::from_le_bytes(body[n - 16..n - 8].try_into().expect("8 bytes"));
-        Some((index, last == 1))
     }
 }
 

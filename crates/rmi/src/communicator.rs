@@ -195,6 +195,11 @@ impl ObjectCommunicator {
         }
     }
 
+    /// Whether bytes past the last message returned are already buffered.
+    pub(crate) fn has_buffered(&self) -> bool {
+        !self.inbuf.is_empty()
+    }
+
     /// The next complete frame already buffered, if any.
     fn buffered(&mut self) -> RmiResult<Option<PooledBuf>> {
         let body = self.protocol.deframe_pooled(&mut self.inbuf, &self.limits)?;

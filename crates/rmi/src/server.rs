@@ -1,5 +1,6 @@
 //! The bootstrap-port server: Fig 5's interaction, one reader per
-//! connection plus a small shared worker pool for dispatch.
+//! connection that runs a lone request itself, plus a small shared
+//! worker pool for the rest.
 //!
 //! *"The bootstrap port in each address space serves as means to initiate a
 //! communication channel. When a client connects to the bootstrap port (1),
@@ -9,13 +10,13 @@
 //! stringified object reference, whose type information and object
 //! identifier permit the selection of the appropriate `Skeleton`."*
 //!
-//! With request-id correlation on the wire, one connection can carry many
-//! interleaved requests: the per-connection reader thread only deframes and
-//! routes. Two-way requests are dispatched on a shared worker pool and
-//! their replies written back (in completion order — the client
-//! demultiplexes by id), so one slow servant cannot head-of-line-block the
-//! connection. `oneway` requests are dispatched inline on the reader,
-//! preserving the oneway-then-call ordering a single client observes.
+//! One connection carries many interleaved requests, replied to in
+//! completion order (the client demultiplexes by id). Oneways run inline
+//! on the reader, in receipt order. A two-way that arrives alone is *lent
+//! the reader* on the threaded driver: it runs on the thread that read it;
+//! other two-ways go to the worker pool. A slow servant cannot
+//! head-of-line-block the connection: the overrun watcher ([`Lender`])
+//! has the pool drain a reader lent for longer than a tick.
 //!
 //! Every stage applies the ORB's `ServerPolicy`: connections beyond
 //! `max_connections` are refused at `accept`, requests beyond the global or
@@ -31,23 +32,23 @@
 //! and becomes one [`Connection`]: the `ObjectCommunicator` around its
 //! read half, its reply sink, and the routing context, torn down by its
 //! `Drop`. Each frame the communicator deframes goes down the one
-//! [`route_frame`] path to the shared worker pool. What
-//! [`TransportMode`](crate::TransportMode) (`HEIDL_TRANSPORT` or
-//! `OrbBuilder::transport_mode`) selects is only who drives it:
+//! [`route_frame`] path. What [`TransportMode`](crate::TransportMode)
+//! (`HEIDL_TRANSPORT` or `OrbBuilder::transport_mode`) selects is only who
+//! drives it:
 //!
 //! * **threaded**: a blocking accept loop, and per connection a
 //!   `heidl-conn` thread blocked in `recv`, replies written by a blocking
-//!   [`ReplyWriter`];
+//!   [`ReplyWriter`]; a lone two-way runs on that thread (see [`Lender`]);
 //! * **reactor**: one `heidl-reactor-{port}` epoll loop owns the listener
 //!   and every connection, calling `try_recv` on readiness
 //!   ([`ConnSource`]); replies go out through a queueing [`ConnWriter`]
 //!   that continues partial writes when `EPOLLOUT` says the peer caught
 //!   up, so ten thousand idle connections cost zero threads instead of
-//!   ten thousand.
+//!   ten thousand. It is never lent: its loop serves every connection.
 //!
 //! Policy enforcement and wire bytes are the same either way; only the
 //! thread economics differ. Fd-less transports (a `HEIDL_FAULT_PLAN` run)
-//! always take the blocking driver.
+//! always take the blocking driver, and are never lent.
 
 use crate::call::{peek_reply_id, peek_route, IncomingCall, ReplyBuilder, ReplyStatus};
 use crate::communicator::{with_frame, write_framed, ObjectCommunicator};
@@ -72,8 +73,8 @@ use std::collections::HashMap;
 use std::io::IoSlice;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
-use std::thread::JoinHandle;
+use std::sync::{Arc, OnceLock, Weak};
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 /// Resident dispatch threads per server; requests beyond this run on
@@ -130,6 +131,8 @@ pub(crate) struct ServerShared {
     /// Global outstanding-reply-bytes budget across every connection
     /// writer (see [`ReplyBudget`]).
     reply_budget: Arc<ReplyBudget>,
+    /// Lent readers and their overrun watcher (threaded driver only).
+    lender: Lender,
 }
 
 impl ServerShared {
@@ -151,6 +154,7 @@ impl ServerShared {
             streams: Mutex::new(HashMap::new()),
             stream_bucket,
             reply_budget,
+            lender: Lender::default(),
         }
     }
 
@@ -302,6 +306,102 @@ impl ReplyBudget {
     }
 }
 
+/// The watcher's period: what waits behind an overrunning lend is drained
+/// within two ticks, under the heartbeat's 5 ms tick (DESIGN.md 18).
+const LEND_TICK: Duration = Duration::from_millis(1);
+
+/// Lending, server-wide. A lent reader keeps its lend's number in its
+/// connection's `lent` slot until its reply is written. Each [`LEND_TICK`]
+/// the watcher (`heidl-lend-{port}`) has the pool [`rescue`] readers lent
+/// since before the last tick, and parks after a tick without lends.
+#[derive(Default)]
+struct Lender {
+    /// Set while the watcher runs; readers lend only then.
+    watching: AtomicBool,
+    /// Lends started so far; each lend is numbered by this count.
+    started: AtomicU64,
+    thread: OnceLock<Thread>,
+    /// Readers that can be lent: threaded connections with a raw fd.
+    readers: Mutex<Vec<Weak<Connection>>>,
+}
+
+impl Lender {
+    /// Registers `conn`'s reader if a rescue can drain it without
+    /// blocking (it has a raw fd); dead ones are pruned as the list grows.
+    fn register(&self, conn: &Arc<Connection>) -> bool {
+        if conn.comm.lock().raw_fd().is_none() {
+            return false;
+        }
+        let mut readers = self.readers.lock();
+        if readers.len() == readers.capacity() {
+            readers.retain(|reader| reader.strong_count() > 0);
+        }
+        readers.push(Arc::downgrade(conn));
+        true
+    }
+
+    /// Starts a lend in `slot` if a watcher bounds it; the caller zeroes it.
+    fn lend(&self, slot: &AtomicU64) -> bool {
+        if !self.watching.load(Ordering::Relaxed) {
+            return false;
+        }
+        slot.store(self.started.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+        // Wakes a parked watcher; an awake one only keeps a spare token.
+        if let Some(watcher) = self.thread.get() {
+            watcher.unpark();
+        }
+        true
+    }
+
+    /// One tick: a drain for each reader lent before `before` lends had
+    /// started (retried next tick if refused). Returns whether any is lent.
+    fn sweep(&self, workers: &WorkerPool, before: u64) -> bool {
+        let mut any = false;
+        self.readers.lock().retain(|reader| {
+            let Some(conn) = reader.upgrade() else { return false };
+            let lend = conn.lent.load(Ordering::SeqCst);
+            any |= lend != 0;
+            if lend != 0 && lend <= before {
+                let _ = workers.submit(Box::new(move || rescue(&conn, lend)));
+            }
+            true
+        });
+        any
+    }
+}
+
+/// The overrun watcher's loop, until the server stops watching.
+fn watch(shared: Arc<ServerShared>, workers: Arc<WorkerPool>) {
+    let lender = &shared.lender;
+    let _ = lender.thread.set(std::thread::current());
+    let mut before = lender.started.load(Ordering::SeqCst);
+    while lender.watching.load(Ordering::SeqCst) {
+        std::thread::sleep(LEND_TICK);
+        let now = lender.started.load(Ordering::SeqCst);
+        // A lend after `now` was read leaves an unpark token: no lost wake.
+        if !lender.sweep(&workers, before) && now == before {
+            std::thread::park();
+        }
+        before = now;
+    }
+}
+
+/// A rescue drain, on the pool: while the reader is lent to `lend`, routes
+/// what is readable without blocking as a reader would, lending nothing.
+fn rescue(conn: &Connection, lend: u64) {
+    // An unlent reader holds the communicator: once locked, no new lend.
+    let Some(mut comm) = conn.comm.try_lock() else { return };
+    if conn.lent.load(Ordering::SeqCst) != lend {
+        return;
+    }
+    while let Some(got) = comm.try_recv() {
+        if !got.ok().flatten().is_some_and(|body| route_frame(conn, body, false)) {
+            conn.hung_up.store(true, Ordering::SeqCst);
+            return;
+        }
+    }
+}
+
 /// A running bootstrap-port server.
 pub(crate) struct ServerHandle {
     endpoint: Endpoint,
@@ -315,6 +415,7 @@ enum Engine {
     Threaded {
         running: Arc<AtomicBool>,
         acceptor: Option<JoinHandle<()>>,
+        watcher: Option<JoinHandle<()>>,
     },
     Reactor {
         reactor: ReactorHandle,
@@ -343,6 +444,12 @@ impl ServerHandle {
         {
             start_reactor(listener, orb, workers, &shared)?
         } else {
+            shared.lender.watching.store(true, Ordering::SeqCst);
+            let (watch_shared, watch_workers) = (Arc::clone(&shared), Arc::clone(&workers));
+            let watcher = std::thread::Builder::new()
+                .name(format!("heidl-lend-{}", local.port()))
+                .spawn(move || watch(watch_shared, watch_workers))
+                .map_err(RmiError::Io)?;
             let running = Arc::new(AtomicBool::new(true));
             let flag = Arc::clone(&running);
             let loop_shared = Arc::clone(&shared);
@@ -350,7 +457,7 @@ impl ServerHandle {
                 .name(format!("heidl-accept-{}", local.port()))
                 .spawn(move || accept_loop(listener, orb, flag, workers, loop_shared))
                 .map_err(RmiError::Io)?;
-            Engine::Threaded { running, acceptor: Some(acceptor) }
+            Engine::Threaded { running, acceptor: Some(acceptor), watcher: Some(watcher) }
         };
         Ok(ServerHandle { endpoint, local, engine, shared })
     }
@@ -369,6 +476,7 @@ impl ServerHandle {
     /// their peers disconnect.
     pub(crate) fn stop(mut self) {
         self.halt_accepting();
+        self.stop_watching();
     }
 
     /// Graceful drain: stop accepting, shed new requests with `Busy`,
@@ -403,12 +511,25 @@ impl ServerHandle {
                 writer.force_close();
             }
         }
+        // Watched until now, so requests behind a lent reader were shed.
+        self.stop_watching();
         drained
+    }
+
+    /// Stops and joins the overrun watcher; nothing is lent after.
+    fn stop_watching(&mut self) {
+        self.shared.lender.watching.store(false, Ordering::SeqCst);
+        if let Engine::Threaded { watcher, .. } = &mut self.engine {
+            if let Some(watcher) = watcher.take() {
+                watcher.thread().unpark();
+                let _ = watcher.join();
+            }
+        }
     }
 
     fn halt_accepting(&mut self) {
         match &mut self.engine {
-            Engine::Threaded { running, acceptor } => {
+            Engine::Threaded { running, acceptor, .. } => {
                 running.store(false, Ordering::SeqCst);
                 // Nudge the blocking accept() so it observes the flag.
                 // Connect via loopback: the bind address may be unroutable
@@ -493,17 +614,17 @@ impl WorkerPool {
     /// Returns `false` (dropping the job unrun) when every resident
     /// worker is busy and the overflow budget is exhausted.
     pub(crate) fn submit(&self, job: Job) -> bool {
-        // `busy` counts submitted-but-unfinished pool jobs; the check is a
-        // heuristic (races only cost an occasional extra thread), but it
-        // guarantees a job is never queued behind `workers` blocked ones.
-        if self.busy.load(Ordering::SeqCst) < self.workers {
-            self.busy.fetch_add(1, Ordering::SeqCst);
+        // `busy` counts submitted-but-unfinished pool jobs. The increment
+        // itself claims a resident slot, so racing submitters cannot both
+        // take the last one: a job never queues behind `workers` blocked ones.
+        if self.busy.fetch_add(1, Ordering::SeqCst) < self.workers {
             if self.tx.send(job).is_ok() {
                 return true;
             }
             self.busy.fetch_sub(1, Ordering::SeqCst);
             return false;
         }
+        self.busy.fetch_sub(1, Ordering::SeqCst);
         if self.overflow.fetch_add(1, Ordering::SeqCst) >= self.max_overflow {
             self.overflow.fetch_sub(1, Ordering::SeqCst);
             return false;
@@ -575,7 +696,7 @@ fn accept_loop(
                 None => transport,
             }
         };
-        let Some((mut conn, _)) = admit(stream, &orb, &workers, &shared, prepare, |half| {
+        let Some((conn, _)) = admit(stream, &orb, &workers, &shared, prepare, |half| {
             Arc::new(ReplyWriter {
                 transport: Mutex::new(half),
                 protocol: Arc::clone(orb.protocol()),
@@ -584,11 +705,20 @@ fn accept_loop(
         }) else {
             continue;
         };
+        let conn = Arc::new(conn);
+        let lendable = shared.lender.register(&conn);
         // The blocking driver: a reader thread that routes until the peer
-        // closes, a read fails, or a reply write does.
+        // closes, a read fails, or a reply write does. A frame with nothing
+        // buffered behind it may be lent, so the communicator is released
+        // while it routes.
         let _ = std::thread::Builder::new().name("heidl-conn".to_owned()).spawn(move || {
-            while let Ok(Some(body)) = conn.comm.recv() {
-                if !route_frame(&conn, body) {
+            let mut comm = conn.comm.lock();
+            while let Ok(Some(body)) = comm.recv() {
+                let lend = lendable && !comm.has_buffered();
+                drop(comm);
+                let routed = route_frame(&conn, body, lend);
+                comm = conn.comm.lock();
+                if !routed || conn.hung_up.load(Ordering::SeqCst) {
                     break;
                 }
             }
@@ -626,14 +756,17 @@ fn admit<W: ReplySink + 'static>(
     let conn_id = shared.next_conn_id.fetch_add(1, Ordering::SeqCst);
     shared.conns.lock().insert(conn_id, Arc::downgrade(&sink));
     let protocol = Arc::clone(orb.protocol());
+    let comm = ObjectCommunicator::with_limits(read_half, protocol, shared.policy.decode_limits);
     let conn = Connection {
-        comm: ObjectCommunicator::with_limits(read_half, protocol, shared.policy.decode_limits),
+        comm: Mutex::new(comm),
         sink,
         orb: orb.clone(),
         workers: Arc::clone(workers),
         shared: Arc::clone(shared),
         per_conn: Arc::new(AtomicUsize::new(0)),
         conn_id,
+        lent: AtomicU64::new(0),
+        hung_up: AtomicBool::new(false),
         _slot: slot,
     };
     Some((conn, writer))
@@ -760,7 +893,8 @@ impl ReplySink for ReplyWriter {
 /// around its read half, its reply sink, and what routing needs. Its drop
 /// is the connection's teardown.
 struct Connection {
-    comm: ObjectCommunicator,
+    /// Held by whoever reads: the driver, or a rescue while it is lent.
+    comm: Mutex<ObjectCommunicator>,
     sink: Arc<dyn ReplySink>,
     orb: Orb,
     workers: Arc<WorkerPool>,
@@ -768,6 +902,10 @@ struct Connection {
     /// This connection's share of the in-flight budget.
     per_conn: Arc<AtomicUsize>,
     conn_id: u64,
+    /// The lend the reader is serving, 0 when it is not lent.
+    lent: AtomicU64,
+    /// Set by a rescue that saw the connection end: the reader then stops.
+    hung_up: AtomicBool,
     _slot: ConnGuard,
 }
 
@@ -782,8 +920,9 @@ impl Drop for Connection {
 
 /// Routes one deframed request — the single path both drivers feed,
 /// once per frame; returns `false` when the reply sink failed and the
-/// connection should be torn down.
-fn route_frame(conn: &Connection, body: PooledBuf) -> bool {
+/// connection should be torn down. With `lend`, an admitted plain
+/// two-way runs on the caller's thread instead of the pool.
+fn route_frame(conn: &Connection, body: PooledBuf, lend: bool) -> bool {
     let (orb, shared, sink, conn_id) = (&conn.orb, &conn.shared, &conn.sink, conn.conn_id);
     let protocol = orb.protocol();
     let limits = &shared.policy.decode_limits;
@@ -813,10 +952,7 @@ fn route_frame(conn: &Connection, body: PooledBuf) -> bool {
         (Ok((request_id, false, _)), None) => {
             shared.metrics.add(Counter::BytesIn, body_len);
             match shared.try_admit(&conn.per_conn) {
-                Ok(guard) => {
-                    let _ = handle_request(body.into(), Some(request_id), orb, shared);
-                    drop(guard);
-                }
+                Ok(_guard) => drop(handle_request(body.into(), Some(request_id), orb, shared)),
                 Err(_) => shared.shed_request(),
             }
         }
@@ -824,14 +960,22 @@ fn route_frame(conn: &Connection, body: PooledBuf) -> bool {
             shared.metrics.add(Counter::BytesIn, body_len);
             match shared.try_admit(&conn.per_conn) {
                 Ok(guard) => {
+                    // A stream servant dispatches on the pump path (same pool
+                    // and in-flight guard, chunked replies), never lent: its
+                    // reader must stay free to read the credit acks.
+                    let streamer = object_id.and_then(|id| orb.stream_servant(id));
+                    if lend && streamer.is_none() && shared.lender.lend(&conn.lent) {
+                        // The guard lives until the reply is on the wire.
+                        let _guard = guard;
+                        let reply = handle_request(body.into(), Some(request_id), orb, shared);
+                        let sent = reply.is_none_or(|reply| sink.send(reply).is_ok());
+                        conn.lent.store(0, Ordering::SeqCst);
+                        return sent;
+                    }
                     let job_orb = orb.clone();
                     let job_sink = Arc::clone(sink);
                     let job_shared = Arc::clone(shared);
                     let job_body: Vec<u8> = body.into();
-                    // A target registered as a stream servant dispatches on
-                    // the pump path: same worker pool, same in-flight
-                    // guard, but the reply goes out as chunked frames.
-                    let streamer = object_id.and_then(|id| orb.stream_servant(id));
                     let job: Job = match streamer {
                         Some(servant) => Box::new(move || {
                             // The guard lives until the final chunk is on
@@ -850,8 +994,7 @@ fn route_frame(conn: &Connection, body: PooledBuf) -> bool {
                             }
                         }),
                     };
-                    let accepted = conn.workers.submit(job);
-                    if !accepted {
+                    if !conn.workers.submit(job) {
                         // The dropped job released its guard; tell the
                         // client to back off.
                         shared.shed_request();
@@ -1430,7 +1573,8 @@ fn failure_reply(protocol: &dyn Protocol, request_id: u64, err: RmiError) -> Vec
 // ---- reactor driver -----------------------------------------------------
 
 /// The readiness-loop driver: one epoll thread owns the listener and every
-/// connection; dispatch still runs on the shared worker pool.
+/// connection; dispatch still runs on the shared worker pool. The loop is
+/// never lent: a dispatch on it would stall every connection.
 fn start_reactor(
     listener: TcpListener,
     orb: Orb,
@@ -1800,7 +1944,7 @@ impl Drop for ConnSource {
 
 impl Source for ConnSource {
     fn fd(&self) -> i32 {
-        self.conn.comm.raw_fd().unwrap_or(-1)
+        self.conn.comm.lock().raw_fd().unwrap_or(-1)
     }
 
     fn on_ready(&mut self, events: u32, _reactor: &ReactorHandle) -> Action {
@@ -1817,9 +1961,10 @@ impl Source for ConnSource {
         }
         if events & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0 {
             self.writer.touch();
-            while let Some(got) = self.conn.comm.try_recv() {
+            let mut comm = self.conn.comm.lock();
+            while let Some(got) = comm.try_recv() {
                 let Ok(Some(body)) = got else { return Action::Drop };
-                if !route_frame(&self.conn, body) {
+                if !route_frame(&self.conn, body, false) {
                     return Action::Drop;
                 }
             }
@@ -1960,5 +2105,49 @@ mod tests {
             assert_same_bytes(&reader.join().unwrap(), &expected, protocol.as_ref());
         }
         reactor.shutdown();
+    }
+
+    /// Submitters racing for the pool's last free resident slot: every
+    /// job blocks on one gate, so a job queued behind `WORKER_THREADS`
+    /// blocked ones would never start. All of them must be running at
+    /// once before the gate opens.
+    #[test]
+    fn racing_submits_never_queue_behind_blocked_jobs() {
+        const JOBS: usize = 64;
+        let pool = Arc::new(WorkerPool::new(WORKER_THREADS, JOBS));
+        let gate = Arc::new((Mutex::new((0usize, false)), parking_lot::Condvar::new()));
+        let start = Arc::new(std::sync::Barrier::new(JOBS));
+        let submitters: Vec<_> = (0..JOBS)
+            .map(|_| {
+                let (pool, gate, start) =
+                    (Arc::clone(&pool), Arc::clone(&gate), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    pool.submit(Box::new(move || {
+                        let (state, cv) = &*gate;
+                        let mut state = state.lock();
+                        state.0 += 1;
+                        cv.notify_all();
+                        while !state.1 {
+                            cv.wait(&mut state);
+                        }
+                    }))
+                })
+            })
+            .collect();
+        for submitter in submitters {
+            assert!(submitter.join().unwrap(), "the overflow budget covers every job");
+        }
+        let (state, cv) = &*gate;
+        let mut state = state.lock();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while state.0 < JOBS && Instant::now() < deadline {
+            cv.wait_for(&mut state, Duration::from_millis(10));
+        }
+        let running = state.0;
+        state.1 = true;
+        cv.notify_all();
+        drop(state);
+        assert_eq!(running, JOBS, "a job was queued behind blocked ones");
     }
 }

@@ -3,12 +3,16 @@
 //! the drain timeout even when the heartbeat interval is hours long (the
 //! stop signal interrupts the sleep; the join does not wait out a tick).
 //!
-//! These assertions read [`live_heartbeat_threads`], a process-global
-//! gauge, so they live in their own test binary as a single sequential
-//! test: parallel tests elsewhere that build heartbeat ORBs would make
-//! exact counts racy.
+//! The same holds for a threaded server's overrun watcher
+//! (`heidl-lend-{port}`): stopping the server joins it.
+//!
+//! These assertions count process-global things (the
+//! [`live_heartbeat_threads`] gauge, the watcher threads), so they live in
+//! their own test binary, one sequential test for each: parallel tests
+//! elsewhere that build heartbeat ORBs or servers would make exact counts
+//! racy.
 
-use heidl_rmi::{live_heartbeat_threads, Orb, ServerPolicy};
+use heidl_rmi::{live_heartbeat_threads, Orb, ServerPolicy, TransportMode};
 use std::time::{Duration, Instant};
 
 /// The spawned thread bumps the gauge from inside its own stack frame, so
@@ -63,4 +67,38 @@ fn heartbeat_threads_join_on_shutdown_and_on_drop() {
     wait_for_spawn(1);
     drained.shutdown_and_drain();
     assert_eq!(live_heartbeat_threads(), 0, "shutdown_and_drain must join the heartbeat thread");
+}
+
+/// Waits until this process has `expected` live overrun-watcher threads,
+/// counted by name. A new thread names itself once it runs, and a joined
+/// thread's `/proc` entry can outlive the join by a moment; a watcher that
+/// was never stopped stays, and fails the wait.
+fn wait_for_lend_watchers(expected: usize, why: &str) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let tasks = std::fs::read_dir("/proc/self/task").expect("Linux /proc");
+        let names =
+            tasks.filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok());
+        let live = names.filter(|name| name.starts_with("heidl-lend")).count();
+        if live == expected {
+            return;
+        }
+        assert!(Instant::now() < deadline, "{why}: {live} watcher threads, expected {expected}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+#[test]
+fn lend_watcher_is_joined_by_shutdown_and_by_drain() {
+    for drain in [false, true] {
+        let server = Orb::builder().transport_mode(TransportMode::Threaded).build();
+        server.serve("127.0.0.1:0").unwrap();
+        wait_for_lend_watchers(1, "a threaded server runs one watcher");
+        if drain {
+            assert!(server.shutdown_and_drain());
+        } else {
+            server.shutdown();
+        }
+        wait_for_lend_watchers(0, "stopping the server must stop its watcher");
+    }
 }

@@ -3,18 +3,20 @@
 //! per-call deadlines that do not poison the shared connection.
 
 use heidl_rmi::*;
-use heidl_wire::{Decoder, Encoder};
+use heidl_wire::{CdrProtocol, Decoder, Encoder, Protocol, TextProtocol};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// `echo(x) -> x`, with an optional per-call sleep so some requests
-/// finish long after later ones (forcing out-of-order replies), and a
+/// finish long after later ones (forcing out-of-order replies), a
 /// `nap(ms)` method that just sleeps — the slow servant for deadline
-/// tests.
+/// tests — and `mark(x) -> x`, which logs `x` so tests can see the order
+/// calls ran in.
 struct SleepyEchoSkel {
     base: SkeletonBase,
     dispatched: AtomicUsize,
+    marks: Mutex<Vec<i32>>,
 }
 
 impl SleepyEchoSkel {
@@ -23,10 +25,11 @@ impl SleepyEchoSkel {
             base: SkeletonBase::new(
                 "IDL:Test/SleepyEcho:1.0",
                 DispatchKind::Hash,
-                ["echo", "nap"],
+                ["echo", "nap", "mark"],
                 vec![],
             ),
             dispatched: AtomicUsize::new(0),
+            marks: Mutex::new(Vec::new()),
         })
     }
 }
@@ -57,6 +60,12 @@ impl Skeleton for SleepyEchoSkel {
                 let ms = args.get_long()?;
                 std::thread::sleep(Duration::from_millis(ms as u64));
                 reply.put_long(ms);
+                Ok(DispatchOutcome::Handled)
+            }
+            Some(2) => {
+                let v = args.get_long()?;
+                self.marks.lock().unwrap().push(v);
+                reply.put_long(v);
                 Ok(DispatchOutcome::Handled)
             }
             _ => self.base.dispatch_parents(method, args, reply),
@@ -208,4 +217,63 @@ fn default_deadline_applies_when_call_options_do_not() {
         .unwrap();
     assert_eq!(reply.results().get_long().unwrap(), 100);
     orb.shutdown();
+}
+
+/// A reader lent to an overrunning call does not head-of-line-block its
+/// connection: after a warm-up that keeps lending the reader, a 300 ms
+/// call parks on it, and a fast call on the same socket still returns
+/// within 50 ms. During the same overrun a oneway and then a two-way from
+/// one thread run in that order.
+fn lent_reader_overrun_is_bounded(protocol: Arc<dyn Protocol>) {
+    let orb = Orb::with_protocol(protocol);
+    orb.serve("127.0.0.1:0").unwrap();
+    let skel = SleepyEchoSkel::new();
+    let objref = orb.export(Arc::clone(&skel) as Arc<dyn Skeleton>).unwrap();
+    for v in 0..200 {
+        assert_eq!(echo(&orb, &objref, v, 0).unwrap(), v);
+    }
+    // A reply can reach the client just before its in-flight slot frees.
+    while orb.server_health().unwrap().in_flight != 0 {
+        std::thread::yield_now();
+    }
+    let slow = {
+        let orb = orb.clone();
+        let objref = objref.clone();
+        std::thread::spawn(move || echo(&orb, &objref, 1, 300))
+    };
+    // The slow call is admitted (and lent) before the fast one is sent.
+    while orb.server_health().unwrap().in_flight == 0 {
+        std::thread::yield_now();
+    }
+
+    let start = Instant::now();
+    assert_eq!(echo(&orb, &objref, 2, 0).unwrap(), 2);
+    let fast_elapsed = start.elapsed();
+    assert!(
+        fast_elapsed < Duration::from_millis(50),
+        "fast call waited {fast_elapsed:?} behind a lent reader"
+    );
+
+    let mut oneway = orb.call_oneway(&objref, "mark");
+    oneway.args().put_long(7);
+    orb.invoke_oneway(oneway).unwrap();
+    let mut two_way = orb.call(&objref, "mark");
+    two_way.args().put_long(8);
+    assert_eq!(orb.invoke(two_way).unwrap().results().get_long().unwrap(), 8);
+    assert!(start.elapsed() < Duration::from_millis(250), "both ran during the overrun");
+    assert_eq!(*skel.marks.lock().unwrap(), [7, 8], "the oneway ran before the two-way");
+
+    assert_eq!(slow.join().unwrap().unwrap(), 1);
+    assert_eq!(orb.connections().opened_count(), 1, "every call shared the socket");
+    orb.shutdown();
+}
+
+#[test]
+fn lent_reader_overrun_is_bounded_over_text() {
+    lent_reader_overrun_is_bounded(Arc::new(TextProtocol));
+}
+
+#[test]
+fn lent_reader_overrun_is_bounded_over_cdr() {
+    lent_reader_overrun_is_bounded(Arc::new(CdrProtocol));
 }

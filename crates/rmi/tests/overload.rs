@@ -298,6 +298,33 @@ fn overload_health_object_is_reachable_by_hand_typed_text() {
     server.shutdown();
 }
 
+/// The runtime's own traffic is never queued behind a lent reader: over
+/// raw TCP text, a `_health` ping sent while the connection's reader runs
+/// a 300 ms nap it was lent is answered within 50 ms, ahead of the nap.
+#[test]
+fn overload_health_ping_is_answered_behind_a_lent_reader() {
+    let (server, objref) = serve_sleeper(ServerPolicy::default());
+    let ep = server.endpoint().unwrap();
+    let mut stream = std::net::TcpStream::connect((ep.host.as_str(), ep.port)).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    stream.write_all(format!("1 \"{objref}\" \"nap\" T 300\n").as_bytes()).unwrap();
+    // The nap is admitted (and lent) before the ping is sent.
+    while server.server_health().unwrap().in_flight == 0 {
+        std::thread::yield_now();
+    }
+    let started = std::time::Instant::now();
+    let probe = format!("2 \"@tcp:{}:{}#0#IDL:heidl/Health:1.0\" \"ping\" T\n", ep.host, ep.port);
+    stream.write_all(probe.as_bytes()).unwrap();
+    let (mut line, mut byte) = (Vec::new(), [0u8; 1]);
+    while stream.read(&mut byte).unwrap() == 1 && byte[0] != b'\n' {
+        line.push(byte[0]);
+    }
+    let waited = started.elapsed();
+    assert_eq!(String::from_utf8(line).unwrap(), "2 0 \"pong\"", "the ping overtakes the nap");
+    assert!(waited < Duration::from_millis(50), "ping waited {waited:?} behind a lent reader");
+    server.shutdown();
+}
+
 /// Regression (remote DoS): a line holding U+000B outside quotes sent the
 /// eager text tokenizer into an endless loop that grew memory past every
 /// decode limit — one such line typed over telnet wedged a reader thread.

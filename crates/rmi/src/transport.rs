@@ -255,6 +255,16 @@ impl TcpTransport {
     }
 }
 
+thread_local! {
+    /// Where a TCP read lands before its bytes are appended to the
+    /// caller's buffer. Safe code cannot hand the kernel uninitialized
+    /// room, and a stack array would be zeroed on every read; this one is
+    /// zeroed once per reading thread, and a reactor serving thousands of
+    /// connections holds one, not one per connection.
+    static RECV_CHUNK_BUF: std::cell::RefCell<Box<[u8]>> =
+        std::cell::RefCell::new(vec![0; RECV_CHUNK].into_boxed_slice());
+}
+
 impl Transport for TcpTransport {
     fn send(&mut self, bytes: &[u8]) -> io::Result<()> {
         self.stream.write_all(bytes)
@@ -284,10 +294,11 @@ impl Transport for TcpTransport {
     }
 
     fn recv_into(&mut self, buf: &mut Vec<u8>) -> io::Result<usize> {
-        let mut chunk = [0u8; RECV_CHUNK];
-        let n = self.stream.read(&mut chunk)?;
-        buf.extend_from_slice(&chunk[..n]);
-        Ok(n)
+        RECV_CHUNK_BUF.with_borrow_mut(|chunk| {
+            let n = self.stream.read(chunk)?;
+            buf.extend_from_slice(&chunk[..n]);
+            Ok(n)
+        })
     }
 
     fn recv_body_into(&mut self, buf: &mut Vec<u8>, need: usize) -> io::Result<usize> {
@@ -334,23 +345,21 @@ impl Transport for TcpTransport {
         let start = buf.len();
         if buf.capacity() - start >= max {
             // Room already reserved (a large frame's body): receive in
-            // place. Zeroing the room costs what zeroing a stack chunk
-            // would, and the copy out of that chunk is gone.
+            // place, zeroing the room instead of copying out of a chunk.
             buf.resize(start + max, 0);
             let got = epoll_shim::recv_nonblocking(fd, &mut buf[start..]);
             buf.truncate(start + got.as_ref().map_or(0, |n| n.unwrap_or(0)));
             return got;
         }
-        // Otherwise bounce through the stack rather than grow a
+        // Otherwise bounce through the thread's chunk rather than grow a
         // connection's small read buffer just to offer the kernel room.
-        let mut chunk = [0u8; RECV_CHUNK];
-        match epoll_shim::recv_nonblocking(fd, &mut chunk[..max])? {
-            Some(n) => {
+        RECV_CHUNK_BUF.with_borrow_mut(|chunk| {
+            let got = epoll_shim::recv_nonblocking(fd, &mut chunk[..max])?;
+            if let Some(n) = got {
                 buf.extend_from_slice(&chunk[..n]);
-                Ok(Some(n))
             }
-            None => Ok(None),
-        }
+            Ok(got)
+        })
     }
 
     fn try_send(&mut self, bytes: &[u8]) -> io::Result<Option<usize>> {

@@ -354,6 +354,41 @@ fn overload_vertical_tab_line_gets_a_diagnostic_and_the_server_stays_up() {
     server.shutdown();
 }
 
+/// Regression (remote CPU exhaustion): the text deframer searched every
+/// buffered byte again after each read, so one newline-less line cost CPU
+/// quadratic in its length — about a minute for a line at the default
+/// 64 MiB frame bound — and on the reactor driver that time is spent on
+/// the loop thread that serves every other connection too. Each line is
+/// now searched once: a raw peer streams a 16 MiB line, and a `_health`
+/// ping sent on a second connection once the line is written is answered
+/// within 2 s of the line's first byte. Searching from the line's start
+/// after every read, this test took 92 s in a debug build.
+#[test]
+fn overload_long_line_does_not_stall_the_reactor() {
+    let server = Orb::builder().transport_mode(TransportMode::Reactor).build();
+    server.serve("127.0.0.1:0").unwrap();
+    let ep = server.endpoint().unwrap();
+    let mut flood = std::net::TcpStream::connect((ep.host.as_str(), ep.port)).unwrap();
+    let mut second = std::net::TcpStream::connect((ep.host.as_str(), ep.port)).unwrap();
+    second.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
+    let started = std::time::Instant::now();
+    let piece = vec![b'7'; 1 << 20];
+    for _ in 0..16 {
+        flood.write_all(&piece).unwrap();
+    }
+    let probe = format!("1 \"@tcp:{}:{}#0#IDL:heidl/Health:1.0\" \"ping\" T\n", ep.host, ep.port);
+    second.write_all(probe.as_bytes()).unwrap();
+    let (mut line, mut byte) = (Vec::new(), [0u8; 1]);
+    while second.read(&mut byte).expect("a reply within the timeout") == 1 && byte[0] != b'\n' {
+        line.push(byte[0]);
+    }
+    let waited = started.elapsed();
+    assert_eq!(String::from_utf8(line).unwrap(), "1 0 \"pong\"");
+    assert!(waited < Duration::from_secs(2), "a 16 MiB line held the ping for {waited:?}");
+    drop(flood);
+    server.shutdown();
+}
+
 // ---- server-side decode limits ------------------------------------------
 
 #[test]

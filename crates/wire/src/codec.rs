@@ -14,8 +14,10 @@
 //! `put_<t>_seq` / `get_<t>_seq` for each of the eleven primitive types.
 //! Their default bodies are the element loop (length, then one
 //! `put_<t>`/`get_<t>` per element, statically dispatched inside the
-//! codec), which the text codec keeps; the CDR codec overrides them to
-//! copy the run as one block. Either way the bytes are those of the loop.
+//! codec), which the text codec keeps: its tokens have no fixed width,
+//! and a loop with the element parser inlined measured no faster. The
+//! CDR codec overrides them to copy the run as one block. Either way the
+//! bytes, values and errors are those of the loop.
 
 use crate::error::WireResult;
 

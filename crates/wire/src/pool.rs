@@ -303,6 +303,12 @@ pub struct FrameBuf {
     initial_capacity: usize,
     /// A large frame's body while it arrives, with its declared length.
     body: Option<(PooledBuf, usize)>,
+    /// How many bytes at the front of [`FrameBuf::bytes`] a delimiter
+    /// search has already found no delimiter in. Only appends follow a
+    /// miss, so the next search resumes here: a line that arrives in *k*
+    /// reads is searched once, not *k* times. [`FrameBuf::consume`]
+    /// resets it.
+    pub(crate) searched: usize,
 }
 
 impl FrameBuf {
@@ -358,6 +364,7 @@ impl FrameBuf {
     pub fn consume(&mut self, n: usize) {
         assert!(n <= self.len(), "consume({n}) beyond the {} buffered bytes", self.len());
         self.start += n;
+        self.searched = 0;
         if self.start == self.buf.len() {
             self.buf.clear();
             self.start = 0;

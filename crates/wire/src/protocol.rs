@@ -22,7 +22,7 @@ use crate::codec::{Decoder, Encoder};
 use crate::error::{WireError, WireResult};
 use crate::limits::DecodeLimits;
 use crate::pool::{self, FrameBuf, PooledBuf};
-use crate::text::{TextDecoder, TextEncoder};
+use crate::text::{find, TextDecoder, TextEncoder};
 use std::fmt;
 
 /// Scratch space large enough for any shipped protocol's frame header
@@ -414,7 +414,7 @@ impl Protocol for TextProtocol {
     }
 
     fn deframe(&self, buf: &mut Vec<u8>) -> WireResult<Option<Vec<u8>>> {
-        let Some(nl) = buf.iter().position(|&b| b == b'\n') else {
+        let Some(nl) = find(buf, [b'\n']) else {
             return Ok(None);
         };
         let mut line: Vec<u8> = buf.drain(..=nl).collect();
@@ -470,7 +470,8 @@ impl Protocol for TextProtocol {
     ) -> WireResult<Option<PooledBuf>> {
         let (nl, end) = {
             let bytes = buf.bytes();
-            let Some(nl) = bytes.iter().position(|&b| b == b'\n') else {
+            // The bytes before the mark were searched by an earlier call.
+            let Some(nl) = find(&bytes[buf.searched..], [b'\n']).map(|i| buf.searched + i) else {
                 // No terminator yet: the bound is on buffered bytes, as in
                 // `deframe_limited`.
                 if bytes.len() as u64 > limits.max_frame_bytes {
@@ -480,6 +481,7 @@ impl Protocol for TextProtocol {
                         max: limits.max_frame_bytes,
                     });
                 }
+                buf.searched = bytes.len();
                 return Ok(None);
             };
             // Tolerate CRLF from telnet clients.
@@ -848,6 +850,29 @@ mod tests {
         let mut buf = vec![b'1'; 65];
         buf.push(b'\n');
         assert!(TextProtocol.deframe_limited(&mut buf, &limits).is_err());
+    }
+
+    /// A line that arrives in many reads is searched once: after a miss
+    /// the mark covers every buffered byte, the next search starts there,
+    /// and consuming a line resets it. Line boundaries come out the same
+    /// as from a search of the whole buffer.
+    #[test]
+    fn text_deframe_resumes_from_the_searched_mark() {
+        let limits = DecodeLimits::default();
+        let mut fb = FrameBuf::new();
+        for (n, piece) in [&b"\"a"[..], b"bc\" 1", b"2\r"].into_iter().enumerate() {
+            fb.extend_from_slice(piece);
+            assert_eq!(TextProtocol.deframe_pooled(&mut fb, &limits).unwrap(), None, "read {n}");
+            assert_eq!(fb.searched, fb.len(), "read {n}: the miss marks every buffered byte");
+        }
+        fb.extend_from_slice(b"\n7\n\"x");
+        assert_eq!(TextProtocol.deframe_pooled(&mut fb, &limits).unwrap().unwrap(), b"\"abc\" 12");
+        assert_eq!(fb.searched, 0, "consume resets the mark");
+        assert_eq!(TextProtocol.deframe_pooled(&mut fb, &limits).unwrap().unwrap(), b"7");
+        assert_eq!(TextProtocol.deframe_pooled(&mut fb, &limits).unwrap(), None);
+        assert_eq!((fb.bytes(), fb.searched), (&b"\"x"[..], 2));
+        fb.consume(1);
+        assert_eq!(fb.searched, 0, "consume resets the mark");
     }
 
     #[test]

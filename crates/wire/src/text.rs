@@ -32,6 +32,41 @@ use crate::pool::PooledBuf;
 use std::borrow::Cow;
 use std::io::Write;
 
+/// Offset of the first byte of `hay` that equals one of `needles` — the
+/// one byte search of the text protocol: the deframers' newline, the end
+/// of a bare token, the decoder's closing quote or escape, the encoder's
+/// escapable bytes.
+///
+/// It tests eight bytes per `u64` operation (SWAR: SIMD within a
+/// register), in safe code. A word XORed with a needle repeated in every
+/// byte has a zero byte exactly where the needle sits, and
+/// `(x - 0x01..) & !x & 0x80..` is nonzero whenever `x` has a zero byte,
+/// so the word test never misses a needle. It may also flag a byte that
+/// is not one (a borrow carries into the byte above a zero), so a flagged
+/// word is confirmed byte by byte. The tail shorter than a word is
+/// searched byte by byte.
+#[inline]
+pub(crate) fn find<const N: usize>(hay: &[u8], needles: [u8; N]) -> Option<usize> {
+    const LO: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HI: u64 = u64::from_ne_bytes([0x80; 8]);
+    let confirm = |bytes: &[u8]| bytes.iter().position(|b| needles.contains(b));
+    let mut words = hay.chunks_exact(8);
+    for (n, word) in (&mut words).enumerate() {
+        let w = u64::from_ne_bytes(word.try_into().expect("chunks of eight bytes"));
+        let zero = |m, &needle| {
+            let x = w ^ (LO * u64::from(needle));
+            m | (x.wrapping_sub(LO) & !x & HI)
+        };
+        if needles.iter().fold(0, zero) != 0 {
+            if let Some(i) = confirm(word) {
+                return Some(n * 8 + i);
+            }
+        }
+    }
+    let tail = words.remainder();
+    confirm(tail).map(|i| hay.len() - tail.len() + i)
+}
+
 /// Encoder for the text protocol. Every primitive is written straight
 /// into the pooled output buffer — digits, float text and escapes
 /// included — so marshaling a value allocates nothing.
@@ -99,21 +134,22 @@ impl TextEncoder {
     fn quoted(&mut self, quote: u8, s: &[u8]) {
         self.sep();
         self.out.push(quote);
-        let mut run = 0;
-        for (i, &b) in s.iter().enumerate() {
-            let escape = match b {
-                b'\\' => b'\\',
+        // A space is escaped only in a char; in a string the fifth needle
+        // repeats the backslash.
+        let space = if quote == b'\'' { b' ' } else { b'\\' };
+        let mut rest = s;
+        while let Some(i) = find(rest, [b'\\', b'\n', b'\r', quote, space]) {
+            let escape = match rest[i] {
                 b'\n' => b'n',
                 b'\r' => b'r',
-                b' ' if quote == b'\'' => b's',
-                b if b == quote => b,
-                _ => continue,
+                b' ' => b's',
+                b => b,
             };
-            self.out.extend_from_slice(&s[run..i]);
+            self.out.extend_from_slice(&rest[..i]);
             self.out.extend_from_slice(&[b'\\', escape]);
-            run = i + 1;
+            rest = &rest[i + 1..];
         }
-        self.out.extend_from_slice(&s[run..]);
+        self.out.extend_from_slice(rest);
         self.out.push(quote);
     }
 }
@@ -131,15 +167,8 @@ impl Drop for TextEncoder {
 }
 
 /// Every integer type widens into [`TextEncoder::integer`].
-///
-/// The element methods here and in the decoder are `#[inline(never)]`:
-/// text keeps the default bulk sequence methods, which call them, and a
-/// copy of the formatter or tokenizer inlined into each of those measured
-/// about 3% slower end to end (`struct_text`, client and server on one
-/// core) than every caller sharing the one copy.
 macro_rules! put_integers {
     ($($put:ident($ty:ty)),*) => {$(
-        #[inline(never)]
         fn $put(&mut self, v: $ty) {
             self.integer(v.into());
         }
@@ -150,22 +179,18 @@ impl Encoder for TextEncoder {
     put_integers!(put_octet(u8), put_short(i16), put_ushort(u16), put_long(i32), put_ulong(u32));
     put_integers!(put_longlong(i64), put_ulonglong(u64), put_len(u32));
 
-    #[inline(never)]
     fn put_bool(&mut self, v: bool) {
         self.token(if v { b"T" } else { b"F" });
     }
 
-    #[inline(never)]
     fn put_char(&mut self, v: char) {
         self.quoted(b'\'', v.encode_utf8(&mut [0; 4]).as_bytes());
     }
 
-    #[inline(never)]
     fn put_float(&mut self, v: f32) {
         self.float(v);
     }
 
-    #[inline(never)]
     fn put_double(&mut self, v: f64) {
         self.float(v);
     }
@@ -198,8 +223,10 @@ impl Encoder for TextEncoder {
 /// The bytes that separate tokens. One set serves both uses — skipped
 /// between tokens, and ending a bare token — so the scanner consumes at
 /// least one byte per token whatever the line holds.
-const fn is_sep(b: u8) -> bool {
-    matches!(b, b' ' | b'\t' | b'\n' | b'\r')
+const SEPS: [u8; 4] = [b' ', b'\t', b'\n', b'\r'];
+
+fn is_sep(b: u8) -> bool {
+    SEPS.contains(&b)
 }
 
 /// Offset of the first token byte at or after `at`.
@@ -230,13 +257,13 @@ fn scan<'a>(buf: &'a [u8], at: usize, limits: &DecodeLimits) -> WireResult<(&'a 
     };
     let quote = buf[at];
     if quote != b'"' && quote != b'\'' {
-        let end = buf[at..].iter().position(|&b| is_sep(b)).map_or(buf.len(), |n| at + n);
+        let end = find(&buf[at..], SEPS).map_or(buf.len(), |n| at + n);
         over(end - at + 1)?;
         return Ok((&buf[at..end], 0, end));
     }
     let (start, mut i, mut escapes) = (at + 1, at + 1, 0);
     let detail = loop {
-        i += buf[i..].iter().position(|&b| b == quote || b == b'\\').unwrap_or(buf.len() - i);
+        i += find(&buf[i..], [quote, b'\\']).unwrap_or(buf.len() - i);
         over(i - start - escapes + 2)?;
         match buf.get(i) {
             None => break "unterminated quote",
@@ -255,7 +282,7 @@ fn unescape(raw: &[u8]) -> Cow<'_, [u8]> {
     }
     let mut out = Vec::with_capacity(raw.len());
     let mut rest = raw;
-    while let Some(i) = rest.iter().position(|&b| b == b'\\') {
+    while let Some(i) = find(rest, [b'\\']) {
         out.extend_from_slice(&rest[..i]);
         out.push(match rest[i + 1] {
             b'n' => b'\n',
@@ -416,6 +443,12 @@ impl<B: AsRef<[u8]>> TextDecoder<B> {
     }
 }
 
+/// The element getters are `#[inline(never)]`: text keeps the default
+/// bulk sequence methods, which call them, and a copy of the tokenizer
+/// inlined into each of those loops decoded the `struct_text` arguments
+/// a few percent slower than every caller sharing the one copy (DESIGN
+/// decision 19). The encoder's formatters measured the same either way
+/// and carry no attribute.
 macro_rules! get_integers {
     ($($get:ident -> $ty:ty: $what:literal),*) => {$(
         #[inline(never)]
@@ -521,6 +554,66 @@ impl<B: AsRef<[u8]> + Send> Decoder for TextDecoder<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Every needle set a call site searches for.
+    const NEEDLES: [&[u8]; 7] =
+        [b"\n", b"\"\\", b"'\\", b"\\", b" \t\n\r", b"\\\n\r\"\\", b"\\\n\r' "];
+
+    /// [`find`] with a call site's needles, as a slice.
+    fn find_any(hay: &[u8], needles: &[u8]) -> Option<usize> {
+        match *needles {
+            [a] => find(hay, [a]),
+            [a, b] => find(hay, [a, b]),
+            [a, b, c, d] => find(hay, [a, b, c, d]),
+            [a, b, c, d, e] => find(hay, [a, b, c, d, e]),
+            _ => unreachable!("no call site searches for {needles:?}"),
+        }
+    }
+
+    /// The byte loop the word search replaced.
+    fn naive(hay: &[u8], needles: &[u8]) -> Option<usize> {
+        hay.iter().position(|b| needles.contains(b))
+    }
+
+    /// Bytes a word test could mistake for a needle: each needle, its
+    /// neighbours one bit away (where a borrow lands), its high-bit twin,
+    /// and the extremes.
+    fn lookalike() -> impl Strategy<Value = u8> {
+        let near = b"\n\"'\\\r \t".iter().flat_map(|&n| [n, n ^ 1, n + 1, n - 1, n | 0x80]);
+        let bytes: Vec<u8> = near.chain([0x00, 0x01, 0x7F, 0x80, 0xFF]).collect();
+        (0..bytes.len()).prop_map(move |i| bytes[i])
+    }
+
+    proptest! {
+        #[test]
+        fn find_matches_the_byte_loop(
+            hay in proptest::collection::vec(prop_oneof![any::<u8>(), lookalike()], 0..150),
+            skip in 0..9usize,
+        ) {
+            let hay = &hay[skip.min(hay.len())..];
+            for needles in NEEDLES {
+                prop_assert_eq!(find_any(hay, needles), naive(hay, needles), "{:?}", needles);
+            }
+        }
+    }
+
+    #[test]
+    fn find_sees_a_needle_at_every_offset() {
+        for needles in NEEDLES {
+            for &needle in needles {
+                for len in 1..=73usize {
+                    for at in 0..len.min(65) {
+                        // High bytes and one-off lookalikes around it.
+                        let mut hay: Vec<u8> =
+                            (0..len).map(|i| [0xFF, needle ^ 1, 0x80 | needle][i % 3]).collect();
+                        hay[at] = needle;
+                        assert_eq!(find_any(&hay, needles), Some(at), "{needles:?} in {hay:?}");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn conformance_roundtrip() {

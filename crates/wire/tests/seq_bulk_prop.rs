@@ -10,7 +10,9 @@
 //! empty sequence, which every case also checks) is exercised at every
 //! offset. A run shorter than its length prefix fails with `UnexpectedEnd` both
 //! ways; a bad `boolean` byte or `char` scalar fails with the same error
-//! both ways.
+//! both ways. On text, one hostile token among good elements reads or
+//! fails identically both ways, so a text sequence getter that leaves the
+//! trait's element loop must keep that loop's limits and errors.
 
 use heidl_wire::{
     CdrEncoder, CdrProtocol, Decoder, Encoder, Protocol, TextProtocol, WireError, WireResult,
@@ -280,4 +282,96 @@ proptest! {
         }
         same_malformed(&TextProtocol, text.into_bytes(), |d| d.get_char_seq(), |d| d.get_char())?;
     }
+}
+
+/// Tokens an element parser must refuse, or accept exactly as
+/// `str::parse` does: a sign it may or may not take, an unsigned `-0`, a
+/// lone `-`, an overflow, the wrong token class, exponent and hex forms,
+/// and two tokens over the 32-byte string bound the decoder runs under.
+const HOSTILE: [&str; 12] = [
+    "+5",
+    "-0",
+    "-",
+    "99999999999999999999",
+    "\"7\"",
+    "'7'",
+    "1e400",
+    "0x10",
+    "T",
+    "{",
+    "1234567890123456789012345678901234567890",
+    "\"a token quoted past the string bound\"",
+];
+
+/// A sequence's text with element `at` replaced by `bad`, then the
+/// trailer: `<n> <elements...> -1234.5`.
+fn hostile_line(
+    n: usize,
+    at: usize,
+    bad: &str,
+    mut element: impl FnMut(usize) -> String,
+) -> String {
+    let tokens: Vec<String> =
+        (0..n).map(|i| if i == at { bad.into() } else { element(i) }).collect();
+    format!("{n} {} {TRAILER:?}", tokens.join(" "))
+}
+
+/// Reads a [`hostile_line`] lazily (so the getters, not the pre-scan,
+/// meet each token) and then the trailer.
+fn read_hostile<T>(
+    line: &str,
+    body: impl FnOnce(&mut dyn Decoder) -> WireResult<T>,
+) -> WireResult<T> {
+    let limits = heidl_wire::DecodeLimits::default().with_max_string_bytes(32);
+    let mut dec = TextProtocol.peek_decoder(line.as_bytes(), &limits)?;
+    let v = body(&mut *dec)?;
+    assert_eq!(dec.get_double()?, TRAILER, "cursor after the sequence");
+    assert!(dec.at_end());
+    Ok(v)
+}
+
+macro_rules! text_bulk_fails_like_the_loop {
+    ($($test:ident: $put:ident, $get_seq:ident, $get:ident, $strategy:expr, $key:expr;)*) => {
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+            $(
+            /// Text only: one element of a valid run replaced by a hostile
+            /// token. The bulk getter and the element loop return the same
+            /// values, or the identical `WireError`.
+            #[test]
+            fn $test(
+                v in proptest::collection::vec($strategy, 1..24),
+                at in any::<u64>(),
+                bad in 0..HOSTILE.len(),
+            ) {
+                let at = (at % v.len() as u64) as usize;
+                let line = hostile_line(v.len(), at, HOSTILE[bad], |i| {
+                    let mut one = TextProtocol.encoder();
+                    one.$put(v[i]);
+                    String::from_utf8(one.finish()).unwrap()
+                });
+                let by_bulk = read_hostile(&line, |d| d.$get_seq()).map(|v| $key(&v));
+                let by_each = read_hostile(&line, |d| {
+                    (0..d.get_len()?).map(|_| d.$get()).collect::<WireResult<Vec<_>>>()
+                })
+                .map(|v| $key(&v));
+                prop_assert_eq!(by_bulk, by_each, "{}", line);
+            }
+            )*
+        }
+    };
+}
+
+text_bulk_fails_like_the_loop! {
+    text_hostile_bools: put_bool, get_bool_seq, get_bool, any::<bool>(), same;
+    text_hostile_octets: put_octet, get_octet_seq, get_octet, any::<u8>(), same;
+    text_hostile_chars: put_char, get_char_seq, get_char, any::<char>(), same;
+    text_hostile_shorts: put_short, get_short_seq, get_short, any::<i16>(), same;
+    text_hostile_ushorts: put_ushort, get_ushort_seq, get_ushort, any::<u16>(), same;
+    text_hostile_longs: put_long, get_long_seq, get_long, any::<i32>(), same;
+    text_hostile_ulongs: put_ulong, get_ulong_seq, get_ulong, any::<u32>(), same;
+    text_hostile_longlongs: put_longlong, get_longlong_seq, get_longlong, any::<i64>(), same;
+    text_hostile_ulonglongs: put_ulonglong, get_ulonglong_seq, get_ulonglong, any::<u64>(), same;
+    text_hostile_floats: put_float, get_float_seq, get_float, any_f32(), bits32;
+    text_hostile_doubles: put_double, get_double_seq, get_double, any_f64(), bits64;
 }

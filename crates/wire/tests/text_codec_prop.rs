@@ -479,7 +479,9 @@ fn put_strategy() -> impl Strategy<Value = Put> {
         floats.prop_map(Put::Float),
         doubles.prop_map(Put::Double),
         "\\PC{0,12}".prop_map(Put::Str),
-        "[a\"'\\\\\n\r\t é✓]{0,12}".prop_map(Put::Str),
+        // Dense in escapable bytes and multi-byte UTF-8, and long enough
+        // to span several of the byte search's eight-byte words.
+        "[a\"'\\\\\n\r\t é✓😀]{0,48}".prop_map(Put::Str),
         any::<u32>().prop_map(Put::Len),
     ];
     leaf.prop_recursive(3, 16, 3, |inner| {

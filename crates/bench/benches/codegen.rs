@@ -82,7 +82,7 @@ fn bench_est_rebuild_vs_reparse(c: &mut Criterion) {
 }
 
 fn bench_full_compile(c: &mut Criterion) {
-    let mut group = c.benchmark_group("e6_full_pipeline");
+    let mut group = c.benchmark_group("e6_full_compile");
     group.sample_size(40);
     for backend in ["heidi-cpp", "tcl", "rust"] {
         let compiler = heidl_codegen::Compiler::new(backend).unwrap();

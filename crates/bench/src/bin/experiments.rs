@@ -969,7 +969,7 @@ fn e11(quick: bool) {
     }
 }
 
-// ---- e12: bulk transfer + pipelined storm ---------------------------------
+// ---- e12: bulk transfer ---------------------------------------------------
 
 /// Streams `total` bytes of repeating alphabet without materializing them:
 /// the producer hands out slices of one pre-built block.
@@ -1036,144 +1036,16 @@ fn measure_stream(mode: TransportMode, total: usize, window: usize, chunk: usize
     (total as f64 / (1 << 20) as f64 / elapsed.as_secs_f64(), high_water)
 }
 
-/// The mux storm from `roundtrip`, with client-side pipelining on or off:
-/// many threads, tiny echo calls, one pooled connection. Returns calls/sec.
-fn measure_pipeline_storm(pipelined: bool, threads: usize, per_thread: usize) -> f64 {
-    let server = Orb::builder().protocol(Arc::new(CdrProtocol)).build();
-    server.serve("127.0.0.1:0").unwrap();
-    let objref = server.export(EchoStrSkel::shared()).unwrap();
-    let client = Orb::builder().protocol(Arc::new(CdrProtocol)).pipelining(pipelined).build();
-    for _ in 0..64 {
-        echo_once(&client, &objref, "x");
-    }
-    let calls = threads * per_thread;
-    let wall = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let client = client.clone();
-            let objref = objref.clone();
-            scope.spawn(move || {
-                for _ in 0..per_thread {
-                    echo_once(&client, &objref, "x");
-                }
-            });
-        }
-    });
-    let elapsed = wall.elapsed();
-    client.shutdown();
-    server.shutdown();
-    calls as f64 / elapsed.as_secs_f64()
-}
-
-/// A servant for the oneway burst: `fire` is replyless, `sync` replies
-/// with how many fires have landed (per-connection frame order makes one
-/// trailing sync a delivery barrier for every earlier oneway).
-struct BurstSkel {
-    base: SkeletonBase,
-    fired: AtomicU64,
-}
-
-impl Skeleton for BurstSkel {
-    fn type_id(&self) -> &str {
-        self.base.type_id()
-    }
-
-    fn dispatch(
-        &self,
-        method: &str,
-        args: &mut dyn Decoder,
-        reply: &mut dyn Encoder,
-    ) -> RmiResult<DispatchOutcome> {
-        match self.base.find(method) {
-            Some(0) => {
-                let _ = args.get_string()?;
-                self.fired.fetch_add(1, Ordering::Relaxed);
-                Ok(DispatchOutcome::Handled)
-            }
-            Some(1) => {
-                reply.put_ulonglong(self.fired.load(Ordering::Relaxed));
-                Ok(DispatchOutcome::Handled)
-            }
-            _ => self.base.dispatch_parents(method, args, reply),
-        }
-    }
-}
-
-/// Oneway burst: many threads fire replyless calls as fast as they can.
-/// With no reply wait the writer lock is genuinely contended, so this is
-/// where write-combining pays — batches of frames per syscall instead of
-/// one each. Returns oneways/sec including the trailing delivery barrier.
-fn measure_oneway_burst(pipelined: bool, threads: usize, per_thread: usize) -> f64 {
-    let server = Orb::builder().protocol(Arc::new(CdrProtocol)).build();
-    server.serve("127.0.0.1:0").unwrap();
-    let objref = server
-        .export(Arc::new(BurstSkel {
-            base: SkeletonBase::new(
-                "IDL:Bench/Burst:1.0",
-                DispatchKind::Hash,
-                ["fire", "sync"],
-                vec![],
-            ),
-            fired: AtomicU64::new(0),
-        }))
-        .unwrap();
-    let client = Orb::builder().protocol(Arc::new(CdrProtocol)).pipelining(pipelined).build();
-    let sync = |client: &Orb| -> u64 {
-        let call = client.call(&objref, "sync");
-        let mut reply = client.invoke(call).unwrap();
-        reply.results().get_ulonglong().unwrap()
-    };
-    sync(&client);
-    let calls = (threads * per_thread) as u64;
-    let wall = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let client = client.clone();
-            let objref = objref.clone();
-            scope.spawn(move || {
-                for _ in 0..per_thread {
-                    let mut call = client.call_oneway(&objref, "fire");
-                    call.args().put_string("x");
-                    client.invoke_oneway(call).unwrap();
-                }
-            });
-        }
-    });
-    let landed = sync(&client);
-    let elapsed = wall.elapsed();
-    assert_eq!(landed, calls, "oneway burst lost frames");
-    client.shutdown();
-    server.shutdown();
-    calls as f64 / elapsed.as_secs_f64()
-}
-
 fn e12(quick: bool) {
     let total: usize = if quick { 8 << 20 } else { 64 << 20 };
     let window: usize = 1 << 20;
     let chunk: usize = 256 << 10;
-    let threads = 16;
-    let per_thread = if quick { 400 } else { 1500 };
 
-    println!("\n[E12] bulk transfer: chunked streaming under a credit window, then a");
-    println!("      pipelined small-call storm against the same storm un-pipelined");
+    println!("\n[E12] bulk transfer: chunked streaming under a credit window");
 
     let (mbps_threaded, hw_threaded) =
         measure_stream(TransportMode::Threaded, total, window, chunk);
     let (mbps_reactor, hw_reactor) = measure_stream(TransportMode::Reactor, total, window, chunk);
-    // Interleaved best-of-N: single storm runs swing with scheduler noise
-    // far more than the pipelining delta, and alternating the two arms
-    // keeps slow-machine drift from favoring either side.
-    let rounds = if quick { 3 } else { 5 };
-    let mut plain_cps: f64 = 0.0;
-    let mut pipelined_cps: f64 = 0.0;
-    let mut plain_burst: f64 = 0.0;
-    let mut pipelined_burst: f64 = 0.0;
-    for _ in 0..rounds {
-        plain_cps = plain_cps.max(measure_pipeline_storm(false, threads, per_thread));
-        pipelined_cps = pipelined_cps.max(measure_pipeline_storm(true, threads, per_thread));
-        plain_burst = plain_burst.max(measure_oneway_burst(false, threads, per_thread));
-        pipelined_burst = pipelined_burst.max(measure_oneway_burst(true, threads, per_thread));
-    }
 
     let mib = total / (1 << 20);
     println!(
@@ -1189,28 +1061,6 @@ fn e12(quick: bool) {
         hw_reactor / 1024
     );
     println!(
-        "{:<44} {:>10.0}",
-        format!("storm {threads}x{per_thread} un-pipelined calls/sec"),
-        plain_cps
-    );
-    println!(
-        "{:<44} {:>10.0}  ({:.2}x)",
-        format!("storm {threads}x{per_thread} pipelined calls/sec"),
-        pipelined_cps,
-        pipelined_cps / plain_cps
-    );
-    println!(
-        "{:<44} {:>10.0}",
-        format!("oneway burst {threads}x{per_thread} un-pipelined/sec"),
-        plain_burst
-    );
-    println!(
-        "{:<44} {:>10.0}  ({:.2}x)",
-        format!("oneway burst {threads}x{per_thread} pipelined/sec"),
-        pipelined_burst,
-        pipelined_burst / plain_burst
-    );
-    println!(
         "bounded buffering held: {} (peak <= window {} KiB + chunk {} KiB)",
         hw_threaded <= window + chunk && hw_reactor <= window + chunk,
         window / 1024,
@@ -1221,10 +1071,6 @@ fn e12(quick: bool) {
         "{{\n  \"schema\": \"heidl-bench-stream/v1\",\n  \"quick\": {quick},\n  \"results\": {{\n    \
          \"stream_threaded\": {{\"mbps\": {mbps_threaded:.0}, \"high_water_bytes\": {hw_threaded}}},\n    \
          \"stream_reactor\": {{\"mbps\": {mbps_reactor:.0}, \"high_water_bytes\": {hw_reactor}}},\n    \
-         \"storm_plain\": {{\"calls_per_sec\": {plain_cps:.0}}},\n    \
-         \"storm_pipelined\": {{\"calls_per_sec\": {pipelined_cps:.0}}},\n    \
-         \"burst_plain\": {{\"calls_per_sec\": {plain_burst:.0}}},\n    \
-         \"burst_pipelined\": {{\"calls_per_sec\": {pipelined_burst:.0}}},\n    \
          \"config\": {{\"total_bytes\": {total}, \"window_bytes\": {window}, \"chunk_bytes\": {chunk}}}\n  }}\n}}\n"
     );
     let path =
@@ -1235,8 +1081,7 @@ fn e12(quick: bool) {
     }
 
     // CI gate (HEIDL_BENCH_ASSERT_STREAM=1): the buffering bound is a hard
-    // invariant; the pipelining win gets a noise margin because shared
-    // runners jitter but a write-combined storm must never be plainly slower.
+    // invariant, immune to runner jitter.
     if std::env::var("HEIDL_BENCH_ASSERT_STREAM").is_ok() {
         if hw_threaded > window + chunk || hw_reactor > window + chunk {
             eprintln!(
@@ -1245,26 +1090,7 @@ fn e12(quick: bool) {
             );
             std::process::exit(1);
         }
-        if pipelined_cps < plain_cps * 0.9 {
-            eprintln!(
-                "pipelining regression: {pipelined_cps:.0} calls/sec < 0.9x un-pipelined \
-                 {plain_cps:.0}"
-            );
-            std::process::exit(1);
-        }
-        if pipelined_burst < plain_burst * 0.95 {
-            eprintln!(
-                "oneway coalescing regression: {pipelined_burst:.0}/sec < 0.95x un-pipelined \
-                 {plain_burst:.0}"
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "stream gate ok: peaks {hw_threaded}/{hw_reactor} bounded, \
-             pipelined {:.2}x, oneway burst {:.2}x",
-            pipelined_cps / plain_cps,
-            pipelined_burst / plain_burst
-        );
+        println!("stream gate ok: peaks {hw_threaded}/{hw_reactor} bounded");
     }
 }
 

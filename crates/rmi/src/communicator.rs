@@ -501,53 +501,6 @@ impl PendingTable {
     }
 }
 
-/// Bodies at or below this size are eligible for pipelined coalescing;
-/// larger frames take the writer lock directly (flushing the queue first
-/// so the wire order matches the append order).
-const PIPELINE_MAX_BODY: usize = 4096;
-
-/// Write-combining state for opt-in call pipelining: concurrent small
-/// frames append to one staging buffer, and whichever sender wins the
-/// writer lock flushes the whole batch as a single `send` — one syscall
-/// for N calls under concurrency, instead of N syscalls. A sender whose
-/// frame rides in someone else's batch still blocks on the writer lock
-/// (exactly like the un-pipelined path), but by the time it acquires it
-/// usually finds its frame already settled and returns without writing.
-struct PipelineState {
-    enabled: AtomicBool,
-    queue: Mutex<PipelineQueue>,
-}
-
-struct PipelineQueue {
-    /// Framed bytes awaiting a flusher, in append order.
-    buf: Vec<u8>,
-    /// Sequence number stamped on the most recently appended frame.
-    tail_seq: u64,
-    /// Frames settled (written or failed) through this sequence number.
-    settled_seq: u64,
-    /// Frames successfully written through this sequence number; a
-    /// settled frame past this mark was lost to a transport error.
-    wrote_seq: u64,
-    /// Sticky after any batched write fails: later senders bail out
-    /// immediately instead of queueing onto a dead transport.
-    failed: bool,
-}
-
-impl PipelineState {
-    fn new() -> PipelineState {
-        PipelineState {
-            enabled: AtomicBool::new(false),
-            queue: Mutex::new(PipelineQueue {
-                buf: Vec::new(),
-                tail_seq: 0,
-                settled_seq: 0,
-                wrote_seq: 0,
-                failed: false,
-            }),
-        }
-    }
-}
-
 /// A shared, multiplexed connection to one endpoint.
 ///
 /// Any number of threads may have calls in flight concurrently; each call
@@ -570,8 +523,6 @@ pub struct MuxConnection {
     /// connection — what the heartbeat scan calls "activity". Coarse on
     /// purpose: one relaxed store per call keeps the hot path unburdened.
     last_used: AtomicU64,
-    /// Opt-in small-call write combining (see [`PipelineState`]).
-    pipeline: PipelineState,
 }
 
 /// Milliseconds elapsed since the first time any connection asked — a
@@ -702,7 +653,6 @@ impl MuxConnection {
             borrowed: AtomicUsize::new(0),
             peer,
             last_used: AtomicU64::new(epoch_millis()),
-            pipeline: PipelineState::new(),
         }))
     }
 
@@ -790,24 +740,14 @@ impl MuxConnection {
         }
     }
 
-    /// Sends a request that expects no reply.
-    ///
-    /// With pipelining enabled, small oneway frames coalesce Nagle-style:
-    /// the frame is staged and the call returns immediately, and the
-    /// batch goes out when staged bytes cross the flush threshold or when
-    /// the next two-way call on this connection flushes ahead of itself
-    /// (two-way sends always drain staged frames first, so per-thread
-    /// program order is preserved on the wire).
+    /// Sends a request that expects no reply: the same single framed
+    /// write as a two-way call, so one thread's oneways and calls reach
+    /// the wire in program order.
     ///
     /// # Errors
     ///
-    /// Propagates transport failures. A coalesced frame whose batch later
-    /// fails surfaces as [`RmiError::Disconnected`] on the *next* send.
+    /// Propagates transport failures.
     pub fn send_oneway(&self, body: &[u8]) -> RmiResult<()> {
-        if self.pipelining_enabled() && body.len() <= PIPELINE_MAX_BODY {
-            self.last_used.store(epoch_millis(), Ordering::Relaxed);
-            return self.send_coalesced(body);
-        }
         self.send_framed(body)
     }
 
@@ -842,136 +782,10 @@ impl MuxConnection {
         self.streams.remove(request_id);
     }
 
-    /// Opts this connection into pipelined small-call coalescing:
-    /// concurrent frames up to 4 KiB batch into single writes instead of
-    /// serializing on the writer lock one syscall each. Two-way sends
-    /// keep their semantics — the call returns only after its bytes hit
-    /// the transport (or the batch carrying them failed). Small *oneway*
-    /// sends return once staged; see [`MuxConnection::send_oneway`].
-    pub fn enable_pipelining(&self) {
-        self.pipeline.enabled.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether pipelined coalescing is on (see
-    /// [`MuxConnection::enable_pipelining`]).
-    pub fn pipelining_enabled(&self) -> bool {
-        self.pipeline.enabled.load(Ordering::Relaxed)
-    }
-
     fn send_framed(&self, body: &[u8]) -> RmiResult<()> {
         self.last_used.store(epoch_millis(), Ordering::Relaxed);
-        if self.pipelining_enabled() {
-            if body.len() <= PIPELINE_MAX_BODY {
-                return self.send_pipelined(body);
-            }
-            // Large frame: write it directly, but drain the queue first so
-            // the wire never reorders a big frame ahead of small frames
-            // already accepted for sending.
-            let mut writer = self.writer.lock();
-            self.flush_pipeline(writer.as_mut());
-            return write_framed(writer.as_mut(), self.protocol.as_ref(), &[body]);
-        }
         let mut writer = self.writer.lock();
         write_framed(writer.as_mut(), self.protocol.as_ref(), &[body])
-    }
-
-    /// Stages a small oneway frame and returns without waiting for the
-    /// wire (the pipelining "flush window"): the batch goes out when
-    /// staged bytes cross [`PIPELINE_MAX_BODY`], or earlier when any
-    /// two-way send drains the queue ahead of itself. Transport failures
-    /// surface on the next send via the sticky `failed` flag — a oneway
-    /// never had a delivery guarantee to lose.
-    fn send_coalesced(&self, body: &[u8]) -> RmiResult<()> {
-        let flush_due = {
-            let mut q = self.pipeline.queue.lock();
-            if q.failed {
-                return Err(RmiError::Disconnected);
-            }
-            self.protocol.frame(body, &mut q.buf);
-            q.tail_seq += 1;
-            q.buf.len() >= PIPELINE_MAX_BODY
-        };
-        if flush_due {
-            // Contended try_lock is fine: the holder is a two-way sender
-            // whose own flush precedes its write, or a threshold flusher
-            // already draining; either way the batch is on its way.
-            if let Some(mut writer) = self.writer.try_lock() {
-                self.flush_pipeline(writer.as_mut());
-            }
-        }
-        Ok(())
-    }
-
-    /// Writes the frame directly when the writer lock is free (the
-    /// uncontended cost is one flush check plus the same single vectored
-    /// write as the un-pipelined path). When the writer is busy, stages
-    /// the frame and then blocks on the writer lock exactly like the
-    /// un-pipelined path would — on acquiring it, either the current
-    /// holder already flushed our frame inside a combined batch (the
-    /// common case: return without a syscall), or we flush the batch
-    /// ourselves. Staged frames always drain *before* a direct write, so
-    /// the wire order matches each thread's program order.
-    fn send_pipelined(&self, body: &[u8]) -> RmiResult<()> {
-        if let Some(mut writer) = self.writer.try_lock() {
-            self.flush_pipeline(writer.as_mut());
-            return write_framed(writer.as_mut(), self.protocol.as_ref(), &[body]);
-        }
-        let my_seq = {
-            let mut q = self.pipeline.queue.lock();
-            if q.failed {
-                return Err(RmiError::Disconnected);
-            }
-            self.protocol.frame(body, &mut q.buf);
-            q.tail_seq += 1;
-            q.tail_seq
-        };
-        let mut writer = self.writer.lock();
-        {
-            let q = self.pipeline.queue.lock();
-            if q.settled_seq >= my_seq {
-                return if q.wrote_seq >= my_seq { Ok(()) } else { Err(RmiError::Disconnected) };
-            }
-        }
-        self.flush_pipeline(writer.as_mut());
-        let q = self.pipeline.queue.lock();
-        debug_assert!(q.settled_seq >= my_seq, "flush must settle every staged frame");
-        if q.wrote_seq >= my_seq {
-            Ok(())
-        } else {
-            Err(RmiError::Disconnected)
-        }
-    }
-
-    /// Drains the pipeline staging buffer through `writer` (whose lock the
-    /// caller holds), batch by batch, until a look at the queue finds it
-    /// empty. Each batch settles — advancing `settled_seq` — whether the
-    /// write succeeded or not; a failure leaves `wrote_seq` behind so the
-    /// affected senders see the error.
-    fn flush_pipeline(&self, writer: &mut dyn Transport) {
-        loop {
-            let (batch, batch_seq) = {
-                let mut q = self.pipeline.queue.lock();
-                if q.buf.is_empty() {
-                    return;
-                }
-                (std::mem::take(&mut q.buf), q.tail_seq)
-            };
-            let result = writer.send(&batch);
-            let mut q = self.pipeline.queue.lock();
-            if result.is_ok() {
-                q.wrote_seq = batch_seq;
-            } else {
-                q.failed = true;
-            }
-            q.settled_seq = batch_seq;
-            if q.buf.is_empty() {
-                // Hand the batch allocation back as the next staging
-                // buffer — steady state appends into warm capacity.
-                let mut spare = batch;
-                spare.clear();
-                q.buf = spare;
-            }
-        }
     }
 
     /// Sends a fire-and-forget liveness ping: the request goes out with a
@@ -1219,9 +1033,6 @@ pub struct ConnectionPool {
     /// Which demux engine fresh connections use (see
     /// [`MuxConnection::over_mode`]).
     transport_mode: Mutex<TransportMode>,
-    /// When set, fresh connections opt into pipelined small-call
-    /// coalescing (see [`MuxConnection::enable_pipelining`]).
-    pipelining: AtomicBool,
     /// One circuit breaker per endpoint, created on demand with
     /// `breaker_config`.
     breakers: Mutex<HashMap<Endpoint, Arc<CircuitBreaker>>>,
@@ -1300,7 +1111,6 @@ impl ConnectionPool {
             max_per_endpoint: AtomicUsize::new(1),
             connector: Mutex::new(Arc::new(TcpConnector)),
             transport_mode: Mutex::new(TransportMode::Threaded),
-            pipelining: AtomicBool::new(false),
             breakers: Mutex::new(HashMap::new()),
             breaker_config: Mutex::new(BreakerConfig::disabled()),
             breaker_observer: Mutex::new(None),
@@ -1328,17 +1138,6 @@ impl ConnectionPool {
     /// The demux engine fresh connections will use.
     pub fn transport_mode(&self) -> TransportMode {
         *self.transport_mode.lock()
-    }
-
-    /// Turns pipelined small-call coalescing on or off for connections
-    /// opened from now on; already-pooled connections are unaffected.
-    pub fn set_pipelining(&self, on: bool) {
-        self.pipelining.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether fresh connections opt into pipelined coalescing.
-    pub fn pipelining(&self) -> bool {
-        self.pipelining.load(Ordering::Relaxed)
     }
 
     /// Sets the tuning for breakers created from now on. Already-created
@@ -1445,9 +1244,6 @@ impl ConnectionPool {
         let mode = self.transport_mode();
         if !self.caching_enabled() {
             let conn = MuxConnection::via_mode(connector.as_ref(), endpoint, protocol, mode)?;
-            if self.pipelining() {
-                conn.enable_pipelining();
-            }
             self.opened.fetch_add(1, Ordering::Relaxed);
             conn.borrow();
             return Ok(CheckedOut { conn, from_cache: false });
@@ -1468,9 +1264,6 @@ impl ConnectionPool {
             }
         }
         let conn = MuxConnection::via_mode(connector.as_ref(), endpoint, protocol, mode)?;
-        if self.pipelining() {
-            conn.enable_pipelining();
-        }
         self.opened.fetch_add(1, Ordering::Relaxed);
         conn.borrow();
         list.push(Arc::clone(&conn));
@@ -1524,12 +1317,33 @@ impl ConnectionPool {
         self.conns.lock().values().flatten().map(|c| c.in_flight()).sum()
     }
 
-    /// Snapshot of every pooled connection, grouped by endpoint — the
-    /// heartbeat scan walks this outside the pool lock so a slow ping
-    /// never blocks checkouts.
-    pub(crate) fn scan(&self) -> Vec<(Endpoint, Vec<Arc<MuxConnection>>)> {
-        self.conns.lock().iter().map(|(ep, list)| (ep.clone(), list.clone())).collect()
+    /// Fills `scan` with every pooled connection — the heartbeat probe
+    /// walks it outside the pool lock so a slow ping never blocks
+    /// checkouts. `scan` is reused tick after tick: an endpoint slot is
+    /// re-cloned only when its endpoint changed, so a steady pool scans
+    /// without allocating.
+    pub(crate) fn scan(&self, scan: &mut PoolScan) {
+        scan.conns.clear();
+        let conns = self.conns.lock();
+        for (n, (endpoint, list)) in conns.iter().enumerate() {
+            match scan.endpoints.get_mut(n) {
+                Some(slot) if slot == endpoint => {}
+                Some(slot) => *slot = endpoint.clone(),
+                None => scan.endpoints.push(endpoint.clone()),
+            }
+            scan.conns.extend(list.iter().map(|conn| (n, Arc::clone(conn))));
+        }
+        scan.endpoints.truncate(conns.len());
     }
+}
+
+/// A snapshot of the pool, filled by [`ConnectionPool::scan`].
+#[derive(Default)]
+pub(crate) struct PoolScan {
+    /// Every endpoint the pool holds connections for.
+    pub(crate) endpoints: Vec<Endpoint>,
+    /// Each pooled connection, with the index of its endpoint.
+    pub(crate) conns: Vec<(usize, Arc<MuxConnection>)>,
 }
 
 #[cfg(test)]
@@ -1798,81 +1612,6 @@ mod tests {
         assert_eq!(pool.breaker(&ep).state(), crate::breaker::BreakerState::Closed);
     }
 
-    #[test]
-    fn pipelined_burst_correlates_every_reply() {
-        let port = spawn_echo_server();
-        let ep = Endpoint::new("tcp", "127.0.0.1", port);
-        let proto: Arc<dyn Protocol> = Arc::new(TextProtocol);
-        let conn = MuxConnection::connect(&ep, &proto).unwrap();
-        conn.enable_pipelining();
-        assert!(conn.pipelining_enabled());
-
-        // A storm of concurrent small calls: frames coalesce into shared
-        // batches, yet every caller must get exactly its own reply back.
-        let mut handles = Vec::new();
-        for t in 0..8 {
-            let c = Arc::clone(&conn);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..50 {
-                    let id = next_request_id();
-                    let payload = format!("t{t}-call{i}");
-                    let body = tagged_body(id, &payload);
-                    let reply = c.call(id, &body, Some(Duration::from_secs(10))).unwrap();
-                    assert_eq!(&*reply, &body[..], "caller got someone else's frame");
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn pipelined_large_frames_bypass_and_stay_ordered() {
-        let port = spawn_echo_server();
-        let ep = Endpoint::new("tcp", "127.0.0.1", port);
-        let proto: Arc<dyn Protocol> = Arc::new(TextProtocol);
-        let conn = MuxConnection::connect(&ep, &proto).unwrap();
-        conn.enable_pipelining();
-
-        // Interleave coalesced small calls with >4 KiB bodies that take
-        // the direct writer path; each must still round-trip intact.
-        let big_payload = "x".repeat(PIPELINE_MAX_BODY * 2);
-        let mut handles = Vec::new();
-        for t in 0..4 {
-            let c = Arc::clone(&conn);
-            let big = big_payload.clone();
-            handles.push(std::thread::spawn(move || {
-                for i in 0..10 {
-                    let id = next_request_id();
-                    let payload = if i % 2 == 0 { format!("t{t}-small{i}") } else { big.clone() };
-                    let body = tagged_body(id, &payload);
-                    let reply = c.call(id, &body, Some(Duration::from_secs(10))).unwrap();
-                    assert_eq!(&*reply, &body[..]);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn pipelined_send_fails_after_transport_death() {
-        let (a, b) = InProcTransport::pair();
-        let conn = MuxConnection::over(Box::new(a), text()).unwrap();
-        conn.enable_pipelining();
-        drop(b);
-        // Give the demux thread a beat to notice the close.
-        std::thread::sleep(Duration::from_millis(30));
-        let id = next_request_id();
-        let err = conn.call(id, &tagged_body(id, "x"), None).unwrap_err();
-        assert!(
-            matches!(err, RmiError::Disconnected | RmiError::Io(_)),
-            "expected a dead-connection error, got {err}"
-        );
-    }
-
     /// A server that records every received frame and echoes back only
     /// those whose payload contains `"sync"` — lets tests observe oneway
     /// delivery and wire order without a reply correlating to them.
@@ -1900,23 +1639,22 @@ mod tests {
     }
 
     #[test]
-    fn coalesced_oneways_flush_before_the_next_twoway() {
+    fn oneways_then_a_twoway_reach_the_wire_in_program_order() {
         let (port, received) = spawn_recording_server();
         let ep = Endpoint::new("tcp", "127.0.0.1", port);
         let proto: Arc<dyn Protocol> = Arc::new(TextProtocol);
         let conn = MuxConnection::connect(&ep, &proto).unwrap();
-        conn.enable_pipelining();
 
-        // Small oneways stage in the flush window and return immediately.
         for i in 0..5 {
             conn.send_oneway(&tagged_body(next_request_id(), &format!("ow{i}"))).unwrap();
         }
-        // The next two-way send must drain them ahead of itself.
         let id = next_request_id();
         let body = tagged_body(id, "sync");
         let reply = conn.call(id, &body, Some(Duration::from_secs(10))).unwrap();
         assert_eq!(&*reply, &body[..]);
 
+        // The server recorded the sync before echoing it, and it reads
+        // one socket in order, so everything sent before it is recorded.
         let got = received.lock();
         assert_eq!(got.len(), 6, "five oneways plus the sync must have landed");
         for (i, frame) in got[..5].iter().enumerate() {
@@ -1926,41 +1664,77 @@ mod tests {
                 String::from_utf8_lossy(frame)
             );
         }
-        assert_eq!(&got[5][..], &body[..], "sync overtook a staged oneway");
+        assert_eq!(&got[5][..], &body[..], "sync overtook a oneway");
     }
 
     #[test]
-    fn coalesced_oneways_flush_at_the_byte_threshold() {
+    fn large_and_small_frames_interleave_in_program_order() {
         let (port, received) = spawn_recording_server();
         let ep = Endpoint::new("tcp", "127.0.0.1", port);
         let proto: Arc<dyn Protocol> = Arc::new(TextProtocol);
         let conn = MuxConnection::connect(&ep, &proto).unwrap();
-        conn.enable_pipelining();
 
-        // ~1 KiB frames: the fourth crosses PIPELINE_MAX_BODY staged
-        // bytes, so its sender flushes the whole batch; the fifth stays
-        // staged until further traffic.
-        let filler = "y".repeat(1024);
-        for i in 0..5 {
-            conn.send_oneway(&tagged_body(next_request_id(), &format!("ow{i}-{filler}"))).unwrap();
+        // Four threads each alternate small and 64 KiB oneways, then a
+        // sync call: frames of different threads may interleave, but
+        // each thread's own frames land whole and in its order.
+        let big = "x".repeat(64 * 1024);
+        let handles: Vec<_> = (0..4)
+            .map(|t| {
+                let c = Arc::clone(&conn);
+                let big = big.clone();
+                std::thread::spawn(move || {
+                    for i in 0..10 {
+                        let pad = if i % 2 == 1 { big.as_str() } else { "" };
+                        c.send_oneway(&tagged_body(next_request_id(), &format!("t{t}-{i}-{pad}")))
+                            .unwrap();
+                    }
+                    let id = next_request_id();
+                    let body = tagged_body(id, &format!("t{t}-sync"));
+                    assert_eq!(
+                        &*c.call(id, &body, Some(Duration::from_secs(10))).unwrap(),
+                        &body[..]
+                    );
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
         }
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            if received.lock().len() >= 4 {
-                break;
-            }
-            assert!(Instant::now() < deadline, "threshold flush never happened");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(received.lock().len(), 4, "under-threshold tail flushed too early");
-
-        // The lingering fifth frame rides out ahead of the next two-way.
-        let id = next_request_id();
-        let body = tagged_body(id, "sync");
-        conn.call(id, &body, Some(Duration::from_secs(10))).unwrap();
         let got = received.lock();
-        assert_eq!(got.len(), 6);
-        assert!(String::from_utf8_lossy(&got[4]).contains("ow4"));
+        assert_eq!(got.len(), 44);
+        for t in 0..4 {
+            let prefix = format!("t{t}-");
+            let mine: Vec<String> = got
+                .iter()
+                .map(|f| String::from_utf8_lossy(f).into_owned())
+                .filter(|f| f.contains(&prefix))
+                .collect();
+            assert_eq!(mine.len(), 11, "thread {t} lost a frame");
+            for (i, frame) in mine[..10].iter().enumerate() {
+                assert!(frame.contains(&format!("t{t}-{i}-")), "thread {t} frame {i} out of order");
+                assert_eq!(frame.len() > 64 * 1024, i % 2 == 1, "thread {t} frame {i} torn");
+            }
+            assert!(mine[10].contains("sync"), "thread {t}'s sync overtook a oneway");
+        }
+    }
+
+    #[test]
+    fn a_send_after_transport_death_fails() {
+        let (a, b) = InProcTransport::pair();
+        let conn = MuxConnection::over(Box::new(a), text()).unwrap();
+        drop(b);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while conn.is_alive() {
+            assert!(Instant::now() < deadline, "demux never saw the close");
+            std::thread::yield_now();
+        }
+        let id = next_request_id();
+        assert!(conn.send_oneway(&tagged_body(id, "x")).is_err(), "oneway onto a dead pipe");
+        let err = conn.call(id, &tagged_body(id, "x"), None).unwrap_err();
+        assert!(
+            matches!(err, RmiError::Disconnected | RmiError::Io(_)),
+            "expected a dead-connection error, got {err}"
+        );
     }
 
     // ---- one deframe loop, two ways to drive it ---------------------------

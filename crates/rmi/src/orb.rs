@@ -19,7 +19,7 @@
 
 use crate::breaker::BreakerConfig;
 use crate::call::{Call, InvocationToken, Reply};
-use crate::communicator::{ConnectionPool, MuxConnection};
+use crate::communicator::{ConnectionPool, MuxConnection, PoolScan};
 use crate::error::{RmiError, RmiResult};
 use crate::interceptor::{CallPhase, Interceptor, InterceptorChain};
 use crate::metrics::{Counter, Metrics};
@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 /// Construct via [`CallOptions::builder`] (or [`CallOptions::default`] for
 /// the defaults). The struct is `#[non_exhaustive]`: new QoS knobs can be
 /// added without breaking callers, which is exactly what the IDL
-/// annotation pipeline relies on — generated stubs translate
+/// annotation mapping relies on — generated stubs translate
 /// `@idempotent` / `@deadline(ms)` / `@cached(ttl_ms)` into a builder
 /// chain, so hand-written call sites never need to spell out QoS again.
 ///
@@ -206,7 +206,6 @@ pub struct OrbBuilder {
     server_policy: ServerPolicy,
     heartbeat_interval: Option<Duration>,
     transport_mode: TransportMode,
-    pipelining: bool,
 }
 
 impl Default for OrbBuilder {
@@ -221,7 +220,6 @@ impl Default for OrbBuilder {
             server_policy: ServerPolicy::default(),
             heartbeat_interval: None,
             transport_mode: TransportMode::from_env(),
-            pipelining: false,
         }
     }
 }
@@ -304,17 +302,6 @@ impl OrbBuilder {
         self
     }
 
-    /// Opts outgoing connections into pipelined small-call coalescing:
-    /// concurrent frames up to 4 KiB batch into single transport writes
-    /// instead of serializing on the writer lock one syscall each. Every
-    /// call keeps its blocking semantics — the win is throughput under
-    /// concurrency (many client threads sharing a pooled connection), not
-    /// latency of a lone caller. Off by default.
-    pub fn pipelining(mut self, on: bool) -> OrbBuilder {
-        self.pipelining = on;
-        self
-    }
-
     /// Builds the ORB.
     pub fn build(self) -> Orb {
         let pool = ConnectionPool::new();
@@ -329,7 +316,6 @@ impl OrbBuilder {
         let metrics = Arc::new(Metrics::new());
         pool.set_breaker_observer(Arc::clone(&metrics) as _);
         pool.set_transport_mode(self.transport_mode);
-        pool.set_pipelining(self.pipelining);
         let orb = Orb {
             inner: Arc::new(OrbInner {
                 protocol: self.protocol,
@@ -363,6 +349,7 @@ impl OrbBuilder {
             let mut probe = HeartbeatProbe {
                 orb: Arc::downgrade(&orb.inner),
                 interval,
+                scan: PoolScan::default(),
                 outstanding: Vec::new(),
             };
             let tick = (interval / 2).clamp(Duration::from_millis(5), Duration::from_millis(500));
@@ -505,7 +492,11 @@ fn fresh_session_id() -> u64 {
 struct HeartbeatProbe {
     orb: Weak<OrbInner>,
     interval: Duration,
-    outstanding: Vec<(Endpoint, Arc<MuxConnection>, u64)>,
+    /// The pool snapshot, reused so a tick allocates nothing.
+    scan: PoolScan,
+    /// Last tick's pings: the connection, its endpoint's index in `scan`
+    /// (settled before the next scan rewrites it), and the request id.
+    outstanding: Vec<(usize, Arc<MuxConnection>, u64)>,
 }
 
 impl HeartbeatProbe {
@@ -518,43 +509,41 @@ impl HeartbeatProbe {
         // Settle first so `in_flight` is accurate for this tick's scan: a
         // pong (or a demux-side death) removed the pending entry, so a
         // still-pending ping is a silent peer.
-        for (endpoint, conn, request_id) in self.outstanding.drain(..) {
+        for (at, conn, request_id) in self.outstanding.drain(..) {
             if conn.ping_unanswered(request_id) {
-                inner.pool.discard(&endpoint, &conn);
-                inner.pool.breaker(&endpoint).record_failure();
+                let endpoint = &self.scan.endpoints[at];
+                inner.pool.discard(endpoint, &conn);
+                inner.pool.breaker(endpoint).record_failure();
             }
         }
-        for (endpoint, conns) in inner.pool.scan() {
-            for conn in conns {
-                if !conn.is_alive() {
-                    // The demux already saw the peer die (EOF/RST); evict
-                    // the corpse now instead of leaving it for the next
-                    // checkout to trip over.
-                    inner.pool.discard(&endpoint, &conn);
-                    continue;
-                }
-                if conn.borrow_count() > 0
-                    || conn.in_flight() > 0
-                    || conn.idle_for() < self.interval
-                {
-                    continue;
-                }
-                let health = ObjectRef::new(endpoint.clone(), HEALTH_OBJECT_ID, HEALTH_TYPE_ID);
-                let call = Call::request(&health, "ping", inner.protocol.as_ref());
-                let request_id = call.request_id();
-                let body = call.into_body();
-                inner.metrics.inc(Counter::HeartbeatsSent);
-                let outcome = conn.send_ping(request_id, &body);
-                pool::recycle(body);
-                match outcome {
-                    Ok(()) => self.outstanding.push((endpoint.clone(), conn, request_id)),
-                    // Dead peer: evict the socket so the next call dials
-                    // fresh, and count a breaker failure so a flapping
-                    // endpoint trips to fail-fast without burning a call.
-                    Err(_) => {
-                        inner.pool.discard(&endpoint, &conn);
-                        inner.pool.breaker(&endpoint).record_failure();
-                    }
+        inner.pool.scan(&mut self.scan);
+        for (at, conn) in self.scan.conns.drain(..) {
+            let endpoint = &self.scan.endpoints[at];
+            if !conn.is_alive() {
+                // The demux already saw the peer die (EOF/RST); evict the
+                // corpse now instead of leaving it for the next checkout
+                // to trip over.
+                inner.pool.discard(endpoint, &conn);
+                continue;
+            }
+            if conn.borrow_count() > 0 || conn.in_flight() > 0 || conn.idle_for() < self.interval {
+                continue;
+            }
+            let health = ObjectRef::new(endpoint.clone(), HEALTH_OBJECT_ID, HEALTH_TYPE_ID);
+            let call = Call::request(&health, "ping", inner.protocol.as_ref());
+            let request_id = call.request_id();
+            let body = call.into_body();
+            inner.metrics.inc(Counter::HeartbeatsSent);
+            let outcome = conn.send_ping(request_id, &body);
+            pool::recycle(body);
+            match outcome {
+                Ok(()) => self.outstanding.push((at, conn, request_id)),
+                // Dead peer: evict the socket so the next call dials
+                // fresh, and count a breaker failure so a flapping
+                // endpoint trips to fail-fast without burning a call.
+                Err(_) => {
+                    inner.pool.discard(endpoint, &conn);
+                    inner.pool.breaker(endpoint).record_failure();
                 }
             }
         }
@@ -562,7 +551,7 @@ impl HeartbeatProbe {
     }
 }
 
-/// Which stages of the invocation pipeline one call kind runs: a
+/// Which stages of the invocation path one call kind runs: a
 /// difference between a two-way, a streamed and a oneway call is a row
 /// here, not a second function. Every kind stamps `~ctx` under Debug
 /// tracing, passes breaker admission and records its outcome.
@@ -595,7 +584,7 @@ const STREAM: CallKind =
 const ONEWAY: CallKind =
     CallKind { send: SendKind::Oneway, token: false, cached: false, retry: false };
 
-/// What the pipeline's send stage got back, by call kind.
+/// What the invocation path's send stage got back, by call kind.
 enum Sent {
     /// A two-way reply body, not yet classified.
     Raw(PooledBuf),
@@ -992,7 +981,7 @@ impl Orb {
     ///
     /// As [`Orb::invoke`], plus [`RmiError::DeadlineExceeded`].
     pub fn invoke_with(&self, call: Call, options: CallOptions) -> RmiResult<Reply> {
-        self.pipeline(&TWO_WAY, call, options).map(Sent::into_reply)
+        self.invoke_as(&TWO_WAY, call, options).map(Sent::into_reply)
     }
 
     /// Invokes a call whose reply is **streamed**: the request carries the
@@ -1038,7 +1027,7 @@ impl Orb {
     /// [`RmiError::CircuitOpen`]; also rejects oneway calls and protocols
     /// without a chunk encoding.
     pub fn invoke_stream_with(&self, call: Call, options: CallOptions) -> RmiResult<ReplyStream> {
-        self.pipeline(&STREAM, call, options).map(Sent::into_stream)
+        self.invoke_as(&STREAM, call, options).map(Sent::into_stream)
     }
 
     /// Number of stale-connection retries performed (observability).
@@ -1052,11 +1041,11 @@ impl Orb {
         self.inner.session_id
     }
 
-    /// The one client invocation pipeline (Fig 4), whatever the call
+    /// The one client invocation path (Fig 4), whatever the call
     /// kind: stamp → cache → admit → send → await → classify → record.
     /// `kind` is the row saying which of the stages the call runs (see
     /// [`CallKind`]).
-    fn pipeline(
+    fn invoke_as(
         &self,
         kind: &'static CallKind,
         mut call: Call,
@@ -1327,7 +1316,7 @@ impl Orb {
 
     /// Invokes a `oneway` call: send and forget.
     ///
-    /// Runs the pipeline of [`Orb::invoke`] minus the reply: the request
+    /// Runs the invocation path of [`Orb::invoke`] minus the reply: the request
     /// carries `~ctx` under Debug tracing and needs the endpoint's circuit
     /// breaker to admit it (an open one fails the call with
     /// [`RmiError::CircuitOpen`] unsent; one that reached the wire counts
@@ -1342,7 +1331,7 @@ impl Orb {
     /// calls built with [`Orb::call`] (the server would send a reply
     /// nobody reads).
     pub fn invoke_oneway(&self, call: Call) -> RmiResult<()> {
-        self.pipeline(&ONEWAY, call, CallOptions::default()).map(drop)
+        self.invoke_as(&ONEWAY, call, CallOptions::default()).map(drop)
     }
 
     /// A reference names the protocol its server speaks (`@tcp:...` vs

@@ -84,10 +84,12 @@ pub struct ServerPolicy {
     /// per second through one shared token bucket. `None` (the default)
     /// streams as fast as windows and sockets allow.
     pub stream_rate_bytes_per_sec: Option<u64>,
-    /// Global budget on reply bytes queued (not yet written to sockets)
-    /// across *all* connections — the reactor engine's backstop against a
-    /// fleet of slow readers inflating RSS even though each connection is
-    /// individually under its queue cap. On exhaustion new two-way
+    /// Global budget on reply bytes accepted but not yet written to
+    /// sockets across *all* connections: queued on the reactor engine,
+    /// blocked in a write on the threaded one. One connection's unwritten
+    /// replies are bounded only by its in-flight caps times the reply
+    /// size, plus its stream windows, so this is the backstop against a
+    /// fleet of slow readers inflating RSS. On exhaustion new two-way
     /// requests are shed with `Busy` before dispatch.
     pub max_reply_queue_bytes_global: usize,
 }

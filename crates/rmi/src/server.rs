@@ -37,21 +37,23 @@
 //! drives it:
 //!
 //! * **threaded**: a blocking accept loop, and per connection a
-//!   `heidl-conn` thread blocked in `recv`, replies written by a blocking
-//!   [`ReplyWriter`]; a lone two-way runs on that thread (see [`Lender`]);
+//!   `heidl-conn` thread blocked in `recv`; a lone two-way runs on that
+//!   thread (see [`Lender`]);
 //! * **reactor**: one `heidl-reactor-{port}` epoll loop owns the listener
 //!   and every connection, calling `try_recv` on readiness
-//!   ([`ConnSource`]); replies go out through a queueing [`ConnWriter`]
-//!   that continues partial writes when `EPOLLOUT` says the peer caught
-//!   up, so ten thousand idle connections cost zero threads instead of
-//!   ten thousand. It is never lent: its loop serves every connection.
+//!   ([`ConnSource`]), so ten thousand idle connections cost zero threads
+//!   instead of ten thousand. It is never lent: its loop serves every
+//!   connection.
 //!
+//! Both write replies through one [`ReplyWriter`]; they differ only in
+//! who finishes a frame the socket did not take whole (the writing thread
+//! on the threaded driver, the loop on `EPOLLOUT` on the reactor).
 //! Policy enforcement and wire bytes are the same either way; only the
 //! thread economics differ. Fd-less transports (a `HEIDL_FAULT_PLAN` run)
 //! always take the blocking driver, and are never lent.
 
 use crate::call::{peek_reply_id, peek_route, IncomingCall, ReplyBuilder, ReplyStatus};
-use crate::communicator::{with_frame, write_framed, ObjectCommunicator};
+use crate::communicator::{with_frame, ObjectCommunicator};
 use crate::error::{RmiError, RmiResult};
 use crate::metrics::{Counter, Metrics};
 use crate::objref::Endpoint;
@@ -111,9 +113,9 @@ pub(crate) struct ServerShared {
     shed_requests: AtomicU64,
     /// Connections refused at accept time since start.
     shed_connections: AtomicU64,
-    /// Live connections' write halves, for force-close at drain timeout
-    /// and the reactor's idle/stall sweep.
-    conns: Mutex<HashMap<u64, Weak<dyn ReplySink>>>,
+    /// Live connections' writers, for force-close at drain timeout and
+    /// the reactor's idle/stall sweep.
+    conns: Mutex<HashMap<u64, Weak<ReplyWriter>>>,
     next_conn_id: AtomicU64,
     /// The owning ORB's metrics registry: the shed counters below are
     /// mirrored into it exactly once per event (see [`Self::shed_request`]).
@@ -166,11 +168,13 @@ impl ServerShared {
         if self.draining.load(Ordering::SeqCst) {
             return Err("draining for shutdown".to_owned());
         }
-        // The global reply-queue byte budget: per-connection queue caps do
-        // not stop *many* slow readers from collectively growing RSS, so
-        // once the sum of queued reply bytes crosses the policy line, new
-        // work is shed until writers drain. (The blocking driver's
-        // blocking writes never queue, so its accounting stays at zero.)
+        // The global reply-queue byte budget. One connection's unwritten
+        // replies are bounded only by its in-flight caps times the reply
+        // size, plus its stream windows, so *many* slow readers could
+        // collectively grow RSS; once the sum of unwritten reply bytes
+        // (queued on the reactor, blocked in a write on the threaded
+        // driver) crosses the policy line, new work is shed until
+        // writers drain.
         if self.reply_budget.exhausted() {
             return Err(format!(
                 "global reply-queue byte budget ({}) reached",
@@ -277,11 +281,11 @@ impl Drop for ConnGuard {
 }
 
 /// Server-wide accounting of reply bytes accepted but not yet written to
-/// any socket. Each [`ConnWriter`] settles its queue's byte count here
-/// after every mutation, and [`ServerShared::try_admit`] sheds new work
+/// any socket. Each [`ReplyWriter`] settles its unwritten byte count here
+/// after every write, and [`ServerShared::try_admit`] sheds new work
 /// with `Busy` while the total exceeds the policy budget — the backstop
-/// the per-connection caps cannot provide when *many* connections are
-/// slow at once.
+/// the per-connection in-flight caps cannot provide when *many*
+/// connections are slow at once.
 struct ReplyBudget {
     queued: AtomicUsize,
     max: usize,
@@ -696,13 +700,7 @@ fn accept_loop(
                 None => transport,
             }
         };
-        let Some((conn, _)) = admit(stream, &orb, &workers, &shared, prepare, |half| {
-            Arc::new(ReplyWriter {
-                transport: Mutex::new(half),
-                protocol: Arc::clone(orb.protocol()),
-                metrics: Arc::clone(&shared.metrics),
-            })
-        }) else {
+        let Some(conn) = admit(stream, &orb, &workers, &shared, prepare, None) else {
             continue;
         };
         let conn = Arc::new(conn);
@@ -730,17 +728,17 @@ fn accept_loop(
 /// past the connection cap (or while draining) the socket is closed at
 /// once — cheaper than a reader per rejected peer — and counted;
 /// otherwise it takes a connection slot, `prepare` readies the transport,
-/// `writer` builds the reply writer on the write half, and the
-/// writer is registered for drain and sweep. Fig 5 (1): the read half is
-/// wrapped in a new `ObjectCommunicator`.
-fn admit<W: ReplySink + 'static>(
+/// the write half becomes the connection's [`ReplyWriter`] (continued by
+/// `arm`, see there), and the writer is registered for drain and sweep.
+/// Fig 5 (1): the read half is wrapped in a new `ObjectCommunicator`.
+fn admit(
     stream: TcpStream,
     orb: &Orb,
     workers: &Arc<WorkerPool>,
     shared: &Arc<ServerShared>,
     prepare: impl FnOnce(TcpTransport) -> Box<dyn Transport>,
-    writer: impl FnOnce(Box<dyn Transport>) -> Arc<W>,
-) -> Option<(Connection, Arc<W>)> {
+    arm: Option<Box<dyn Fn() + Send + Sync>>,
+) -> Option<Connection> {
     if shared.connections.load(Ordering::SeqCst) >= shared.policy.max_connections
         || shared.draining.load(Ordering::SeqCst)
     {
@@ -751,13 +749,12 @@ fn admit<W: ReplySink + 'static>(
     let slot = ConnGuard { shared: Arc::clone(shared) };
     let transport = prepare(TcpTransport::from_stream(stream).ok()?);
     let (write_half, read_half) = transport.split().ok()?;
-    let writer = writer(write_half);
-    let sink: Arc<dyn ReplySink> = Arc::clone(&writer) as Arc<dyn ReplySink>;
+    let protocol = Arc::clone(orb.protocol());
+    let sink = Arc::new(ReplyWriter::new(write_half, Arc::clone(&protocol), shared, arm));
     let conn_id = shared.next_conn_id.fetch_add(1, Ordering::SeqCst);
     shared.conns.lock().insert(conn_id, Arc::downgrade(&sink));
-    let protocol = Arc::clone(orb.protocol());
     let comm = ObjectCommunicator::with_limits(read_half, protocol, shared.policy.decode_limits);
-    let conn = Connection {
+    Some(Connection {
         comm: Mutex::new(comm),
         sink,
         orb: orb.clone(),
@@ -768,28 +765,94 @@ fn admit<W: ReplySink + 'static>(
         lent: AtomicU64::new(0),
         hung_up: AtomicBool::new(false),
         _slot: slot,
-    };
-    Some((conn, writer))
+    })
 }
 
-/// A connection's write half, as every dispatch job (and the drain and
-/// sweep paths) sees it: the blocking driver's [`ReplyWriter`] and the
-/// reactor's queueing non-blocking [`ConnWriter`] both implement it, so
-/// [`route_frame`] and the worker pool are driver-agnostic.
-pub(crate) trait ReplySink: Send + Sync {
-    /// Frames one reply whose body is `body` (up to three parts,
-    /// concatenated) and writes it whole — or, on the reactor, queues
-    /// what the socket will not take yet. The `send*` methods wrap it
-    /// with byte accounting and buffer recycling.
-    fn write_frame(&self, body: &[&[u8]]) -> RmiResult<()>;
+/// A connection's one reply writer, shared by every dispatch that
+/// answers on it, the drain and the sweep, whichever driver serves it.
+/// Every reply takes one path: under one lock, one gathered nonblocking
+/// write from a stack array of slices; on failure the death rule; then
+/// one settle into the [`ReplyBudget`]. The drivers differ only in what
+/// happens to the part of a frame the socket did not take:
+///
+/// * **reactor** (`arm` set): it queues here, and `arm` re-arms
+///   `EPOLLOUT` so the loop continues it ([`ReplyWriter::flush`]) — a
+///   slow reader stalls its own replies, never a worker thread;
+/// * **threaded** (`arm` is `None`): the writing thread finishes it with
+///   a blocking write that `SO_SNDTIMEO` bounds, its bytes counted in the
+///   budget while it blocks. Nothing is copied and nothing queues.
+///
+/// A transport with no nonblocking write (an in-process pipe, a fault
+/// injector) takes the blocking continuation for the whole frame, so one
+/// frame is still one `send` through an injector.
+struct ReplyWriter {
+    inner: Mutex<WriterInner>,
+    /// The reactor's `EPOLLOUT` re-arm; `None` on the threaded driver.
+    arm: Option<Box<dyn Fn() + Send + Sync>>,
+    protocol: Arc<dyn Protocol>,
+    metrics: Arc<Metrics>,
+    /// The server-wide reply-byte budget this writer settles into.
+    budget: Arc<ReplyBudget>,
+    /// Last inbound activity, touched by the reactor's read source; the
+    /// sweep timer's `read_idle_timeout` check reads it.
+    last_activity: Mutex<Instant>,
+}
 
-    /// The registry reply bytes are counted in.
-    fn metrics(&self) -> &Metrics;
+/// What [`ReplyWriter::flush`] left behind.
+enum FlushState {
+    /// Queue fully drained; `EPOLLOUT` can be disarmed.
+    Idle,
+    /// Kernel buffer filled again mid-queue; keep `EPOLLOUT` armed.
+    Pending,
+    /// The socket failed; tear the connection down.
+    Dead,
+}
+
+/// State behind the [`ReplyWriter`] lock: the write-half transport plus
+/// the queue a partial write leaves behind on the reactor.
+struct WriterInner {
+    transport: Box<dyn Transport>,
+    /// Reply bytes accepted but not yet written (`pos..` is pending);
+    /// non-empty exactly while `EPOLLOUT` is armed for this connection.
+    queue: Vec<u8>,
+    pos: usize,
+    /// When the oldest still-queued byte last made progress — the input
+    /// to the sweep timer's `write_timeout` stall check.
+    queued_since: Option<Instant>,
+    dead: bool,
+    /// This writer's share currently counted in the global [`ReplyBudget`].
+    accounted: usize,
+}
+
+impl ReplyWriter {
+    fn new(
+        transport: Box<dyn Transport>,
+        protocol: Arc<dyn Protocol>,
+        shared: &ServerShared,
+        arm: Option<Box<dyn Fn() + Send + Sync>>,
+    ) -> ReplyWriter {
+        let inner = WriterInner {
+            transport,
+            queue: Vec::new(),
+            pos: 0,
+            queued_since: None,
+            dead: false,
+            accounted: 0,
+        };
+        ReplyWriter {
+            inner: Mutex::new(inner),
+            arm,
+            protocol,
+            metrics: Arc::clone(&shared.metrics),
+            budget: Arc::clone(&shared.reply_budget),
+            last_activity: Mutex::new(Instant::now()),
+        }
+    }
 
     /// Writes one framed reply, recycling the (pooled) body storage once
     /// the bytes are on the wire (or queued for it).
     fn send(&self, body: Vec<u8>) -> RmiResult<()> {
-        let result = write_reply(self, &[&body], true);
+        let result = self.write(&[&body], true);
         pool::recycle(body);
         result
     }
@@ -799,7 +862,7 @@ pub(crate) trait ReplySink: Send + Sync {
     /// pings — are runtime chatter, not application traffic, and must not
     /// skew `_metrics` byte totals.
     fn send_unmetered(&self, body: Vec<u8>) -> RmiResult<()> {
-        let result = write_reply(self, &[&body], false);
+        let result = self.write(&[&body], false);
         pool::recycle(body);
         result
     }
@@ -811,91 +874,221 @@ pub(crate) trait ReplySink: Send + Sync {
     /// encoder. The envelope's storage is recycled as in [`Self::send`].
     fn send_spliced(&self, envelope: Vec<u8>, at: usize, payload: Vec<u8>) -> RmiResult<()> {
         let (head, tail) = envelope.split_at(at);
-        let result = write_reply(self, &[head, &payload, tail], true);
+        let result = self.write(&[head, &payload, tail], true);
         pool::recycle(envelope);
         result
     }
 
+    /// Frames and writes one reply whose body is `body` (up to three
+    /// parts, concatenated), counting its body bytes when `metered`. It
+    /// owns the death rule: a failed write may have left part of a frame
+    /// on the wire, after which nothing framed can follow, so the writer
+    /// refuses further writes and shuts the socket down (the reader then
+    /// sees EOF) before its lock is released.
+    fn write(&self, body: &[&[u8]], metered: bool) -> RmiResult<()> {
+        let mut inner = self.inner.lock();
+        let queue = self.arm.is_some();
+        let result = with_frame(self.protocol.as_ref(), body, |frame| {
+            inner.write_parts(frame, queue, &self.budget)
+        });
+        if result.is_err() {
+            inner.kill();
+            inner.transport.shutdown();
+        }
+        inner.settle(&self.budget);
+        drop(inner);
+        match result {
+            Ok(queued) => {
+                if metered {
+                    let len = body.iter().map(|part| part.len() as u64).sum();
+                    self.metrics.add(Counter::BytesOut, len);
+                }
+                if let (true, Some(arm)) = (queued, &self.arm) {
+                    // Redundant re-arms are harmless: the source itself
+                    // disarms once the queue drains.
+                    arm();
+                }
+                Ok(())
+            }
+            Err(e) => {
+                trace::emit_with(TraceLevel::Warn, "server", || {
+                    format!("reply write failed; dropping connection: {e}")
+                });
+                Err(e)
+            }
+        }
+    }
+
+    /// Continues the queued write (reactor thread, `EPOLLOUT`).
+    fn flush(&self) -> FlushState {
+        let mut inner = self.inner.lock();
+        let state = inner.continue_write();
+        inner.settle(&self.budget);
+        state
+    }
+
+    /// Whether reply bytes are still queued (drives `EPOLLOUT` interest).
+    fn has_backlog(&self) -> bool {
+        let inner = self.inner.lock();
+        inner.pos < inner.queue.len()
+    }
+
+    fn touch(&self) {
+        *self.last_activity.lock() = Instant::now();
+    }
+
     /// Tears the connection down: shuts the socket down so the read side
     /// (blocked thread or reactor source) observes EOF and cleans up.
-    fn force_close(&self);
+    fn force_close(&self) {
+        let mut inner = self.inner.lock();
+        inner.kill();
+        // SHUT_RDWR on the write half reaches the shared file description.
+        inner.transport.shutdown();
+        inner.settle(&self.budget);
+    }
+
+    /// Marks the writer unusable and drops queued bytes: called when the
+    /// reactor's read source goes away (peer EOF or reactor teardown) —
+    /// nothing will ever flush the queue again, so later sends fail fast.
+    fn mark_dead(&self) {
+        let mut inner = self.inner.lock();
+        inner.kill();
+        inner.settle(&self.budget);
+    }
 
     /// Why the connection should be closed, if it has gone idle past
     /// `idle_after` or has had reply bytes queued without progress past
-    /// `write_stall`. Only the reactor writer reports either — the
-    /// blocking driver's socket timeouts already police both.
+    /// `write_stall`. Only the reactor's sweep asks (see
+    /// `start_reactor`); only the reactor queues.
     fn stalled(
         &self,
         idle_after: Option<Duration>,
         write_stall: Option<Duration>,
     ) -> Option<&'static str> {
-        let _ = (idle_after, write_stall);
-        None
+        if let (Some(stall), Some(since)) = (write_stall, self.inner.lock().queued_since) {
+            if since.elapsed() >= stall {
+                return Some("reply write stalled past write_timeout");
+            }
+        }
+        let idle = idle_after.is_some_and(|idle| self.last_activity.lock().elapsed() >= idle);
+        idle.then_some("idle past read_idle_timeout")
     }
 }
 
-/// Writes one reply through `sink`, counting its body bytes when
-/// `metered` — the one choke point every reply passes through, so it owns
-/// the death rule: a failed write may have left part of a frame on the
-/// wire, after which nothing framed can follow, so the connection is
-/// closed (the reader then sees EOF) before the failure is traced. Each
-/// writer also refuses further writes from under its own lock, so no
-/// other reply slips in between.
-fn write_reply(sink: &(impl ReplySink + ?Sized), body: &[&[u8]], metered: bool) -> RmiResult<()> {
-    let result = sink.write_frame(body);
-    match &result {
-        Ok(()) if metered => {
-            let len = body.iter().map(|part| part.len() as u64).sum();
-            sink.metrics().add(Counter::BytesOut, len);
+impl WriterInner {
+    /// Writes one frame's `parts` in order: appended to the queue when one
+    /// exists (strict FIFO — replies hit the wire in acceptance order),
+    /// otherwise one gathered nonblocking write, whose remainder is queued
+    /// when `queue` is set (returns `true`: arm `EPOLLOUT`) and otherwise
+    /// finished here by a blocking write, counted in `budget` meanwhile.
+    fn write_parts(
+        &mut self,
+        parts: &[&[u8]],
+        queue: bool,
+        budget: &ReplyBudget,
+    ) -> RmiResult<bool> {
+        if self.dead {
+            return Err(RmiError::Disconnected);
         }
-        Ok(()) => {}
-        Err(e) => {
-            sink.force_close();
-            trace::emit_with(TraceLevel::Warn, "server", || {
-                format!("reply write failed; dropping connection: {e}")
-            });
+        if self.pos < self.queue.len() {
+            for part in parts {
+                self.queue.extend_from_slice(part);
+            }
+            return Ok(true);
         }
-    }
-    result
-}
-
-/// The blocking driver's write half, shared by every dispatch that
-/// answers on the connection. Frames under a brief lock so interleaved
-/// replies stay whole.
-struct ReplyWriter {
-    transport: Mutex<Box<dyn Transport>>,
-    protocol: Arc<dyn heidl_wire::Protocol>,
-    metrics: Arc<Metrics>,
-}
-
-impl ReplySink for ReplyWriter {
-    fn write_frame(&self, body: &[&[u8]]) -> RmiResult<()> {
-        let mut transport = self.transport.lock();
-        let result = write_framed(transport.as_mut(), self.protocol.as_ref(), body);
-        if result.is_err() {
-            // Shut down before unlocking: the next reply fails instead of
-            // following a torn frame.
-            transport.shutdown();
+        // One gathered `sendmsg` per attempt: the framed reply reaches the
+        // wire whole, so the client wakes once per reply instead of once
+        // per part (header, body, ...).
+        debug_assert!(parts.len() <= 5, "frame has at most header, three body parts, trailer");
+        let mut storage = [IoSlice::new(&[]); 5];
+        for (slot, part) in storage.iter_mut().zip(parts) {
+            *slot = IoSlice::new(part);
         }
-        result
+        let mut bufs = &mut storage[..parts.len()];
+        IoSlice::advance_slices(&mut bufs, 0);
+        while !bufs.is_empty() {
+            match self.transport.try_send_vectored(bufs) {
+                Ok(Some(n)) if n > 0 => IoSlice::advance_slices(&mut bufs, n),
+                // Socket buffer full, or no nonblocking write at all.
+                Ok(None) => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Unsupported => break,
+                Ok(Some(_)) => return Err(RmiError::Disconnected),
+                Err(e) => return Err(RmiError::Io(e)),
+            }
+        }
+        if bufs.is_empty() {
+            return Ok(false);
+        }
+        if queue {
+            for part in bufs.iter() {
+                self.queue.extend_from_slice(part);
+            }
+            self.queued_since = Some(Instant::now());
+            return Ok(true);
+        }
+        let mut rest: [&[u8]; 5] = [&[]; 5];
+        for (slot, part) in rest.iter_mut().zip(bufs.iter()) {
+            *slot = part;
+        }
+        self.account(budget, rest.iter().map(|part| part.len()).sum());
+        self.transport.send_vectored(&rest[..bufs.len()])?;
+        Ok(false)
     }
 
-    fn metrics(&self) -> &Metrics {
-        &self.metrics
+    /// Continues the pending write until drained, blocked, or dead — the
+    /// body of [`ReplyWriter::flush`], split out so the caller can settle
+    /// the budget after it under the same lock hold.
+    fn continue_write(&mut self) -> FlushState {
+        if self.dead {
+            return FlushState::Dead;
+        }
+        while self.pos < self.queue.len() {
+            match self.transport.try_send_vectored(&[IoSlice::new(&self.queue[self.pos..])]) {
+                Ok(Some(n)) if n > 0 => {
+                    self.pos += n;
+                    self.queued_since = Some(Instant::now());
+                }
+                Ok(None) => return FlushState::Pending,
+                Ok(Some(_)) | Err(_) => {
+                    self.kill();
+                    return FlushState::Dead;
+                }
+            }
+        }
+        self.queue.clear();
+        self.pos = 0;
+        self.queued_since = None;
+        FlushState::Idle
     }
 
-    fn force_close(&self) {
-        self.transport.lock().shutdown();
+    /// Refuses every later write and drops whatever is queued.
+    fn kill(&mut self) {
+        self.dead = true;
+        self.queue.clear();
+        self.pos = 0;
+        self.queued_since = None;
+    }
+
+    /// Moves this writer's share of the global budget to `bytes`.
+    fn account(&mut self, budget: &ReplyBudget, bytes: usize) {
+        budget.adjust(self.accounted, bytes);
+        self.accounted = bytes;
+    }
+
+    /// Reconciles the budget with the queue; called after every write,
+    /// flush or teardown, still under the writer lock.
+    fn settle(&mut self, budget: &ReplyBudget) {
+        self.account(budget, self.queue.len() - self.pos);
     }
 }
 
 /// One admitted connection, whichever driver reads it: the communicator
-/// around its read half, its reply sink, and what routing needs. Its drop
+/// around its read half, its reply writer, and what routing needs. Its drop
 /// is the connection's teardown.
 struct Connection {
     /// Held by whoever reads: the driver, or a rescue while it is lent.
     comm: Mutex<ObjectCommunicator>,
-    sink: Arc<dyn ReplySink>,
+    sink: Arc<ReplyWriter>,
     orb: Orb,
     workers: Arc<WorkerPool>,
     shared: Arc<ServerShared>,
@@ -1331,7 +1524,7 @@ fn pump_stream(
     servant: Arc<dyn StreamServant>,
     orb: &Orb,
     shared: &Arc<ServerShared>,
-    sink: &Arc<dyn ReplySink>,
+    sink: &ReplyWriter,
     conn_id: u64,
 ) {
     let protocol = orb.protocol().as_ref();
@@ -1415,7 +1608,7 @@ fn pump_stream(
         if let Some(bucket) = &shared.stream_bucket {
             bucket.pace(fragment.len() as u64);
         }
-        let sent = send_chunk(sink.as_ref(), protocol, request_id, index, last, fragment);
+        let sent = send_chunk(sink, protocol, request_id, index, last, fragment);
         if sent.is_err() {
             break true;
         }
@@ -1464,7 +1657,7 @@ fn pump_stream(
 /// Text escapes its strings, so there the fragment is marshaled like any
 /// result. The wire bytes are the same either way.
 fn send_chunk(
-    sink: &dyn ReplySink,
+    sink: &ReplyWriter,
     protocol: &dyn heidl_wire::Protocol,
     request_id: u64,
     index: u64,
@@ -1589,11 +1782,12 @@ fn start_reactor(
     let closed = Arc::clone(&accept_closed);
     let source = AcceptSource { listener, orb, workers, shared: Arc::clone(shared), closed };
     reactor.register(accept_token, EPOLLIN, Box::new(source));
-    // The socket timeouts the blocking driver sets are meaningless for
-    // MSG_DONTWAIT I/O, so a sweep timer polices them instead: idle peers
-    // (read_idle_timeout) and peers too slow to take their replies
-    // (write_timeout) get force-closed, which surfaces as an EOF event on
-    // their source.
+    // The sweep is reactor-only: the threaded driver's socket timeouts
+    // (SO_RCVTIMEO, SO_SNDTIMEO) already enforce read_idle_timeout and
+    // write_timeout, but they are meaningless for MSG_DONTWAIT I/O. So
+    // here a timer polices them instead: idle peers and peers too slow to
+    // take their queued replies get force-closed, which surfaces as an
+    // EOF event on their source.
     let idle = shared.policy.read_idle_timeout;
     let stall = shared.policy.write_timeout;
     if let Some(tightest) = [idle, stall].into_iter().flatten().min() {
@@ -1649,19 +1843,13 @@ impl Source for AcceptSource {
                     // blocks on them, and the sweep timer polices
                     // idle/stalled peers instead.
                     let plain = |transport| Box::new(transport) as Box<dyn Transport>;
-                    let writer = |half| {
-                        Arc::new(ConnWriter::new(
-                            half,
-                            reactor.clone(),
-                            token,
-                            &self.orb,
-                            &self.shared,
-                        ))
-                    };
-                    if let Some((conn, writer)) =
-                        admit(stream, &self.orb, &self.workers, &self.shared, plain, writer)
+                    let handle = reactor.clone();
+                    let arm = move || handle.rearm(token, EPOLLIN | EPOLLOUT | EPOLLRDHUP);
+                    let (orb, workers, shared) = (&self.orb, &self.workers, &self.shared);
+                    if let Some(conn) =
+                        admit(stream, orb, workers, shared, plain, Some(Box::new(arm)))
                     {
-                        let source = Box::new(ConnSource { conn, writer });
+                        let source = Box::new(ConnSource { conn });
                         reactor.register(token, EPOLLIN | EPOLLRDHUP, source);
                     }
                 }
@@ -1686,259 +1874,17 @@ impl Source for AcceptSource {
     }
 }
 
-/// What [`ConnWriter::flush`] left behind.
-enum FlushState {
-    /// Queue fully drained; `EPOLLOUT` can be disarmed.
-    Idle,
-    /// Kernel buffer filled again mid-queue; keep `EPOLLOUT` armed.
-    Pending,
-    /// The socket failed; tear the connection down.
-    Dead,
-}
-
-/// State behind the [`ConnWriter`] lock: the write-half transport plus
-/// the pending-bytes queue a partial write leaves behind.
-struct WriterInner {
-    transport: Box<dyn Transport>,
-    /// Reply bytes accepted but not yet written (`pos..` is pending);
-    /// non-empty exactly while `EPOLLOUT` is armed for this connection.
-    queue: Vec<u8>,
-    pos: usize,
-    /// When the oldest still-queued byte last made progress — the input
-    /// to the sweep timer's `write_timeout` stall check.
-    queued_since: Option<Instant>,
-    dead: bool,
-    /// This writer's share currently counted in the global [`ReplyBudget`];
-    /// [`WriterInner::settle`] reconciles it after every queue mutation.
-    accounted: usize,
-}
-
-/// The reactor driver's reply writer: framing and accounting match
-/// [`ReplyWriter`] byte-for-byte, but writes are `MSG_DONTWAIT` — when
-/// the kernel buffer fills, the remainder queues here and the connection
-/// arms `EPOLLOUT`; the loop continues the write when the peer catches
-/// up, so a slow reader stalls *its own* replies, never a worker thread.
-struct ConnWriter {
-    inner: Mutex<WriterInner>,
-    reactor: ReactorHandle,
-    /// The connection's source token — `EPOLLOUT` (re)arms target it.
-    token: u64,
-    protocol: Arc<dyn heidl_wire::Protocol>,
-    metrics: Arc<Metrics>,
-    /// Last inbound activity, touched by the read source; the sweep
-    /// timer's `read_idle_timeout` check reads it.
-    last_activity: Mutex<Instant>,
-    /// The server-wide reply-byte budget this writer settles its queue
-    /// occupancy into.
-    budget: Arc<ReplyBudget>,
-}
-
-impl ConnWriter {
-    fn new(
-        transport: Box<dyn Transport>,
-        reactor: ReactorHandle,
-        token: u64,
-        orb: &Orb,
-        shared: &ServerShared,
-    ) -> ConnWriter {
-        let inner = WriterInner {
-            transport,
-            queue: Vec::new(),
-            pos: 0,
-            queued_since: None,
-            dead: false,
-            accounted: 0,
-        };
-        ConnWriter {
-            inner: Mutex::new(inner),
-            reactor,
-            token,
-            protocol: Arc::clone(orb.protocol()),
-            metrics: Arc::clone(&shared.metrics),
-            last_activity: Mutex::new(Instant::now()),
-            budget: Arc::clone(&shared.reply_budget),
-        }
-    }
-
-    /// Continues the queued write (reactor thread, `EPOLLOUT`).
-    fn flush(&self) -> FlushState {
-        let mut inner = self.inner.lock();
-        let state = inner.continue_write();
-        inner.settle(&self.budget);
-        state
-    }
-
-    /// Whether reply bytes are still queued (drives `EPOLLOUT` interest).
-    fn has_backlog(&self) -> bool {
-        let inner = self.inner.lock();
-        inner.pos < inner.queue.len()
-    }
-
-    fn touch(&self) {
-        *self.last_activity.lock() = Instant::now();
-    }
-
-    /// Marks the writer unusable and drops queued bytes: called when the
-    /// read source goes away (peer EOF or reactor teardown) — nothing
-    /// will ever flush the queue again, so later sends fail fast.
-    fn mark_dead(&self) {
-        let mut inner = self.inner.lock();
-        inner.dead = true;
-        inner.queue.clear();
-        inner.pos = 0;
-        inner.queued_since = None;
-        inner.settle(&self.budget);
-    }
-}
-
-impl WriterInner {
-    /// Continues the pending write until drained, blocked, or dead — the
-    /// body of [`ConnWriter::flush`], split out so the caller can settle
-    /// the budget after it under the same lock hold.
-    fn continue_write(&mut self) -> FlushState {
-        if self.dead {
-            return FlushState::Dead;
-        }
-        while self.pos < self.queue.len() {
-            match self.transport.try_send(&self.queue[self.pos..]) {
-                Ok(Some(n)) if n > 0 => {
-                    self.pos += n;
-                    self.queued_since = Some(Instant::now());
-                }
-                Ok(None) => return FlushState::Pending,
-                Ok(Some(_)) | Err(_) => {
-                    self.dead = true;
-                    return FlushState::Dead;
-                }
-            }
-        }
-        self.queue.clear();
-        self.pos = 0;
-        self.queued_since = None;
-        FlushState::Idle
-    }
-
-    /// Reconciles this writer's queued-byte count into the global budget.
-    /// Called after every queue mutation, still under the writer lock.
-    fn settle(&mut self, budget: &ReplyBudget) {
-        let queued = self.queue.len() - self.pos;
-        budget.adjust(self.accounted, queued);
-        self.accounted = queued;
-    }
-
-    /// Writes `parts` in order: appended to the queue when one exists
-    /// (strict FIFO — replies must hit the wire in acceptance order),
-    /// otherwise written directly until done or `EWOULDBLOCK` stashes the
-    /// remainder. Returns whether `EPOLLOUT` should be armed.
-    fn write_parts(&mut self, parts: &[&[u8]]) -> RmiResult<bool> {
-        if self.dead {
-            return Err(RmiError::Disconnected);
-        }
-        if self.pos < self.queue.len() {
-            for part in parts {
-                self.queue.extend_from_slice(part);
-            }
-            return Ok(true);
-        }
-        self.queue.clear();
-        self.pos = 0;
-        // One gathered `sendmsg` per attempt: the framed reply reaches the
-        // wire whole, so the client's readiness loop wakes once per reply
-        // instead of once per part (header, body, ...).
-        debug_assert!(parts.len() <= 5, "frame has at most header, three body parts, trailer");
-        let mut storage = [IoSlice::new(&[]); 5];
-        for (slot, part) in storage.iter_mut().zip(parts) {
-            *slot = IoSlice::new(part);
-        }
-        let mut bufs = &mut storage[..parts.len()];
-        while bufs.iter().any(|b| !b.is_empty()) {
-            match self.transport.try_send_vectored(bufs) {
-                Ok(Some(n)) if n > 0 => IoSlice::advance_slices(&mut bufs, n),
-                Ok(None) => {
-                    // Kernel buffer full: stash everything unwritten.
-                    for part in bufs.iter() {
-                        self.queue.extend_from_slice(part);
-                    }
-                    self.queued_since = Some(Instant::now());
-                    return Ok(true);
-                }
-                Ok(Some(_)) => {
-                    self.dead = true;
-                    return Err(RmiError::Disconnected);
-                }
-                Err(e) => {
-                    self.dead = true;
-                    return Err(RmiError::Io(e));
-                }
-            }
-        }
-        Ok(false)
-    }
-}
-
-impl ReplySink for ConnWriter {
-    /// Runs on a worker thread: the frame goes straight to the socket
-    /// when nothing is queued (the hot path touches the reactor not at
-    /// all); otherwise — or when the kernel buffer fills mid-write — the
-    /// remainder is queued and `EPOLLOUT` armed for continuation.
-    fn write_frame(&self, body: &[&[u8]]) -> RmiResult<()> {
-        let arm = {
-            let mut inner = self.inner.lock();
-            let result = with_frame(self.protocol.as_ref(), body, |frame| inner.write_parts(frame));
-            inner.settle(&self.budget);
-            result?
-        };
-        if arm {
-            // Queue transitioned (or stayed) non-empty: make sure the loop
-            // watches for writability. Redundant re-arms are harmless —
-            // the source itself disarms once the queue drains.
-            self.reactor.rearm(self.token, EPOLLIN | EPOLLOUT | EPOLLRDHUP);
-        }
-        Ok(())
-    }
-
-    fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    fn force_close(&self) {
-        // SHUT_RDWR on the write half reaches the shared file
-        // description, so the read half reports EOF to the loop and the
-        // source drops naturally — no token bookkeeping here.
-        let mut inner = self.inner.lock();
-        inner.dead = true;
-        inner.transport.shutdown();
-    }
-
-    fn stalled(
-        &self,
-        idle_after: Option<Duration>,
-        write_stall: Option<Duration>,
-    ) -> Option<&'static str> {
-        if let (Some(stall), Some(since)) = (write_stall, self.inner.lock().queued_since) {
-            if since.elapsed() >= stall {
-                return Some("reply write stalled past write_timeout");
-            }
-        }
-        let idle = idle_after.is_some_and(|idle| self.last_activity.lock().elapsed() >= idle);
-        idle.then_some("idle past read_idle_timeout")
-    }
-}
-
 /// The reactor driver of one [`Connection`]: every readiness event
 /// continues a queued reply write and routes each frame `try_recv`
 /// deframes — what a `heidl-conn` thread does, minus the thread.
 struct ConnSource {
     conn: Connection,
-    /// The same writer as `conn`'s sink, with its reactor-only half:
-    /// `EPOLLOUT` continuation, read activity, teardown.
-    writer: Arc<ConnWriter>,
 }
 
 impl Drop for ConnSource {
     fn drop(&mut self) {
         // Nothing will flush the queue again: later sends fail fast.
-        self.writer.mark_dead();
+        self.conn.sink.mark_dead();
     }
 }
 
@@ -1953,14 +1899,14 @@ impl Source for ConnSource {
         }
         let mut out_pending = false;
         if events & EPOLLOUT != 0 {
-            match self.writer.flush() {
+            match self.conn.sink.flush() {
                 FlushState::Dead => return Action::Drop,
                 FlushState::Pending => out_pending = true,
                 FlushState::Idle => {}
             }
         }
         if events & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0 {
-            self.writer.touch();
+            self.conn.sink.touch();
             let mut comm = self.conn.comm.lock();
             while let Some(got) = comm.try_recv() {
                 let Ok(Some(body)) = got else { return Action::Drop };
@@ -1975,7 +1921,7 @@ impl Source for ConnSource {
         // request. Any event involving `EPOLLOUT` re-MODs explicitly:
         // worker-side arms race this decision, and an explicit MOD can
         // never leave a drained connection busy-looping on writability.
-        let want_out = out_pending || self.writer.has_backlog();
+        let want_out = out_pending || self.conn.sink.has_backlog();
         if events & EPOLLOUT != 0 || want_out {
             let interest =
                 if want_out { EPOLLIN | EPOLLOUT | EPOLLRDHUP } else { EPOLLIN | EPOLLRDHUP };
@@ -1989,9 +1935,7 @@ impl Source for ConnSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::InProcTransport;
     use heidl_wire::{CdrProtocol, Protocol, TextProtocol, RECV_CHUNK};
-    use std::io::Read;
 
     /// Fragments for the chunk-frame oracle: empty, one byte, an odd
     /// size, exactly one read chunk, a whole 256 KiB stream chunk,
@@ -2020,7 +1964,7 @@ mod tests {
     /// Sends every case through `send_chunk` into `sink`; returns the
     /// frames the encoder path writes for the same cases:
     /// `ReplyBuilder::ok` + `put_string` + `encode_chunk`, framed whole.
-    fn send_cases(sink: &dyn ReplySink, protocol: &dyn Protocol) -> Vec<u8> {
+    fn send_cases(sink: &ReplyWriter, protocol: &dyn Protocol) -> Vec<u8> {
         let mut expected = Vec::new();
         for (i, fragment) in fragments().into_iter().enumerate() {
             let id = 100 + i as u64;
@@ -2046,65 +1990,106 @@ mod tests {
         );
     }
 
-    /// Through the blocking writer, the chunk frames the pump writes
-    /// (spliced on CDR, encoded on text) are the encoder path's bytes.
-    #[test]
-    fn chunk_frames_match_the_encoder_path_through_reply_writer() {
-        for protocol in [Arc::new(TextProtocol) as Arc<dyn Protocol>, Arc::new(CdrProtocol)] {
-            let (ours, mut peer) = InProcTransport::pair();
-            let writer = ReplyWriter {
-                transport: Mutex::new(Box::new(ours)),
-                protocol: Arc::clone(&protocol),
-                metrics: Arc::new(Metrics::new()),
-            };
-            let expected = send_cases(&writer, protocol.as_ref());
-            drop(writer);
-            let mut got = Vec::new();
-            while peer.recv_into(&mut got).unwrap() > 0 {}
-            assert_same_bytes(&got, &expected, protocol.as_ref());
+    /// A socket whose nonblocking writes take at most `STEP` bytes and
+    /// refuse every other attempt outright, so frames tear at every size
+    /// and both continuations run. Its blocking write records how many of
+    /// the bytes it is handed the reply budget counts meanwhile.
+    struct Trickle {
+        wire: Arc<Mutex<Vec<u8>>>,
+        full: bool,
+        budget: Arc<ReplyBudget>,
+        /// `(bytes handed to a blocking write, bytes the budget counted)`.
+        blocked: Arc<Mutex<Vec<(usize, usize)>>>,
+    }
+
+    impl Trickle {
+        const STEP: usize = 4093;
+
+        fn take(&mut self, bufs: &[IoSlice<'_>]) -> Option<usize> {
+            self.full = !self.full;
+            if self.full {
+                return None;
+            }
+            let mut wire = self.wire.lock();
+            let start = wire.len();
+            for buf in bufs {
+                let room = Self::STEP - (wire.len() - start);
+                wire.extend_from_slice(&buf[..buf.len().min(room)]);
+            }
+            Some(wire.len() - start)
         }
     }
 
-    /// The same oracle through the reactor's queueing writer, over a real
-    /// socket whose buffer fills, so partial writes and the queue are hit.
-    #[test]
-    fn chunk_frames_match_the_encoder_path_through_conn_writer() {
-        let reactor = reactor::spawn("heidl-reactor-oracle").unwrap();
-        for protocol in [Arc::new(TextProtocol) as Arc<dyn Protocol>, Arc::new(CdrProtocol)] {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-            let reader = std::thread::spawn(move || {
-                let mut got = Vec::new();
-                peer.read_to_end(&mut got).unwrap();
-                got
-            });
-            let (ours, _) = listener.accept().unwrap();
-            let writer = ConnWriter {
-                inner: Mutex::new(WriterInner {
-                    transport: Box::new(TcpTransport::from_stream(ours).unwrap()),
-                    queue: Vec::new(),
-                    pos: 0,
-                    queued_since: None,
-                    dead: false,
-                    accounted: 0,
-                }),
-                reactor: reactor.clone(),
-                // No source is registered under it: this test flushes.
-                token: reactor.alloc_id(),
-                protocol: Arc::clone(&protocol),
-                metrics: Arc::new(Metrics::new()),
-                last_activity: Mutex::new(Instant::now()),
-                budget: Arc::new(ReplyBudget::new(usize::MAX)),
-            };
-            let expected = send_cases(&writer, protocol.as_ref());
-            while writer.has_backlog() {
-                assert!(!matches!(writer.flush(), FlushState::Dead));
-                std::thread::yield_now();
-            }
-            writer.force_close();
-            assert_same_bytes(&reader.join().unwrap(), &expected, protocol.as_ref());
+    impl Transport for Trickle {
+        fn send(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+            let counted = self.budget.queued.load(Ordering::SeqCst);
+            self.blocked.lock().push((bytes.len(), counted));
+            self.wire.lock().extend_from_slice(bytes);
+            Ok(())
         }
-        reactor.shutdown();
+
+        fn recv_into(&mut self, _buf: &mut Vec<u8>) -> std::io::Result<usize> {
+            Ok(0)
+        }
+
+        fn peer(&self) -> String {
+            "trickle".to_owned()
+        }
+
+        fn split(self: Box<Self>) -> std::io::Result<(Box<dyn Transport>, Box<dyn Transport>)> {
+            unreachable!("the writer owns a write half")
+        }
+
+        fn try_send_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<Option<usize>> {
+            Ok(self.take(bufs))
+        }
+    }
+
+    /// The chunk frames the pump writes (spliced on CDR, encoded on text)
+    /// are the encoder path's bytes through the one writer, whichever
+    /// continuation finishes a torn frame: the threaded driver's blocking
+    /// write, with the remainder counted in the budget while it blocks,
+    /// or the reactor's queue, continued by flushes after an `EPOLLOUT`
+    /// arm.
+    #[test]
+    fn chunk_frames_match_the_encoder_path_through_both_continuations() {
+        for protocol in [Arc::new(TextProtocol) as Arc<dyn Protocol>, Arc::new(CdrProtocol)] {
+            for queued in [false, true] {
+                let shared = ServerShared::new(ServerPolicy::default(), Arc::new(Metrics::new()));
+                let wire = Arc::new(Mutex::new(Vec::new()));
+                let blocked = Arc::new(Mutex::new(Vec::new()));
+                let transport = Trickle {
+                    wire: Arc::clone(&wire),
+                    full: false,
+                    budget: Arc::clone(&shared.reply_budget),
+                    blocked: Arc::clone(&blocked),
+                };
+                let arms = Arc::new(AtomicUsize::new(0));
+                let counter = Arc::clone(&arms);
+                let arm = move || {
+                    counter.fetch_add(1, Ordering::SeqCst);
+                };
+                let arm = queued.then(|| Box::new(arm) as Box<dyn Fn() + Send + Sync>);
+                let writer =
+                    ReplyWriter::new(Box::new(transport), Arc::clone(&protocol), &shared, arm);
+                let expected = send_cases(&writer, protocol.as_ref());
+                while writer.has_backlog() {
+                    assert!(!matches!(writer.flush(), FlushState::Dead));
+                }
+                assert_same_bytes(&wire.lock(), &expected, protocol.as_ref());
+                assert_eq!(shared.reply_budget.queued.load(Ordering::SeqCst), 0);
+                let blocked = blocked.lock();
+                if queued {
+                    assert!(arms.load(Ordering::SeqCst) > 0, "nothing was queued");
+                    assert!(blocked.is_empty(), "the reactor writer blocked");
+                } else {
+                    assert!(!blocked.is_empty(), "no frame tore");
+                    for &(bytes, counted) in blocked.iter() {
+                        assert_eq!(bytes, counted, "a blocked remainder was not budgeted");
+                    }
+                }
+            }
+        }
     }
 
     /// Submitters racing for the pool's last free resident slot: every

@@ -111,26 +111,14 @@ pub trait Transport: Send {
     /// transport has no nonblocking path (the default).
     fn try_recv_into(&mut self, buf: &mut Vec<u8>, max: usize) -> io::Result<Option<usize>> {
         let _ = (buf, max);
-        Err(io::Error::new(io::ErrorKind::Unsupported, "no nonblocking read"))
+        Err(io::ErrorKind::Unsupported.into())
     }
 
-    /// Nonblocking write for reactor use: writes as much of `bytes` as the
-    /// socket buffer accepts and returns the count; `Ok(None)` when the
-    /// buffer is full and the caller should wait for writability.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport write failures; `Unsupported` when the
-    /// transport has no nonblocking path (the default).
-    fn try_send(&mut self, bytes: &[u8]) -> io::Result<Option<usize>> {
-        let _ = bytes;
-        Err(io::Error::new(io::ErrorKind::Unsupported, "no nonblocking write"))
-    }
-
-    /// Nonblocking gathered write: like [`Transport::try_send`] but the
-    /// slices go out as one `sendmsg`, so a framed reply (header + body)
-    /// hits the wire — and wakes the peer's readiness loop — once instead
-    /// of once per part.
+    /// Nonblocking gathered write: writes as much of `bufs` as the socket
+    /// buffer accepts, as one `sendmsg`, and returns the count; `Ok(None)`
+    /// when the buffer is full and the caller should wait for
+    /// writability. A framed reply (header + body) hits the wire — and
+    /// wakes the peer's readiness loop — once instead of once per part.
     ///
     /// # Errors
     ///
@@ -138,7 +126,7 @@ pub trait Transport: Send {
     /// transport has no nonblocking path (the default).
     fn try_send_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<Option<usize>> {
         let _ = bufs;
-        Err(io::Error::new(io::ErrorKind::Unsupported, "no nonblocking write"))
+        Err(io::ErrorKind::Unsupported.into())
     }
 }
 
@@ -265,29 +253,39 @@ thread_local! {
         std::cell::RefCell::new(vec![0; RECV_CHUNK].into_boxed_slice());
 }
 
+/// Slices one gathered TCP write takes: a frame's header, up to three
+/// body parts and a trailer.
+const GATHER: usize = 5;
+
 impl Transport for TcpTransport {
     fn send(&mut self, bytes: &[u8]) -> io::Result<()> {
         self.stream.write_all(bytes)
     }
 
     fn send_vectored(&mut self, parts: &[&[u8]]) -> io::Result<()> {
-        // Gather header + body into one writev(2): a single syscall and —
-        // with TCP_NODELAY — usually a single segment, with no staging
-        // copy of the frame.
-        let mut slices: Vec<IoSlice<'_>> =
-            parts.iter().filter(|p| !p.is_empty()).map(|p| IoSlice::new(p)).collect();
-        let mut bufs = &mut slices[..];
-        while !bufs.is_empty() {
-            match self.stream.write_vectored(bufs) {
-                Ok(0) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::WriteZero,
-                        "failed to write whole frame",
-                    ));
+        // Gather header + body into one writev(2) from a stack array: a
+        // single syscall and — with TCP_NODELAY — usually a single
+        // segment, with no staging copy of the frame and no allocation. A
+        // frame has at most five parts; more go out a stack-full at a time.
+        for group in parts.chunks(GATHER) {
+            let mut storage = [IoSlice::new(&[]); GATHER];
+            for (slot, part) in storage.iter_mut().zip(group) {
+                *slot = IoSlice::new(part);
+            }
+            let mut bufs = &mut storage[..group.len()];
+            IoSlice::advance_slices(&mut bufs, 0);
+            while !bufs.is_empty() {
+                match self.stream.write_vectored(bufs) {
+                    Ok(0) => {
+                        return Err(io::Error::new(
+                            io::ErrorKind::WriteZero,
+                            "failed to write whole frame",
+                        ));
+                    }
+                    Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e),
                 }
-                Ok(n) => IoSlice::advance_slices(&mut bufs, n),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
             }
         }
         Ok(())
@@ -360,13 +358,6 @@ impl Transport for TcpTransport {
             }
             Ok(got)
         })
-    }
-
-    fn try_send(&mut self, bytes: &[u8]) -> io::Result<Option<usize>> {
-        let Some(fd) = self.raw_fd() else {
-            return Err(io::Error::new(io::ErrorKind::Unsupported, "no raw fd"));
-        };
-        epoll_shim::send_nonblocking(fd, bytes)
     }
 
     fn try_send_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<Option<usize>> {
@@ -518,5 +509,25 @@ mod tests {
         }
         assert_eq!(buf, b"ping");
         server.join().unwrap();
+    }
+
+    #[test]
+    fn tcp_send_vectored_writes_any_number_of_parts_in_order() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let big = vec![b'z'; 1 << 20];
+        let parts: [&[u8]; 7] = [b"one", b"", b"three", &big, b"", b"six", b"seven"];
+        let expected = parts.concat();
+        let want = expected.len();
+        let reader = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut t = TcpTransport::from_stream(stream).unwrap();
+            let mut got = Vec::new();
+            while got.len() < want && t.recv_into(&mut got).unwrap() > 0 {}
+            got
+        });
+        let mut client = TcpTransport::connect(&addr.to_string()).unwrap();
+        client.send_vectored(&parts).unwrap();
+        assert!(reader.join().unwrap() == expected, "parts arrived torn or out of order");
     }
 }

@@ -3,9 +3,9 @@
 //! agreement is a property test beside `ObjectCommunicator`), and the
 //! whole workspace suite runs under each, so what stays here is what
 //! only a side-by-side run or a raw socket can show: overload shedding
-//! and graceful drain on both drivers, the reactor's adversaries
-//! (dribbled partial reads, partial writes to a slow reader, slow-loris
-//! eviction by the sweep timer, the global reply budget, no
+//! and graceful drain on both drivers, the global reply budget on both
+//! drivers, the reactor's adversaries (dribbled partial reads, partial
+//! writes to a slow reader, slow-loris eviction by the sweep timer, no
 //! per-connection threads), and every reader, on both drivers, through
 //! the large-frame path.
 
@@ -279,11 +279,22 @@ fn reactor_sweep_timer_cuts_slow_loris_connections() {
 
 #[test]
 fn reactor_global_reply_budget_sheds_busy_under_slow_readers() {
+    global_reply_budget_sheds_busy_under_slow_readers(TransportMode::Reactor);
+}
+
+/// The threaded row: there each unwritten reply is a remainder its
+/// writing thread is blocked on, counted in the same budget.
+#[test]
+fn threaded_global_reply_budget_sheds_busy_under_slow_readers() {
+    global_reply_budget_sheds_busy_under_slow_readers(TransportMode::Threaded);
+}
+
+fn global_reply_budget_sheds_busy_under_slow_readers(mode: TransportMode) {
     let protocol: Arc<dyn Protocol> = Arc::new(TextProtocol);
     const BUDGET: usize = 2 * 1024 * 1024;
     const BLOB: i32 = 8 * 1024 * 1024;
     let (server, objref) = serve(
-        TransportMode::Reactor,
+        mode,
         Arc::clone(&protocol),
         ServerPolicy::default().with_max_reply_queue_bytes_global(BUDGET),
     );
@@ -303,7 +314,7 @@ fn reactor_global_reply_budget_sheds_busy_under_slow_readers() {
     }
     // A well-behaved caller must now be shed with Busy — not block, not
     // grow the backlog further.
-    let client_orb = client(TransportMode::Reactor, Arc::clone(&protocol));
+    let client_orb = client(mode, Arc::clone(&protocol));
     let no_retry = CallOptions::builder().retry_policy(RetryPolicy::none()).build();
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut shed = false;

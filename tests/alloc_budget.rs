@@ -8,7 +8,10 @@
 //! allocation lowers its row in the same change. A few allocations in a
 //! run depend on thread timing (a racing wake, a queue growing once), so
 //! the count is the whole number of allocations per call, and the
-//! remainder must stay under one per hundred calls.
+//! remainder must stay under a small fixed number. The heartbeat rows run
+//! a client heartbeat probe beside the calls: a busy connection is never
+//! pinged, so each of the probe's scans must allocate nothing, and one
+//! allocation per scan would break the remainder rule.
 
 use heidl::rmi::{
     DispatchKind, DispatchOutcome, Orb, RmiResult, Skeleton, SkeletonBase, TransportMode,
@@ -17,6 +20,7 @@ use heidl::wire::{CdrProtocol, Decoder, Encoder, Protocol, TextProtocol};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 // ---- counting allocator -----------------------------------------------------
 
@@ -84,12 +88,31 @@ impl Skeleton for EchoSkel {
 
 /// Calls warmed up before counting: connection, pools and caches settle.
 const WARM_UP: usize = 500;
-/// Calls counted.
+/// Fewest calls counted.
 const CALLS: u64 = 2000;
+/// Shortest span counted: forty ticks of a [`HEARTBEAT`] probe.
+const SPAN: Duration = Duration::from_millis(200);
+/// The heartbeat rows' interval, which the probe ticks at.
+const HEARTBEAT: Duration = Duration::from_millis(5);
+/// Allocations a run may make beyond its exact budget. Thread timing
+/// accounts for up to six; one more allocation per heartbeat tick would
+/// make about forty.
+const STRAY: u64 = 15;
 
-/// Allocations made by [`CALLS`] echoes of a 96-byte string.
-fn allocs_for_echoes(protocol: Arc<dyn Protocol>, mode: TransportMode) -> u64 {
-    let orb = Orb::builder().protocol(protocol).transport_mode(mode).build();
+/// Echoes of a 96-byte string, at least [`CALLS`] of them over at least
+/// [`SPAN`], with client heartbeats every `heartbeat` when set: returns
+/// the allocations they made and how many there were.
+fn allocs_for_echoes(
+    protocol: Arc<dyn Protocol>,
+    mode: TransportMode,
+    heartbeat: Option<Duration>,
+) -> (u64, u64) {
+    let builder = Orb::builder().protocol(protocol).transport_mode(mode);
+    let orb = match heartbeat {
+        Some(interval) => builder.heartbeat(interval),
+        None => builder,
+    }
+    .build();
     orb.serve("127.0.0.1:0").unwrap();
     let base = SkeletonBase::new("IDL:Bench/Echo:1.0", DispatchKind::Hash, ["echo"], vec![]);
     let objref = orb.export(Arc::new(EchoSkel { base })).unwrap();
@@ -104,32 +127,38 @@ fn allocs_for_echoes(protocol: Arc<dyn Protocol>, mode: TransportMode) -> u64 {
         echo();
     }
     let before = ALLOCS.load(Ordering::Relaxed);
-    for _ in 0..CALLS {
+    let started = Instant::now();
+    let mut calls = 0;
+    while calls < CALLS || started.elapsed() < SPAN {
         echo();
+        calls += 1;
     }
     let allocs = ALLOCS.load(Ordering::Relaxed) - before;
     orb.shutdown();
-    allocs
+    (allocs, calls)
 }
 
 /// One test, so no other test's allocations land in the count.
 #[test]
 fn echo_allocations_per_call_are_exact() {
-    let rows: [(&str, Arc<dyn Protocol>, TransportMode, u64); 4] = [
-        ("text threaded", Arc::new(TextProtocol), TransportMode::Threaded, 29),
-        ("cdr threaded", Arc::new(CdrProtocol), TransportMode::Threaded, 29),
-        ("text reactor", Arc::new(TextProtocol), TransportMode::Reactor, 29),
-        ("cdr reactor", Arc::new(CdrProtocol), TransportMode::Reactor, 29),
-    ];
     let mut wrong = Vec::new();
-    for (name, protocol, mode, budget) in rows {
-        let allocs = allocs_for_echoes(protocol, mode);
-        let (per_call, stray) = (allocs / CALLS, allocs % CALLS);
-        if per_call != budget || stray >= CALLS / 100 {
-            wrong.push(format!(
-                "{name}: {per_call} allocations per call and {stray} more in {CALLS} calls, \
-                 budget {budget}"
-            ));
+    for heartbeat in [None, Some(HEARTBEAT)] {
+        let rows: [(&str, Arc<dyn Protocol>, TransportMode, u64); 4] = [
+            ("text threaded", Arc::new(TextProtocol), TransportMode::Threaded, 27),
+            ("cdr threaded", Arc::new(CdrProtocol), TransportMode::Threaded, 27),
+            ("text reactor", Arc::new(TextProtocol), TransportMode::Reactor, 28),
+            ("cdr reactor", Arc::new(CdrProtocol), TransportMode::Reactor, 28),
+        ];
+        for (name, protocol, mode, budget) in rows {
+            let (allocs, calls) = allocs_for_echoes(protocol, mode, heartbeat);
+            let (per_call, stray) = (allocs / calls, allocs % calls);
+            if per_call != budget || stray > STRAY {
+                let beat = if heartbeat.is_some() { " heartbeat" } else { "" };
+                wrong.push(format!(
+                    "{name}{beat}: {per_call} allocations per call and {stray} more in {calls} \
+                     calls, budget {budget}"
+                ));
+            }
         }
     }
     assert!(wrong.is_empty(), "{}", wrong.join("; "));

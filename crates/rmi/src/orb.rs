@@ -30,7 +30,7 @@ use crate::result_cache::ResultCache;
 use crate::retry::{may_retry, Backoff, RetryClass, RetryPolicy};
 use crate::serialize::{self, RemoteObject, ValueRegistry};
 use crate::server::{
-    ServerHandle, HEALTH_OBJECT_ID, HEALTH_TYPE_ID, METRICS_OBJECT_ID, METRICS_TYPE_ID,
+    Route, ServerHandle, HEALTH_OBJECT_ID, HEALTH_TYPE_ID, METRICS_OBJECT_ID, METRICS_TYPE_ID,
 };
 use crate::skeleton::Skeleton;
 use crate::stream::{ReplyStream, StreamServant, STREAM_ACK_OBJECT_ID, STREAM_ACK_TYPE_ID};
@@ -733,11 +733,16 @@ impl Orb {
     ///
     /// Bind failures, or calling it twice.
     pub fn serve(&self, addr: &str) -> RmiResult<Endpoint> {
+        self.serve_route(addr, Route::Dispatch)
+    }
+
+    /// [`Orb::serve`] with the execute step `route` (a router forwards).
+    pub(crate) fn serve_route(&self, addr: &str, route: Route) -> RmiResult<Endpoint> {
         let mut guard = self.inner.server.lock();
         if guard.is_some() {
             return Err(RmiError::Protocol("ORB is already serving".to_owned()));
         }
-        let handle = ServerHandle::start(addr, self.clone())?;
+        let handle = ServerHandle::start(addr, self.clone(), route)?;
         let endpoint = handle.endpoint().clone();
         *guard = Some(handle);
         Ok(endpoint)

@@ -1,11 +1,15 @@
 //! The router/gateway: many backends behind one reference.
 //!
 //! RAFDA's observation (PAPERS.md) pushed one level past the paper: *which
-//! replica serves a call* is distribution policy, not application code. A
-//! [`Router`] listens on a bootstrap port exactly like a server, but owns
-//! no servants — every application request is **forwarded, body-verbatim**,
-//! to one of the backends named by its [`BackendSource`], and the reply is
-//! relayed back under the client's own request id.
+//! replica serves a call* is distribution policy, not application code,
+//! and that policy is all a router adds to a server. A [`Router`] is a
+//! server whose route forwards: it runs the one connection path every
+//! server runs (admission and `Busy` shedding, the reply writer and its
+//! death rule, the lent reader, both drivers). Where a server dispatches
+//! an admitted application request to a skeleton, the router, which owns
+//! no servants, **forwards it body-verbatim** to one of the backends named
+//! by its [`BackendSource`] and relays the reply back under the client's
+//! own request id.
 //!
 //! Verbatim forwarding is not an optimization, it is a correctness rule:
 //!
@@ -22,8 +26,9 @@
 //!
 //! Per-call routing composes the PR 2/3 fault-tolerance stack per backend:
 //! every backend endpoint gets a circuit breaker (shared router-wide), the
-//! router sheds with `Busy` when its own in-flight cap is hit, and failed
-//! backends are skipped. The routing discipline differs by call class:
+//! router sheds with `Busy` when its in-flight cap is hit, as any server
+//! does, and failed backends are skipped. The routing discipline differs
+//! by call class:
 //!
 //! * **Tokened (`@exactly_once`) calls** route *sticky*: the token's
 //!   first forward picks the rendezvous-hash winner of `(session, seq)`
@@ -47,27 +52,37 @@
 //!   re-sends a non-idempotent call.
 //!
 //! The router answers the built-in `_health` (`ping`/`report`) and
-//! `_metrics` objects itself — a heartbeating client is probing *this*
-//! hop's liveness, and the router's own counters must stay readable (over
-//! telnet, like any heidl object) even when every backend is down.
+//! `_metrics` objects itself, as any server does — a heartbeating client
+//! is probing *this* hop's liveness, and the router's own counters must
+//! stay readable (over telnet, like any heidl object) even when every
+//! backend is down. Its `_metrics dump` adds three rows to a server's:
+//! `backends`, `membership_generation` and `token_pins`.
+//!
+//! Being a server, a router takes its driver from `HEIDL_TRANSPORT` and
+//! wraps its accepted sockets per `HEIDL_FAULT_PLAN`. Oneway forwards run
+//! inline on the reader, like oneway dispatches, so one client thread's
+//! program order survives the hop; on the reactor that puts a first dial
+//! to a backend on the loop thread, the exposure a oneway servant has
+//! there too. Streams are not relayed: a forward is one backend `call`,
+//! so only the first chunk of a `@stream` reply reaches the client, and
+//! stream-credit acks stop at the router.
 
-use crate::call::{extract_invocation_token, peek_route, ReplyBuilder, ReplyStatus};
-use crate::communicator::{write_framed, ConnectionPool, MuxConnection, ObjectCommunicator};
+use crate::call::{extract_invocation_token, ReplyBuilder, ReplyStatus};
+use crate::communicator::{ConnectionPool, MuxConnection};
 use crate::error::{RmiError, RmiResult};
 use crate::metrics::{Counter, Metrics};
 use crate::objref::{Endpoint, ObjectRef};
-use crate::policy::ServerHealth;
+use crate::orb::Orb;
+use crate::policy::ServerPolicy;
 use crate::retry::may_retry;
-use crate::server::{answer_builtin, BuiltinHost, Reserved, WorkerPool, WORKER_THREADS};
+use crate::server::Route;
 use crate::trace::{self, TraceLevel};
-use crate::transport::{Connector, TcpTransport, Transport};
+use crate::transport::Connector;
 use heidl_wire::{DecodeLimits, Protocol, TextProtocol};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Repository id of the system exception a client receives when the
@@ -229,66 +244,45 @@ impl RouterBuilder {
         self
     }
 
-    /// Binds `addr` and starts accepting clients.
+    /// Binds `addr` and starts accepting clients: an ORB with the
+    /// builder's protocol, connector and breakers, serving with the
+    /// forward route.
     ///
     /// # Errors
     ///
     /// Propagates bind/thread-spawn failures.
     pub fn start(self, addr: &str) -> RmiResult<Router> {
-        let pool = ConnectionPool::new();
+        let server_policy = ServerPolicy {
+            max_in_flight: self.policy.max_in_flight,
+            // A forward holds its thread for one backend exchange, so the
+            // in-flight cap bounds the overflow threads too.
+            max_overflow_threads: self.policy.max_in_flight,
+            decode_limits: self.policy.decode_limits,
+            ..ServerPolicy::default()
+        };
+        let mut builder = Orb::builder().protocol(self.protocol).server_policy(server_policy);
         if let Some(connector) = self.connector {
-            pool.set_connector(connector);
+            builder = builder.connector(connector);
         }
         if let Some(config) = self.breaker_config {
-            pool.set_breaker_config(config);
+            builder = builder.circuit_breaker(config);
         }
-        let metrics = Arc::new(Metrics::new());
-        pool.set_breaker_observer(Arc::clone(&metrics) as _);
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let endpoint = Endpoint::new(self.protocol.name(), local.ip().to_string(), local.port());
+        let orb = builder.build();
         let shared = Arc::new(RouterShared {
-            protocol: self.protocol,
             source: self.source,
-            pool,
-            metrics,
-            forwarders: WorkerPool::new(WORKER_THREADS, self.policy.max_in_flight),
-            in_flight: AtomicUsize::new(0),
-            connections: AtomicUsize::new(0),
-            shed_requests: AtomicU64::new(0),
             rotation: AtomicU64::new(0),
             affinity: Mutex::new(HashMap::new()),
-            running: Arc::new(AtomicBool::new(true)),
             policy: self.policy,
         });
-        let loop_shared = Arc::clone(&shared);
-        let acceptor = std::thread::Builder::new()
-            .name(format!("heidl-router-{}", local.port()))
-            .spawn(move || router_accept_loop(listener, loop_shared))
-            .map_err(RmiError::Io)?;
-        Ok(Router { shared, endpoint, local, acceptor: Mutex::new(Some(acceptor)) })
+        let endpoint = orb.serve_route(addr, Route::Forward(Arc::clone(&shared)))?;
+        Ok(Router { orb, shared, endpoint })
     }
 }
 
-/// State shared by the accept loop and every client connection.
-struct RouterShared {
-    protocol: Arc<dyn Protocol>,
+/// The forward route's state, shared by every client connection.
+pub(crate) struct RouterShared {
     source: Arc<dyn BackendSource>,
-    /// Breaker bookkeeping and the backend connector. The router never
-    /// checks connections out of this pool: backend connections are
-    /// per-client-connection (request ids are only unique per client
-    /// process, so two clients must never multiplex onto one backend
-    /// socket), but breaker history is most useful shared router-wide.
-    pool: ConnectionPool,
     policy: RouterPolicy,
-    metrics: Arc<Metrics>,
-    /// The threads forwards run on: resident ones, so a forward costs no
-    /// thread creation, with transient overflow when a burst (or backends
-    /// slow to answer) occupies them all. `in_flight` caps both.
-    forwarders: WorkerPool,
-    in_flight: AtomicUsize,
-    connections: AtomicUsize,
-    shed_requests: AtomicU64,
     /// Round-robin cursor for untokened calls.
     rotation: AtomicU64,
     /// Token → backend pins, keyed by `(session, seq)`: the backend a
@@ -299,7 +293,17 @@ struct RouterShared {
     /// after their last use and are swept on insert past a high-water
     /// mark.
     affinity: Mutex<HashMap<(u64, u64), (Endpoint, Instant)>>,
-    running: Arc<AtomicBool>,
+}
+
+impl RouterShared {
+    /// The router's rows of `_metrics dump`, after the server's gauges.
+    pub(crate) fn gauges(&self) -> [(&'static str, u64); 3] {
+        [
+            ("backends", self.source.backends().len() as u64),
+            ("membership_generation", self.source.generation()),
+            ("token_pins", self.affinity.lock().len() as u64),
+        ]
+    }
 }
 
 /// Sweep threshold for the affinity table: inserts past this size first
@@ -309,10 +313,10 @@ const AFFINITY_SWEEP_LEN: usize = 4096;
 /// A running router/gateway. Shut down with [`Router::shutdown`] (also
 /// invoked on drop).
 pub struct Router {
+    /// The server the router is; its pool holds the backend breakers.
+    orb: Orb,
     shared: Arc<RouterShared>,
     endpoint: Endpoint,
-    local: SocketAddr,
-    acceptor: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl Router {
@@ -344,30 +348,20 @@ impl Router {
     /// endpoint. Resolver caches register their
     /// [`BreakerListener`](crate::communicator::BreakerListener)s here.
     pub fn pool(&self) -> &ConnectionPool {
-        &self.shared.pool
+        self.orb.connections()
     }
 
     /// The router's own metrics registry (also remotely dispatchable via
     /// the built-in `_metrics` object on the router's endpoint).
     pub fn metrics(&self) -> &Arc<Metrics> {
-        &self.shared.metrics
+        self.orb.metrics()
     }
 
-    /// Stops accepting and joins the accept thread. Existing client
-    /// connections drain naturally as their peers disconnect.
+    /// Stops accepting, joining the accept thread and the overrun
+    /// watcher. Existing client connections drain naturally as their
+    /// peers disconnect.
     pub fn shutdown(&self) {
-        self.shared.running.store(false, Ordering::SeqCst);
-        let mut addr = self.local;
-        if addr.ip().is_unspecified() {
-            addr.set_ip(match self.local {
-                SocketAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
-                SocketAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
-            });
-        }
-        let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(250));
-        if let Some(h) = self.acceptor.lock().take() {
-            let _ = h.join();
-        }
+        self.orb.shutdown();
     }
 }
 
@@ -386,58 +380,18 @@ impl std::fmt::Debug for Router {
     }
 }
 
-fn router_accept_loop(listener: TcpListener, shared: Arc<RouterShared>) {
-    loop {
-        let stream = listener.accept();
-        if !shared.running.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok((stream, _)) = stream else { continue };
-        let Ok(transport) = TcpTransport::from_stream(stream) else { continue };
-        let conn_shared = Arc::clone(&shared);
-        let _ = std::thread::Builder::new().name("heidl-router-conn".to_owned()).spawn(move || {
-            conn_shared.connections.fetch_add(1, Ordering::SeqCst);
-            router_connection(Box::new(transport), &conn_shared);
-            conn_shared.connections.fetch_sub(1, Ordering::SeqCst);
-        });
-    }
-}
-
-/// The write half of one client connection, shared by every in-flight
-/// forward answering on it (replies interleave in completion order; the
-/// client demultiplexes by request id).
-struct ClientWriter {
-    transport: Mutex<Box<dyn Transport>>,
-    protocol: Arc<dyn Protocol>,
-    metrics: Arc<Metrics>,
-}
-
-impl ClientWriter {
-    fn send(&self, body: &[u8]) -> RmiResult<()> {
-        let result = {
-            let mut transport = self.transport.lock();
-            write_framed(transport.as_mut(), self.protocol.as_ref(), &[body])
-        };
-        if result.is_ok() {
-            self.metrics.add(Counter::BytesOut, body.len() as u64);
-        }
-        result
-    }
-}
-
-/// This client connection's private backend connections, keyed by
-/// endpoint. Never shared across client connections — see
-/// [`RouterShared::pool`]'s invariant on request-id uniqueness.
-struct BackendConns {
+/// One client connection's private backend connections, keyed by
+/// endpoint, held by its server connection. Never shared across client
+/// connections: request ids are only unique per client process, so two
+/// clients must never multiplex onto one backend socket. Breaker history,
+/// by contrast, is shared router-wide, in the router's pool.
+#[derive(Default)]
+pub(crate) struct BackendConns {
     map: Mutex<HashMap<Endpoint, Arc<MuxConnection>>>,
 }
 
 impl BackendConns {
-    fn get_or_dial(
-        &self,
-        shared: &RouterShared,
-        endpoint: &Endpoint,
-    ) -> RmiResult<Arc<MuxConnection>> {
+    fn get_or_dial(&self, orb: &Orb, endpoint: &Endpoint) -> RmiResult<Arc<MuxConnection>> {
         if let Some(conn) = self.map.lock().get(endpoint) {
             if conn.is_alive() {
                 return Ok(Arc::clone(conn));
@@ -445,8 +399,8 @@ impl BackendConns {
         }
         // Dial outside the map lock: concurrent forwards to one new
         // backend may race and open two sockets; the loser's is dropped.
-        let connector = shared.pool.connector();
-        let conn = MuxConnection::via(connector.as_ref(), endpoint, &shared.protocol)?;
+        let connector = orb.connections().connector();
+        let conn = MuxConnection::via(connector.as_ref(), endpoint, orb.protocol())?;
         let mut map = self.map.lock();
         let entry = map.entry(endpoint.clone()).or_insert_with(|| Arc::clone(&conn));
         if !entry.is_alive() {
@@ -465,108 +419,19 @@ impl BackendConns {
     }
 }
 
-fn router_connection(transport: Box<dyn Transport>, shared: &Arc<RouterShared>) {
-    let protocol = Arc::clone(&shared.protocol);
-    let limits = shared.policy.decode_limits;
-    let Ok((write_half, read_half)) = transport.split() else { return };
-    let writer = Arc::new(ClientWriter {
-        transport: Mutex::new(write_half),
-        protocol: Arc::clone(&protocol),
-        metrics: Arc::clone(&shared.metrics),
-    });
-    let conns = Arc::new(BackendConns { map: Mutex::new(HashMap::new()) });
-    let mut comm = ObjectCommunicator::with_limits(read_half, Arc::clone(&protocol), limits);
-    while let Ok(Some(body)) = comm.recv() {
-        let body: Vec<u8> = body.into();
-        shared.metrics.add(Counter::BytesIn, body.len() as u64);
-        let (request_id, response_expected) = match peek_route(&body, protocol.as_ref(), &limits) {
-            // The built-in objects answer for *this* hop: a client
-            // heartbeat is probing the router's liveness, and the
-            // router's counters must stay readable with every
-            // backend down. Stream acks are forwarded like any oneway.
-            Ok((request_id, _, Some(object_id)))
-                if matches!(
-                    Reserved::of(object_id),
-                    Some(Reserved::Health | Reserved::Metrics)
-                ) =>
-            {
-                let answer =
-                    answer_builtin(body, request_id, protocol.as_ref(), &limits, shared.as_ref());
-                if let Some(reply) = answer {
-                    if writer.send(&reply).is_err() {
-                        break;
-                    }
-                }
-                continue;
-            }
-            Ok((request_id, response_expected, _)) => (request_id, response_expected),
-            Err(e) => {
-                let reply = ReplyBuilder::exception(
-                    protocol.as_ref(),
-                    0,
-                    ReplyStatus::SystemException,
-                    "IDL:heidl/BadRequest:1.0",
-                    &e.to_string(),
-                );
-                if writer.send(&reply).is_err() {
-                    break;
-                }
-                continue;
-            }
-        };
-        // Router-wide admission: each forward occupies a thread for up to
-        // one backend exchange, so the in-flight cap bounds both memory
-        // and thread count. Beyond it: shed with Busy (safe to retry).
-        if shared.in_flight.fetch_add(1, Ordering::SeqCst) >= shared.policy.max_in_flight {
-            shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-            shared.shed_requests.fetch_add(1, Ordering::SeqCst);
-            shared.metrics.inc(Counter::ShedRequests);
-            if response_expected {
-                let busy = ReplyBuilder::busy(
-                    protocol.as_ref(),
-                    request_id,
-                    "router in-flight cap reached",
-                );
-                if writer.send(&busy).is_err() {
-                    break;
-                }
-            }
-            continue;
-        }
-        let job_shared = Arc::clone(shared);
-        let job_writer = Arc::clone(&writer);
-        let job_conns = Arc::clone(&conns);
-        let accepted = shared.forwarders.submit(Box::new(move || {
-            let reply = forward_one(&job_shared, &job_conns, body, request_id, response_expected);
-            job_shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-            if let Some(reply) = reply {
-                let _ = job_writer.send(&reply);
-            }
-        }));
-        if !accepted {
-            shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-            if response_expected {
-                let busy =
-                    ReplyBuilder::busy(protocol.as_ref(), request_id, "router out of threads");
-                if writer.send(&busy).is_err() {
-                    break;
-                }
-            }
-        }
-    }
-}
-
-/// Forwards one request body and returns the reply to relay (`None` for
-/// oneways). Implements the routing discipline documented at module level.
-fn forward_one(
-    shared: &Arc<RouterShared>,
+/// The forward route: forwards one request body over `conns` and returns
+/// the reply to relay (`None` for oneways). Implements the routing
+/// discipline documented at module level.
+pub(crate) fn forward_one(
+    shared: &RouterShared,
+    orb: &Orb,
     conns: &BackendConns,
-    body: Vec<u8>,
+    body: &[u8],
     request_id: u64,
     response_expected: bool,
 ) -> Option<Vec<u8>> {
-    let protocol = Arc::clone(&shared.protocol);
-    let token = extract_invocation_token(&body, protocol.as_ref());
+    let protocol = orb.protocol();
+    let token = extract_invocation_token(body, protocol.as_ref());
     let backends = shared.source.backends();
     if backends.is_empty() {
         shared.source.invalidate();
@@ -615,7 +480,7 @@ fn forward_one(
     let tokened = token.is_some();
     let mut last_busy: Option<Vec<u8>> = None;
     for endpoint in &candidates {
-        let breaker = shared.pool.breaker(endpoint);
+        let breaker = orb.connections().breaker(endpoint);
         // Breaker refusal is provably unsent *this time* — but for a
         // tokened call the router cannot know whether an earlier client
         // attempt already executed on the sticky backend before its
@@ -637,7 +502,7 @@ fn forward_one(
             }
             continue;
         };
-        let conn = match conns.get_or_dial(shared, endpoint) {
+        let conn = match conns.get_or_dial(orb, endpoint) {
             Ok(conn) => conn,
             Err(_) => {
                 // Dial failure: provably unsent; count it against the
@@ -660,10 +525,10 @@ fn forward_one(
         if !response_expected {
             // Oneway: fire at the first usable backend; a send failure is
             // not retried (the class promises at-most-once, nothing more).
-            match conn.send_oneway(&body) {
+            match conn.send_oneway(body) {
                 Ok(()) => {
                     breaker.record_outcome(probe, true);
-                    shared.metrics.inc(Counter::Oneways);
+                    orb.metrics().inc(Counter::Oneways);
                 }
                 Err(_) => {
                     breaker.record_outcome(probe, false);
@@ -672,7 +537,9 @@ fn forward_one(
             }
             return None;
         }
-        match forward_exchange(shared, conns, endpoint, conn, probe, &body, request_id, tokened) {
+        let policy = &shared.policy;
+        match forward_exchange(orb, policy, conns, endpoint, conn, probe, body, request_id, tokened)
+        {
             Exchange::Reply(reply) => return Some(reply),
             Exchange::Busy(reply) => {
                 if token.is_some() {
@@ -689,7 +556,8 @@ fn forward_one(
             }
             Exchange::Unsent => continue,
             Exchange::SentThenLost(err) => {
-                return Some(answer_mid_call_failure(shared, &token, request_id, endpoint, &err));
+                let protocol = protocol.as_ref();
+                return Some(answer_mid_call_failure(protocol, &token, request_id, endpoint, &err));
             }
         }
     }
@@ -715,7 +583,8 @@ enum Exchange {
 /// `tokened` calls. `probe` is the breaker admission for the first attempt.
 #[allow(clippy::too_many_arguments)]
 fn forward_exchange(
-    shared: &Arc<RouterShared>,
+    orb: &Orb,
+    policy: &RouterPolicy,
     conns: &BackendConns,
     endpoint: &Endpoint,
     mut conn: Arc<MuxConnection>,
@@ -724,15 +593,15 @@ fn forward_exchange(
     request_id: u64,
     tokened: bool,
 ) -> Exchange {
-    let breaker = shared.pool.breaker(endpoint);
+    let breaker = orb.connections().breaker(endpoint);
     let mut probe = Some(probe);
-    let retries = if tokened { shared.policy.sticky_retries } else { 0 };
+    let retries = if tokened { policy.sticky_retries } else { 0 };
     let mut last_err = None;
     for attempt in 0..=retries {
-        match conn.call(request_id, body, Some(shared.policy.forward_deadline)) {
+        match conn.call(request_id, body, Some(policy.forward_deadline)) {
             Ok(reply) => {
-                let status = crate::call::peek_reply_status(&reply, shared.protocol.as_ref())
-                    .map(|(_, s)| s);
+                let status =
+                    crate::call::peek_reply_status(&reply, orb.protocol().as_ref()).map(|(_, s)| s);
                 let reply: Vec<u8> = reply.into();
                 return if matches!(status, Ok(ReplyStatus::Busy)) {
                     // An overloaded backend counts against its breaker —
@@ -756,14 +625,14 @@ fn forward_exchange(
                     last_err = Some(err);
                     break;
                 }
-                shared.metrics.inc(Counter::Reconnects);
+                orb.metrics().inc(Counter::Reconnects);
                 // Redial the *same* backend: the token only dedups there.
                 let Ok(admitted) = breaker.try_admit() else {
                     last_err = Some(err);
                     break;
                 };
                 probe = Some(admitted);
-                conn = match conns.get_or_dial(shared, endpoint) {
+                conn = match conns.get_or_dial(orb, endpoint) {
                     Ok(conn) => conn,
                     Err(dial_err) => {
                         record(&breaker, &mut probe, false);
@@ -771,7 +640,7 @@ fn forward_exchange(
                         break;
                     }
                 };
-                shared.metrics.inc(Counter::Retries);
+                orb.metrics().inc(Counter::Retries);
             }
         }
     }
@@ -795,7 +664,7 @@ fn record(
 /// Builds the reply for a request that may have reached a backend whose
 /// answer was lost.
 fn answer_mid_call_failure(
-    shared: &Arc<RouterShared>,
+    protocol: &dyn Protocol,
     token: &Option<crate::call::InvocationToken>,
     request_id: u64,
     endpoint: &Endpoint,
@@ -808,7 +677,7 @@ fn answer_mid_call_failure(
         // The client's retry reuses its token, so telling it to retry is
         // safe: the sticky backend's replay cache absorbs the duplicate.
         Some(_) => ReplyBuilder::busy(
-            shared.protocol.as_ref(),
+            protocol,
             request_id,
             &format!("router: backend {endpoint} unreachable mid-call; token makes retry safe"),
         ),
@@ -817,7 +686,7 @@ fn answer_mid_call_failure(
         // class is never retried — so the client surfaces the failure
         // instead of silently re-sending.
         None => ReplyBuilder::exception(
-            shared.protocol.as_ref(),
+            protocol,
             request_id,
             ReplyStatus::SystemException,
             ROUTER_FORWARD_REPO_ID,
@@ -840,32 +709,4 @@ fn rendezvous_weight(key: u64, endpoint: &Endpoint) -> u64 {
         hash = (hash ^ u64::from(*byte)).wrapping_mul(FNV_PRIME);
     }
     hash
-}
-
-/// The router answers `_health` and `_metrics` for its own hop, with the
-/// server's encodings and its own snapshot.
-impl BuiltinHost for RouterShared {
-    fn health(&self) -> ServerHealth {
-        ServerHealth {
-            accepting: self.running.load(Ordering::SeqCst),
-            in_flight: self.in_flight.load(Ordering::SeqCst) as u64,
-            connections: self.connections.load(Ordering::SeqCst) as u64,
-            shed_requests: self.shed_requests.load(Ordering::SeqCst),
-            shed_connections: 0, // the router refuses no connections
-        }
-    }
-
-    fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    fn gauges(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("in_flight", self.in_flight.load(Ordering::SeqCst) as u64),
-            ("connections", self.connections.load(Ordering::SeqCst) as u64),
-            ("backends", self.source.backends().len() as u64),
-            ("membership_generation", self.source.generation()),
-            ("token_pins", self.affinity.lock().len() as u64),
-        ]
-    }
 }

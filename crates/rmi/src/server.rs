@@ -18,6 +18,10 @@
 //! head-of-line-block the connection: the overrun watcher ([`Lender`])
 //! has the pool drain a reader lent for longer than a tick.
 //!
+//! The same path serves a [`Router`](crate::Router): a server's route
+//! ([`Route`]) is what its execute step does with an admitted application
+//! request — dispatch it to a skeleton, or forward it to a backend.
+//!
 //! Every stage applies the ORB's `ServerPolicy`: connections beyond
 //! `max_connections` are refused at `accept`, requests beyond the global or
 //! per-connection in-flight caps (or beyond the worker pool's overflow
@@ -63,6 +67,7 @@ use crate::reactor::{
     self, Action, ReactorHandle, Source, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
 use crate::replay::{ReplayCache, ReplayDecision};
+use crate::router::{forward_one, BackendConns, RouterShared};
 use crate::skeleton::{DispatchOutcome, Skeleton};
 use crate::stream::{
     StreamServant, StreamWindow, TokenBucket, STREAM_ACK_OBJECT_ID, STREAM_EXPIRED_REPO_ID,
@@ -82,7 +87,7 @@ use std::time::{Duration, Instant};
 /// Resident dispatch threads per server; requests beyond this run on
 /// transient overflow threads (bounded by the policy) so a dispatch that
 /// itself blocks (e.g. on a nested remote call) can never starve the pool.
-pub(crate) const WORKER_THREADS: usize = 4;
+const WORKER_THREADS: usize = 4;
 
 /// Well-known object id of the built-in `_health` object every server
 /// serves. Exported ids start at 1, so 0 can never collide.
@@ -99,10 +104,19 @@ pub const METRICS_OBJECT_ID: u64 = u64::MAX;
 /// Repository id of the built-in `_metrics` object.
 pub const METRICS_TYPE_ID: &str = "IDL:heidl/Metrics:1.0";
 
+/// What the execute step does with an admitted application request.
+pub(crate) enum Route {
+    /// Fig 5 (3)-(4): dispatch to the exported skeleton ([`Orb::serve`]).
+    Dispatch,
+    /// Forward to a backend ([`Router`](crate::Router)).
+    Forward(Arc<RouterShared>),
+}
+
 /// Counters and policy shared by the accept loop, every connection
 /// reader, every dispatch, and the drain path.
 pub(crate) struct ServerShared {
     policy: ServerPolicy,
+    route: Route,
     /// Set once a drain begins: new requests are shed, accepts refused.
     draining: AtomicBool,
     /// Requests currently admitted (dispatching or queued to workers).
@@ -138,12 +152,13 @@ pub(crate) struct ServerShared {
 }
 
 impl ServerShared {
-    fn new(policy: ServerPolicy, metrics: Arc<Metrics>) -> ServerShared {
+    fn new(policy: ServerPolicy, metrics: Arc<Metrics>, route: Route) -> ServerShared {
         let replay = ReplayCache::new(policy.reply_cache_ttl, policy.reply_cache_max_bytes);
         let stream_bucket = policy.stream_rate_bytes_per_sec.map(TokenBucket::new);
         let reply_budget = Arc::new(ReplyBudget::new(policy.max_reply_queue_bytes_global));
         ServerShared {
             policy,
+            route,
             draining: AtomicBool::new(false),
             in_flight: AtomicUsize::new(0),
             connections: AtomicUsize::new(0),
@@ -433,16 +448,17 @@ enum Engine {
 
 impl ServerHandle {
     /// Binds `addr` and starts serving under the ORB's `ServerPolicy`,
-    /// driven as its `TransportMode` selects. The reactor needs raw
-    /// socket fds, so a `HEIDL_FAULT_PLAN` run (every accepted transport
-    /// wrapped in a fd-less fault injector) takes the blocking driver.
-    pub(crate) fn start(addr: &str, orb: Orb) -> RmiResult<ServerHandle> {
+    /// driven as its `TransportMode` selects, executing requests by
+    /// `route`. The reactor needs raw socket fds, so a `HEIDL_FAULT_PLAN`
+    /// run (every accepted transport wrapped in a fd-less fault injector)
+    /// takes the blocking driver.
+    pub(crate) fn start(addr: &str, orb: Orb, route: Route) -> RmiResult<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let endpoint = Endpoint::new(orb.protocol().name(), local.ip().to_string(), local.port());
         let policy = orb.server_policy().clone();
         let workers = Arc::new(WorkerPool::new(WORKER_THREADS, policy.max_overflow_threads));
-        let shared = Arc::new(ServerShared::new(policy, Arc::clone(orb.metrics())));
+        let shared = Arc::new(ServerShared::new(policy, Arc::clone(orb.metrics()), route));
         let engine = if orb.transport_mode().reactor_enabled()
             && crate::fault::FaultPlan::from_env().is_none()
         {
@@ -578,17 +594,17 @@ fn nudge_addr(local: SocketAddr) -> SocketAddr {
     addr
 }
 
-pub(crate) type Job = Box<dyn FnOnce() + Send>;
+type Job = Box<dyn FnOnce() + Send>;
 
 /// A small fixed pool of dispatch threads with *bounded* overflow: when
 /// every resident worker is occupied, the job runs on a transient thread
 /// instead of queueing behind a potentially blocked dispatch — but only
 /// up to the policy's overflow budget. Past that, `submit` refuses and
 /// the caller sheds the request with `Busy` instead of letting a slow
-/// servant grow one thread per queued request without bound. The router
-/// runs its forwards on one too (a forward blocks on its backend exactly
-/// as a dispatch may block on a nested call).
-pub(crate) struct WorkerPool {
+/// servant grow one thread per queued request without bound. A router's
+/// forwards run on it too (a forward blocks on its backend exactly as a
+/// dispatch may block on a nested call).
+struct WorkerPool {
     tx: crossbeam::channel::Sender<Job>,
     busy: Arc<AtomicUsize>,
     workers: usize,
@@ -597,7 +613,7 @@ pub(crate) struct WorkerPool {
 }
 
 impl WorkerPool {
-    pub(crate) fn new(workers: usize, max_overflow: usize) -> WorkerPool {
+    fn new(workers: usize, max_overflow: usize) -> WorkerPool {
         let (tx, rx) = crossbeam::channel::unbounded::<Job>();
         let busy = Arc::new(AtomicUsize::new(0));
         for i in 0..workers {
@@ -617,7 +633,7 @@ impl WorkerPool {
     /// Runs `job` on a resident worker or a transient overflow thread.
     /// Returns `false` (dropping the job unrun) when every resident
     /// worker is busy and the overflow budget is exhausted.
-    pub(crate) fn submit(&self, job: Job) -> bool {
+    fn submit(&self, job: Job) -> bool {
         // `busy` counts submitted-but-unfinished pool jobs. The increment
         // itself claims a resident slot, so racing submitters cannot both
         // take the last one: a job never queues behind `workers` blocked ones.
@@ -761,6 +777,7 @@ fn admit(
         workers: Arc::clone(workers),
         shared: Arc::clone(shared),
         per_conn: Arc::new(AtomicUsize::new(0)),
+        backends: Arc::default(),
         conn_id,
         lent: AtomicU64::new(0),
         hung_up: AtomicBool::new(false),
@@ -1094,6 +1111,8 @@ struct Connection {
     shared: Arc<ServerShared>,
     /// This connection's share of the in-flight budget.
     per_conn: Arc<AtomicUsize>,
+    /// The forward route's backend connections (unused by `Dispatch`).
+    backends: Arc<BackendConns>,
     conn_id: u64,
     /// The lend the reader is serving, 0 when it is not lent.
     lent: AtomicU64,
@@ -1117,6 +1136,7 @@ impl Drop for Connection {
 /// two-way runs on the caller's thread instead of the pool.
 fn route_frame(conn: &Connection, body: PooledBuf, lend: bool) -> bool {
     let (orb, shared, sink, conn_id) = (&conn.orb, &conn.shared, &conn.sink, conn.conn_id);
+    let backends = &conn.backends;
     let protocol = orb.protocol();
     let limits = &shared.policy.decode_limits;
     let body_len = body.len() as u64;
@@ -1131,9 +1151,7 @@ fn route_frame(conn: &Connection, body: PooledBuf, lend: bool) -> bool {
             handle_stream_ack(body.into(), orb, shared, conn_id);
         }
         (Ok((request_id, _, _)), Some(_)) => {
-            let host = ServerHost { orb, shared };
-            let answer = answer_builtin(body.into(), request_id, protocol.as_ref(), limits, &host);
-            if let Some(reply) = answer {
+            if let Some(reply) = answer_builtin(body.into(), request_id, orb, shared) {
                 if sink.send_unmetered(reply).is_err() {
                     return false;
                 }
@@ -1145,7 +1163,7 @@ fn route_frame(conn: &Connection, body: PooledBuf, lend: bool) -> bool {
         (Ok((request_id, false, _)), None) => {
             shared.metrics.add(Counter::BytesIn, body_len);
             match shared.try_admit(&conn.per_conn) {
-                Ok(_guard) => drop(handle_request(body.into(), Some(request_id), orb, shared)),
+                Ok(_guard) => drop(execute(body.into(), request_id, false, orb, shared, backends)),
                 Err(_) => shared.shed_request(),
             }
         }
@@ -1160,7 +1178,7 @@ fn route_frame(conn: &Connection, body: PooledBuf, lend: bool) -> bool {
                     if lend && streamer.is_none() && shared.lender.lend(&conn.lent) {
                         // The guard lives until the reply is on the wire.
                         let _guard = guard;
-                        let reply = handle_request(body.into(), Some(request_id), orb, shared);
+                        let reply = execute(body.into(), request_id, true, orb, shared, backends);
                         let sent = reply.is_none_or(|reply| sink.send(reply).is_ok());
                         conn.lent.store(0, Ordering::SeqCst);
                         return sent;
@@ -1168,6 +1186,7 @@ fn route_frame(conn: &Connection, body: PooledBuf, lend: bool) -> bool {
                     let job_orb = orb.clone();
                     let job_sink = Arc::clone(sink);
                     let job_shared = Arc::clone(shared);
+                    let job_backends = Arc::clone(backends);
                     let job_body: Vec<u8> = body.into();
                     let job: Job = match streamer {
                         Some(servant) => Box::new(move || {
@@ -1180,9 +1199,9 @@ fn route_frame(conn: &Connection, body: PooledBuf, lend: bool) -> bool {
                         None => Box::new(move || {
                             // The guard lives until the reply is on the wire.
                             let _guard = guard;
-                            let id = Some(request_id);
-                            if let Some(reply) = handle_request(job_body, id, &job_orb, &job_shared)
-                            {
+                            let (orb, shared, backends) = (&job_orb, &job_shared, &job_backends);
+                            let reply = execute(job_body, request_id, true, orb, shared, backends);
+                            if let Some(reply) = reply {
                                 let _ = job_sink.send(reply);
                             }
                         }),
@@ -1232,7 +1251,7 @@ fn route_frame(conn: &Connection, body: PooledBuf, lend: bool) -> bool {
 /// traffic, and a credit grant queued behind servant work would starve
 /// the very stream it is meant to unblock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Reserved {
+enum Reserved {
     /// `_health`: answered by [`answer_builtin`].
     Health,
     /// `_metrics`: answered by [`answer_builtin`].
@@ -1244,7 +1263,7 @@ pub(crate) enum Reserved {
 
 impl Reserved {
     /// The reserved-object table: the row for `object_id`, if reserved.
-    pub(crate) fn of(object_id: u64) -> Option<Reserved> {
+    fn of(object_id: u64) -> Option<Reserved> {
         match object_id {
             HEALTH_OBJECT_ID => Some(Reserved::Health),
             METRICS_OBJECT_ID => Some(Reserved::Metrics),
@@ -1254,50 +1273,8 @@ impl Reserved {
     }
 }
 
-/// Whoever answers `_health` and `_metrics`: a server, or a router
-/// answering for its own hop.
-pub(crate) trait BuiltinHost {
-    /// The snapshot `_health.report` marshals.
-    fn health(&self) -> ServerHealth;
-    /// The registry `_metrics` reads and resets.
-    fn metrics(&self) -> &Metrics;
-    /// The live gauges `_metrics.dump` samples: occupancy values, not
-    /// counters, so they are read here rather than stored in the registry.
-    fn gauges(&self) -> Vec<(&'static str, u64)>;
-}
-
-/// A server as a [`BuiltinHost`].
-struct ServerHost<'a> {
-    orb: &'a Orb,
-    shared: &'a ServerShared,
-}
-
-impl BuiltinHost for ServerHost<'_> {
-    fn health(&self) -> ServerHealth {
-        self.shared.snapshot()
-    }
-
-    fn metrics(&self) -> &Metrics {
-        &self.shared.metrics
-    }
-
-    fn gauges(&self) -> Vec<(&'static str, u64)> {
-        let health = self.shared.snapshot();
-        let pool = self.orb.connections();
-        vec![
-            ("in_flight", health.in_flight),
-            ("connections", health.connections),
-            ("pool_opened", pool.opened_count()),
-            ("pool_pooled", pool.pooled_count() as u64),
-            ("pool_pending", pool.pending_total() as u64),
-            ("reply_cache_entries", self.shared.replay.len() as u64),
-            ("reply_cache_bytes", self.shared.replay.bytes() as u64),
-        ]
-    }
-}
-
-/// Answers one request to `_health` or `_metrics` for `host`; `None` for
-/// a oneway. A request that does not parse gets the `BadRequest`
+/// Answers one request to `_health` or `_metrics` for this server; `None`
+/// for a oneway. A request that does not parse gets the `BadRequest`
 /// diagnostic, as on any object. Readable over telnet like any servant:
 ///
 /// * `_health.ping` — `"pong"`;
@@ -1312,14 +1289,15 @@ impl BuiltinHost for ServerHost<'_> {
 /// * `_metrics.reset` — zeroes the registry, returns `bool` true;
 /// * `_metrics.dump` — human-readable: `ulong` row count then one
 ///   `string` per row of [`Metrics::dump_rows`]' table (counters, the
-///   host's gauges, per-op latency buckets).
-pub(crate) fn answer_builtin(
+///   server's gauges and a router's rows, per-op latency buckets).
+fn answer_builtin(
     body: Vec<u8>,
     request_id: u64,
-    protocol: &dyn Protocol,
-    limits: &DecodeLimits,
-    host: &dyn BuiltinHost,
+    orb: &Orb,
+    shared: &ServerShared,
 ) -> Option<Vec<u8>> {
+    let protocol = orb.protocol().as_ref();
+    let limits = &shared.policy.decode_limits;
     let incoming = match parse_request(body, Some(request_id), protocol, limits) {
         Ok(incoming) => incoming,
         Err(bad_request) => return Some(bad_request),
@@ -1330,7 +1308,7 @@ pub(crate) fn answer_builtin(
     match (object_id, incoming.method.as_str()) {
         (HEALTH_OBJECT_ID, "ping") => enc.put_string("pong"),
         (HEALTH_OBJECT_ID, "report") => {
-            let h = host.health();
+            let h = shared.snapshot();
             enc.put_bool(h.accepting);
             enc.put_ulonglong(h.in_flight);
             enc.put_ulonglong(h.connections);
@@ -1338,7 +1316,7 @@ pub(crate) fn answer_builtin(
             enc.put_ulonglong(h.shed_connections);
         }
         (METRICS_OBJECT_ID, "snapshot") => {
-            let snap = host.metrics().snapshot();
+            let snap = shared.metrics.snapshot();
             for c in Counter::ALL {
                 enc.put_ulonglong(snap.counter(c));
             }
@@ -1352,11 +1330,24 @@ pub(crate) fn answer_builtin(
             }
         }
         (METRICS_OBJECT_ID, "reset") => {
-            host.metrics().reset();
+            shared.metrics.reset();
             enc.put_bool(true);
         }
         (METRICS_OBJECT_ID, "dump") => {
-            let rows = host.metrics().dump_rows(&host.gauges());
+            let pool = orb.connections();
+            let mut gauges = vec![
+                ("in_flight", shared.in_flight.load(Ordering::SeqCst) as u64),
+                ("connections", shared.connections.load(Ordering::SeqCst) as u64),
+                ("pool_opened", pool.opened_count()),
+                ("pool_pooled", pool.pooled_count() as u64),
+                ("pool_pending", pool.pending_total() as u64),
+                ("reply_cache_entries", shared.replay.len() as u64),
+                ("reply_cache_bytes", shared.replay.bytes() as u64),
+            ];
+            if let Route::Forward(router) = &shared.route {
+                gauges.extend(router.gauges());
+            }
+            let rows = shared.metrics.dump_rows(&gauges);
             enc.put_ulong(rows.len() as u32);
             for row in &rows {
                 enc.put_string(row);
@@ -1464,11 +1455,33 @@ fn prelude(
     Ok(Admitted { incoming, replay_key, window: tail.chunk.map(|(window, _)| window), _ctx: ctx })
 }
 
+/// The execute step of an admitted application request, by the server's
+/// route: dispatched here, or forwarded over this connection's `backends`.
+/// Returns `None` for `oneway` requests, which must not be answered.
+fn execute(
+    body: Vec<u8>,
+    request_id: u64,
+    two_way: bool,
+    orb: &Orb,
+    shared: &ServerShared,
+    backends: &BackendConns,
+) -> Option<Vec<u8>> {
+    match &shared.route {
+        Route::Dispatch => handle_request(body, Some(request_id), orb, shared),
+        Route::Forward(router) => {
+            let reply = forward_one(router, orb, backends, &body, request_id, two_way);
+            // A dispatch's parse recycles the body; a forward only reads it.
+            pool::recycle(body);
+            reply
+        }
+    }
+}
+
 /// Fig 5 (2)-(4): the prelude, then select the skeleton by object id,
 /// dispatch (recursively up the inheritance chain), and build the reply;
 /// an exactly-once reply is cached on the way out. Returns `None` for
 /// `oneway` requests, which must not be answered.
-pub(crate) fn handle_request(
+fn handle_request(
     body: Vec<u8>,
     routed_id: Option<u64>,
     orb: &Orb,
@@ -2055,7 +2068,11 @@ mod tests {
     fn chunk_frames_match_the_encoder_path_through_both_continuations() {
         for protocol in [Arc::new(TextProtocol) as Arc<dyn Protocol>, Arc::new(CdrProtocol)] {
             for queued in [false, true] {
-                let shared = ServerShared::new(ServerPolicy::default(), Arc::new(Metrics::new()));
+                let shared = ServerShared::new(
+                    ServerPolicy::default(),
+                    Arc::new(Metrics::new()),
+                    Route::Dispatch,
+                );
                 let wire = Arc::new(Mutex::new(Vec::new()));
                 let blocked = Arc::new(Mutex::new(Vec::new()));
                 let transport = Trickle {

@@ -4,7 +4,7 @@
 //! stop signal interrupts the sleep; the join does not wait out a tick).
 //!
 //! The same holds for a threaded server's overrun watcher
-//! (`heidl-lend-{port}`): stopping the server joins it.
+//! (`heidl-lend-{port}`): stopping the server, or a router, joins it.
 //!
 //! These assertions count process-global things (the
 //! [`live_heartbeat_threads`] gauge, the watcher threads), so they live in
@@ -12,7 +12,8 @@
 //! elsewhere that build heartbeat ORBs or servers would make exact counts
 //! racy.
 
-use heidl_rmi::{live_heartbeat_threads, Orb, ServerPolicy, TransportMode};
+use heidl_rmi::{live_heartbeat_threads, Orb, Router, ServerPolicy, SharedBackends, TransportMode};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The spawned thread bumps the gauge from inside its own stack frame, so
@@ -101,4 +102,10 @@ fn lend_watcher_is_joined_by_shutdown_and_by_drain() {
         }
         wait_for_lend_watchers(0, "stopping the server must stop its watcher");
     }
+    // A router is a server on the driver `HEIDL_TRANSPORT` selects.
+    let router = Router::builder(Arc::new(SharedBackends::new())).start("127.0.0.1:0").unwrap();
+    let watchers = usize::from(TransportMode::from_env() == TransportMode::Threaded);
+    wait_for_lend_watchers(watchers, "a threaded router runs one watcher, a reactor none");
+    router.shutdown();
+    wait_for_lend_watchers(0, "stopping the router must stop its watcher");
 }

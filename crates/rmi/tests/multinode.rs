@@ -20,7 +20,7 @@ use heidl_rmi::*;
 use heidl_wire::{Decoder, Encoder};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -210,6 +210,72 @@ fn a_burst_wider_than_the_resident_forwarders_forwards_concurrently() {
             }
         });
     }
+
+    client.shutdown();
+    router.shutdown();
+    backend.shutdown();
+}
+
+const NOTE_TYPE_ID: &str = "IDL:Test/Notes:1.0";
+
+/// A backend servant counting `note` oneways; `count` returns how many
+/// it has run.
+struct NotesSkel {
+    base: SkeletonBase,
+    notes: AtomicU64,
+}
+
+impl Skeleton for NotesSkel {
+    fn type_id(&self) -> &str {
+        self.base.type_id()
+    }
+
+    fn dispatch(
+        &self,
+        method: &str,
+        args: &mut dyn Decoder,
+        reply: &mut dyn Encoder,
+    ) -> RmiResult<DispatchOutcome> {
+        match self.base.find(method) {
+            Some(0) => {
+                self.notes.fetch_add(1, Ordering::SeqCst);
+                Ok(DispatchOutcome::Handled)
+            }
+            Some(1) => {
+                reply.put_ulonglong(self.notes.load(Ordering::SeqCst));
+                Ok(DispatchOutcome::Handled)
+            }
+            _ => self.base.dispatch_parents(method, args, reply),
+        }
+    }
+}
+
+/// Per-thread program order is wire order across the hop too: one client
+/// thread's oneways reach the backend servant before the two-way it sent
+/// after them, so every `count` sees every earlier `note`.
+#[test]
+fn oneways_then_a_two_way_keep_program_order_through_the_router() {
+    const ROUNDS: u64 = 2000;
+    let backend = Orb::new();
+    let endpoint = backend.serve("127.0.0.1:0").unwrap();
+    let base = SkeletonBase::new(NOTE_TYPE_ID, DispatchKind::Hash, ["note", "count"], vec![]);
+    backend.export(Arc::new(NotesSkel { base, notes: Default::default() })).unwrap();
+    let source = Arc::new(SharedBackends::with_endpoints([endpoint]));
+    let router = Router::builder(source).start("127.0.0.1:0").unwrap();
+    let target = router.service_ref(1, NOTE_TYPE_ID);
+
+    let client = Orb::new();
+    let mut overtaken = 0;
+    for round in 1..=ROUNDS {
+        for _ in 0..3 {
+            client.invoke_oneway(client.call_oneway(&target, "note")).unwrap();
+        }
+        let mut reply = client.invoke(client.call(&target, "count")).unwrap();
+        if reply.results().get_ulonglong().unwrap() != 3 * round {
+            overtaken += 1;
+        }
+    }
+    assert_eq!(overtaken, 0, "{overtaken} of {ROUNDS} two-ways ran before an earlier oneway");
 
     client.shutdown();
     router.shutdown();

@@ -609,5 +609,10 @@ fn router_answers_a_malformed_builtin_request_with_bad_request() {
     assert!(answer.starts_with("5 2 \"IDL:heidl/BadRequest:1.0\""), "{answer}");
     conn.write_all(good.as_bytes()).unwrap();
     assert_eq!(read_line(), "6 0 \"pong\"");
+    // A header that does not peek (no response flag) still answers under
+    // the id that leads the line, as a server does.
+    conn.write_all(b"9 \"x\" \"m\"\n").unwrap();
+    let answer = read_line();
+    assert!(answer.starts_with("9 2 \"IDL:heidl/BadRequest:1.0\""), "{answer}");
     router.shutdown();
 }

@@ -1,8 +1,9 @@
 //! The exact allocation budget of one echo call, client and server
 //! together, over each wire protocol on each connection driver, with
-//! tracing off. The test binary's global allocator counts every heap
-//! allocation in the process (the server is in-process), so a change that
-//! adds one allocation per call anywhere on the path fails here.
+//! tracing off, and of one echo routed client -> `Router` -> backend. The
+//! test binary's global allocator counts every heap allocation in the
+//! process (servers and router are in-process), so a change that adds one
+//! allocation per call anywhere on the path fails here.
 //!
 //! The budgets are exact, not ceilings: a change that removes an
 //! allocation lowers its row in the same change. A few allocations in a
@@ -14,7 +15,8 @@
 //! allocation per scan would break the remainder rule.
 
 use heidl::rmi::{
-    DispatchKind, DispatchOutcome, Orb, RmiResult, Skeleton, SkeletonBase, TransportMode,
+    DispatchKind, DispatchOutcome, Orb, RmiResult, Router, SharedBackends, Skeleton, SkeletonBase,
+    TransportMode,
 };
 use heidl::wire::{CdrProtocol, Decoder, Encoder, Protocol, TextProtocol};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -100,14 +102,16 @@ const HEARTBEAT: Duration = Duration::from_millis(5);
 const STRAY: u64 = 15;
 
 /// Echoes of a 96-byte string, at least [`CALLS`] of them over at least
-/// [`SPAN`], with client heartbeats every `heartbeat` when set: returns
-/// the allocations they made and how many there were.
+/// [`SPAN`], with client heartbeats every `heartbeat` when set, through a
+/// router when `routed`: returns the allocations they made and how many
+/// there were.
 fn allocs_for_echoes(
     protocol: Arc<dyn Protocol>,
     mode: TransportMode,
     heartbeat: Option<Duration>,
+    routed: bool,
 ) -> (u64, u64) {
-    let builder = Orb::builder().protocol(protocol).transport_mode(mode);
+    let builder = Orb::builder().protocol(Arc::clone(&protocol)).transport_mode(mode);
     let orb = match heartbeat {
         Some(interval) => builder.heartbeat(interval),
         None => builder,
@@ -115,7 +119,14 @@ fn allocs_for_echoes(
     .build();
     orb.serve("127.0.0.1:0").unwrap();
     let base = SkeletonBase::new("IDL:Bench/Echo:1.0", DispatchKind::Hash, ["echo"], vec![]);
-    let objref = orb.export(Arc::new(EchoSkel { base })).unwrap();
+    let mut objref = orb.export(Arc::new(EchoSkel { base })).unwrap();
+    let router = routed.then(|| {
+        let source = Arc::new(SharedBackends::with_endpoints([objref.endpoint.clone()]));
+        Router::builder(source).protocol(protocol).start("127.0.0.1:0").unwrap()
+    });
+    if let Some(router) = &router {
+        objref = router.service_ref(objref.object_id, &objref.type_id);
+    }
     let payload = "x".repeat(96);
     let echo = || {
         let mut call = orb.call(&objref, "echo");
@@ -134,23 +145,35 @@ fn allocs_for_echoes(
         calls += 1;
     }
     let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    if let Some(router) = router {
+        router.shutdown();
+    }
     orb.shutdown();
     (allocs, calls)
 }
 
+/// A budget row: name, protocol, the client and backend's driver, whether
+/// the echoes go through a router, and the allocations per call.
+type Row = (&'static str, Arc<dyn Protocol>, TransportMode, bool, u64);
+
 /// One test, so no other test's allocations land in the count.
 #[test]
 fn echo_allocations_per_call_are_exact() {
+    // The routed rows' router runs on the driver `HEIDL_TRANSPORT` selects;
+    // the reactor's loop is never lent, so each forward is a pool job.
+    let routed = if TransportMode::from_env() == TransportMode::Reactor { 38 } else { 37 };
     let mut wrong = Vec::new();
     for heartbeat in [None, Some(HEARTBEAT)] {
-        let rows: [(&str, Arc<dyn Protocol>, TransportMode, u64); 4] = [
-            ("text threaded", Arc::new(TextProtocol), TransportMode::Threaded, 27),
-            ("cdr threaded", Arc::new(CdrProtocol), TransportMode::Threaded, 27),
-            ("text reactor", Arc::new(TextProtocol), TransportMode::Reactor, 28),
-            ("cdr reactor", Arc::new(CdrProtocol), TransportMode::Reactor, 28),
+        let rows: [Row; 6] = [
+            ("text threaded", Arc::new(TextProtocol), TransportMode::Threaded, false, 27),
+            ("cdr threaded", Arc::new(CdrProtocol), TransportMode::Threaded, false, 27),
+            ("text reactor", Arc::new(TextProtocol), TransportMode::Reactor, false, 28),
+            ("cdr reactor", Arc::new(CdrProtocol), TransportMode::Reactor, false, 28),
+            ("text routed", Arc::new(TextProtocol), TransportMode::Threaded, true, routed),
+            ("cdr routed", Arc::new(CdrProtocol), TransportMode::Threaded, true, routed),
         ];
-        for (name, protocol, mode, budget) in rows {
-            let (allocs, calls) = allocs_for_echoes(protocol, mode, heartbeat);
+        for (name, protocol, mode, via_router, budget) in rows {
+            let (allocs, calls) = allocs_for_echoes(protocol, mode, heartbeat, via_router);
             let (per_call, stray) = (allocs / calls, allocs % calls);
             if per_call != budget || stray > STRAY {
                 let beat = if heartbeat.is_some() { " heartbeat" } else { "" };

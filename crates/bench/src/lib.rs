@@ -7,6 +7,7 @@
 
 #![warn(missing_docs)]
 
+pub mod pairs;
 pub mod workload;
 
 pub use workload::*;

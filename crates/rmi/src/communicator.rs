@@ -9,9 +9,11 @@
 //! a [`MuxConnection`] multiplexes any number of concurrent in-flight
 //! requests over a single socket, correlating out-of-order replies by the
 //! request id that leads every message (see `call.rs`). A [`Demux`] owns
-//! the read half — on a thread of its own or as a client-reactor source,
-//! one state machine either way; callers park on reusable per-thread reply
-//! slots until their reply (or their deadline) arrives.
+//! the read half. On the threaded driver it is a token the callers pass
+//! around (leader/followers, DESIGN decision 22): as in the paper's Fig 4,
+//! a caller reads its own reply, and the frames it reads for others on the
+//! way go to their mailboxes. On the reactor driver the demux is a source
+//! on the shared client reactor.
 //!
 //! The hot path is allocation-light: frames go out as vectored writes
 //! (stack header + body, no `framed` staging copy), arrive through a
@@ -233,13 +235,10 @@ impl ObjectCommunicator {
     }
 }
 
-/// Poll budget `(busy, yields)` for [`ReplySlot::wait`]: how many
-/// lock-and-check polls to make before parking on the condvar. Busy polls
-/// (`spin_loop`) only pay off when the demux thread can run on *another*
-/// core while we spin; on a single-CPU host they would stall the very
-/// thread that is about to deliver, so there the budget is yield-only —
-/// `yield_now` hands the core straight to the runnable demux/server
-/// threads and is still far cheaper than a futex park + wake.
+/// Poll budget `(busy, yields)` for [`Mailbox::follow`]: lock-and-check
+/// polls before parking. Spinning only pays off while the leader runs on
+/// *another* core; on a single-CPU host it would stall the very thread
+/// about to deliver, so there the budget is yield-only.
 fn wait_poll_budget() -> (u32, u32) {
     static BUDGET: OnceLock<(u32, u32)> = OnceLock::new();
     *BUDGET.get_or_init(|| {
@@ -252,93 +251,147 @@ fn wait_poll_budget() -> (u32, u32) {
     })
 }
 
-/// A waiting caller's mailbox: the demux thread posts the reply body here.
-///
-/// Unlike a channel, the slot is *reusable*: each thread keeps one in a
-/// thread-local and re-arms it per call, so steady-state calls allocate
-/// nothing for correlation. The protocol is strictly one delivery per arm:
-/// whoever holds the `Arc` out of the pending table owns the (single)
-/// pending delivery, and the parked caller always consumes it before the
-/// slot is re-armed — see the quiescence dance in [`MuxConnection::call`].
-struct ReplySlot {
-    state: Mutex<Option<RmiResult<PooledBuf>>>,
+/// What a [`Mailbox`] holds for its owner.
+pub(crate) trait Contents {
+    /// Whether a delivery or a failure is in: the owner's wait is over.
+    fn ready(&self) -> bool;
+}
+
+/// The lock-protected state of a [`Mailbox`].
+pub(crate) struct Mail<C> {
+    contents: C,
+    /// The owner is inside [`MuxConnection::await_mail`]; only then is it
+    /// nudged (a caller still sending would sit on the hand-off).
+    waiting: bool,
+    /// A leader left the reader token free for this owner. Sticky, so a
+    /// nudge that lands before the owner parks is not lost.
+    nudged: bool,
+}
+
+/// A caller's mailbox: the reader posts the owner's frames here, and a
+/// leader leaving the token free nudges the owner here. A one-shot reply
+/// and a stream of chunks differ only in their [`Contents`].
+pub(crate) struct Mailbox<C> {
+    mail: Mutex<Mail<C>>,
     cv: Condvar,
 }
 
-impl ReplySlot {
-    fn new() -> ReplySlot {
-        ReplySlot { state: Mutex::new(None), cv: Condvar::new() }
+impl<C: Contents> Mailbox<C> {
+    fn new(contents: C) -> Mailbox<C> {
+        Mailbox {
+            mail: Mutex::new(Mail { contents, waiting: false, nudged: false }),
+            cv: Condvar::new(),
+        }
     }
 
-    /// Posts the result and wakes the parked caller.
-    fn deliver(&self, result: RmiResult<PooledBuf>) {
-        *self.state.lock() = Some(result);
+    /// Changes the contents and wakes the owner.
+    fn post(&self, change: impl FnOnce(&mut C)) {
+        change(&mut self.mail.lock().contents);
         self.cv.notify_one();
     }
 
-    /// Parks until a delivery arrives, consuming it.
-    ///
-    /// On a loopback round trip the reply lands within a few microseconds
-    /// of the request, so the slot polls briefly before paying the futex
-    /// park + wake — that cut measures several microseconds off p50 echo
-    /// latency.
-    fn wait(&self) -> RmiResult<PooledBuf> {
-        let (busy, yields) = wait_poll_budget();
-        for poll in 0..busy + yields {
-            if let Some(result) = self.state.lock().take() {
-                return result;
-            }
-            if poll < busy {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        let mut state = self.state.lock();
-        loop {
-            if let Some(result) = state.take() {
-                return result;
-            }
-            self.cv.wait(&mut state);
-        }
+    fn ready(&self) -> bool {
+        self.mail.lock().contents.ready()
     }
 
-    /// Parks for at most `limit`, consuming the delivery if one arrives in
-    /// time; `None` on timeout (the slot stays armed — the caller must
-    /// settle ownership through the pending table before reusing it).
-    fn wait_for(&self, limit: Duration) -> Option<RmiResult<PooledBuf>> {
-        let deadline = Instant::now() + limit;
-        let mut state = self.state.lock();
+    /// The owner stops waiting; whether it holds an unused nudge to pass on.
+    fn leave(&self) -> bool {
+        let mut mail = self.mail.lock();
+        mail.waiting = false;
+        std::mem::take(&mut mail.nudged)
+    }
+
+    /// Nudges the owner if it waits with nothing delivered; whether it did.
+    fn nudge(&self) -> bool {
+        let mut mail = self.mail.lock();
+        if !mail.waiting || mail.contents.ready() {
+            return false;
+        }
+        mail.nudged = true;
+        drop(mail);
+        self.cv.notify_one();
+        true
+    }
+
+    /// Waits until the contents are ready or the owner is nudged (the
+    /// nudge is consumed); `false` once `deadline` passes first. Polls
+    /// first: a loopback reply lands within microseconds.
+    fn follow(&self, deadline: Option<Instant>) -> bool {
+        let (busy, yields) = wait_poll_budget();
+        let (mut mail, mut polls) = (self.mail.lock(), 0);
         loop {
-            if let Some(result) = state.take() {
-                return Some(result);
+            if mail.contents.ready() || std::mem::take(&mut mail.nudged) {
+                return true;
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
+            if polls < busy + yields {
+                polls += 1;
+                drop(mail);
+                if polls <= busy {
+                    std::hint::spin_loop();
+                } else {
+                    std::thread::yield_now();
+                }
+                mail = self.mail.lock();
+                continue;
             }
-            self.cv.wait_for(&mut state, deadline - now);
+            match deadline {
+                None => self.cv.wait(&mut mail),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return false;
+                    }
+                    self.cv.wait_for(&mut mail, deadline - now);
+                }
+            }
+        }
+    }
+}
+
+impl Contents for Option<RmiResult<PooledBuf>> {
+    fn ready(&self) -> bool {
+        self.is_some()
+    }
+}
+
+/// A one-shot caller's mailbox, *reusable*: each thread keeps one in a
+/// thread-local, so steady-state calls allocate nothing for correlation.
+/// Whoever holds the `Arc` out of the pending table owns its single
+/// delivery, which the caller always consumes before its next call — see
+/// the quiescence dance in [`MuxConnection::call`].
+type ReplySlot = Mailbox<Option<RmiResult<PooledBuf>>>;
+
+impl ReplySlot {
+    /// Posts the result and wakes the caller.
+    fn deliver(&self, result: RmiResult<PooledBuf>) {
+        self.post(|slot| *slot = Some(result));
+    }
+
+    /// Takes the delivery, waiting for it when it is not in yet — it is
+    /// then imminent: whoever claimed the pending entry posts right after.
+    fn take(&self) -> RmiResult<PooledBuf> {
+        loop {
+            if let Some(result) = self.mail.lock().contents.take() {
+                return result;
+            }
+            self.follow(None);
         }
     }
 }
 
 thread_local! {
     /// The calling thread's reusable mailbox. A thread has at most one
-    /// blocking `call` in progress (it parks inside it), so one slot per
+    /// blocking `call` in progress (it waits inside it), so one slot per
     /// thread suffices — across however many connections it calls on.
-    static REPLY_SLOT: Arc<ReplySlot> = Arc::new(ReplySlot::new());
+    static REPLY_SLOT: Arc<ReplySlot> = Arc::new(Mailbox::new(None));
 }
 
-/// A streamed reply's mailbox: unlike a [`ReplySlot`], it accepts *many*
+/// A streamed reply's queue: unlike a one-shot reply, it accepts *many*
 /// deliveries (one per chunk frame) and tracks the high-water mark of
 /// bytes buffered between arrival and consumption — the client half of
 /// the bounded-buffering guarantee the per-stream window provides.
-pub(crate) struct StreamSlot {
-    state: Mutex<StreamSlotState>,
-    cv: Condvar,
-}
-
-struct StreamSlotState {
+#[derive(Default)]
+pub(crate) struct StreamQueue {
     queue: std::collections::VecDeque<PooledBuf>,
     /// Terminal failure, delivered once to the consumer.
     error: Option<RmiError>,
@@ -347,87 +400,53 @@ struct StreamSlotState {
     high_water: usize,
 }
 
-impl StreamSlot {
-    fn new() -> StreamSlot {
-        StreamSlot {
-            state: Mutex::new(StreamSlotState {
-                queue: std::collections::VecDeque::new(),
-                error: None,
-                closed: false,
-                buffered: 0,
-                high_water: 0,
-            }),
-            cv: Condvar::new(),
-        }
+impl Contents for StreamQueue {
+    fn ready(&self) -> bool {
+        !self.queue.is_empty() || self.closed
     }
+}
 
+/// A streamed reply's mailbox.
+pub(crate) type StreamSlot = Mailbox<StreamQueue>;
+
+impl StreamSlot {
     /// Enqueues one chunk frame and wakes the consumer.
     fn push(&self, body: PooledBuf) {
-        let mut st = self.state.lock();
-        st.buffered += body.len();
-        st.high_water = st.high_water.max(st.buffered);
-        st.queue.push_back(body);
-        self.cv.notify_one();
+        self.post(|st| {
+            st.buffered += body.len();
+            st.high_water = st.high_water.max(st.buffered);
+            st.queue.push_back(body);
+        });
     }
 
     /// Terminates the stream with `err` (connection teardown).
     fn fail(&self, err: RmiError) {
-        let mut st = self.state.lock();
-        if st.error.is_none() {
-            st.error = Some(err);
-        }
-        st.closed = true;
-        self.cv.notify_all();
+        self.post(|st| {
+            st.error.get_or_insert(err);
+            st.closed = true;
+        });
     }
 
     /// True when no frame is queued — the consumer is about to block.
     pub(crate) fn is_empty(&self) -> bool {
-        self.state.lock().queue.is_empty()
+        self.mail.lock().contents.queue.is_empty()
     }
 
     /// Peak bytes ever queued between arrival and consumption.
     pub(crate) fn high_water(&self) -> usize {
-        self.state.lock().high_water
+        self.mail.lock().contents.high_water
     }
 
-    /// Blocks for the next frame.
-    pub(crate) fn wait(&self) -> RmiResult<PooledBuf> {
-        let mut st = self.state.lock();
-        loop {
-            if let Some(body) = st.queue.pop_front() {
+    /// Takes the next frame once the slot is ready: the frame, else the
+    /// stream's failure.
+    fn pop(&self) -> RmiResult<PooledBuf> {
+        let st = &mut self.mail.lock().contents;
+        match st.queue.pop_front() {
+            Some(body) => {
                 st.buffered -= body.len();
-                return Ok(body);
+                Ok(body)
             }
-            if let Some(e) = st.error.take() {
-                return Err(e);
-            }
-            if st.closed {
-                return Err(RmiError::Disconnected);
-            }
-            self.cv.wait(&mut st);
-        }
-    }
-
-    /// Blocks at most `limit` for the next frame.
-    pub(crate) fn wait_for(&self, limit: Duration) -> RmiResult<PooledBuf> {
-        let deadline = Instant::now() + limit;
-        let mut st = self.state.lock();
-        loop {
-            if let Some(body) = st.queue.pop_front() {
-                st.buffered -= body.len();
-                return Ok(body);
-            }
-            if let Some(e) = st.error.take() {
-                return Err(e);
-            }
-            if st.closed {
-                return Err(RmiError::Disconnected);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(RmiError::DeadlineExceeded { after: limit });
-            }
-            self.cv.wait_for(&mut st, deadline - now);
+            None => Err(st.error.take().unwrap_or(RmiError::Disconnected)),
         }
     }
 }
@@ -459,15 +478,24 @@ impl StreamTable {
     fn drain(&self) -> Vec<Arc<StreamSlot>> {
         self.streams.lock().drain().map(|(_, s)| s).collect()
     }
+
+    /// Nudges one consumer waiting for a chunk; whether one was.
+    fn nudge_one(&self) -> bool {
+        self.streams.lock().values().any(|slot| slot.nudge())
+    }
 }
 
 /// How many independent locks the pending-reply table is split across.
 const PENDING_SHARDS: usize = 8;
 
+/// A pending-table entry: the caller's mailbox, or `None` for a heartbeat
+/// ping, which nobody waits for — the pong just retires the entry.
+type Pending = Option<Arc<ReplySlot>>;
+
 /// The pending-reply table, sharded by request id so registration under
 /// heavy multiplexing does not serialize every caller on one mutex.
 struct PendingTable {
-    shards: [Mutex<HashMap<u64, Arc<ReplySlot>>>; PENDING_SHARDS],
+    shards: [Mutex<HashMap<u64, Pending>>; PENDING_SHARDS],
 }
 
 impl PendingTable {
@@ -475,15 +503,15 @@ impl PendingTable {
         PendingTable { shards: std::array::from_fn(|_| Mutex::new(HashMap::new())) }
     }
 
-    fn shard(&self, id: u64) -> &Mutex<HashMap<u64, Arc<ReplySlot>>> {
+    fn shard(&self, id: u64) -> &Mutex<HashMap<u64, Pending>> {
         &self.shards[(id % PENDING_SHARDS as u64) as usize]
     }
 
-    fn insert(&self, id: u64, slot: Arc<ReplySlot>) {
+    fn insert(&self, id: u64, slot: Pending) {
         self.shard(id).lock().insert(id, slot);
     }
 
-    fn remove(&self, id: u64) -> Option<Arc<ReplySlot>> {
+    fn remove(&self, id: u64) -> Option<Pending> {
         self.shard(id).lock().remove(&id)
     }
 
@@ -491,13 +519,18 @@ impl PendingTable {
         self.shards.iter().map(|s| s.lock().len()).sum()
     }
 
-    /// Claims every registered slot (connection teardown).
-    fn drain(&self) -> Vec<Arc<ReplySlot>> {
+    /// Claims every registered entry (connection teardown).
+    fn drain(&self) -> Vec<Pending> {
         let mut all = Vec::new();
         for shard in &self.shards {
             all.extend(shard.lock().drain().map(|(_, slot)| slot));
         }
         all
+    }
+
+    /// Nudges one caller waiting for its reply; whether one was.
+    fn nudge_one(&self) -> bool {
+        self.shards.iter().any(|shard| shard.lock().values().flatten().any(|slot| slot.nudge()))
     }
 }
 
@@ -505,13 +538,17 @@ impl PendingTable {
 ///
 /// Any number of threads may have calls in flight concurrently; each call
 /// stamps its request id into the body (done by `Call`), registers a
-/// mailbox under that id, writes the frame under a brief lock, and parks
-/// until the demux thread delivers the correlated reply — which may arrive
-/// in any order relative to other calls. A call abandoned at its deadline
-/// simply unregisters; the late reply is dropped on arrival and the
-/// connection stays healthy.
+/// mailbox under that id, writes the frame under a brief lock, and waits
+/// for the correlated reply, which may arrive in any order. On the
+/// threaded driver the waiting callers read: whoever holds the read half
+/// leads, posting every frame to its owner, until its own reply is in;
+/// the others follow. A call abandoned at its deadline simply unregisters;
+/// the late reply is dropped on arrival.
 pub struct MuxConnection {
     writer: Mutex<Box<dyn Transport>>,
+    /// The read half: the leader's token, or `None` when the client
+    /// reactor reads the connection.
+    reader: Option<Mutex<Demux>>,
     protocol: Arc<dyn Protocol>,
     pending: Arc<PendingTable>,
     streams: Arc<StreamTable>,
@@ -523,6 +560,9 @@ pub struct MuxConnection {
     /// connection — what the heartbeat scan calls "activity". Coarse on
     /// purpose: one relaxed store per call keeps the hot path unburdened.
     last_used: AtomicU64,
+    /// When, on the same clock, the token was last held (`u64::MAX`:
+    /// never); see [`MuxConnection::probe`].
+    last_read: AtomicU64,
 }
 
 /// Milliseconds elapsed since the first time any connection asked — a
@@ -588,11 +628,11 @@ impl MuxConnection {
     }
 
     /// Wraps an arbitrary transport (tests use in-process pipes), splitting
-    /// it and spawning the demux reader thread.
+    /// it into a writer and a read half.
     ///
     /// # Errors
     ///
-    /// Fails when the transport cannot be split or the thread not spawned.
+    /// Fails when the transport cannot be split.
     pub fn over(
         transport: Box<dyn Transport>,
         protocol: Arc<dyn Protocol>,
@@ -604,13 +644,12 @@ impl MuxConnection {
     /// [`TransportMode::Reactor`], a transport that exposes a raw fd gets
     /// its [`Demux`] registered on the process-wide client reactor — one
     /// `heidl-reactor-client` thread demultiplexes every pooled
-    /// connection, instead of one `heidl-demux-*` thread each. Transports
-    /// without an fd (in-process pipes, fault injectors) and non-epoll
-    /// targets fall back to the demux thread transparently.
+    /// connection. Otherwise, and for transports without an fd, the
+    /// callers read their own replies; no thread is spawned.
     ///
     /// # Errors
     ///
-    /// Fails when the transport cannot be split or the thread not spawned.
+    /// Fails when the transport cannot be split.
     pub fn over_mode(
         transport: Box<dyn Transport>,
         protocol: Arc<dyn Protocol>,
@@ -628,24 +667,17 @@ impl MuxConnection {
             alive: Arc::clone(&alive),
             peer: peer.clone(),
         };
-        let reactor = if mode.reactor_enabled() && demux.comm.raw_fd().is_some() {
-            reactor::client_reactor()
-        } else {
-            None
+        let on_reactor = mode.reactor_enabled() && demux.comm.raw_fd().is_some();
+        let reader = match on_reactor.then(reactor::client_reactor) {
+            Some(Some(handle)) => {
+                handle.register(handle.alloc_id(), EPOLLIN | EPOLLRDHUP, Box::new(demux));
+                None
+            }
+            _ => Some(Mutex::new(demux)),
         };
-        match reactor {
-            Some(handle) => {
-                handle.register(handle.alloc_id(), EPOLLIN | EPOLLRDHUP, Box::new(demux))
-            }
-            None => {
-                std::thread::Builder::new()
-                    .name(format!("heidl-demux-{peer}"))
-                    .spawn(move || demux_loop(demux))
-                    .map_err(RmiError::Io)?;
-            }
-        }
         Ok(Arc::new(MuxConnection {
             writer: Mutex::new(writer),
+            reader,
             protocol,
             pending,
             streams,
@@ -653,10 +685,12 @@ impl MuxConnection {
             borrowed: AtomicUsize::new(0),
             peer,
             last_used: AtomicU64::new(epoch_millis()),
+            last_read: AtomicU64::new(u64::MAX),
         }))
     }
 
-    /// Whether the demux is still serving replies.
+    /// Whether the connection can still deliver replies: no read has yet
+    /// met its end-of-stream, a read failure or an unintelligible frame.
     pub fn is_alive(&self) -> bool {
         self.alive.load(Ordering::SeqCst)
     }
@@ -680,11 +714,6 @@ impl MuxConnection {
         Duration::from_millis(epoch_millis().saturating_sub(last))
     }
 
-    /// Outstanding `CheckedOut` borrows (pool observability).
-    pub(crate) fn borrow_count(&self) -> usize {
-        self.borrowed()
-    }
-
     /// One correlated request/reply exchange. `request_id` must match the
     /// id marshaled at the front of `body`. With a deadline, waits at most
     /// that long for the correlated reply before returning
@@ -701,43 +730,143 @@ impl MuxConnection {
         body: &[u8],
         deadline: Option<Duration>,
     ) -> RmiResult<PooledBuf> {
-        // Whoever removes the id from `pending` owns the outcome: either
-        // we remove it (no delivery will ever come — safe to walk away),
-        // or the demux/teardown side already claimed it (a delivery is in
-        // flight and MUST be consumed so the thread-local slot is
-        // quiescent for its next call).
+        // Whoever removes the id from `pending` owns the outcome: we (no
+        // delivery will come), or a reader or the connection's death (a
+        // delivery is in flight and MUST be consumed, so the thread-local
+        // slot is quiescent for the next call).
         let slot = REPLY_SLOT.with(Arc::clone);
-        self.pending.insert(request_id, Arc::clone(&slot));
-        // The demux drains `pending` when it dies; registering
-        // first and re-checking `alive` after closes the race where it
-        // died in between (then nobody would ever wake us).
-        if !self.is_alive() {
-            return match self.pending.remove(request_id) {
-                Some(_) => Err(RmiError::Disconnected),
-                None => slot.wait(),
-            };
-        }
-        if let Err(e) = self.send_framed(body) {
+        self.pending.insert(request_id, Some(Arc::clone(&slot)));
+        self.send_registered(body, || {
             if self.pending.remove(request_id).is_none() {
-                let _ = slot.wait();
+                let _ = slot.take();
             }
-            return Err(e);
+        })?;
+        if self.await_mail(&slot, deadline.map(|limit| Instant::now() + limit)) {
+            return slot.take();
         }
-        match deadline {
-            None => slot.wait(),
-            Some(limit) => {
-                if let Some(result) = slot.wait_for(limit) {
-                    return result;
-                }
-                // Unregister so the late reply is dropped. If the demux
-                // thread claimed the slot in this instant, the delivery is
-                // imminent — take it instead.
-                match self.pending.remove(request_id) {
-                    Some(_) => Err(RmiError::DeadlineExceeded { after: limit }),
-                    None => slot.wait(),
-                }
+        // Past the deadline, token handed on: unregister so the late reply
+        // drops — unless a reader just claimed the slot; then take it.
+        match self.pending.remove(request_id) {
+            Some(_) => Err(RmiError::DeadlineExceeded { after: deadline.unwrap_or_default() }),
+            None => slot.take(),
+        }
+    }
+
+    /// Writes a request whose reply is registered for; `unregister` runs if
+    /// it does not go out (`alive` is checked after registering: see `die`).
+    fn send_registered(&self, body: &[u8], unregister: impl FnOnce()) -> RmiResult<()> {
+        let sent =
+            if self.is_alive() { self.send_framed(body) } else { Err(RmiError::Disconnected) };
+        if sent.is_err() {
+            unregister();
+        }
+        sent
+    }
+
+    /// Waits until `mailbox` is ready, leading whenever the reader token is
+    /// free and following otherwise; `false` once `deadline` passes first.
+    ///
+    /// A leader leaving, and a follower leaving with an unused nudge, nudge
+    /// a waiter with nothing delivered. A waiter is findable (registered,
+    /// `waiting` set, each under a lock) before it tries the token, and a
+    /// leader looks only after releasing it, so one always sees the other:
+    /// the token never sits free while someone waits.
+    fn await_mail<C: Contents>(&self, mailbox: &Mailbox<C>, deadline: Option<Instant>) -> bool {
+        mailbox.mail.lock().waiting = true;
+        let mut led = false;
+        let in_time = loop {
+            if mailbox.ready() {
+                break true;
+            }
+            if let Some(mut demux) = self.reader.as_ref().and_then(|reader| reader.try_lock()) {
+                led = true;
+                let in_time = self.lead(&mut demux, mailbox, deadline);
+                self.last_read.store(epoch_millis(), Ordering::Relaxed);
+                break in_time;
+            }
+            if !mailbox.follow(deadline) {
+                break false;
+            }
+        };
+        if mailbox.leave() || led {
+            self.hand_off();
+        }
+        in_time
+    }
+
+    /// Reads until `mailbox` is ready, posting every frame to its owner;
+    /// `false` once `deadline` passes. With a deadline it waits for
+    /// readability with a timeout and reads without blocking.
+    fn lead<C: Contents>(
+        &self,
+        demux: &mut Demux,
+        mailbox: &Mailbox<C>,
+        deadline: Option<Instant>,
+    ) -> bool {
+        while !mailbox.ready() {
+            let got = match deadline {
+                None => demux.comm.recv(),
+                Some(deadline) => match demux.comm.try_recv() {
+                    Some(got) => got,
+                    None => {
+                        let now = Instant::now();
+                        if now >= deadline {
+                            return false;
+                        }
+                        match demux.comm.transport.wait_readable(deadline - now) {
+                            Ok(_) => continue,
+                            Err(e) => Err(e.into()),
+                        }
+                    }
+                },
+            };
+            if !demux.on_read(got) {
+                demux.die();
             }
         }
+        // Post the frames already read for others before leaving (a bad
+        // one is left for the next reader to fail on).
+        while let Ok(Some(body)) = demux.comm.buffered() {
+            if !demux.deliver(body) {
+                demux.die();
+                break;
+            }
+        }
+        true
+    }
+
+    /// Nudges one waiter with nothing delivered (never a ping) to lead.
+    fn hand_off(&self) {
+        let _ = self.pending.nudge_one() || self.streams.nudge_one();
+    }
+
+    /// Reads what has arrived without blocking, if the token is free, then
+    /// hands it on: how an idle connection's end-of-stream, late replies
+    /// and pongs are seen, since nobody else reads it.
+    pub(crate) fn drain(&self) {
+        let Some(mut demux) = self.reader.as_ref().and_then(|reader| reader.try_lock()) else {
+            return;
+        };
+        // A short read's "kernel buffer emptied" mark is stale by now.
+        demux.comm.drained = false;
+        while let Some(got) = self.is_alive().then(|| demux.comm.try_recv()).flatten() {
+            if !demux.on_read(got) {
+                demux.die();
+            }
+        }
+        self.last_read.store(epoch_millis(), Ordering::Relaxed);
+        drop(demux);
+        self.hand_off();
+    }
+
+    /// Whether a pooled connection can take a call, after a
+    /// [`drain`](MuxConnection::drain) unless the token was held this
+    /// millisecond (a read per checkout would cost a syscall per call).
+    pub(crate) fn probe(&self) -> bool {
+        if self.reader.is_some() && self.last_read.load(Ordering::Relaxed) != epoch_millis() {
+            self.drain();
+        }
+        self.is_alive()
     }
 
     /// Sends a request that expects no reply: the same single framed
@@ -751,29 +880,37 @@ impl MuxConnection {
         self.send_framed(body)
     }
 
-    /// Sends a request whose reply will arrive as a *stream* of chunk
-    /// frames sharing `request_id`: registers a [`StreamSlot`] the demux
-    /// side routes every matching frame into, then writes the request.
-    /// The returned slot is what a `ReplyStream` consumes.
+    /// Sends a request whose reply arrives as a *stream* of chunk frames
+    /// sharing `request_id`, routed into the returned [`StreamSlot`] that a
+    /// `ReplyStream` consumes through [`MuxConnection::next_frame`].
     ///
     /// # Errors
     ///
-    /// Transport failures; [`RmiError::Disconnected`] when the demux side
-    /// is already gone.
+    /// Transport failures; [`RmiError::Disconnected`] when the connection
+    /// is already dead.
     pub(crate) fn call_streamed(&self, request_id: u64, body: &[u8]) -> RmiResult<Arc<StreamSlot>> {
-        let slot = Arc::new(StreamSlot::new());
+        let slot = Arc::new(Mailbox::new(StreamQueue::default()));
         self.streams.insert(request_id, Arc::clone(&slot));
-        // Same registration race as `call`: the demux side drains the
-        // stream table when it dies, so re-check liveness after.
-        if !self.is_alive() {
-            self.streams.remove(request_id);
-            return Err(RmiError::Disconnected);
-        }
-        if let Err(e) = self.send_framed(body) {
-            self.streams.remove(request_id);
-            return Err(e);
-        }
+        self.send_registered(body, || drop(self.streams.remove(request_id)))?;
         Ok(slot)
+    }
+
+    /// The next frame of a streamed reply, waited for (and read when the
+    /// token is free) as a two-way caller does, for at most `limit`.
+    ///
+    /// # Errors
+    ///
+    /// The stream's failure, or [`RmiError::DeadlineExceeded`].
+    pub(crate) fn next_frame(
+        &self,
+        slot: &StreamSlot,
+        limit: Option<Duration>,
+    ) -> RmiResult<PooledBuf> {
+        if self.await_mail(slot, limit.map(|after| Instant::now() + after)) {
+            slot.pop()
+        } else {
+            Err(RmiError::DeadlineExceeded { after: limit.unwrap_or_default() })
+        }
     }
 
     /// Retires a stream registration; frames still in flight for it are
@@ -788,36 +925,24 @@ impl MuxConnection {
         write_framed(writer.as_mut(), self.protocol.as_ref(), &[body])
     }
 
-    /// Sends a fire-and-forget liveness ping: the request goes out with a
-    /// throwaway mailbox registered under `request_id`, and nobody parks
-    /// for the pong — the heartbeat probe checks back one tick later with
-    /// [`MuxConnection::ping_unanswered`]. (A parked wait would stall the
-    /// reactor loop the probe may run on, and serialize a scan behind
-    /// every dead peer.)
+    /// Sends a fire-and-forget liveness ping under a mailbox-less entry;
+    /// the heartbeat probe drains the connection and checks back one tick
+    /// later with [`MuxConnection::ping_unanswered`]. (A wait would stall
+    /// the reactor loop the probe may run on.)
     ///
     /// # Errors
     ///
-    /// Transport failures; [`RmiError::Disconnected`] when the demux side
-    /// is already gone.
+    /// Transport failures; [`RmiError::Disconnected`] when the connection
+    /// is already dead.
     pub(crate) fn send_ping(&self, request_id: u64, body: &[u8]) -> RmiResult<()> {
-        self.pending.insert(request_id, Arc::new(ReplySlot::new()));
-        // Same registration race as `call`: the demux side drains
-        // `pending` when it dies, so re-check liveness after registering.
-        if !self.is_alive() {
-            self.pending.remove(request_id);
-            return Err(RmiError::Disconnected);
-        }
-        if let Err(e) = self.send_framed(body) {
-            self.pending.remove(request_id);
-            return Err(e);
-        }
-        Ok(())
+        self.pending.insert(request_id, None);
+        self.send_registered(body, || drop(self.pending.remove(request_id)))
     }
 
     /// Settles a [`MuxConnection::send_ping`]: `true` when no pong has
-    /// arrived (the registration is still pending — a dead peer), `false`
-    /// when the demux side consumed the pong. Either way the registration
-    /// is gone afterwards.
+    /// been read (the registration is still pending — a dead peer),
+    /// `false` when a reader consumed the pong or the connection's death
+    /// retired it. Either way the registration is gone afterwards.
     pub(crate) fn ping_unanswered(&self, request_id: u64) -> bool {
         self.pending.remove(request_id).is_some()
     }
@@ -830,7 +955,8 @@ impl MuxConnection {
         self.borrowed.fetch_sub(1, Ordering::SeqCst);
     }
 
-    fn borrowed(&self) -> usize {
+    /// Outstanding `CheckedOut` borrows (pool observability).
+    pub(crate) fn borrow_count(&self) -> usize {
         self.borrowed.load(Ordering::SeqCst)
     }
 }
@@ -838,19 +964,16 @@ impl MuxConnection {
 impl Drop for MuxConnection {
     fn drop(&mut self) {
         self.alive.store(false, Ordering::SeqCst);
-        // Gives the demux EOF and closes the socket for the peer.
+        // Gives the client reactor EOF and closes the socket for the peer.
         self.writer.get_mut().shutdown();
     }
 }
 
-/// One pooled connection's reply side, whichever driver reads it: the
-/// communicator around the read half and the tables its replies route
-/// into. Each reply wakes whichever caller registered its request id;
-/// replies with no registered caller (deadline already passed) are
-/// dropped. Dropping the demux is the connection's death — it marks the
-/// connection dead and wakes every parked caller and stream with
-/// `Disconnected` — and every way it can die emits a traced event saying
-/// why.
+/// One pooled connection's reply side, whoever reads it: the read half
+/// and the tables its replies route into. A reply with no registered
+/// caller (its deadline passed) is dropped. Every way the connection can
+/// die is traced, then [`Demux::die`] fails every waiting caller and
+/// stream; dropping the demux does the same.
 struct Demux {
     comm: ObjectCommunicator,
     pending: Arc<PendingTable>,
@@ -904,8 +1027,11 @@ impl Demux {
             if last {
                 self.streams.remove(id);
             }
-        } else if let Some(slot) = self.pending.remove(id) {
-            slot.deliver(Ok(body));
+        } else if let Some(waiter) = self.pending.remove(id) {
+            // A ping's entry has no mailbox: retiring it is the answer.
+            if let Some(slot) = waiter {
+                slot.deliver(Ok(body));
+            }
         } else {
             trace::emit_with(TraceLevel::Debug, "demux", || {
                 format!("dropping late reply from {}", self.peer)
@@ -913,10 +1039,10 @@ impl Demux {
         }
         true
     }
-}
 
-impl Drop for Demux {
-    fn drop(&mut self) {
+    /// The connection's death: marks it dead and wakes every pending
+    /// caller and stream with `Disconnected`. Idempotent.
+    fn die(&self) {
         self.alive.store(false, Ordering::SeqCst);
         let slots = self.pending.drain();
         if !slots.is_empty() {
@@ -924,7 +1050,7 @@ impl Drop for Demux {
                 format!("disconnecting {} pending caller(s) on {}", slots.len(), self.peer)
             });
         }
-        for slot in slots {
+        for slot in slots.into_iter().flatten() {
             slot.deliver(Err(RmiError::Disconnected));
         }
         for slot in self.streams.drain() {
@@ -933,14 +1059,9 @@ impl Drop for Demux {
     }
 }
 
-/// The blocking driver: a `heidl-demux-*` thread reading until the
-/// connection dies.
-fn demux_loop(mut demux: Demux) {
-    loop {
-        let got = demux.comm.recv();
-        if !demux.on_read(got) {
-            return;
-        }
+impl Drop for Demux {
+    fn drop(&mut self) {
+        self.die();
     }
 }
 
@@ -1226,11 +1347,11 @@ impl ConnectionPool {
     }
 
     /// Gets a connection to `endpoint`: the endpoint's shared multiplexed
-    /// connection when pooled, else fresh. Pooled connections whose demux
-    /// thread has died (stale entries: the server closed them while idle)
-    /// are evicted here, *before* any request bytes are written — the one
-    /// point where replacing them is provably safe for every call,
-    /// idempotent or not.
+    /// connection when pooled, else fresh. Pooled connections found dead
+    /// (stale entries: the server closed them while idle, which the
+    /// checkout's [`probe`](MuxConnection::probe) reads) are evicted here,
+    /// *before* any request bytes are written — the one point where
+    /// replacing them is provably safe for every call, idempotent or not.
     ///
     /// # Errors
     ///
@@ -1254,10 +1375,10 @@ impl ConnectionPool {
         let list = conns.entry(endpoint.clone()).or_default();
         // A dead connection can never deliver a reply; drop it now, while
         // nothing of the caller's request has touched the wire.
-        list.retain(|c| c.is_alive());
+        list.retain(|c| c.probe());
         let max = self.max_connections_per_endpoint();
-        if let Some(best) = list.iter().min_by_key(|c| c.borrowed()) {
-            if best.borrowed() == 0 || list.len() >= max {
+        if let Some(best) = list.iter().min_by_key(|c| c.borrow_count()) {
+            if best.borrow_count() == 0 || list.len() >= max {
                 let conn = Arc::clone(best);
                 conn.borrow();
                 return Ok(CheckedOut { conn, from_cache: true });
@@ -1303,7 +1424,7 @@ impl ConnectionPool {
         self.conns
             .lock()
             .get(endpoint)
-            .map_or(0, |list| list.iter().filter(|c| c.borrowed() == 0).count())
+            .map_or(0, |list| list.iter().filter(|c| c.borrow_count() == 0).count())
     }
 
     /// Total pooled connections across every endpoint (occupancy gauge).
@@ -1463,15 +1584,14 @@ mod tests {
         let conn = MuxConnection::over(Box::new(a), text()).unwrap();
 
         let server_thread = std::thread::spawn(move || {
-            // Never answer the first request; answer the second promptly,
-            // then send the first reply far too late.
+            // Answer the first request far too late, just ahead of the
+            // second: the second caller reads the late reply, drops it,
+            // then reads its own.
             let first = server.recv().unwrap().unwrap();
             let second = server.recv().unwrap().unwrap();
-            server.send(&second).unwrap();
             std::thread::sleep(Duration::from_millis(80));
             server.send(&first).unwrap();
-            // Keep the connection up until the client is done.
-            let _ = server.recv();
+            server.send(&second).unwrap();
         });
 
         let id1 = next_request_id();
@@ -1723,11 +1843,9 @@ mod tests {
         let (a, b) = InProcTransport::pair();
         let conn = MuxConnection::over(Box::new(a), text()).unwrap();
         drop(b);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while conn.is_alive() {
-            assert!(Instant::now() < deadline, "demux never saw the close");
-            std::thread::yield_now();
-        }
+        assert!(conn.is_alive(), "nobody has read the close yet");
+        conn.drain();
+        assert!(!conn.is_alive(), "draining reads the close");
         let id = next_request_id();
         assert!(conn.send_oneway(&tagged_body(id, "x")).is_err(), "oneway onto a dead pipe");
         let err = conn.call(id, &tagged_body(id, "x"), None).unwrap_err();

@@ -396,6 +396,30 @@ impl Transport for FaultInjector {
         }
     }
 
+    fn try_recv_into(&mut self, buf: &mut Vec<u8>, max: usize) -> io::Result<Option<usize>> {
+        // The plan decides once per read that produced something, as it
+        // does for `recv_into`: a poll that found nothing is no operation.
+        let before = buf.len();
+        let Some(n) = self.inner.try_recv_into(buf, max)? else {
+            return Ok(None);
+        };
+        match self.plan.decide(FaultOp::Recv, &self.label) {
+            Some(Fault::Delay(d)) => std::thread::sleep(d),
+            Some(Fault::DropConnection | Fault::Truncate(_)) => {
+                buf.truncate(before);
+                self.inner.shutdown();
+                return Ok(Some(0));
+            }
+            Some(Fault::CorruptFrame) if n > 0 => buf[before + n / 2] ^= 0x01,
+            _ => {}
+        }
+        Ok(Some(n))
+    }
+
+    fn wait_readable(&mut self, timeout: Duration) -> io::Result<bool> {
+        self.inner.wait_readable(timeout)
+    }
+
     fn peer(&self) -> String {
         format!("faulty({})", self.inner.peer())
     }

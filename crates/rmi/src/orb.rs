@@ -506,10 +506,12 @@ impl HeartbeatProbe {
             self.outstanding.clear();
             return false;
         };
-        // Settle first so `in_flight` is accurate for this tick's scan: a
-        // pong (or a demux-side death) removed the pending entry, so a
-        // still-pending ping is a silent peer.
+        // Settle first so `in_flight` is accurate for this tick's scan.
+        // Nobody reads an idle connection, so the pong is read here: once
+        // drained, a pong (or the connection's death) removed the pending
+        // entry, and a still-pending ping is a silent peer.
         for (at, conn, request_id) in self.outstanding.drain(..) {
+            conn.drain();
             if conn.ping_unanswered(request_id) {
                 let endpoint = &self.scan.endpoints[at];
                 inner.pool.discard(endpoint, &conn);
@@ -519,10 +521,11 @@ impl HeartbeatProbe {
         inner.pool.scan(&mut self.scan);
         for (at, conn) in self.scan.conns.drain(..) {
             let endpoint = &self.scan.endpoints[at];
+            conn.drain();
             if !conn.is_alive() {
-                // The demux already saw the peer die (EOF/RST); evict the
-                // corpse now instead of leaving it for the next checkout
-                // to trip over.
+                // A read saw the peer die (EOF/RST); evict the corpse now
+                // instead of leaving it for the next checkout to trip
+                // over.
                 inner.pool.discard(endpoint, &conn);
                 continue;
             }

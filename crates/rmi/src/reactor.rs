@@ -184,7 +184,7 @@ pub(crate) fn spawn(name: &str) -> io::Result<ReactorHandle> {
 /// connection's demultiplexer and the heartbeat timers when the ORB runs
 /// in reactor mode. Spawned on first use, never retired — one thread per
 /// process regardless of how many ORBs come and go. `None` when the
-/// target has no epoll (callers fall back to demux threads).
+/// target has no epoll (callers then read their own replies).
 pub(crate) fn client_reactor() -> Option<ReactorHandle> {
     static CLIENT: OnceLock<Option<ReactorHandle>> = OnceLock::new();
     CLIENT.get_or_init(|| spawn("heidl-reactor-client").ok()).clone()

@@ -393,7 +393,9 @@ pub(crate) struct BackendConns {
 impl BackendConns {
     fn get_or_dial(&self, orb: &Orb, endpoint: &Endpoint) -> RmiResult<Arc<MuxConnection>> {
         if let Some(conn) = self.map.lock().get(endpoint) {
-            if conn.is_alive() {
+            // Nobody reads a backend connection between forwards: the
+            // probe is what sees a backend that closed it.
+            if conn.probe() {
                 return Ok(Arc::clone(conn));
             }
         }

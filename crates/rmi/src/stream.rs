@@ -10,7 +10,9 @@
 //! every frame stays hand-typeable on the text protocol and
 //! old-reader-compatible on both. The client's demultiplexer routes the
 //! shared request id to a [`ReplyStream`], which reassembles fragments in
-//! order through a [`ChunkAssembler`].
+//! order through a [`ChunkAssembler`]; its consumer waits for them, and
+//! reads them when the connection's reader token is free, as a two-way
+//! caller does.
 //!
 //! Flow control is per stream, not per connection: the server spends a
 //! credit [`StreamWindow`] as it emits and the client replenishes it with
@@ -355,11 +357,7 @@ impl ReplyStream {
         if self.slot.is_empty() {
             self.send_ack(true);
         }
-        let body = match self.chunk_timeout {
-            None => self.slot.wait(),
-            Some(limit) => self.slot.wait_for(limit),
-        };
-        let body = match body {
+        let body = match self.conn.next_frame(&self.slot, self.chunk_timeout) {
             Ok(b) => b,
             Err(e) => {
                 self.finish();

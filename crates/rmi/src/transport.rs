@@ -8,6 +8,7 @@ use crate::objref::Endpoint;
 use heidl_wire::RECV_CHUNK;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
+use std::time::Duration;
 
 /// A bidirectional byte stream.
 pub trait Transport: Send {
@@ -72,9 +73,9 @@ pub trait Transport: Send {
     /// A short human-readable peer description for diagnostics.
     fn peer(&self) -> String;
 
-    /// Splits the transport into independent write and read halves so a
-    /// demultiplexer thread can block in `recv_into` while callers keep
-    /// sending. Returns `(writer, reader)`.
+    /// Splits the transport into independent write and read halves so
+    /// one caller can block in `recv_into` while others keep sending.
+    /// Returns `(writer, reader)`.
     ///
     /// # Errors
     ///
@@ -88,14 +89,15 @@ pub trait Transport: Send {
     /// The OS-level file descriptor, when this transport is backed by one.
     /// `None` (the default, and the answer for in-process pipes and
     /// fault-injecting decorators) means the transport cannot be driven by
-    /// the reactor and falls back to its own blocking thread.
+    /// the reactor and is read by the threaded driver instead.
     fn raw_fd(&self) -> Option<i32> {
         None
     }
 
-    /// Nonblocking read for reactor use: appends whatever is immediately
-    /// available, `Ok(None)` when nothing is (`EWOULDBLOCK`), `Ok(Some(0))`
-    /// on orderly EOF. Must not disturb the blocking behavior of other
+    /// Nonblocking read for the reactor, and for a client connection's
+    /// reader with a deadline or with nobody waiting: appends whatever is
+    /// immediately available, `Ok(None)` when nothing is (`EWOULDBLOCK`),
+    /// `Ok(Some(0))` on orderly EOF. Must not disturb the blocking behavior of other
     /// handles sharing the file description (implemented with per-call
     /// `MSG_DONTWAIT`, not `O_NONBLOCK`).
     ///
@@ -111,6 +113,18 @@ pub trait Transport: Send {
     /// transport has no nonblocking path (the default).
     fn try_recv_into(&mut self, buf: &mut Vec<u8>, max: usize) -> io::Result<Option<usize>> {
         let _ = (buf, max);
+        Err(io::ErrorKind::Unsupported.into())
+    }
+
+    /// Waits up to `timeout` for bytes, end-of-stream or an error to read,
+    /// consuming nothing; `Ok(false)` on timeout. A client connection's
+    /// reader with a deadline waits here, then uses `try_recv_into`.
+    ///
+    /// # Errors
+    ///
+    /// Transport failures; `Unsupported` (the default) fails the reader.
+    fn wait_readable(&mut self, timeout: Duration) -> io::Result<bool> {
+        let _ = timeout;
         Err(io::ErrorKind::Unsupported.into())
     }
 
@@ -136,13 +150,14 @@ pub trait Transport: Send {
 /// the client's reply demultiplexer, both reading through one
 /// `ObjectCommunicator` — plus one heartbeat probe per ORB; the mode
 /// picks only who drives them. `Threaded` blocks a thread in `recv` per
-/// accepted connection and per pooled client connection, and runs the
-/// probe on a `heidl-heartbeat` thread. `Reactor` calls the nonblocking
-/// `try_recv` from a single epoll readiness loop per server (plus one
-/// shared client-side loop, which also runs the probe as a timer); only
-/// the dispatch worker pool keeps its threads. Transports without a file
+/// accepted connection, lets a pooled client connection's callers read
+/// their own replies (DESIGN decision 22), and runs the probe on a
+/// `heidl-heartbeat` thread. `Reactor` calls the nonblocking `try_recv`
+/// from a single epoll readiness loop per server (plus one shared
+/// client-side loop, which also runs the probe as a timer); only the
+/// dispatch worker pool keeps its threads. Transports without a file
 /// descriptor (in-process pipes, fault injectors) always take the
-/// blocking driver regardless of mode.
+/// threaded driver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportMode {
     /// A blocking thread per connection (the default).
@@ -360,6 +375,10 @@ impl Transport for TcpTransport {
         })
     }
 
+    fn wait_readable(&mut self, timeout: Duration) -> io::Result<bool> {
+        epoll_shim::wait_readable(self.raw_fd().ok_or(io::ErrorKind::Unsupported)?, timeout)
+    }
+
     fn try_send_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<Option<usize>> {
         let Some(fd) = self.raw_fd() else {
             return Err(io::Error::new(io::ErrorKind::Unsupported, "no raw fd"));
@@ -372,6 +391,9 @@ impl Transport for TcpTransport {
 pub struct InProcTransport {
     tx: crossbeam::channel::Sender<Vec<u8>>,
     rx: crossbeam::channel::Receiver<Vec<u8>>,
+    /// Received but not yet read: a timed wait takes a message off the
+    /// channel, and a nonblocking read hands out `max` bytes at a time.
+    held: Vec<u8>,
     label: &'static str,
 }
 
@@ -387,8 +409,8 @@ impl InProcTransport {
         let (atx, arx) = crossbeam::channel::unbounded();
         let (btx, brx) = crossbeam::channel::unbounded();
         (
-            InProcTransport { tx: atx, rx: brx, label: "inproc-a" },
-            InProcTransport { tx: btx, rx: arx, label: "inproc-b" },
+            InProcTransport { tx: atx, rx: brx, held: Vec::new(), label: "inproc-a" },
+            InProcTransport { tx: btx, rx: arx, held: Vec::new(), label: "inproc-b" },
         )
     }
 }
@@ -401,13 +423,15 @@ impl Transport for InProcTransport {
     }
 
     fn recv_into(&mut self, buf: &mut Vec<u8>) -> io::Result<usize> {
-        match self.rx.recv() {
-            Ok(bytes) => {
-                buf.extend_from_slice(&bytes);
-                Ok(bytes.len())
+        if self.held.is_empty() {
+            match self.rx.recv() {
+                Ok(bytes) => self.held = bytes,
+                Err(_) => return Ok(0), // peer closed
             }
-            Err(_) => Ok(0), // peer closed
         }
+        let n = self.held.len();
+        buf.append(&mut self.held);
+        Ok(n)
     }
 
     fn peer(&self) -> String {
@@ -420,8 +444,10 @@ impl Transport for InProcTransport {
         // direction gets a fresh, permanently-disconnected channel end.
         let (dead_tx, _) = crossbeam::channel::unbounded();
         let (_, dead_rx) = crossbeam::channel::unbounded();
-        let writer = InProcTransport { tx: self.tx, rx: dead_rx, label: self.label };
-        let reader = InProcTransport { tx: dead_tx, rx: self.rx, label: self.label };
+        let writer =
+            InProcTransport { tx: self.tx, rx: dead_rx, held: Vec::new(), label: self.label };
+        let reader =
+            InProcTransport { tx: dead_tx, rx: self.rx, held: self.held, label: self.label };
         Ok((Box::new(writer), Box::new(reader)))
     }
 
@@ -430,6 +456,30 @@ impl Transport for InProcTransport {
         // then drops its own sender, which unblocks any split-off reader.
         let (dead_tx, _) = crossbeam::channel::unbounded();
         self.tx = dead_tx;
+    }
+
+    fn try_recv_into(&mut self, buf: &mut Vec<u8>, max: usize) -> io::Result<Option<usize>> {
+        if self.held.is_empty() {
+            match self.rx.try_recv() {
+                Ok(bytes) => self.held = bytes,
+                Err(crossbeam::channel::TryRecvError::Empty) => return Ok(None),
+                Err(_) => return Ok(Some(0)), // peer closed
+            }
+        }
+        let n = self.held.len().min(max);
+        buf.extend(self.held.drain(..n));
+        Ok(Some(n))
+    }
+
+    fn wait_readable(&mut self, timeout: Duration) -> io::Result<bool> {
+        if self.held.is_empty() {
+            match self.rx.recv_timeout(timeout) {
+                Ok(bytes) => self.held = bytes,
+                Err(crossbeam::channel::RecvTimeoutError::Timeout) => return Ok(false),
+                Err(_) => {} // peer closed: end-of-stream is readable
+            }
+        }
+        Ok(true)
     }
 }
 

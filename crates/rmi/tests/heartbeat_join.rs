@@ -6,14 +6,21 @@
 //! The same holds for a threaded server's overrun watcher
 //! (`heidl-lend-{port}`): stopping the server, or a router, joins it.
 //!
+//! A client spawns no thread per pooled connection on either driver: its
+//! callers read their own replies.
+//!
 //! These assertions count process-global things (the
 //! [`live_heartbeat_threads`] gauge, the watcher threads), so they live in
 //! their own test binary, one sequential test for each: parallel tests
 //! elsewhere that build heartbeat ORBs or servers would make exact counts
 //! racy.
 
-use heidl_rmi::{live_heartbeat_threads, Orb, Router, ServerPolicy, SharedBackends, TransportMode};
-use std::sync::Arc;
+use heidl_rmi::{
+    live_heartbeat_threads, DispatchKind, DispatchOutcome, Orb, RmiResult, Router, ServerPolicy,
+    SharedBackends, Skeleton, SkeletonBase, TransportMode,
+};
+use heidl_wire::{Decoder, Encoder};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// The spawned thread bumps the gauge from inside its own stack frame, so
@@ -70,6 +77,14 @@ fn heartbeat_threads_join_on_shutdown_and_on_drop() {
     assert_eq!(live_heartbeat_threads(), 0, "shutdown_and_drain must join the heartbeat thread");
 }
 
+/// Live threads of this process whose name starts with `prefix`.
+fn threads_named(prefix: &str) -> usize {
+    let tasks = std::fs::read_dir("/proc/self/task").expect("Linux /proc");
+    let names =
+        tasks.filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok());
+    names.filter(|name| name.starts_with(prefix)).count()
+}
+
 /// Waits until this process has `expected` live overrun-watcher threads,
 /// counted by name. A new thread names itself once it runs, and a joined
 /// thread's `/proc` entry can outlive the join by a moment; a watcher that
@@ -77,10 +92,7 @@ fn heartbeat_threads_join_on_shutdown_and_on_drop() {
 fn wait_for_lend_watchers(expected: usize, why: &str) {
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        let tasks = std::fs::read_dir("/proc/self/task").expect("Linux /proc");
-        let names =
-            tasks.filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok());
-        let live = names.filter(|name| name.starts_with("heidl-lend")).count();
+        let live = threads_named("heidl-lend");
         if live == expected {
             return;
         }
@@ -108,4 +120,80 @@ fn lend_watcher_is_joined_by_shutdown_and_by_drain() {
     wait_for_lend_watchers(watchers, "a threaded router runs one watcher, a reactor none");
     router.shutdown();
     wait_for_lend_watchers(0, "stopping the router must stop its watcher");
+}
+
+/// `long hold(in long x)`: returns `x` once the test opens the gate.
+struct Hold {
+    base: SkeletonBase,
+    open: Arc<(Mutex<bool>, Condvar)>,
+}
+
+impl Skeleton for Hold {
+    fn type_id(&self) -> &str {
+        self.base.type_id()
+    }
+
+    fn dispatch(
+        &self,
+        method: &str,
+        args: &mut dyn Decoder,
+        reply: &mut dyn Encoder,
+    ) -> RmiResult<DispatchOutcome> {
+        match self.base.find(method) {
+            Some(0) => {
+                let x = args.get_long()?;
+                let (open, cv) = &*self.open;
+                let mut open = open.lock().unwrap();
+                while !*open {
+                    open = cv.wait(open).unwrap();
+                }
+                reply.put_long(x);
+                Ok(DispatchOutcome::Handled)
+            }
+            _ => self.base.dispatch_parents(method, args, reply),
+        }
+    }
+}
+
+#[test]
+fn client_connections_spawn_no_reader_threads() {
+    const CALLERS: usize = 4;
+    // A reactor server runs no overrun watcher for the test beside this
+    // one to count.
+    let server = Orb::builder().transport_mode(TransportMode::Reactor).build();
+    server.serve("127.0.0.1:0").unwrap();
+    let open = Arc::new((Mutex::new(false), Condvar::new()));
+    let base = SkeletonBase::new("IDL:Test/Hold:1.0", DispatchKind::Hash, ["hold"], vec![]);
+    let objref = server.export(Arc::new(Hold { base, open: Arc::clone(&open) })).unwrap();
+    for mode in [TransportMode::Threaded, TransportMode::Reactor] {
+        *open.0.lock().unwrap() = false;
+        let client = Orb::builder().transport_mode(mode).build();
+        client.connections().set_max_connections_per_endpoint(CALLERS);
+        let callers: Vec<_> = (0..CALLERS as i32)
+            .map(|x| {
+                let (client, objref) = (client.clone(), objref.clone());
+                std::thread::spawn(move || {
+                    let mut call = client.call(&objref, "hold");
+                    call.args().put_long(x);
+                    let got = client.invoke(call).unwrap().results().get_long().unwrap();
+                    assert_eq!(got, x);
+                })
+            })
+            .collect();
+        // Every caller is held in the servant, each on a connection of its own.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.server_health().unwrap().in_flight < CALLERS as u64 {
+            assert!(Instant::now() < deadline, "{mode:?}: the callers never all arrived");
+            std::thread::yield_now();
+        }
+        assert_eq!(client.connections().opened_count(), CALLERS as u64, "{mode:?}");
+        assert_eq!(threads_named("heidl-demux"), 0, "{mode:?}: a reader thread per connection");
+        *open.0.lock().unwrap() = true;
+        open.1.notify_all();
+        for caller in callers {
+            caller.join().unwrap();
+        }
+        client.shutdown();
+    }
+    server.shutdown();
 }

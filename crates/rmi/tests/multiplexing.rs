@@ -5,7 +5,7 @@
 use heidl_rmi::*;
 use heidl_wire::{CdrProtocol, Decoder, Encoder, Protocol, TextProtocol};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// `echo(x) -> x`, with an optional per-call sleep so some requests
@@ -276,4 +276,209 @@ fn lent_reader_overrun_is_bounded_over_text() {
 #[test]
 fn lent_reader_overrun_is_bounded_over_cdr() {
     lent_reader_overrun_is_bounded(Arc::new(CdrProtocol));
+}
+
+// ---- the reader token: callers read their own replies -----------------------
+
+/// A client transport that tells the test each time its read half waits
+/// for readability with a timeout, which only a leader with a deadline
+/// does.
+struct Watched {
+    inner: Box<dyn Transport>,
+    waits: mpsc::Sender<()>,
+}
+
+impl Transport for Watched {
+    fn send(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        self.inner.send(bytes)
+    }
+
+    fn recv_into(&mut self, buf: &mut Vec<u8>) -> std::io::Result<usize> {
+        self.inner.recv_into(buf)
+    }
+
+    fn peer(&self) -> String {
+        self.inner.peer()
+    }
+
+    fn split(self: Box<Self>) -> std::io::Result<(Box<dyn Transport>, Box<dyn Transport>)> {
+        let (writer, reader) = self.inner.split()?;
+        Ok((writer, Box::new(Watched { inner: reader, waits: self.waits })))
+    }
+
+    fn shutdown(&mut self) {
+        self.inner.shutdown();
+    }
+
+    fn try_recv_into(&mut self, buf: &mut Vec<u8>, max: usize) -> std::io::Result<Option<usize>> {
+        self.inner.try_recv_into(buf, max)
+    }
+
+    fn wait_readable(&mut self, timeout: Duration) -> std::io::Result<bool> {
+        let _ = self.waits.send(());
+        self.inner.wait_readable(timeout)
+    }
+}
+
+/// A body leading with `id`, as every request and reply does; the
+/// scripted peer below answers a request by echoing it.
+fn tagged(id: u64, payload: &str) -> Vec<u8> {
+    let mut enc = TextProtocol.encoder();
+    enc.put_ulonglong(id);
+    enc.put_string(payload);
+    enc.finish()
+}
+
+/// Runs `conn.call` on a thread of its own; the result comes back on the
+/// returned channel.
+fn call_on_thread(
+    conn: &Arc<MuxConnection>,
+    id: u64,
+    deadline: Option<Duration>,
+) -> mpsc::Receiver<RmiResult<Vec<u8>>> {
+    let (tx, rx) = mpsc::channel();
+    let conn = Arc::clone(conn);
+    std::thread::spawn(move || {
+        let _ = tx.send(conn.call(id, &tagged(id, "payload"), deadline).map(|b| b.to_vec()));
+    });
+    rx
+}
+
+/// Caller A leads with a 20 ms deadline and caller B follows with none;
+/// the scripted peer holds both replies until A has given up. A's
+/// deadline must hand the reader to B, which then reads its own reply,
+/// and the connection must carry a third call.
+#[test]
+fn a_leader_past_its_deadline_hands_the_reader_to_a_follower() {
+    let text: Arc<dyn Protocol> = Arc::new(TextProtocol);
+    let (client_end, peer_end) = InProcTransport::pair();
+    let (waits, waited) = mpsc::channel();
+    let watched = Watched { inner: Box::new(client_end), waits };
+    let conn = MuxConnection::over(Box::new(watched), Arc::clone(&text)).unwrap();
+    let mut peer = ObjectCommunicator::new(Box::new(peer_end), text);
+    let patience = Duration::from_secs(10);
+
+    let (id_a, id_b) = (next_request_id(), next_request_id());
+    let a = call_on_thread(&conn, id_a, Some(Duration::from_millis(20)));
+    // A holds the token: it is waiting, with its deadline, to read.
+    waited.recv_timeout(patience).expect("A never led");
+    let b = call_on_thread(&conn, id_b, None);
+    assert_eq!(peer.recv().unwrap().unwrap(), tagged(id_a, "payload"));
+    let request_b = peer.recv().unwrap().unwrap();
+
+    let err = a.recv_timeout(patience).unwrap().unwrap_err();
+    assert!(matches!(err, RmiError::DeadlineExceeded { .. }), "A: {err}");
+    peer.send(&request_b).unwrap();
+    let reply_b = b.recv_timeout(patience).expect("B never read its reply: the token was lost");
+    assert_eq!(reply_b.unwrap(), tagged(id_b, "payload"));
+
+    let id_c = next_request_id();
+    let c = call_on_thread(&conn, id_c, None);
+    let request_c = peer.recv().unwrap().unwrap();
+    peer.send(&request_c).unwrap();
+    assert_eq!(c.recv_timeout(patience).unwrap().unwrap(), tagged(id_c, "payload"));
+    assert_eq!(conn.in_flight(), 0, "A's abandoned registration is gone");
+    assert!(conn.is_alive());
+}
+
+/// `stream string drip(in long n)`: `n` one-letter chunks, each sent only
+/// once the test lets it through.
+struct Drip {
+    gate: Arc<Mutex<mpsc::Receiver<()>>>,
+}
+
+impl StreamServant for Drip {
+    fn type_id(&self) -> &str {
+        "IDL:Test/Drip:1.0"
+    }
+
+    fn open(&self, _method: &str, args: &mut dyn Decoder) -> RmiResult<StreamBody> {
+        let mut left = args.get_long()?;
+        let gate = Arc::clone(&self.gate);
+        Ok(StreamBody::from_fn(move |_| {
+            if left == 0 {
+                return None;
+            }
+            gate.lock().unwrap().recv().ok()?;
+            left -= 1;
+            Some("x".to_owned())
+        }))
+    }
+}
+
+/// `long pass(in long x)`: returns `x` once the test lets it through.
+struct Gate {
+    base: SkeletonBase,
+    gate: Mutex<mpsc::Receiver<()>>,
+}
+
+impl Skeleton for Gate {
+    fn type_id(&self) -> &str {
+        self.base.type_id()
+    }
+
+    fn dispatch(
+        &self,
+        method: &str,
+        args: &mut dyn Decoder,
+        reply: &mut dyn Encoder,
+    ) -> RmiResult<DispatchOutcome> {
+        match self.base.find(method) {
+            Some(0) => {
+                let x = args.get_long()?;
+                let _ = self.gate.lock().unwrap().recv();
+                reply.put_long(x);
+                Ok(DispatchOutcome::Handled)
+            }
+            _ => self.base.dispatch_parents(method, args, reply),
+        }
+    }
+}
+
+/// A stream consumer and a two-way caller share one connection, and the
+/// replies each waits for are let through in turn: whichever is waiting
+/// when the other's frame lands has the token handed to it, so each leads
+/// in turn, and both see everything.
+#[test]
+fn a_stream_consumer_and_a_caller_take_turns_leading_one_connection() {
+    const ROUNDS: i32 = 4;
+    let server = Orb::builder().transport_mode(TransportMode::Threaded).build();
+    server.serve("127.0.0.1:0").unwrap();
+    let (chunks, chunk_gate) = mpsc::channel();
+    let (passes, pass_gate) = mpsc::channel();
+    let drip = server.export_stream(Arc::new(Drip { gate: Arc::new(Mutex::new(chunk_gate)) }));
+    let base = SkeletonBase::new("IDL:Test/Gate:1.0", DispatchKind::Hash, ["pass"], vec![]);
+    let gated = server.export(Arc::new(Gate { base, gate: Mutex::new(pass_gate) })).unwrap();
+    let client = Orb::builder().transport_mode(TransportMode::Threaded).build();
+
+    let mut call = client.call(&drip.unwrap(), "drip");
+    call.args().put_long(ROUNDS);
+    let mut stream = client.invoke_stream(call).unwrap();
+    let (streamed_tx, streamed) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = streamed_tx.send(stream.collect_string());
+    });
+    let (passed_tx, passed) = mpsc::channel();
+    {
+        let client = client.clone();
+        std::thread::spawn(move || {
+            for x in 0..ROUNDS {
+                let mut call = client.call(&gated, "pass");
+                call.args().put_long(x);
+                let got = client.invoke(call).and_then(|mut r| Ok(r.results().get_long()?));
+                let _ = passed_tx.send(got);
+            }
+        });
+    }
+    let patience = Duration::from_secs(10);
+    for x in 0..ROUNDS {
+        chunks.send(()).unwrap();
+        passes.send(()).unwrap();
+        assert_eq!(passed.recv_timeout(patience).expect("the caller stalled").unwrap(), x);
+    }
+    let got = streamed.recv_timeout(patience).expect("the consumer stalled").unwrap();
+    assert_eq!(got, "x".repeat(ROUNDS as usize));
+    assert_eq!(client.connections().opened_count(), 1, "one connection carried both");
+    client.shutdown();
+    server.shutdown();
 }

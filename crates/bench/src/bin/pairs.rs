@@ -55,8 +55,8 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     if args.base.is_empty() || args.change.is_empty() || args.workloads.is_empty() {
         return Err("--base, --change and --workloads are required".to_owned());
     }
-    if args.pairs == 0 {
-        return Err("--pairs must be at least 1".to_owned());
+    if args.pairs < 2 {
+        return Err("--pairs must be at least 2".to_owned());
     }
     Ok(args)
 }

@@ -17,8 +17,22 @@
 //!
 //! The bounds and directions come from `BENCHMARK.json`, which this
 //! module only reads.
+//!
+//! The JSON reader and the median and quartiles are perfbench's own
+//! files, compiled in here as well, so the driver reads the result line
+//! and judges spread exactly as perfbench's `--repeat` table does.
 
 use std::collections::BTreeMap;
+
+#[allow(dead_code, missing_docs)]
+#[path = "../../../perfbench/src/json.rs"]
+mod json;
+#[allow(dead_code, missing_docs)]
+#[path = "../../../perfbench/src/stats.rs"]
+mod stats;
+
+pub use json::Json;
+pub use stats::{median, quartiles};
 
 /// Which way a metric improves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,62 +96,26 @@ pub struct Comparison {
     pub verdict: Verdict,
 }
 
-/// The median of `values`.
-///
-/// # Panics
-///
-/// On an empty slice or a NaN.
-pub fn median(values: &[f64]) -> f64 {
-    let data = sorted(values);
-    let mid = data.len() / 2;
-    if data.len() % 2 == 1 {
-        data[mid]
-    } else {
-        (data[mid - 1] + data[mid]) / 2.0
-    }
-}
-
-/// First quartile, median and third quartile, by the exclusive method
-/// (Python's `statistics.quantiles(values, n=4)`, as perfbench's own
-/// `--repeat` table uses). One value is its own quartiles.
-///
-/// # Panics
-///
-/// On an empty slice or a NaN.
-pub fn quartiles(values: &[f64]) -> [f64; 3] {
-    let data = sorted(values);
-    let ld = data.len();
-    if ld == 1 {
-        return [data[0]; 3];
-    }
-    let m = ld + 1;
-    let mut out = [0.0; 3];
-    for (slot, i) in out.iter_mut().zip(1..4usize) {
-        let j = (i * m / 4).clamp(1, ld - 1);
-        let delta = (i * m) as f64 - (j * 4) as f64;
-        *slot = (data[j - 1] * (4.0 - delta) + data[j] * delta) / 4.0;
-    }
-    out
-}
-
 /// How widely `values` spread, as a share of their median: the
 /// interquartile distance from four values up, the whole range below.
+///
+/// # Panics
+///
+/// On an empty slice or a NaN.
 pub fn spread(values: &[f64]) -> f64 {
-    let data = sorted(values);
-    let mid = median(&data);
-    if data.len() >= 4 {
-        let [q1, _, q3] = quartiles(&data);
+    let mid = median(&mut values.to_vec());
+    if values.len() >= 4 {
+        let [q1, _, q3] = quartiles(values);
         (q3 - q1) / mid
     } else {
-        (data[data.len() - 1] - data[0]) / mid
+        let (lo, hi) = range(values);
+        (hi - lo) / mid
     }
 }
 
-fn sorted(values: &[f64]) -> Vec<f64> {
-    assert!(!values.is_empty(), "statistics of an empty sample");
-    let mut data = values.to_vec();
-    data.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in measurements"));
-    data
+/// The least and greatest of `values`.
+fn range(values: &[f64]) -> (f64, f64) {
+    values.iter().fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| (lo.min(v), hi.max(v)))
 }
 
 /// Compares the parent's runs `base` with the change's runs `change`,
@@ -146,7 +124,8 @@ fn sorted(values: &[f64]) -> Vec<f64> {
 ///
 /// # Panics
 ///
-/// When the two sides have different or zero lengths, or hold a NaN.
+/// When the two sides have different lengths or fewer than two runs, or
+/// hold a NaN.
 pub fn compare(base: &[f64], change: &[f64], better: Direction, bound: f64) -> Comparison {
     assert_eq!(base.len(), change.len(), "runs are compared in pairs");
     let gain = |parent: f64, changed: f64| match better {
@@ -154,8 +133,8 @@ pub fn compare(base: &[f64], change: &[f64], better: Direction, bound: f64) -> C
         Direction::Lower => parent - changed,
     };
     let ratios: Vec<f64> = base.iter().zip(change).map(|(b, c)| c / b).collect();
-    let sorted_ratios = sorted(&ratios);
-    let ratio = [median(&ratios), sorted_ratios[0], sorted_ratios[ratios.len() - 1]];
+    let (lo, hi) = range(&ratios);
+    let ratio = [median(&mut ratios.clone()), lo, hi];
     let won = base.iter().zip(change).filter(|&(&b, &c)| gain(b, c) > 0.0).count();
     let (base_q, change_q) = (quartiles(base), quartiles(change));
     let pairs = base.len();
@@ -171,178 +150,6 @@ pub fn compare(base: &[f64], change: &[f64], better: Direction, bound: f64) -> C
     Comparison { base: base_q, change: change_q, ratio, won, pairs, verdict }
 }
 
-/// A parsed JSON value: just enough JSON for perfbench's result line and
-/// `BENCHMARK.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` or `false`.
-    Bool(bool),
-    /// A number.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, keys sorted.
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    /// Parses one JSON document.
-    ///
-    /// # Errors
-    ///
-    /// Describes the first malformed byte.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let mut parser = Parser { bytes: text.as_bytes(), at: 0 };
-        let value = parser.value()?;
-        parser.skip_space();
-        if parser.at != parser.bytes.len() {
-            return Err(format!("trailing bytes at {}", parser.at));
-        }
-        Ok(value)
-    }
-
-    /// The member `key` of an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.get(key),
-            _ => None,
-        }
-    }
-
-    /// The number, if this is one.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The string, if this is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl Parser<'_> {
-    fn skip_space(&mut self) {
-        while self.bytes.get(self.at).is_some_and(u8::is_ascii_whitespace) {
-            self.at += 1;
-        }
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        self.skip_space();
-        if self.bytes.get(self.at) == Some(&byte) {
-            self.at += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at {}", byte as char, self.at))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_space();
-        let rest = &self.bytes[self.at..];
-        for (word, value) in
-            [("null", Json::Null), ("true", Json::Bool(true)), ("false", Json::Bool(false))]
-        {
-            if rest.starts_with(word.as_bytes()) {
-                self.at += word.len();
-                return Ok(value);
-            }
-        }
-        match rest.first() {
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => {
-                self.at += 1;
-                let mut items = Vec::new();
-                if !self.close(b']') {
-                    loop {
-                        items.push(self.value()?);
-                        if self.close(b']') {
-                            break;
-                        }
-                        self.expect(b',')?;
-                    }
-                }
-                Ok(Json::Arr(items))
-            }
-            Some(b'{') => {
-                self.at += 1;
-                let mut members = BTreeMap::new();
-                if !self.close(b'}') {
-                    loop {
-                        self.skip_space();
-                        let key = self.string()?;
-                        self.expect(b':')?;
-                        members.insert(key, self.value()?);
-                        if self.close(b'}') {
-                            break;
-                        }
-                        self.expect(b',')?;
-                    }
-                }
-                Ok(Json::Obj(members))
-            }
-            _ => {
-                let len =
-                    rest.iter().take_while(|b| b.is_ascii_digit() || b"+-.eE".contains(b)).count();
-                let text = std::str::from_utf8(&rest[..len]).expect("ASCII digits");
-                let n = text.parse().map_err(|_| format!("bad value at {}", self.at))?;
-                self.at += len;
-                Ok(Json::Num(n))
-            }
-        }
-    }
-
-    /// Consumes `byte` if it comes next.
-    fn close(&mut self, byte: u8) -> bool {
-        self.skip_space();
-        let found = self.bytes.get(self.at) == Some(&byte);
-        self.at += usize::from(found);
-        found
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        if self.bytes.get(self.at) != Some(&b'"') {
-            return Err(format!("expected a string at {}", self.at));
-        }
-        self.at += 1;
-        let mut out = Vec::new();
-        loop {
-            match self.bytes.get(self.at) {
-                None => return Err("unterminated string".to_owned()),
-                Some(b'"') => break,
-                Some(b'\\') => {
-                    self.at += 1;
-                    match self.bytes.get(self.at) {
-                        Some(b'n') => out.push(b'\n'),
-                        Some(b't') => out.push(b'\t'),
-                        Some(&c @ (b'"' | b'\\' | b'/')) => out.push(c),
-                        _ => return Err(format!("unsupported escape at {}", self.at)),
-                    }
-                }
-                Some(&c) => out.push(c),
-            }
-            self.at += 1;
-        }
-        self.at += 1;
-        String::from_utf8(out).map_err(|e| e.to_string())
-    }
-}
-
 /// The end-to-end metrics `BENCHMARK.json` declares, in its order.
 ///
 /// # Errors
@@ -351,7 +158,7 @@ impl Parser<'_> {
 /// bound.
 pub fn end_to_end(benchmark: &str) -> Result<Vec<Metric>, String> {
     let doc = Json::parse(benchmark)?;
-    let Some(Json::Arr(metrics)) = doc.get("end_to_end") else {
+    let Some(metrics) = doc.get("end_to_end").map(Json::as_arr).filter(|m| !m.is_empty()) else {
         return Err("no `end_to_end` list".to_owned());
     };
     metrics

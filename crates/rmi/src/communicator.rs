@@ -28,10 +28,11 @@ use crate::error::{RmiError, RmiResult};
 use crate::objref::Endpoint;
 use crate::reactor::{self, Action, ReactorHandle, Source, EPOLLERR, EPOLLIN, EPOLLRDHUP};
 use crate::trace::{self, TraceLevel};
-use crate::transport::{Connector, TcpConnector, Transport, TransportMode};
+use crate::transport::{Connector, InProcTransport, TcpConnector, Transport, TransportMode};
 use heidl_wire::{pool, DecodeLimits, FrameBuf, PooledBuf, Protocol, MAX_FRAME_HEADER, RECV_CHUNK};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
+use std::io;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -673,7 +674,7 @@ impl MuxConnection {
                 handle.register(handle.alloc_id(), EPOLLIN | EPOLLRDHUP, Box::new(demux));
                 None
             }
-            _ => Some(Mutex::new(demux)),
+            _ => Some(Mutex::new(demux.pumped()?)),
         };
         Ok(Arc::new(MuxConnection {
             writer: Mutex::new(writer),
@@ -983,6 +984,26 @@ struct Demux {
 }
 
 impl Demux {
+    /// A read half that can only block (a zero wait meets the
+    /// `Unsupported` default) moves onto a `heidl-pump-{peer}` thread that
+    /// forwards what it reads through an in-process pipe; the thread ends
+    /// with the stream (or a read failure) or with the connection.
+    fn pumped(mut self) -> io::Result<Demux> {
+        match self.comm.transport.wait_readable(Duration::ZERO) {
+            Err(e) if e.kind() == io::ErrorKind::Unsupported => {}
+            _ => return Ok(self),
+        }
+        let (pipe, mut feed) = InProcTransport::pair();
+        let mut blocking = std::mem::replace(&mut self.comm.transport, Box::new(pipe));
+        let mut buf = Vec::with_capacity(RECV_CHUNK);
+        std::thread::Builder::new().name(format!("heidl-pump-{}", self.peer)).spawn(move || {
+            while blocking.recv_into(&mut buf).is_ok_and(|n| n > 0) && feed.send(&buf).is_ok() {
+                buf.clear();
+            }
+        })?;
+        Ok(self)
+    }
+
     /// Handles what one read produced; `false` once the connection is done.
     fn on_read(&self, got: RmiResult<Option<PooledBuf>>) -> bool {
         match got {
@@ -1089,18 +1110,10 @@ impl Source for Demux {
 /// [`MuxConnection`], recording whether it came from the cache (the input
 /// to the stale-connection retry heuristic). Dropping the guard checks the
 /// connection back in.
+#[derive(Debug)]
 pub struct CheckedOut {
     conn: Arc<MuxConnection>,
     from_cache: bool,
-}
-
-impl std::fmt::Debug for CheckedOut {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CheckedOut")
-            .field("peer", &self.conn.peer())
-            .field("from_cache", &self.from_cache)
-            .finish()
-    }
 }
 
 impl CheckedOut {

@@ -347,6 +347,25 @@ impl FaultInjector {
     ) -> FaultInjector {
         FaultInjector { inner, plan, label: label.into() }
     }
+
+    /// The plan's say on a read that appended `n` bytes to `buf` past
+    /// `before`: the count the reader gets. The plan decides once per
+    /// read that returned, after it returned (a nonblocking read that
+    /// found nothing is no operation).
+    fn received(&mut self, buf: &mut Vec<u8>, before: usize, n: usize) -> usize {
+        match self.plan.decide(FaultOp::Recv, &self.label) {
+            Some(Fault::Delay(d)) => std::thread::sleep(d),
+            Some(Fault::DropConnection | Fault::Truncate(_)) => {
+                // The reader observes an abrupt end-of-stream.
+                buf.truncate(before);
+                self.inner.shutdown();
+                return 0;
+            }
+            Some(Fault::CorruptFrame) if n > 0 => buf[before + n / 2] ^= 0x01,
+            _ => {}
+        }
+        n
+    }
 }
 
 impl Transport for FaultInjector {
@@ -374,46 +393,15 @@ impl Transport for FaultInjector {
     }
 
     fn recv_into(&mut self, buf: &mut Vec<u8>) -> io::Result<usize> {
-        match self.plan.decide(FaultOp::Recv, &self.label) {
-            None | Some(Fault::RefuseConnect) => self.inner.recv_into(buf),
-            Some(Fault::Delay(d)) => {
-                std::thread::sleep(d);
-                self.inner.recv_into(buf)
-            }
-            Some(Fault::DropConnection) | Some(Fault::Truncate(_)) => {
-                self.inner.shutdown();
-                Ok(0) // the reader observes an abrupt end-of-stream
-            }
-            Some(Fault::CorruptFrame) => {
-                let before = buf.len();
-                let n = self.inner.recv_into(buf)?;
-                if n > 0 {
-                    let mid = before + n / 2;
-                    buf[mid] ^= 0x01;
-                }
-                Ok(n)
-            }
-        }
+        let before = buf.len();
+        let n = self.inner.recv_into(buf)?;
+        Ok(self.received(buf, before, n))
     }
 
     fn try_recv_into(&mut self, buf: &mut Vec<u8>, max: usize) -> io::Result<Option<usize>> {
-        // The plan decides once per read that produced something, as it
-        // does for `recv_into`: a poll that found nothing is no operation.
         let before = buf.len();
-        let Some(n) = self.inner.try_recv_into(buf, max)? else {
-            return Ok(None);
-        };
-        match self.plan.decide(FaultOp::Recv, &self.label) {
-            Some(Fault::Delay(d)) => std::thread::sleep(d),
-            Some(Fault::DropConnection | Fault::Truncate(_)) => {
-                buf.truncate(before);
-                self.inner.shutdown();
-                return Ok(Some(0));
-            }
-            Some(Fault::CorruptFrame) if n > 0 => buf[before + n / 2] ^= 0x01,
-            _ => {}
-        }
-        Ok(Some(n))
+        let n = self.inner.try_recv_into(buf, max)?;
+        Ok(n.map(|n| self.received(buf, before, n)))
     }
 
     fn wait_readable(&mut self, timeout: Duration) -> io::Result<bool> {

@@ -122,7 +122,10 @@ pub trait Transport: Send {
     ///
     /// # Errors
     ///
-    /// Transport failures; `Unsupported` (the default) fails the reader.
+    /// Transport failures; `Unsupported` (the default). A client
+    /// connection reads a transport that leaves this to the default
+    /// through a pump thread of its own (DESIGN decision 22); one that
+    /// implements it must implement `try_recv_into` too.
     fn wait_readable(&mut self, timeout: Duration) -> io::Result<bool> {
         let _ = timeout;
         Err(io::ErrorKind::Unsupported.into())
@@ -424,10 +427,7 @@ impl Transport for InProcTransport {
 
     fn recv_into(&mut self, buf: &mut Vec<u8>) -> io::Result<usize> {
         if self.held.is_empty() {
-            match self.rx.recv() {
-                Ok(bytes) => self.held = bytes,
-                Err(_) => return Ok(0), // peer closed
-            }
+            self.held = self.rx.recv().unwrap_or_default(); // empty: peer closed
         }
         let n = self.held.len();
         buf.append(&mut self.held);
@@ -459,12 +459,8 @@ impl Transport for InProcTransport {
     }
 
     fn try_recv_into(&mut self, buf: &mut Vec<u8>, max: usize) -> io::Result<Option<usize>> {
-        if self.held.is_empty() {
-            match self.rx.try_recv() {
-                Ok(bytes) => self.held = bytes,
-                Err(crossbeam::channel::TryRecvError::Empty) => return Ok(None),
-                Err(_) => return Ok(Some(0)), // peer closed
-            }
+        if !self.wait_readable(Duration::ZERO)? {
+            return Ok(None);
         }
         let n = self.held.len().min(max);
         buf.extend(self.held.drain(..n));

@@ -95,6 +95,58 @@ fn repeated_poisoning_is_survived() {
     orb.shutdown();
 }
 
+/// A transport that implements only `Transport`'s required methods, as one
+/// written against the trait's defaults would: its reads can only block.
+struct BlockingOnly(Box<dyn Transport>);
+
+impl Transport for BlockingOnly {
+    fn send(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        self.0.send(bytes)
+    }
+
+    fn recv_into(&mut self, buf: &mut Vec<u8>) -> std::io::Result<usize> {
+        self.0.recv_into(buf)
+    }
+
+    fn peer(&self) -> String {
+        self.0.peer()
+    }
+
+    fn split(self: Box<Self>) -> std::io::Result<(Box<dyn Transport>, Box<dyn Transport>)> {
+        let (writer, reader) = self.0.split()?;
+        Ok((Box::new(BlockingOnly(writer)), Box::new(BlockingOnly(reader))))
+    }
+}
+
+#[derive(Debug)]
+struct BlockingOnlyConnector;
+
+impl Connector for BlockingOnlyConnector {
+    fn connect(&self, endpoint: &Endpoint) -> std::io::Result<Box<dyn Transport>> {
+        Ok(Box::new(BlockingOnly(TcpConnector.connect(endpoint)?)))
+    }
+}
+
+#[test]
+fn transport_without_nonblocking_reads_keeps_its_connection() {
+    let orb = Orb::builder().connector(Arc::new(BlockingOnlyConnector)).build();
+    orb.serve("127.0.0.1:0").unwrap();
+    let objref = orb.export(EchoSkel::shared()).unwrap();
+    assert_eq!(ping(&orb, &objref).unwrap(), 42);
+    // Past the millisecond of the first read, so the next checkout probes
+    // the idle connection with a nonblocking read the transport lacks.
+    std::thread::sleep(std::time::Duration::from_millis(3));
+    assert_eq!(ping(&orb, &objref).unwrap(), 42, "second checkout");
+    let mut call = orb.call(&objref, "ping");
+    call.args().put_long(1);
+    let bounded = CallOptions::builder().deadline(std::time::Duration::from_secs(5)).build();
+    assert_eq!(orb.invoke_with(call, bounded).unwrap().results().get_long().unwrap(), 2);
+    assert_eq!(ping(&orb, &objref).unwrap(), 42, "after a call with a deadline");
+    assert_eq!(orb.connections().opened_count(), 1, "one connection served every call");
+    assert_eq!(orb.retry_count(), 0);
+    orb.shutdown();
+}
+
 #[test]
 fn dead_server_reports_connect_error() {
     let orb = Orb::new();

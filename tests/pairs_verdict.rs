@@ -12,8 +12,8 @@ fn quartiles_match_the_exclusive_method() {
     assert_eq!(quartiles(&ten), [2.75, 5.5, 8.25]);
     // statistics.quantiles([1, 3, 4, 9], n=4) == [1.5, 3.5, 7.75]
     assert_eq!(quartiles(&[9.0, 1.0, 4.0, 3.0]), [1.5, 3.5, 7.75]);
-    assert_eq!(median(&[5.0, 1.0, 3.0]), 3.0);
-    assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
+    assert_eq!(median(&mut [5.0, 1.0, 3.0]), 3.0);
+    assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 2.5);
     assert!((spread(&ten) - 1.0).abs() < 1e-12, "(8.25 - 2.75) / 5.5");
     assert!((spread(&[9.0, 10.0, 11.0]) - 0.2).abs() < 1e-12, "below four runs: range / median");
 }

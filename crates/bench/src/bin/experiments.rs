@@ -1580,7 +1580,7 @@ fn c10k(quick: bool) {
     let reactor = measure_c10k(TransportMode::Reactor, reactor_conns, callers, calls);
     // Structural acceptance, not a perf number: parking the idle crowd
     // must not have spawned per-connection threads — the whole server
-    // stays within its worker pool plus the reactor loop.
+    // stays within its resident leader/followers threads.
     assert!(
         reactor.thread_delta <= 2,
         "reactor mode spawned {} threads for {} idle connections",

@@ -9,11 +9,10 @@
 //! a [`MuxConnection`] multiplexes any number of concurrent in-flight
 //! requests over a single socket, correlating out-of-order replies by the
 //! request id that leads every message (see `call.rs`). A [`Demux`] owns
-//! the read half. On the threaded driver it is a token the callers pass
-//! around (leader/followers, DESIGN decision 22): as in the paper's Fig 4,
-//! a caller reads its own reply, and the frames it reads for others on the
-//! way go to their mailboxes. On the reactor driver the demux is a source
-//! on the shared client reactor.
+//! the read half, and is a token the callers pass around
+//! (leader/followers, DESIGN decision 22) whichever engine the ORB runs:
+//! as in the paper's Fig 4, a caller reads its own reply, and the frames
+//! it reads for others on the way go to their mailboxes.
 //!
 //! The hot path is allocation-light: frames go out as vectored writes
 //! (stack header + body, no `framed` staging copy), arrive through a
@@ -26,9 +25,8 @@ use crate::breaker::{BreakerConfig, BreakerObserver, BreakerState, CircuitBreake
 use crate::call::peek_reply_id;
 use crate::error::{RmiError, RmiResult};
 use crate::objref::Endpoint;
-use crate::reactor::{self, Action, ReactorHandle, Source, EPOLLERR, EPOLLIN, EPOLLRDHUP};
 use crate::trace::{self, TraceLevel};
-use crate::transport::{Connector, InProcTransport, TcpConnector, Transport, TransportMode};
+use crate::transport::{Connector, InProcTransport, TcpConnector, Transport};
 use heidl_wire::{pool, DecodeLimits, FrameBuf, PooledBuf, Protocol, MAX_FRAME_HEADER, RECV_CHUNK};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
@@ -80,8 +78,8 @@ pub(crate) fn with_frame<R>(
 /// A message channel over a transport: framing + buffering.
 ///
 /// The one reader of the runtime: every connection, server or client,
-/// blocking thread or reactor source, deframes through [`Self::recv`] or
-/// its nonblocking twin [`Self::try_recv`].
+/// read by a blocking thread or on a readiness event, deframes through
+/// [`Self::recv`] or its nonblocking twin [`Self::try_recv`].
 pub struct ObjectCommunicator {
     transport: Box<dyn Transport>,
     protocol: Arc<dyn Protocol>,
@@ -131,7 +129,8 @@ impl ObjectCommunicator {
         self.transport.peer()
     }
 
-    /// The read half's file descriptor, when a reactor can watch it.
+    /// The read half's file descriptor, when it has one to read without
+    /// blocking.
     pub(crate) fn raw_fd(&self) -> Option<i32> {
         self.transport.raw_fd()
     }
@@ -540,16 +539,15 @@ impl PendingTable {
 /// Any number of threads may have calls in flight concurrently; each call
 /// stamps its request id into the body (done by `Call`), registers a
 /// mailbox under that id, writes the frame under a brief lock, and waits
-/// for the correlated reply, which may arrive in any order. On the
-/// threaded driver the waiting callers read: whoever holds the read half
-/// leads, posting every frame to its owner, until its own reply is in;
-/// the others follow. A call abandoned at its deadline simply unregisters;
-/// the late reply is dropped on arrival.
+/// for the correlated reply, which may arrive in any order. The waiting
+/// callers read: whoever holds the read half leads, posting every frame to
+/// its owner, until its own reply is in; the others follow. A call
+/// abandoned at its deadline simply unregisters; the late reply is dropped
+/// on arrival.
 pub struct MuxConnection {
     writer: Mutex<Box<dyn Transport>>,
-    /// The read half: the leader's token, or `None` when the client
-    /// reactor reads the connection.
-    reader: Option<Mutex<Demux>>,
+    /// The read half: the leader's token.
+    reader: Mutex<Demux>,
     protocol: Arc<dyn Protocol>,
     pending: Arc<PendingTable>,
     streams: Arc<StreamTable>,
@@ -607,29 +605,15 @@ impl MuxConnection {
         endpoint: &Endpoint,
         protocol: &Arc<dyn Protocol>,
     ) -> RmiResult<Arc<MuxConnection>> {
-        MuxConnection::via_mode(connector, endpoint, protocol, TransportMode::Threaded)
-    }
-
-    /// As [`MuxConnection::via`] but demultiplexing replies on the engine
-    /// `mode` selects (see [`MuxConnection::over_mode`]).
-    ///
-    /// # Errors
-    ///
-    /// [`RmiError::ConnectFailed`] naming the endpoint that refused.
-    pub fn via_mode(
-        connector: &dyn Connector,
-        endpoint: &Endpoint,
-        protocol: &Arc<dyn Protocol>,
-        mode: TransportMode,
-    ) -> RmiResult<Arc<MuxConnection>> {
         let transport = connector
             .connect(endpoint)
             .map_err(|source| RmiError::ConnectFailed { endpoint: endpoint.to_string(), source })?;
-        MuxConnection::over_mode(transport, Arc::clone(protocol), mode)
+        MuxConnection::over(transport, Arc::clone(protocol))
     }
 
     /// Wraps an arbitrary transport (tests use in-process pipes), splitting
-    /// it into a writer and a read half.
+    /// it into a writer and a read half that its callers read; no thread
+    /// is spawned (but see [`Demux::pumped`]).
     ///
     /// # Errors
     ///
@@ -637,24 +621,6 @@ impl MuxConnection {
     pub fn over(
         transport: Box<dyn Transport>,
         protocol: Arc<dyn Protocol>,
-    ) -> RmiResult<Arc<MuxConnection>> {
-        MuxConnection::over_mode(transport, protocol, TransportMode::Threaded)
-    }
-
-    /// As [`MuxConnection::over`] but selecting the demux driver: in
-    /// [`TransportMode::Reactor`], a transport that exposes a raw fd gets
-    /// its [`Demux`] registered on the process-wide client reactor — one
-    /// `heidl-reactor-client` thread demultiplexes every pooled
-    /// connection. Otherwise, and for transports without an fd, the
-    /// callers read their own replies; no thread is spawned.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the transport cannot be split.
-    pub fn over_mode(
-        transport: Box<dyn Transport>,
-        protocol: Arc<dyn Protocol>,
-        mode: TransportMode,
     ) -> RmiResult<Arc<MuxConnection>> {
         let peer = transport.peer();
         let (writer, reader) = transport.split()?;
@@ -668,17 +634,9 @@ impl MuxConnection {
             alive: Arc::clone(&alive),
             peer: peer.clone(),
         };
-        let on_reactor = mode.reactor_enabled() && demux.comm.raw_fd().is_some();
-        let reader = match on_reactor.then(reactor::client_reactor) {
-            Some(Some(handle)) => {
-                handle.register(handle.alloc_id(), EPOLLIN | EPOLLRDHUP, Box::new(demux));
-                None
-            }
-            _ => Some(Mutex::new(demux.pumped()?)),
-        };
         Ok(Arc::new(MuxConnection {
             writer: Mutex::new(writer),
-            reader,
+            reader: Mutex::new(demux.pumped()?),
             protocol,
             pending,
             streams,
@@ -779,7 +737,7 @@ impl MuxConnection {
             if mailbox.ready() {
                 break true;
             }
-            if let Some(mut demux) = self.reader.as_ref().and_then(|reader| reader.try_lock()) {
+            if let Some(mut demux) = self.reader.try_lock() {
                 led = true;
                 let in_time = self.lead(&mut demux, mailbox, deadline);
                 self.last_read.store(epoch_millis(), Ordering::Relaxed);
@@ -845,9 +803,7 @@ impl MuxConnection {
     /// hands it on: how an idle connection's end-of-stream, late replies
     /// and pongs are seen, since nobody else reads it.
     pub(crate) fn drain(&self) {
-        let Some(mut demux) = self.reader.as_ref().and_then(|reader| reader.try_lock()) else {
-            return;
-        };
+        let Some(mut demux) = self.reader.try_lock() else { return };
         // A short read's "kernel buffer emptied" mark is stale by now.
         demux.comm.drained = false;
         while let Some(got) = self.is_alive().then(|| demux.comm.try_recv()).flatten() {
@@ -864,7 +820,7 @@ impl MuxConnection {
     /// [`drain`](MuxConnection::drain) unless the token was held this
     /// millisecond (a read per checkout would cost a syscall per call).
     pub(crate) fn probe(&self) -> bool {
-        if self.reader.is_some() && self.last_read.load(Ordering::Relaxed) != epoch_millis() {
+        if self.last_read.load(Ordering::Relaxed) != epoch_millis() {
             self.drain();
         }
         self.is_alive()
@@ -928,8 +884,8 @@ impl MuxConnection {
 
     /// Sends a fire-and-forget liveness ping under a mailbox-less entry;
     /// the heartbeat probe drains the connection and checks back one tick
-    /// later with [`MuxConnection::ping_unanswered`]. (A wait would stall
-    /// the reactor loop the probe may run on.)
+    /// later with [`MuxConnection::ping_unanswered`], so N dead peers cost
+    /// one tick, not N serial waits.
     ///
     /// # Errors
     ///
@@ -965,7 +921,7 @@ impl MuxConnection {
 impl Drop for MuxConnection {
     fn drop(&mut self) {
         self.alive.store(false, Ordering::SeqCst);
-        // Gives the client reactor EOF and closes the socket for the peer.
+        // Closes the socket for the peer (and gives a pump thread EOF).
         self.writer.get_mut().shutdown();
     }
 }
@@ -1086,26 +1042,6 @@ impl Drop for Demux {
     }
 }
 
-/// The reactor driver: every readiness event on the process-wide client
-/// reactor delivers what arrived; the source drops with the connection.
-impl Source for Demux {
-    fn fd(&self) -> i32 {
-        self.comm.raw_fd().unwrap_or(-1)
-    }
-
-    fn on_ready(&mut self, events: u32, _reactor: &ReactorHandle) -> Action {
-        if events & EPOLLERR != 0 {
-            return Action::Drop;
-        }
-        while let Some(got) = self.comm.try_recv() {
-            if !self.on_read(got) {
-                return Action::Drop;
-            }
-        }
-        Action::Keep
-    }
-}
-
 /// A checked-out connection: an RAII guard around the shared
 /// [`MuxConnection`], recording whether it came from the cache (the input
 /// to the stale-connection retry heuristic). Dropping the guard checks the
@@ -1164,9 +1100,6 @@ pub struct ConnectionPool {
     /// How fresh connections are dialed; [`TcpConnector`] by default,
     /// swappable for fault injection.
     connector: Mutex<Arc<dyn Connector>>,
-    /// Which demux engine fresh connections use (see
-    /// [`MuxConnection::over_mode`]).
-    transport_mode: Mutex<TransportMode>,
     /// One circuit breaker per endpoint, created on demand with
     /// `breaker_config`.
     breakers: Mutex<HashMap<Endpoint, Arc<CircuitBreaker>>>,
@@ -1244,7 +1177,6 @@ impl ConnectionPool {
             caching: AtomicBool::new(true),
             max_per_endpoint: AtomicUsize::new(1),
             connector: Mutex::new(Arc::new(TcpConnector)),
-            transport_mode: Mutex::new(TransportMode::Threaded),
             breakers: Mutex::new(HashMap::new()),
             breaker_config: Mutex::new(BreakerConfig::disabled()),
             breaker_observer: Mutex::new(None),
@@ -1260,18 +1192,6 @@ impl ConnectionPool {
     /// The connector fresh connections are dialed through.
     pub fn connector(&self) -> Arc<dyn Connector> {
         Arc::clone(&self.connector.lock())
-    }
-
-    /// Selects the demux engine for connections opened from now on (see
-    /// [`MuxConnection::over_mode`]); already-pooled connections keep
-    /// whichever engine they were opened with.
-    pub fn set_transport_mode(&self, mode: TransportMode) {
-        *self.transport_mode.lock() = mode;
-    }
-
-    /// The demux engine fresh connections will use.
-    pub fn transport_mode(&self) -> TransportMode {
-        *self.transport_mode.lock()
     }
 
     /// Sets the tuning for breakers created from now on. Already-created
@@ -1375,9 +1295,8 @@ impl ConnectionPool {
         protocol: &Arc<dyn Protocol>,
     ) -> RmiResult<CheckedOut> {
         let connector = self.connector();
-        let mode = self.transport_mode();
         if !self.caching_enabled() {
-            let conn = MuxConnection::via_mode(connector.as_ref(), endpoint, protocol, mode)?;
+            let conn = MuxConnection::via(connector.as_ref(), endpoint, protocol)?;
             self.opened.fetch_add(1, Ordering::Relaxed);
             conn.borrow();
             return Ok(CheckedOut { conn, from_cache: false });
@@ -1397,7 +1316,7 @@ impl ConnectionPool {
                 return Ok(CheckedOut { conn, from_cache: true });
             }
         }
-        let conn = MuxConnection::via_mode(connector.as_ref(), endpoint, protocol, mode)?;
+        let conn = MuxConnection::via(connector.as_ref(), endpoint, protocol)?;
         self.opened.fetch_add(1, Ordering::Relaxed);
         conn.borrow();
         list.push(Arc::clone(&conn));

@@ -25,7 +25,6 @@ use crate::interceptor::{CallPhase, Interceptor, InterceptorChain};
 use crate::metrics::{Counter, Metrics};
 use crate::objref::{Endpoint, ObjectRef};
 use crate::policy::{ServerHealth, ServerPolicy};
-use crate::reactor::{self, ReactorHandle};
 use crate::result_cache::ResultCache;
 use crate::retry::{may_retry, Backoff, RetryClass, RetryPolicy};
 use crate::serialize::{self, RemoteObject, ValueRegistry};
@@ -289,14 +288,14 @@ impl OrbBuilder {
         self
     }
 
-    /// Selects the I/O engine for this ORB's sockets (default: the
+    /// Selects the I/O engine for this ORB's server (default: the
     /// `HEIDL_TRANSPORT` environment variable, i.e.
-    /// [`TransportMode::from_env`]). [`TransportMode::Reactor`] runs the
-    /// server's accept/read/write paths and the client's reply
-    /// demultiplexers on one epoll readiness loop per server (plus one
-    /// shared client loop) instead of a thread per connection; on targets
-    /// without epoll it silently falls back to the threaded engine. Wire
-    /// behavior is byte-identical between the two.
+    /// [`TransportMode::from_env`]). [`TransportMode::Reactor`] serves the
+    /// listener and every connection from a fixed set of leader/followers
+    /// threads on one epoll set instead of a thread per connection; on
+    /// targets without epoll it silently falls back to the threaded
+    /// engine. Client connections are read by their own callers on either
+    /// engine. Wire behavior is byte-identical between the two.
     pub fn transport_mode(mut self, mode: TransportMode) -> OrbBuilder {
         self.transport_mode = mode;
         self
@@ -315,7 +314,6 @@ impl OrbBuilder {
         // breaker state transitions are observed as counter bumps.
         let metrics = Arc::new(Metrics::new());
         pool.set_breaker_observer(Arc::clone(&metrics) as _);
-        pool.set_transport_mode(self.transport_mode);
         let orb = Orb {
             inner: Arc::new(OrbInner {
                 protocol: self.protocol,
@@ -342,10 +340,9 @@ impl OrbBuilder {
         };
         if let Some(interval) = self.heartbeat_interval {
             // The prober holds only a `Weak`: dropping the last ORB handle
-            // lets it notice and stop itself. Under the reactor engine its
-            // driver is a timer on the shared client reactor (no dedicated
-            // thread); otherwise it is the `heidl-heartbeat` thread, whose
-            // join handle lives in `OrbInner` so shutdown can wait for it.
+            // lets it notice and stop itself. It runs on the
+            // `heidl-heartbeat` thread on either engine, whose join handle
+            // lives in `OrbInner` so shutdown can wait for it.
             let mut probe = HeartbeatProbe {
                 orb: Arc::downgrade(&orb.inner),
                 interval,
@@ -353,87 +350,35 @@ impl OrbBuilder {
                 outstanding: Vec::new(),
             };
             let tick = (interval / 2).clamp(Duration::from_millis(5), Duration::from_millis(500));
-            let client_reactor = if self.transport_mode.reactor_enabled() {
-                reactor::client_reactor()
-            } else {
-                None
-            };
-            let handle = match client_reactor {
-                Some(reactor) => {
-                    let timer_id = reactor.alloc_id();
-                    let on_tick = move |handle: &ReactorHandle| {
-                        if !probe.tick() {
-                            // The ORB is gone. `stop_and_join` already
-                            // queued a cancel; self-cancel too in case the
-                            // inner died without it — double cancel is a
-                            // no-op.
-                            handle.cancel_timer(timer_id);
-                        }
-                    };
-                    reactor.add_timer(timer_id, tick, Box::new(on_tick));
-                    // The liveness token is owned by the *handle*, not the
-                    // callback: stopping must decrement synchronously even
-                    // though the cancel itself is only a queued command
-                    // (the last ORB handle can die on the reactor thread,
-                    // where waiting for the loop would deadlock).
-                    HeartbeatHandle::Timer {
-                        reactor,
-                        timer_id,
-                        alive: Some(HeartbeatAlive::enter()),
-                    }
-                }
-                None => {
-                    // Dropping `stop` wakes the thread out of its tick wait.
-                    let (stop, stopped) = crossbeam::channel::unbounded::<()>();
-                    let thread = std::thread::Builder::new()
-                        .name("heidl-heartbeat".to_owned())
-                        .spawn(move || {
-                            let _alive = HeartbeatAlive::enter();
-                            let timeout = Err(crossbeam::channel::RecvTimeoutError::Timeout);
-                            while stopped.recv_timeout(tick) == timeout && probe.tick() {}
-                        })
-                        .expect("spawn heartbeat thread");
-                    HeartbeatHandle::Thread { stop: Some(stop), thread: Some(thread) }
-                }
-            };
-            *orb.inner.heartbeat.lock() = Some(handle);
+            // Dropping `stop` wakes the thread out of its tick wait.
+            let (stop, stopped) = crossbeam::channel::unbounded::<()>();
+            let thread = std::thread::Builder::new()
+                .name("heidl-heartbeat".to_owned())
+                .spawn(move || {
+                    let _alive = HeartbeatAlive::enter();
+                    let timeout = Err(crossbeam::channel::RecvTimeoutError::Timeout);
+                    while stopped.recv_timeout(tick) == timeout && probe.tick() {}
+                })
+                .expect("spawn heartbeat thread");
+            *orb.inner.heartbeat.lock() =
+                Some(HeartbeatHandle { stop: Some(stop), thread: Some(thread) });
         }
         orb
     }
 }
 
-/// Handle to the heartbeat prober, in whichever shape it runs.
-enum HeartbeatHandle {
-    /// Dedicated `heidl-heartbeat` thread (threaded driver, or reactor
-    /// unavailable): stop channel plus join handle.
-    Thread {
-        stop: Option<crossbeam::channel::Sender<()>>,
-        thread: Option<std::thread::JoinHandle<()>>,
-    },
-    /// Periodic timer on the shared client reactor (reactor engine). The
-    /// [`HeartbeatAlive`] token lives *here* rather than in the timer
-    /// callback so stopping decrements the live count synchronously.
-    Timer { reactor: ReactorHandle, timer_id: u64, alive: Option<HeartbeatAlive> },
+/// Handle to the `heidl-heartbeat` thread: stop channel plus join handle.
+struct HeartbeatHandle {
+    stop: Option<crossbeam::channel::Sender<()>>,
+    thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl HeartbeatHandle {
-    /// Stops the prober. Idempotent. The thread variant joins; the timer
-    /// variant only *queues* the cancel — it must never wait for the
-    /// reactor loop, because the last ORB handle (and hence this call)
-    /// can drop on the reactor thread itself, inside the very callback a
-    /// wait would be waiting on.
+    /// Stops the prober and joins its thread. Idempotent.
     fn stop_and_join(&mut self) {
-        match self {
-            HeartbeatHandle::Thread { stop, thread } => {
-                drop(stop.take());
-                if let Some(thread) = thread.take() {
-                    let _ = thread.join();
-                }
-            }
-            HeartbeatHandle::Timer { reactor, timer_id, alive } => {
-                reactor.cancel_timer(*timer_id);
-                drop(alive.take());
-            }
+        drop(self.stop.take());
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
         }
     }
 }
@@ -482,7 +427,7 @@ fn fresh_session_id() -> u64 {
 
 /// The heartbeat prober (see [`OrbBuilder::heartbeat`]), one scan per
 /// tick at half the interval, so a connection is probed within ~1.5
-/// intervals of going idle; whichever driver runs it, nothing blocks.
+/// intervals of going idle; nothing in a tick blocks.
 /// Each scan walks a pool snapshot and pings only connections that are
 /// alive, unborrowed, quiescent, and idle past the interval. Pings are
 /// fire-and-forget ([`MuxConnection::send_ping`]) and each tick begins by

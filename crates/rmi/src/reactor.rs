@@ -1,418 +1,238 @@
-//! The epoll readiness loop that replaces thread-per-connection I/O.
+//! Leader/Followers over one epoll set: the reactor engine's threads
+//! (Schmidt, O'Ryan, Pyarali, Kircher and Buschmann, PLoP 2000).
 //!
-//! One reactor thread owns an epoll instance and every socket registered
-//! with it: the server's listener, every accepted connection's read half,
-//! and (on the process-wide client reactor) every pooled connection's
-//! demultiplexer. Sources are level-triggered drivers of the same
-//! connection state machines the blocking threads drive — each readiness
-//! event drains the socket (until a short read or `EWOULDBLOCK`) through
-//! `ObjectCommunicator::try_recv`, the nonblocking twin of the `recv` a
-//! blocking reader calls, so wire behavior is byte-identical between the
-//! two modes.
+//! A server on the reactor engine registers its listener, every accepted
+//! connection and one eventfd in a single [`EventSet`], each with
+//! `EPOLLONESHOT`, and a fixed number of threads wait in `epoll_wait` on
+//! it at once, taking one event per wait. The kernel hands each ready fd
+//! to one waiter and then disarms it, so whoever takes a connection's
+//! event owns its read side until it re-arms the fd with `EPOLL_CTL_MOD`
+//! ([`EventSet::rearm`]); no token passes between the threads in user
+//! space. Every path that lets go of an fd re-arms it: that is the
+//! engine's one invariant. The eventfd ([`WAKE`]) announces queued work;
+//! the thread that takes it re-arms it before running what it took.
 //!
-//! Cross-thread control (registering a freshly accepted source, arming
-//! `EPOLLOUT` for a queued reply, cancelling a timer, shutdown) goes
-//! through a command queue plus an `eventfd` wakeup; the loop drains the
-//! queue at the top of every iteration. Timers are an unsorted `Vec`
-//! scanned for its earliest deadline to set the `epoll_wait` timeout: the
-//! timer load is at most one idle/write-stall sweep per server plus one
-//! heartbeat probe per ORB, so a scan of a handful beats any ordered
-//! structure — and those run on the loop instead of dedicated threads.
+//! A periodic duty (the server's idle/stall sweep) runs from the wait
+//! timeout: the first waiter that finds it due claims it with a CAS, so it
+//! needs no thread or timer list of its own.
 
 use epoll_shim::{Epoll, Event, EventFd};
-use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-pub(crate) use epoll_shim::{EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+pub(crate) use epoll_shim::{EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLONESHOT, EPOLLOUT, EPOLLRDHUP};
 
-/// Token reserved for the wakeup eventfd; source tokens start above it.
-const WAKE_TOKEN: u64 = 0;
+/// The token of the set's eventfd; [`EventSet::token`] hands out the rest.
+pub(crate) const WAKE: u64 = 0;
 
-/// What a [`Source`] wants after handling a readiness event.
-pub(crate) enum Action {
-    /// Leave the registration as it is.
-    Keep,
-    /// Re-register with this interest mask (used to arm or clear
-    /// `EPOLLOUT` around a pending write queue).
-    Rearm(u32),
-    /// Deregister and drop the source (EOF, error, or done).
-    Drop,
+/// What the threads of one set serve.
+pub(crate) trait Handler: Send + Sync {
+    /// An event on `token`, which stays disarmed until re-armed.
+    fn ready(&self, token: u64, events: u32);
+    /// The eventfd fired (already re-armed): queued work to take.
+    fn woken(&self);
+    /// The periodic duty, when due.
+    fn tick(&self);
 }
 
-/// A registered file descriptor plus the state machine behind it.
-pub(crate) trait Source: Send {
-    /// The fd to register with epoll. Must stay valid (and owned by the
-    /// source) for the source's whole registered lifetime.
-    fn fd(&self) -> i32;
-
-    /// Handles a readiness event. Runs on the reactor thread; must not
-    /// block.
-    fn on_ready(&mut self, events: u32, reactor: &ReactorHandle) -> Action;
-}
-
-type TimerCallback = Box<dyn FnMut(&ReactorHandle) + Send>;
-
-enum Command {
-    Register {
-        token: u64,
-        interest: u32,
-        source: Box<dyn Source>,
-    },
-    Rearm {
-        token: u64,
-        interest: u32,
-    },
-    Close {
-        token: u64,
-    },
-    AddTimer {
-        id: u64,
-        period: Duration,
-        cb: TimerCallback,
-    },
-    CancelTimer {
-        id: u64,
-    },
-    /// Exit once every registered source is gone (listener closed, the
-    /// server is winding down but established connections may finish).
-    Retire,
-    /// Exit now, dropping every source. Production paths prefer `Retire`
-    /// so established connections finish; tests use this for teardown.
-    #[allow(dead_code)]
-    Shutdown,
-}
-
-struct ReactorShared {
-    queue: Mutex<Vec<Command>>,
+/// One epoll set, its eventfd, and the periodic duty's clock.
+pub(crate) struct EventSet {
+    epoll: Epoll,
     wake: EventFd,
-    next_id: AtomicU64,
-    live: AtomicBool,
+    next_token: AtomicU64,
+    period: Option<Duration>,
+    epoch: Instant,
+    /// When the duty is next due, in nanoseconds since `epoch`.
+    due: AtomicU64,
+    stopping: AtomicBool,
 }
 
-/// Cheap cloneable handle for queueing commands to a reactor from any
-/// thread (including from source callbacks on the loop itself).
-#[derive(Clone)]
-pub(crate) struct ReactorHandle {
-    shared: Arc<ReactorShared>,
-}
-
-impl ReactorHandle {
-    fn push(&self, cmd: Command) {
-        self.shared.queue.lock().push(cmd);
-        self.shared.wake.signal();
-    }
-
-    /// Allocates a fresh id usable as a source token or timer id. Handing
-    /// the id out *before* registration lets a connection's writer learn
-    /// its token before the read source is registered.
-    pub(crate) fn alloc_id(&self) -> u64 {
-        self.shared.next_id.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Registers `source` under a pre-allocated token (see
-    /// [`ReactorHandle::alloc_id`]).
-    pub(crate) fn register(&self, token: u64, interest: u32, source: Box<dyn Source>) {
-        self.push(Command::Register { token, interest, source });
-    }
-
-    /// Changes a registered source's interest mask. Unknown tokens (a
-    /// source that already dropped) are ignored.
-    pub(crate) fn rearm(&self, token: u64, interest: u32) {
-        self.push(Command::Rearm { token, interest });
-    }
-
-    /// Deregisters and drops a source.
-    pub(crate) fn close(&self, token: u64) {
-        self.push(Command::Close { token });
-    }
-
-    /// Adds a periodic timer under a pre-allocated id; `cb` runs on the
-    /// reactor thread every `period` until cancelled.
-    pub(crate) fn add_timer(&self, id: u64, period: Duration, cb: TimerCallback) {
-        self.push(Command::AddTimer { id, period, cb });
-    }
-
-    /// Cancels a timer (dropping its callback, and with it anything the
-    /// callback owns).
-    pub(crate) fn cancel_timer(&self, id: u64) {
-        self.push(Command::CancelTimer { id });
-    }
-
-    /// Asks the loop to exit once its last source deregisters. Periodic
-    /// timers keep running until then but do not keep the loop alive.
-    pub(crate) fn retire(&self) {
-        self.push(Command::Retire);
-    }
-
-    /// Asks the loop to exit now, dropping every source and timer.
-    /// Production paths prefer [`ReactorHandle::retire`]; tests use this.
-    #[allow(dead_code)]
-    pub(crate) fn shutdown(&self) {
-        self.push(Command::Shutdown);
-    }
-
-    /// Whether the loop is still running (false once it has exited).
-    pub(crate) fn is_live(&self) -> bool {
-        self.shared.live.load(Ordering::SeqCst)
-    }
-}
-
-/// Spawns a reactor thread named `name`. The thread is detached: its
-/// lifetime is governed by [`ReactorHandle::retire`] /
-/// [`ReactorHandle::shutdown`], mirroring how the blocking transport's
-/// per-connection threads outlive the handles that spawned them.
-pub(crate) fn spawn(name: &str) -> io::Result<ReactorHandle> {
-    let epoll = Epoll::new()?;
-    let shared = Arc::new(ReactorShared {
-        queue: Mutex::new(Vec::new()),
-        wake: EventFd::new()?,
-        next_id: AtomicU64::new(WAKE_TOKEN + 1),
-        live: AtomicBool::new(true),
-    });
-    epoll.add(shared.wake.raw_fd(), EPOLLIN, WAKE_TOKEN)?;
-    let handle = ReactorHandle { shared };
-    let thread_handle = handle.clone();
-    std::thread::Builder::new().name(name.to_owned()).spawn(move || run(epoll, thread_handle))?;
-    Ok(handle)
-}
-
-/// The process-wide client reactor: drives every pooled client
-/// connection's demultiplexer and the heartbeat timers when the ORB runs
-/// in reactor mode. Spawned on first use, never retired — one thread per
-/// process regardless of how many ORBs come and go. `None` when the
-/// target has no epoll (callers then read their own replies).
-pub(crate) fn client_reactor() -> Option<ReactorHandle> {
-    static CLIENT: OnceLock<Option<ReactorHandle>> = OnceLock::new();
-    CLIENT.get_or_init(|| spawn("heidl-reactor-client").ok()).clone()
-}
-
-struct Timer {
-    id: u64,
-    period: Duration,
-    next: Instant,
-    cb: TimerCallback,
-}
-
-fn run(epoll: Epoll, handle: ReactorHandle) {
-    let mut sources: HashMap<u64, Box<dyn Source>> = HashMap::new();
-    let mut timers: Vec<Timer> = Vec::new();
-    let mut events = [Event::default(); 256];
-    let mut retiring = false;
-    'outer: loop {
-        let commands = std::mem::take(&mut *handle.shared.queue.lock());
-        for cmd in commands {
-            match cmd {
-                Command::Register { token, interest, source } => {
-                    if epoll.add(source.fd(), interest, token).is_ok() {
-                        sources.insert(token, source);
-                    }
-                    // On failure the source drops here, closing its fd.
-                }
-                Command::Rearm { token, interest } => {
-                    if let Some(source) = sources.get(&token) {
-                        let _ = epoll.modify(source.fd(), interest, token);
-                    }
-                }
-                Command::Close { token } => {
-                    if let Some(source) = sources.remove(&token) {
-                        let _ = epoll.del(source.fd());
-                    }
-                }
-                Command::AddTimer { id, period, cb } => {
-                    timers.push(Timer { id, period, next: Instant::now() + period, cb });
-                }
-                Command::CancelTimer { id } => timers.retain(|t| t.id != id),
-                Command::Retire => retiring = true,
-                Command::Shutdown => break 'outer,
-            }
-        }
-        if retiring && sources.is_empty() {
-            break;
-        }
-        let timeout_ms = match timers.iter().map(|t| t.next).min() {
-            None => -1,
-            Some(next) => {
-                let until = next.saturating_duration_since(Instant::now());
-                // Round up so a timer never fires a loop iteration early.
-                until.as_millis().min(i32::MAX as u128) as i32 + i32::from(!until.is_zero())
-            }
+impl EventSet {
+    /// A set whose duty runs every `period` (never when `None`).
+    pub(crate) fn new(period: Option<Duration>) -> io::Result<EventSet> {
+        let set = EventSet {
+            epoll: Epoll::new()?,
+            wake: EventFd::new()?,
+            next_token: AtomicU64::new(WAKE + 1),
+            period,
+            epoch: Instant::now(),
+            due: AtomicU64::new(period.map_or(u64::MAX, |p| p.as_nanos() as u64)),
+            stopping: AtomicBool::new(false),
         };
-        let n = match epoll.wait(&mut events, timeout_ms) {
-            Ok(n) => n,
-            Err(_) => break,
-        };
-        for event in &events[..n] {
-            // Copy out of the (packed) event before taking references.
-            let token = event.data;
-            let readiness = event.events;
-            if token == WAKE_TOKEN {
-                handle.shared.wake.drain();
-                continue;
-            }
-            let Some(source) = sources.get_mut(&token) else { continue };
-            match source.on_ready(readiness, &handle) {
-                Action::Keep => {}
-                Action::Rearm(interest) => {
-                    let _ = epoll.modify(source.fd(), interest, token);
-                }
-                Action::Drop => {
-                    let _ = epoll.del(source.fd());
-                    sources.remove(&token);
-                }
-            }
+        set.epoll.add(set.wake.raw_fd(), EPOLLIN | EPOLLONESHOT, WAKE)?;
+        Ok(set)
+    }
+
+    /// A fresh token, handed out before registration so a connection's
+    /// writer knows it first.
+    pub(crate) fn token(&self) -> u64 {
+        self.next_token.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Registers `fd`, armed for one event of `interest`.
+    pub(crate) fn add(&self, fd: i32, token: u64, interest: u32) -> io::Result<()> {
+        self.epoll.add(fd, interest | EPOLLONESHOT, token)
+    }
+
+    /// Re-arms `fd` for one event of `interest`. A deregistered fd is
+    /// ignored.
+    pub(crate) fn rearm(&self, fd: i32, token: u64, interest: u32) {
+        let _ = self.epoll.modify(fd, interest | EPOLLONESHOT, token);
+    }
+
+    /// Deregisters `fd`.
+    pub(crate) fn remove(&self, fd: i32) {
+        let _ = self.epoll.del(fd);
+    }
+
+    /// Has one waiter take [`Handler::woken`].
+    pub(crate) fn wake(&self) {
+        self.wake.signal();
+    }
+
+    /// Has every thread leave once it is back in the wait.
+    pub(crate) fn stop(&self) {
+        self.stopping.store(true, Ordering::SeqCst);
+        self.wake.signal();
+    }
+
+    fn now(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
+    }
+
+    /// How long a waiter may wait, in whole milliseconds rounded up.
+    fn timeout_ms(&self) -> i32 {
+        let due = self.due.load(Ordering::Relaxed);
+        if due == u64::MAX {
+            return -1;
         }
-        if !timers.is_empty() {
-            let now = Instant::now();
-            // Callbacks can only touch the timer list via queued commands
-            // (AddTimer/CancelTimer), so iterating in place is safe.
-            for timer in &mut timers {
-                if now >= timer.next {
-                    // Schedule from *now*, not from the missed deadline: a
-                    // loop stalled past several periods fires once, not in
-                    // a burst.
-                    timer.next = now + timer.period;
-                    let mut cb = std::mem::replace(&mut timer.cb, Box::new(|_| {}));
-                    cb(&handle);
-                    timer.cb = cb;
+        let ms = due.saturating_sub(self.now()).div_ceil(1_000_000);
+        ms.min(i32::MAX as u64) as i32
+    }
+
+    /// Whether this thread claimed a due duty. Its next run is scheduled
+    /// from now, so a set stalled past several periods runs it once.
+    fn claim_tick(&self) -> bool {
+        let (due, now) = (self.due.load(Ordering::Relaxed), self.now());
+        let Some(period) = self.period.filter(|_| now >= due) else { return false };
+        let next = now + period.as_nanos() as u64;
+        self.due.compare_exchange(due, next, Ordering::SeqCst, Ordering::Relaxed).is_ok()
+    }
+}
+
+/// Starts `threads` threads named `name`, each leading and following on
+/// `set` for `handler` until [`EventSet::stop`]. They are detached: the
+/// handler decides when the set stops.
+pub(crate) fn spawn(
+    name: &str,
+    threads: usize,
+    set: &Arc<EventSet>,
+    handler: Arc<dyn Handler>,
+) -> io::Result<()> {
+    for _ in 0..threads {
+        let (set, handler) = (Arc::clone(set), Arc::clone(&handler));
+        std::thread::Builder::new().name(name.to_owned()).spawn(move || lead(&set, &*handler))?;
+    }
+    Ok(())
+}
+
+fn lead(set: &EventSet, handler: &dyn Handler) {
+    let mut events = [Event::default(); 1];
+    let wake = |set: &EventSet| set.epoll.modify(set.wake.raw_fd(), EPOLLIN | EPOLLONESHOT, WAKE);
+    loop {
+        let Ok(n) = set.epoll.wait(&mut events, set.timeout_ms()) else { return };
+        if set.claim_tick() {
+            handler.tick();
+        }
+        // Copy out of the (packed) event before taking references.
+        let (token, ready) = (events[0].data, events[0].events);
+        match (n, token) {
+            (0, _) => {}
+            (_, WAKE) => {
+                set.wake.drain();
+                if set.stopping.load(Ordering::SeqCst) {
+                    // Pass the stop on to the next waiter.
+                    set.wake.signal();
+                    let _ = wake(set);
+                    return;
                 }
+                let _ = wake(set);
+                handler.woken();
             }
-            // A callback may have cancelled timers (including itself);
-            // apply those commands on the next iteration.
+            _ => handler.ready(token, ready),
         }
     }
-    handle.shared.live.store(false, Ordering::SeqCst);
-    drop(sources);
-    drop(timers);
 }
 
 #[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
-    use std::io::Write;
     use std::net::{TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
     use std::sync::mpsc;
+    use std::sync::Mutex;
 
-    /// Reads everything available and forwards it to an mpsc channel.
-    struct ChannelSource {
-        stream: TcpStream,
-        tx: mpsc::Sender<Vec<u8>>,
+    /// Records who took each event, and re-arms only when told to.
+    struct Recorder {
+        set: Arc<EventSet>,
+        fd: i32,
+        rearm: AtomicBool,
+        events: Mutex<mpsc::Sender<(u64, std::thread::ThreadId)>>,
     }
 
-    impl Source for ChannelSource {
-        fn fd(&self) -> i32 {
-            self.stream.as_raw_fd()
+    impl Handler for Recorder {
+        fn ready(&self, token: u64, _events: u32) {
+            let _ = self.events.lock().unwrap().send((token, std::thread::current().id()));
+            if self.rearm.load(Ordering::SeqCst) {
+                self.set.rearm(self.fd, token, EPOLLIN);
+            }
         }
-
-        fn on_ready(&mut self, _events: u32, _reactor: &ReactorHandle) -> Action {
-            let mut buf = Vec::new();
-            loop {
-                let mut chunk = [0u8; 1024];
-                match epoll_shim::recv_nonblocking(self.stream.as_raw_fd(), &mut chunk) {
-                    Ok(Some(0)) => {
-                        if !buf.is_empty() {
-                            let _ = self.tx.send(buf);
-                        }
-                        return Action::Drop;
-                    }
-                    Ok(Some(n)) => buf.extend_from_slice(&chunk[..n]),
-                    Ok(None) => break,
-                    Err(_) => return Action::Drop,
-                }
-            }
-            if !buf.is_empty() {
-                let _ = self.tx.send(buf);
-            }
-            Action::Keep
+        fn woken(&self) {
+            let _ = self.events.lock().unwrap().send((WAKE, std::thread::current().id()));
+        }
+        fn tick(&self) {
+            let _ = self.events.lock().unwrap().send((u64::MAX, std::thread::current().id()));
         }
     }
 
+    /// A readable fd that nobody drains is reported once per arming, to
+    /// one thread, however many wait; wakes and the periodic duty reach
+    /// the threads too, and a stop ends all of them.
     #[test]
-    fn source_receives_bytes_and_drops_on_eof() {
+    fn one_event_per_arming_and_stop_ends_every_thread() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        let (server, _) = listener.accept().unwrap();
-
-        let reactor = spawn("test-reactor").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let set = Arc::new(EventSet::new(Some(Duration::from_millis(20))).unwrap());
         let (tx, rx) = mpsc::channel();
-        let token = reactor.alloc_id();
-        reactor.register(
-            token,
-            EPOLLIN | EPOLLRDHUP,
-            Box::new(ChannelSource { stream: server, tx }),
-        );
-
-        client.write_all(b"hello reactor").unwrap();
-        let got = rx.recv_timeout(Duration::from_secs(2)).unwrap();
-        assert_eq!(got, b"hello reactor");
-
-        drop(client); // EOF → source drops; retire → loop exits.
-        reactor.retire();
-        for _ in 0..200 {
-            if !reactor.is_live() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
+        let fd = listener.as_raw_fd();
+        let recorder = Arc::new(Recorder {
+            set: Arc::clone(&set),
+            fd,
+            rearm: AtomicBool::new(false),
+            events: Mutex::new(tx),
+        });
+        let token = set.token();
+        spawn("test-leaders", 3, &set, Arc::clone(&recorder) as Arc<dyn Handler>).unwrap();
+        set.add(fd, token, EPOLLIN).unwrap();
+        let next = || rx.recv_timeout(Duration::from_secs(2)).unwrap().0;
+        let mut got = Vec::new();
+        while got.iter().filter(|&&t| t == u64::MAX).count() < 3 {
+            got.push(next());
         }
-        assert!(!reactor.is_live());
-    }
-
-    #[test]
-    fn timer_fires_periodically_until_cancelled() {
-        let reactor = spawn("test-timer").unwrap();
-        let (tx, rx) = mpsc::channel();
-        let id = reactor.alloc_id();
-        reactor.add_timer(
-            id,
-            Duration::from_millis(10),
-            Box::new(move |_| {
-                let _ = tx.send(());
-            }),
-        );
-        rx.recv_timeout(Duration::from_secs(2)).unwrap();
-        rx.recv_timeout(Duration::from_secs(2)).unwrap();
-        reactor.cancel_timer(id);
-        // After cancellation the sender drops with the callback, so the
-        // channel reports disconnect (possibly after in-flight ticks).
-        while rx.recv_timeout(Duration::from_millis(500)).is_ok() {}
-        reactor.shutdown();
-    }
-
-    #[test]
-    fn shutdown_drops_sources_immediately() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        let (server, _) = listener.accept().unwrap();
-        let reactor = spawn("test-shutdown").unwrap();
-        let (tx, rx) = mpsc::channel();
-        let token = reactor.alloc_id();
-        let fd = server.as_raw_fd();
-        // Keep `server` owned here; the source only borrows the fd value,
-        // and the reactor exits before `server` drops.
-        struct BorrowedFd(i32, mpsc::Sender<()>);
-        impl Source for BorrowedFd {
-            fn fd(&self) -> i32 {
-                self.0
-            }
-            fn on_ready(&mut self, _e: u32, _r: &ReactorHandle) -> Action {
-                Action::Keep
-            }
+        assert_eq!(got.iter().filter(|&&t| t == token).count(), 1, "one event per arming");
+        recorder.rearm.store(true, Ordering::SeqCst);
+        set.rearm(fd, token, EPOLLIN);
+        while next() != token {}
+        set.wake();
+        while next() != WAKE {}
+        set.stop();
+        // Every thread gone: the recorder's sender is the last reference.
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while Arc::strong_count(&recorder) > 1 {
+            assert!(Instant::now() < deadline, "a thread outlived the stop");
+            std::thread::sleep(Duration::from_millis(2));
         }
-        impl Drop for BorrowedFd {
-            fn drop(&mut self) {
-                let _ = self.1.send(());
-            }
-        }
-        reactor.register(token, EPOLLIN, Box::new(BorrowedFd(fd, tx)));
-        reactor.shutdown();
-        rx.recv_timeout(Duration::from_secs(2)).unwrap();
-        assert!(!reactor.is_live());
-        drop((client, server));
     }
 }

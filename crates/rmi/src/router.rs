@@ -62,8 +62,8 @@
 //! wraps its accepted sockets per `HEIDL_FAULT_PLAN`. Oneway forwards run
 //! inline on the reader, like oneway dispatches, so one client thread's
 //! program order survives the hop; on the reactor that puts a first dial
-//! to a backend on the loop thread, the exposure a oneway servant has
-//! there too. Streams are not relayed: a forward is one backend `call`,
+//! to a backend on the thread reading the connection, the exposure a
+//! oneway servant has there too. Streams are not relayed: a forward is one backend `call`,
 //! so only the first chunk of a `@stream` reply reaches the client, and
 //! stream-credit acks stop at the router.
 

@@ -147,27 +147,25 @@ pub trait Transport: Send {
     }
 }
 
-/// Who drives the ORB's connections.
+/// Who drives the ORB's server connections.
 ///
-/// Each connection is one state machine — the server's connection and
-/// the client's reply demultiplexer, both reading through one
-/// `ObjectCommunicator` — plus one heartbeat probe per ORB; the mode
-/// picks only who drives them. `Threaded` blocks a thread in `recv` per
-/// accepted connection, lets a pooled client connection's callers read
-/// their own replies (DESIGN decision 22), and runs the probe on a
-/// `heidl-heartbeat` thread. `Reactor` calls the nonblocking `try_recv`
-/// from a single epoll readiness loop per server (plus one shared
-/// client-side loop, which also runs the probe as a timer); only the
-/// dispatch worker pool keeps its threads. Transports without a file
-/// descriptor (in-process pipes, fault injectors) always take the
-/// threaded driver.
+/// Each server connection is one state machine, reading through one
+/// `ObjectCommunicator`; the mode picks only who drives it. `Threaded`
+/// blocks a thread in `recv` per accepted connection. `Reactor` has a
+/// fixed set of leader/followers threads per server wait on one epoll
+/// set and call the nonblocking `try_recv` on readiness (DESIGN decision
+/// 23), so idle connections cost no thread. Client connections are the
+/// same on both: their callers read their own replies (DESIGN decision
+/// 22), and the heartbeat probe runs on a `heidl-heartbeat` thread.
+/// Transports without a file descriptor (in-process pipes, fault
+/// injectors) always take the threaded driver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportMode {
     /// A blocking thread per connection (the default).
     #[default]
     Threaded,
-    /// Shared epoll readiness loop; falls back to `Threaded` on targets
-    /// without epoll support.
+    /// Leader/followers over one epoll set per server; falls back to
+    /// `Threaded` on targets without epoll support.
     Reactor,
 }
 
@@ -182,7 +180,7 @@ impl TransportMode {
         }
     }
 
-    /// True when this mode should drive fd-backed sockets on the reactor.
+    /// True when this mode should serve fd-backed sockets on the reactor.
     pub(crate) fn reactor_enabled(self) -> bool {
         self == TransportMode::Reactor && epoll_shim::available()
     }

@@ -412,3 +412,104 @@ fn overload_hostile_frames_drop_the_connection_not_the_server() {
     assert_eq!(nap_once(&client, &objref, 1).unwrap(), 1);
     server.shutdown();
 }
+
+// ---- the reactor's leader rule ------------------------------------------
+
+/// `interface Gated { long hold(in long x); long echo(in long x); }`:
+/// `hold` returns `x` once the gate opens, `echo` at once.
+struct GatedSkel {
+    base: SkeletonBase,
+    gate: Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>,
+}
+
+impl Skeleton for GatedSkel {
+    fn type_id(&self) -> &str {
+        self.base.type_id()
+    }
+
+    fn dispatch(
+        &self,
+        method: &str,
+        args: &mut dyn Decoder,
+        reply: &mut dyn Encoder,
+    ) -> RmiResult<DispatchOutcome> {
+        let slot = self.base.find(method);
+        if slot == Some(0) {
+            let (open, cv) = &*self.gate;
+            let mut open = open.lock().unwrap();
+            while !*open {
+                open = cv.wait(open).unwrap();
+            }
+        }
+        match slot {
+            Some(0 | 1) => {
+                reply.put_long(args.get_long()?);
+                Ok(DispatchOutcome::Handled)
+            }
+            _ => self.base.dispatch_parents(method, args, reply),
+        }
+    }
+}
+
+/// The reactor server's resident threads (its `WORKER_THREADS`).
+const RESIDENT: usize = 4;
+
+/// A reactor thread runs a call it read only while another stays free to
+/// lead, so servants blocked on every resident thread's worth of
+/// connections leave the server answering: a `_health` ping and a fast
+/// call on a fresh connection each answer within 50 ms, and the held
+/// calls all complete once their gate opens. Were every reader to run
+/// what it read, the held calls would take every thread and nothing
+/// would be read again until the gate opened.
+#[test]
+fn reactor_keeps_a_leader_while_every_resident_thread_could_block() {
+    use heidl_wire::{CdrProtocol, Protocol, TextProtocol};
+    for protocol in [Arc::new(TextProtocol) as Arc<dyn Protocol>, Arc::new(CdrProtocol)] {
+        let build = || Orb::builder().protocol(Arc::clone(&protocol));
+        let server = build().transport_mode(TransportMode::Reactor).build();
+        server.serve("127.0.0.1:0").unwrap();
+        let gate = Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
+        let base =
+            SkeletonBase::new("IDL:Test/Gated:1.0", DispatchKind::Hash, ["hold", "echo"], vec![]);
+        let objref = server.export(Arc::new(GatedSkel { base, gate: Arc::clone(&gate) })).unwrap();
+        let once = CallOptions::builder()
+            .retry_policy(RetryPolicy::none())
+            .deadline(Duration::from_secs(5))
+            .build();
+        // Each held call on a connection of its own: a client ORB each.
+        let held: Vec<_> = (0..RESIDENT as i32)
+            .map(|x| {
+                let (client, objref) = (build().build(), objref.clone());
+                std::thread::spawn(move || {
+                    let mut call = client.call(&objref, "hold");
+                    call.args().put_long(x);
+                    client.invoke_with(call, once).map(|mut r| r.results().get_long().unwrap())
+                })
+            })
+            .collect();
+        while server.server_health().unwrap().in_flight < RESIDENT as u64 {
+            std::thread::yield_now();
+        }
+        let fresh = build().build();
+        let started = std::time::Instant::now();
+        let ping = fresh.call(&server.health_ref().unwrap(), "ping");
+        let pong = fresh.invoke_with(ping, once).map(|mut r| r.results().get_string());
+        let pinged = started.elapsed();
+        let started = std::time::Instant::now();
+        let mut call = fresh.call(&objref, "echo");
+        call.args().put_long(7);
+        let echoed = fresh.invoke_with(call, once).map(|mut r| r.results().get_long().unwrap());
+        let echo_took = started.elapsed();
+        *gate.0.lock().unwrap() = true;
+        gate.1.notify_all();
+        let name = protocol.name();
+        assert_eq!(pong.ok().and_then(Result::ok).as_deref(), Some("pong"), "{name}: ping");
+        assert!(pinged < Duration::from_millis(50), "{name}: the ping took {pinged:?}");
+        assert_eq!(echoed.ok(), Some(7), "{name}: echo on a fresh connection");
+        assert!(echo_took < Duration::from_millis(50), "{name}: the echo took {echo_took:?}");
+        for (x, held) in held.into_iter().enumerate() {
+            assert_eq!(held.join().unwrap().ok(), Some(x as i32), "{name}: held call {x}");
+        }
+        server.shutdown();
+    }
+}

@@ -417,6 +417,62 @@ fn reactor_does_not_spawn_per_connection_threads() {
     server.shutdown();
 }
 
+/// Live threads whose name starts with `prefix`.
+fn threads_named(prefix: &str) -> usize {
+    let tasks = std::fs::read_dir("/proc/self/task").unwrap().flatten();
+    let names = tasks.filter_map(|t| std::fs::read_to_string(t.path().join("comm")).ok());
+    names.filter(|name| name.starts_with(prefix)).count()
+}
+
+/// A reactor client spawns no thread of its own: four callers holding
+/// four pooled connections read their own replies, with no
+/// `heidl-reactor-client` thread. The reactor server serves them from its
+/// resident threads, at most five (`comm` keeps 15 bytes, so they read
+/// `heidl-reactor-` and the port's first digit). Counted in a process of
+/// its own, since the tests beside this one start and stop reactor
+/// servers.
+#[test]
+fn reactor_client_spawns_no_threads_and_its_server_keeps_five() {
+    const ALONE: &str = "HEIDL_PARITY_ALONE";
+    const NAME: &str = "reactor_client_spawns_no_threads_and_its_server_keeps_five";
+    if std::env::var_os(ALONE).is_none() {
+        let mut run = std::process::Command::new(std::env::current_exe().unwrap());
+        let out = run.args(["--exact", NAME]).env(ALONE, "1").output().unwrap();
+        let log = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success() && log.contains("1 passed"), "{log}");
+        return;
+    }
+    const CALLERS: usize = 4;
+    let (server, objref) =
+        serve(TransportMode::Reactor, Arc::new(TextProtocol), ServerPolicy::default());
+    let client_orb = client(TransportMode::Reactor, Arc::new(TextProtocol));
+    client_orb.connections().set_max_connections_per_endpoint(CALLERS);
+    let callers: Vec<_> = (0..CALLERS)
+        .map(|_| {
+            let (client_orb, objref) = (client_orb.clone(), objref.clone());
+            std::thread::spawn(move || {
+                let mut call = client_orb.call(&objref, "nap");
+                call.args().put_long(300);
+                client_orb.invoke(call).map(|mut r| r.results().get_long().unwrap())
+            })
+        })
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.server_health().unwrap().in_flight < CALLERS as u64 {
+        assert!(Instant::now() < deadline, "the callers never all arrived");
+        std::thread::yield_now();
+    }
+    assert_eq!(client_orb.connections().opened_count(), CALLERS as u64);
+    assert_eq!(threads_named("heidl-reactor-c"), 0, "a client reactor thread");
+    let resident = threads_named("heidl-reactor-");
+    assert!((1..=5).contains(&resident), "{resident} reactor server threads");
+    for caller in callers {
+        assert_eq!(caller.join().unwrap().unwrap(), 300);
+    }
+    client_orb.shutdown();
+    server.shutdown();
+}
+
 // ---- large frames: bodies read straight into their own buffer -----------
 //
 // A CDR frame whose body is longer than one read chunk is not gathered in

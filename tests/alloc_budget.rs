@@ -1,18 +1,28 @@
-//! The exact allocation budget of one echo call, client and server
-//! together, over each wire protocol on each connection driver, with
-//! tracing off, and of one echo routed client -> `Router` -> backend. The
-//! test binary's global allocator counts every heap allocation in the
-//! process (servers and router are in-process), so a change that adds one
-//! allocation per call anywhere on the path fails here.
+//! The exact allocation budget of one echo call, on the client's side and
+//! on the servers' side, over each wire protocol on each connection
+//! driver, with tracing off, and of one echo routed client -> `Router` ->
+//! backend. The test binary's global allocator counts every heap
+//! allocation in the process against the thread that makes it (servers
+//! and router are in-process), and each thread is put in a role by its
+//! name: the caller, the threads that carry calls on a server, or a
+//! background thread (the heartbeat, a lend watcher, an acceptor), each
+//! with a budget of its own. So a change that adds one allocation per call
+//! anywhere on the path fails here, and a background thread's allocation
+//! cannot pass for a caller's.
 //!
 //! The budgets are exact, not ceilings: a change that removes an
 //! allocation lowers its row in the same change. A few allocations in a
-//! run depend on thread timing (a racing wake, a queue growing once), so
-//! the count is the whole number of allocations per call, and the
-//! remainder must stay under a small fixed number. The heartbeat rows run
-//! a client heartbeat probe beside the calls: a busy connection is never
-//! pinged, so each of the probe's scans must allocate nothing, and one
-//! allocation per scan would break the remainder rule.
+//! run depend on thread timing (a racing wake, a queue growing once, a
+//! heartbeat's drain reading a reply for its caller, which moves the
+//! reply's allocations from the caller to the heartbeat thread), so each
+//! role's count may differ from its budget times the calls by a small
+//! fixed number, either way. A background thread's budget per call is
+//! zero. The heartbeat rows run a client heartbeat
+//! probe beside the calls: a busy connection is never pinged, so each of
+//! the probe's scans must allocate nothing, and one allocation per scan
+//! would break the remainder rule.
+
+#![cfg(target_os = "linux")]
 
 use heidl::rmi::{
     DispatchKind, DispatchOutcome, Orb, RmiResult, Router, SharedBackends, Skeleton, SkeletonBase,
@@ -20,32 +30,71 @@ use heidl::rmi::{
 };
 use heidl::wire::{CdrProtocol, Decoder, Encoder, Protocol, TextProtocol};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicI32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-// ---- counting allocator -----------------------------------------------------
+// ---- counting allocator, per thread -----------------------------------------
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Threads the count tells apart; any past these share the last slot.
+const SLOTS: usize = 1024;
 
-/// The system allocator, counting every allocation and reallocation.
+/// One thread's allocations, and its kernel thread id, which names it
+/// (`/proc/self/task/<tid>/comm`) when the counts are read.
+struct Slot {
+    allocs: AtomicU64,
+    tid: AtomicI32,
+}
+
+static TABLE: [Slot; SLOTS] =
+    [const { Slot { allocs: AtomicU64::new(0), tid: AtomicI32::new(0) } }; SLOTS];
+static NEXT_SLOT: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// This thread's slot, `usize::MAX` before its first allocation.
+    /// Const-initialised with no destructor, so reaching it allocates
+    /// nothing, inside the allocator included.
+    static MINE: Cell<usize> = const { Cell::new(usize::MAX) };
+}
+
+extern "C" {
+    fn gettid() -> i32;
+}
+
+/// Counts one allocation against the calling thread.
+fn count() {
+    let _ = MINE.try_with(|mine| {
+        if mine.get() == usize::MAX {
+            let slot = NEXT_SLOT.fetch_add(1, Ordering::Relaxed).min(SLOTS - 1);
+            // SAFETY: `gettid` takes nothing and cannot fail.
+            TABLE[slot].tid.store(unsafe { gettid() }, Ordering::Relaxed);
+            mine.set(slot);
+        }
+        TABLE[mine.get()].allocs.fetch_add(1, Ordering::Relaxed);
+    });
+}
+
+/// The system allocator, counting every allocation and reallocation
+/// against the thread that makes it.
 struct Counting;
 
 // SAFETY: every call forwards to `System` with the caller's arguments;
-// the counter touches no allocator state.
+// the counter touches no allocator state and allocates nothing.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -56,6 +105,32 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static COUNTING: Counting = Counting;
+
+/// Reads every slot's count into `into`, allocating nothing.
+fn read_counts(into: &mut [u64]) {
+    for (count, slot) in into.iter_mut().zip(&TABLE) {
+        *count = slot.allocs.load(Ordering::Relaxed);
+    }
+}
+
+/// Who a thread is, from its name. `client` is the test's own thread and
+/// the heartbeat thread, whose drain reads replies for a waiting caller
+/// when it holds the connection's reader; `server` is every thread that
+/// carries calls on a server (a router's included); any other thread is a
+/// background thread of its own, named without its port.
+fn role(slot: usize, caller: usize) -> String {
+    let tid = TABLE[slot].tid.load(Ordering::Relaxed);
+    let name = std::fs::read_to_string(format!("/proc/self/task/{tid}/comm"))
+        .map_or_else(|_| "exited".to_owned(), |name| name.trim_end().to_owned());
+    let carriers = ["heidl-conn", "heidl-worker", "heidl-reactor", "heidl-overflow"];
+    if slot == caller || name.starts_with("heidl-heartbeat") {
+        "client".to_owned()
+    } else if carriers.iter().any(|prefix| name.starts_with(prefix)) {
+        "server".to_owned()
+    } else {
+        name.trim_end_matches(|c: char| c.is_ascii_digit() || c == '-').to_owned()
+    }
+}
 
 // ---- servant ------------------------------------------------------------------
 
@@ -96,21 +171,21 @@ const CALLS: u64 = 2000;
 const SPAN: Duration = Duration::from_millis(200);
 /// The heartbeat rows' interval, which the probe ticks at.
 const HEARTBEAT: Duration = Duration::from_millis(5);
-/// Allocations a run may make beyond its exact budget. Thread timing
-/// accounts for up to six; one more allocation per heartbeat tick would
-/// make about forty.
+/// How far a role's allocations in a run may stray from its exact budget.
+/// Thread timing accounts for up to seven; one more allocation per
+/// heartbeat tick would make about forty.
 const STRAY: u64 = 15;
 
 /// Echoes of a 96-byte string, at least [`CALLS`] of them over at least
 /// [`SPAN`], with client heartbeats every `heartbeat` when set, through a
-/// router when `routed`: returns the allocations they made and how many
-/// there were.
+/// router when `routed`: returns the allocations they made, by [`role`],
+/// how many echoes there were, and how long they took.
 fn allocs_for_echoes(
     protocol: Arc<dyn Protocol>,
     mode: TransportMode,
     heartbeat: Option<Duration>,
     routed: bool,
-) -> (u64, u64) {
+) -> (BTreeMap<String, u64>, u64, Duration) {
     let builder = Orb::builder().protocol(Arc::clone(&protocol)).transport_mode(mode);
     let orb = match heartbeat {
         Some(interval) => builder.heartbeat(interval),
@@ -137,50 +212,88 @@ fn allocs_for_echoes(
     for _ in 0..WARM_UP {
         echo();
     }
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let (mut before, mut after) = (vec![0; SLOTS], vec![0; SLOTS]);
+    read_counts(&mut before);
     let started = Instant::now();
     let mut calls = 0;
     while calls < CALLS || started.elapsed() < SPAN {
         echo();
         calls += 1;
     }
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    read_counts(&mut after);
+    let span = started.elapsed();
+    // Named while every thread of the run is still alive.
+    let caller = MINE.with(Cell::get);
+    let mut by_role = BTreeMap::new();
+    for (slot, (after, before)) in after.iter().zip(&before).enumerate() {
+        if after > before {
+            *by_role.entry(role(slot, caller)).or_default() += after - before;
+        }
+    }
     if let Some(router) = router {
         router.shutdown();
     }
     orb.shutdown();
-    (allocs, calls)
+    (by_role, calls, span)
 }
 
+/// The threaded driver's overrun watcher. Its one allocation is the job
+/// that rescues a reader lent for longer than its 1 ms tick, which only a
+/// reader descheduled mid-call leaves behind: how often depends on the
+/// host's load, not on the code. So its budget is not per call but per
+/// tick: at most one allocation per 4 ms of the counted span, where
+/// allocating on every tick would make four times that and more.
+const LEND_WATCHER: &str = "heidl-lend";
+
 /// A budget row: name, protocol, the client and backend's driver, whether
-/// the echoes go through a router, and the allocations per call.
-type Row = (&'static str, Arc<dyn Protocol>, TransportMode, bool, u64);
+/// the echoes go through a router, and the allocations per call on the
+/// client's side and on the servers' side. Every other role's is zero,
+/// except a lend watcher's (see [`LEND_WATCHER`]).
+type Row = (&'static str, Arc<dyn Protocol>, TransportMode, bool, u64, u64);
 
 /// One test, so no other test's allocations land in the count.
 #[test]
 fn echo_allocations_per_call_are_exact() {
-    // The routed rows' router runs on the driver `HEIDL_TRANSPORT` selects;
-    // the reactor's loop is never lent, so each forward is a pool job.
-    let routed = if TransportMode::from_env() == TransportMode::Reactor { 38 } else { 37 };
     let mut wrong = Vec::new();
     for heartbeat in [None, Some(HEARTBEAT)] {
         let rows: [Row; 6] = [
-            ("text threaded", Arc::new(TextProtocol), TransportMode::Threaded, false, 27),
-            ("cdr threaded", Arc::new(CdrProtocol), TransportMode::Threaded, false, 27),
-            ("text reactor", Arc::new(TextProtocol), TransportMode::Reactor, false, 28),
-            ("cdr reactor", Arc::new(CdrProtocol), TransportMode::Reactor, false, 28),
-            ("text routed", Arc::new(TextProtocol), TransportMode::Threaded, true, routed),
-            ("cdr routed", Arc::new(CdrProtocol), TransportMode::Threaded, true, routed),
+            ("text threaded", Arc::new(TextProtocol), TransportMode::Threaded, false, 14, 13),
+            ("cdr threaded", Arc::new(CdrProtocol), TransportMode::Threaded, false, 14, 13),
+            ("text reactor", Arc::new(TextProtocol), TransportMode::Reactor, false, 14, 13),
+            ("cdr reactor", Arc::new(CdrProtocol), TransportMode::Reactor, false, 14, 13),
+            ("text routed", Arc::new(TextProtocol), TransportMode::Threaded, true, 14, 23),
+            ("cdr routed", Arc::new(CdrProtocol), TransportMode::Threaded, true, 14, 23),
         ];
-        for (name, protocol, mode, via_router, budget) in rows {
-            let (allocs, calls) = allocs_for_echoes(protocol, mode, heartbeat, via_router);
-            let (per_call, stray) = (allocs / calls, allocs % calls);
-            if per_call != budget || stray > STRAY {
-                let beat = if heartbeat.is_some() { " heartbeat" } else { "" };
-                wrong.push(format!(
-                    "{name}{beat}: {per_call} allocations per call and {stray} more in {calls} \
-                     calls, budget {budget}"
-                ));
+        for (name, protocol, mode, via_router, client, server) in rows {
+            let (mut by_role, calls, span) =
+                allocs_for_echoes(protocol, mode, heartbeat, via_router);
+            for role in ["client", "server"] {
+                by_role.entry(role.to_owned()).or_default();
+            }
+            let beat = if heartbeat.is_some() { " heartbeat" } else { "" };
+            for (role, allocs) in by_role {
+                let budget = match role.as_str() {
+                    "client" => client,
+                    "server" => server,
+                    LEND_WATCHER => {
+                        let cap = span.as_millis() as u64 / 4;
+                        if allocs > cap {
+                            wrong.push(format!(
+                                "{name}{beat}, {role}: {allocs} allocations in {span:?}, more \
+                                 than {cap}"
+                            ));
+                        }
+                        continue;
+                    }
+                    _ => 0,
+                };
+                let off = allocs.abs_diff(budget * calls);
+                if off > STRAY {
+                    wrong.push(format!(
+                        "{name}{beat}, {role}: {allocs} allocations in {calls} calls, {off} off \
+                         its budget of {budget} per call"
+                    ));
+                }
             }
         }
     }

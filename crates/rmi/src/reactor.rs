@@ -123,18 +123,26 @@ impl EventSet {
 }
 
 /// Starts `threads` threads named `name`, each leading and following on
-/// `set` for `handler` until [`EventSet::stop`]. They are detached: the
-/// handler decides when the set stops.
+/// `set` for `handler` until [`EventSet::stop`], and returns once all of
+/// them run (a thread takes its name as it starts). They are detached:
+/// the handler decides when the set stops.
 pub(crate) fn spawn(
     name: &str,
     threads: usize,
     set: &Arc<EventSet>,
     handler: Arc<dyn Handler>,
 ) -> io::Result<()> {
+    let (up, running) = std::sync::mpsc::channel();
     for _ in 0..threads {
-        let (set, handler) = (Arc::clone(set), Arc::clone(&handler));
-        std::thread::Builder::new().name(name.to_owned()).spawn(move || lead(&set, &*handler))?;
+        let (set, handler, up) = (Arc::clone(set), Arc::clone(&handler), up.clone());
+        std::thread::Builder::new().name(name.to_owned()).spawn(move || {
+            let _ = up.send(());
+            drop(up);
+            lead(&set, &*handler);
+        })?;
     }
+    drop(up);
+    while running.recv().is_ok() {}
     Ok(())
 }
 

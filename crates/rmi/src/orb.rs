@@ -428,8 +428,9 @@ fn fresh_session_id() -> u64 {
 /// The heartbeat prober (see [`OrbBuilder::heartbeat`]), one scan per
 /// tick at half the interval, so a connection is probed within ~1.5
 /// intervals of going idle; nothing in a tick blocks.
-/// Each scan walks a pool snapshot and pings only connections that are
-/// alive, unborrowed, quiescent, and idle past the interval. Pings are
+/// Each scan walks a pool snapshot, reads only connections that are
+/// unborrowed, quiescent, and idle past the interval (a connection in use
+/// is read by its callers alone), and pings those still alive. Pings are
 /// fire-and-forget ([`MuxConnection::send_ping`]) and each tick begins by
 /// settling the previous round: a ping still unanswered after a whole tick
 /// means the peer is gone, so the connection is evicted and its breaker
@@ -454,8 +455,14 @@ impl HeartbeatProbe {
         // Settle first so `in_flight` is accurate for this tick's scan.
         // Nobody reads an idle connection, so the pong is read here: once
         // drained, a pong (or the connection's death) removed the pending
-        // entry, and a still-pending ping is a silent peer.
+        // entry, and a still-pending ping is a silent peer. A connection a
+        // caller took up since the ping is read by that caller, who also
+        // sees its death, so its ping is retired unjudged and unread.
         for (at, conn, request_id) in self.outstanding.drain(..) {
+            if conn.borrow_count() > 0 || conn.in_flight() > 1 {
+                conn.ping_unanswered(request_id);
+                continue;
+            }
             conn.drain();
             if conn.ping_unanswered(request_id) {
                 let endpoint = &self.scan.endpoints[at];
@@ -465,6 +472,12 @@ impl HeartbeatProbe {
         }
         inner.pool.scan(&mut self.scan);
         for (at, conn) in self.scan.conns.drain(..) {
+            // Checked before draining: draining takes the reader token, so
+            // on a connection in use this thread would read its callers'
+            // replies. They read it themselves, and see its end-of-stream.
+            if conn.borrow_count() > 0 || conn.in_flight() > 0 || conn.idle_for() < self.interval {
+                continue;
+            }
             let endpoint = &self.scan.endpoints[at];
             conn.drain();
             if !conn.is_alive() {
@@ -472,9 +485,6 @@ impl HeartbeatProbe {
                 // instead of leaving it for the next checkout to trip
                 // over.
                 inner.pool.discard(endpoint, &conn);
-                continue;
-            }
-            if conn.borrow_count() > 0 || conn.in_flight() > 0 || conn.idle_for() < self.interval {
                 continue;
             }
             let health = ObjectRef::new(endpoint.clone(), HEALTH_OBJECT_ID, HEALTH_TYPE_ID);

@@ -31,20 +31,24 @@
 //! by call class:
 //!
 //! * **Tokened (`@exactly_once`) calls** route *sticky*: the token's
-//!   first forward picks the rendezvous-hash winner of `(session, seq)`
-//!   over the membership and **pins** the token to it
+//!   first forward goes to the first backend, in rendezvous-hash order of
+//!   `(session, seq)` over the membership, that is not provably refused
+//!   (open breaker, dial failure), and **pins** the token to it
 //!   ([`RouterPolicy::affinity_ttl`]); a client retry of the same
 //!   invocation follows the pin and hits that backend's replay cache.
 //!   The pin matters because rendezvous alone re-homes ~1/N of all keys
 //!   whenever a node *joins* — a retry re-homed to the newcomer would
-//!   re-execute there. A tokened call **never moves to another backend**:
-//!   even a pre-send refusal (open breaker, dial failure) might be the
-//!   retry of an attempt that already executed on the pinned backend,
-//!   and another backend's replay cache has never seen the token.
-//!   Refusals and exhausted mid-call redials all answer `Busy`, which is
-//!   retry-safe because the client reuses its token; only the pinned
-//!   backend *leaving membership* (which a graceful restart does after
-//!   draining, i.e. after delivering every reply) re-homes the token.
+//!   re-execute there. A pinned token **never moves to another backend**:
+//!   even a pre-send refusal might be the retry of an attempt that
+//!   already executed on the pinned backend, and another backend's
+//!   replay cache has never seen the token. Refusals and exhausted
+//!   mid-call redials all answer `Busy`, which is retry-safe because the
+//!   client reuses its token; only the pinned backend *leaving
+//!   membership* (which a graceful restart does after draining, i.e.
+//!   after delivering every reply) re-homes the token. A token is pinned
+//!   only once forwarded: one refused before it reached any backend was
+//!   executed nowhere, and pinning it would hold it to a backend whose
+//!   breaker may stay open for all of the client's retries.
 //! * **Untokened calls** round-robin. Only *provably unsent* failures
 //!   (breaker refusal, dial failure, a `Busy` shed — all pre-dispatch)
 //!   move to the next backend; a failure after the request was sent is
@@ -286,7 +290,7 @@ pub(crate) struct RouterShared {
     /// Round-robin cursor for untokened calls.
     rotation: AtomicU64,
     /// Token → backend pins, keyed by `(session, seq)`: the backend a
-    /// token's *first* forward selected. Retries reuse the pin while the
+    /// token's *first* forward went to. Retries reuse the pin while the
     /// backend remains in membership, so a node *joining* (which re-homes
     /// ~1/N of rendezvous keys) cannot steal an in-retry token away from
     /// the one replay cache that saw it. Entries expire `affinity_ttl`
@@ -441,58 +445,49 @@ pub(crate) fn forward_one(
             ReplyBuilder::busy(protocol.as_ref(), request_id, "router: no backends registered")
         });
     }
-    let candidates = match &token {
-        // Sticky: the token's pinned backend if it is still a member,
-        // else the rendezvous winner over the current membership — which
-        // becomes the pin. The pin (not rendezvous alone) is what makes a
-        // retried invocation land on the backend whose replay cache saw
-        // it: rendezvous re-homes ~1/N of keys whenever a node *joins*,
-        // and a re-homed retry would re-execute on the newcomer.
-        Some(tok) => {
-            let id = (tok.session, tok.seq);
-            let now = Instant::now();
-            let mut pins = shared.affinity.lock();
-            let pinned = pins.get(&id).and_then(|(ep, at)| {
-                (now.duration_since(*at) < shared.policy.affinity_ttl && backends.contains(ep))
-                    .then(|| ep.clone())
-            });
-            let chosen = pinned.unwrap_or_else(|| {
-                let key = tok.session.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ tok.seq;
-                backends
-                    .iter()
-                    .max_by_key(|e| rendezvous_weight(key, e))
-                    .cloned()
-                    .expect("membership checked non-empty above")
-            });
-            if pins.len() >= AFFINITY_SWEEP_LEN && !pins.contains_key(&id) {
-                pins.retain(|_, (_, at)| now.duration_since(*at) < shared.policy.affinity_ttl);
-            }
-            pins.insert(id, (chosen.clone(), now));
-            drop(pins);
-            vec![chosen]
+    let now = Instant::now();
+    // A token this router has forwarded is pinned to the backend it went
+    // to, and goes there or nowhere while that backend is a member. The
+    // pin (not rendezvous alone) is what makes a retried invocation land
+    // on the backend whose replay cache saw it: rendezvous re-homes ~1/N
+    // of keys whenever a node *joins*, and a re-homed retry would
+    // re-execute on the newcomer.
+    let pinned = token.as_ref().and_then(|tok| {
+        let pins = shared.affinity.lock();
+        let (ep, at) = pins.get(&(tok.session, tok.seq))?;
+        (now.duration_since(*at) < shared.policy.affinity_ttl && backends.contains(ep))
+            .then(|| ep.clone())
+    });
+    let sticky = pinned.is_some();
+    let mut candidates = backends;
+    match (&token, pinned) {
+        (_, Some(pin)) => candidates.retain(|e| *e == pin),
+        // Not forwarded yet, so nothing to stick to: the membership in
+        // rendezvous order, the winner first.
+        (Some(tok), None) => {
+            let key = tok.session.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ tok.seq;
+            candidates.sort_unstable_by_key(|e| std::cmp::Reverse(rendezvous_weight(key, e)));
         }
         // Round-robin: rotate the membership per call.
-        None => {
-            let start = shared.rotation.fetch_add(1, Ordering::Relaxed) as usize % backends.len();
-            let mut rotated = backends;
-            rotated.rotate_left(start);
-            rotated
+        (None, None) => {
+            let start = shared.rotation.fetch_add(1, Ordering::Relaxed) as usize;
+            let len = candidates.len();
+            candidates.rotate_left(start % len);
         }
-    };
+    }
     let tokened = token.is_some();
     let mut last_busy: Option<Vec<u8>> = None;
     for endpoint in &candidates {
         let breaker = orb.connections().breaker(endpoint);
-        // Breaker refusal is provably unsent *this time* — but for a
-        // tokened call the router cannot know whether an earlier client
-        // attempt already executed on the sticky backend before its
-        // breaker opened. Moving the token to another backend would
-        // re-execute there (its replay cache has never seen the token),
-        // so tokened calls never go past their sticky candidate: answer
-        // Busy and let the client retry the same token once the breaker
-        // half-opens. Untokened calls are free to try the next backend.
+        // Breaker refusal is provably unsent *this time* — but a pinned
+        // token may have executed on its backend before the breaker
+        // opened. Moving it to another backend would re-execute there
+        // (its replay cache has never seen the token), so a pinned token
+        // never goes past its backend: answer Busy and let the client
+        // retry the same token once the breaker half-opens. Any other
+        // call is free to try the next backend.
         let Ok(probe) = breaker.try_admit() else {
-            if token.is_some() {
+            if sticky {
                 return response_expected.then(|| {
                     ReplyBuilder::busy(
                         protocol.as_ref(),
@@ -509,9 +504,9 @@ pub(crate) fn forward_one(
             Err(_) => {
                 // Dial failure: provably unsent; count it against the
                 // breaker so a dead backend trips to fail-fast. Same
-                // stickiness rule: a tokened call must not hop backends.
+                // stickiness rule: a pinned token must not hop backends.
                 breaker.record_outcome(probe, false);
-                if token.is_some() {
+                if sticky {
                     return response_expected.then(|| {
                         ReplyBuilder::busy(
                             protocol.as_ref(),
@@ -538,6 +533,9 @@ pub(crate) fn forward_one(
                 }
             }
             return None;
+        }
+        if let Some(tok) = &token {
+            pin(shared, (tok.session, tok.seq), endpoint, now);
         }
         let policy = &shared.policy;
         match forward_exchange(orb, policy, conns, endpoint, conn, probe, body, request_id, tokened)
@@ -567,6 +565,16 @@ pub(crate) fn forward_one(
     Some(last_busy.unwrap_or_else(|| {
         ReplyBuilder::busy(protocol.as_ref(), request_id, "router: no healthy backend")
     }))
+}
+
+/// Pins token `id` to `endpoint`, where it is about to be forwarded
+/// (again); sweeps expired pins once the table is large.
+fn pin(shared: &RouterShared, id: (u64, u64), endpoint: &Endpoint, now: Instant) {
+    let mut pins = shared.affinity.lock();
+    if pins.len() >= AFFINITY_SWEEP_LEN && !pins.contains_key(&id) {
+        pins.retain(|_, (_, at)| now.duration_since(*at) < shared.policy.affinity_ttl);
+    }
+    pins.insert(id, (endpoint.clone(), now));
 }
 
 /// Outcome of one backend exchange attempt (including sticky retries).

@@ -7,6 +7,7 @@
 
 use heidl_rmi::*;
 use heidl_wire::{Decoder, Encoder};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -167,4 +168,94 @@ fn heartbeat_evicts_dead_peer_from_the_pool() {
         RetryClass::Safe,
         "the failure is a clean connect-level error, safe to retry/fail over: {err}"
     );
+}
+
+/// A TCP client connection that makes the heartbeat thread slow to read:
+/// there, each nonblocking read of its read half first lingers [`LINGER`]
+/// holding the connection's reader token, and counts the bytes it then
+/// gets in `heartbeat_read`. A caller that sends meanwhile finds the token
+/// taken, so its reply is read by the heartbeat thread.
+struct Lingering {
+    inner: Box<dyn Transport>,
+    heartbeat_read: Arc<AtomicUsize>,
+}
+
+/// How long a heartbeat thread's read lingers.
+const LINGER: Duration = Duration::from_millis(20);
+
+impl Transport for Lingering {
+    fn send(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        self.inner.send(bytes)
+    }
+
+    fn recv_into(&mut self, buf: &mut Vec<u8>) -> std::io::Result<usize> {
+        self.inner.recv_into(buf)
+    }
+
+    fn peer(&self) -> String {
+        self.inner.peer()
+    }
+
+    fn split(self: Box<Self>) -> std::io::Result<(Box<dyn Transport>, Box<dyn Transport>)> {
+        let (writer, inner) = self.inner.split()?;
+        Ok((writer, Box::new(Lingering { inner, heartbeat_read: self.heartbeat_read })))
+    }
+
+    fn shutdown(&mut self) {
+        self.inner.shutdown();
+    }
+
+    fn try_recv_into(&mut self, buf: &mut Vec<u8>, max: usize) -> std::io::Result<Option<usize>> {
+        let on_heartbeat =
+            std::thread::current().name().is_some_and(|name| name.starts_with("heidl-heartbeat"));
+        if on_heartbeat {
+            std::thread::sleep(LINGER);
+        }
+        let got = self.inner.try_recv_into(buf, max)?;
+        if on_heartbeat {
+            self.heartbeat_read.fetch_add(got.unwrap_or(0), Ordering::SeqCst);
+        }
+        Ok(got)
+    }
+
+    fn wait_readable(&mut self, timeout: Duration) -> std::io::Result<bool> {
+        self.inner.wait_readable(timeout)
+    }
+}
+
+/// Dials [`Lingering`] TCP connections.
+#[derive(Debug, Default)]
+struct LingeringConnector {
+    heartbeat_read: Arc<AtomicUsize>,
+}
+
+impl Connector for LingeringConnector {
+    fn connect(&self, endpoint: &Endpoint) -> std::io::Result<Box<dyn Transport>> {
+        let inner = TcpConnector.connect(endpoint)?;
+        Ok(Box::new(Lingering { inner, heartbeat_read: Arc::clone(&self.heartbeat_read) }))
+    }
+}
+
+/// A connection in use is read by its callers, never by the heartbeat: a
+/// busy connection's replies are read on the callers' threads even when
+/// the heartbeat thread is slow to let go of the reader token. Calls run
+/// back to back for several heartbeat ticks, so the connection is never
+/// idle and the heartbeat has nothing of its own (a pong) to read on it.
+#[test]
+fn heartbeat_reads_no_reply_of_a_waiting_caller() {
+    let (server, objref) = spawn_server(ServerPolicy::default());
+    let connector = Arc::new(LingeringConnector::default());
+    let heartbeat_read = Arc::clone(&connector.heartbeat_read);
+    let client = Orb::builder().connector(connector).heartbeat(Duration::from_millis(200)).build();
+
+    let started = std::time::Instant::now();
+    let mut calls = 0;
+    while started.elapsed() < Duration::from_secs(1) {
+        assert_eq!(call(&client, &objref).unwrap(), 42);
+        calls += 1;
+    }
+    let read = heartbeat_read.load(Ordering::SeqCst);
+    assert_eq!(read, 0, "the heartbeat thread read {read} bytes of replies to {calls} calls");
+    client.shutdown();
+    server.shutdown();
 }

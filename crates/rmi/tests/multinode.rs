@@ -148,6 +148,35 @@ fn untokened_calls_round_robin_across_backends() {
     }
 }
 
+/// A token is pinned to a backend only once forwarded there: a fresh
+/// token whose rendezvous winner refuses (here: a dead backend, so the
+/// dial fails, then its breaker opens) reached no backend, so it takes
+/// the next one instead of answering `Busy` until the client gives up.
+/// The client does not retry, so every call must land on its first try.
+#[test]
+fn a_fresh_token_skips_a_refusing_backend() {
+    let ledger = Arc::new(Ledger::default());
+    let (live, live_ep) = spawn_backend(&ledger);
+    let (dead, dead_ep) = spawn_backend(&ledger);
+    dead.shutdown_and_drain();
+    let source = Arc::new(SharedBackends::with_endpoints([dead_ep, live_ep]));
+    let router = Router::builder(source).start("127.0.0.1:0").unwrap();
+    let target = router.service_ref(1, REC_TYPE_ID);
+
+    let client = Orb::builder().retry_policy(RetryPolicy::default().with_max_attempts(1)).build();
+    for arg in 0..20 {
+        let got = invoke(&client, &target, "put", arg, RetryClass::ExactlyOnce);
+        assert_eq!(got.unwrap_or_else(|e| panic!("tokened call {arg} refused: {e}")), arg);
+    }
+    let puts = ledger.puts.lock();
+    assert!((0..20).all(|arg| puts.get(&arg) == Some(&1)), "each put ran once: {:?}", *puts);
+    drop(puts);
+
+    client.shutdown();
+    router.shutdown();
+    live.shutdown();
+}
+
 /// A backend servant that holds every `wait` call until `parties` of them
 /// are inside it together.
 struct RendezvousSkel {

@@ -381,9 +381,40 @@ fn has_thread_named(prefix: &str) -> bool {
     })
 }
 
+/// This process's soft limit on open files (`None`: unlimited).
+fn open_files_limit() -> Option<usize> {
+    let limits = std::fs::read_to_string("/proc/self/limits").unwrap();
+    let line = limits.lines().find(|line| line.starts_with("Max open files")).unwrap();
+    line.split_whitespace().nth(3).unwrap().parse().ok()
+}
+
+/// Runs the test `name` in a process of its own, where no test beside it
+/// starts or stops threads: `true` in that process, which goes on with
+/// the test, and `false` in this one, once that process passed.
+fn alone(name: &str) -> bool {
+    const ALONE: &str = "HEIDL_PARITY_ALONE";
+    if std::env::var_os(ALONE).is_some() {
+        return true;
+    }
+    let mut run = std::process::Command::new(std::env::current_exe().unwrap());
+    let out = run.args(["--exact", name]).env(ALONE, "1").output().unwrap();
+    let log = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success() && log.contains("1 passed"), "{log}");
+    false
+}
+
+/// A thousand idle connections add no thread to a reactor server: it
+/// serves them all from its resident threads. Three descriptors per
+/// connection (the test's socket, the accepted one, and its clone for
+/// the split halves), so a low open-files limit takes fewer, leaving 512
+/// for the rest of the process.
 #[test]
 fn reactor_does_not_spawn_per_connection_threads() {
-    const CONNS: usize = 32;
+    if !alone("reactor_does_not_spawn_per_connection_threads") {
+        return;
+    }
+    let fd_room = open_files_limit().map_or(usize::MAX, |limit| limit.saturating_sub(512) / 3);
+    let conns = fd_room.min(1_000);
     let (server, objref) =
         serve(TransportMode::Reactor, Arc::new(TextProtocol), ServerPolicy::default());
     // Prove the engine actually engaged: the per-server reactor thread
@@ -394,20 +425,17 @@ fn reactor_does_not_spawn_per_connection_threads() {
     let client_orb = client(TransportMode::Reactor, Arc::new(TextProtocol));
     assert_eq!(shout(&client_orb, &objref, "warm").unwrap(), "WARM");
     let before = process_threads();
-    let mut idle = Vec::new();
-    for _ in 0..CONNS {
-        idle.push(connect_raw(&server));
-    }
+    let idle: Vec<_> = (0..conns).map(|_| connect_raw(&server)).collect();
     // Give the acceptor time to register every connection.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while server.server_health().map_or(0, |h| h.connections) < CONNS as u64 {
-        assert!(Instant::now() < deadline, "acceptor never saw all {CONNS} connections");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.server_health().map_or(0, |h| h.connections) < conns as u64 {
+        assert!(Instant::now() < deadline, "acceptor never saw all {conns} connections");
         std::thread::sleep(Duration::from_millis(10));
     }
     let during = process_threads();
     assert!(
         during <= before + 2,
-        "{CONNS} idle connections grew the thread count {before} -> {during}: \
+        "{conns} idle connections grew the thread count {before} -> {during}: \
          the reactor must not spawn per-connection threads"
     );
     // The existing connections still work while the idle crowd is parked.
@@ -433,13 +461,7 @@ fn threads_named(prefix: &str) -> usize {
 /// servers.
 #[test]
 fn reactor_client_spawns_no_threads_and_its_server_keeps_five() {
-    const ALONE: &str = "HEIDL_PARITY_ALONE";
-    const NAME: &str = "reactor_client_spawns_no_threads_and_its_server_keeps_five";
-    if std::env::var_os(ALONE).is_none() {
-        let mut run = std::process::Command::new(std::env::current_exe().unwrap());
-        let out = run.args(["--exact", NAME]).env(ALONE, "1").output().unwrap();
-        let log = String::from_utf8_lossy(&out.stdout);
-        assert!(out.status.success() && log.contains("1 passed"), "{log}");
+    if !alone("reactor_client_spawns_no_threads_and_its_server_keeps_five") {
         return;
     }
     const CALLERS: usize = 4;

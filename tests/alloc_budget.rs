@@ -12,13 +12,11 @@
 //!
 //! The budgets are exact, not ceilings: a change that removes an
 //! allocation lowers its row in the same change. A few allocations in a
-//! run depend on thread timing (a racing wake, a queue growing once, a
-//! heartbeat's drain reading a reply for its caller, which moves the
-//! reply's allocations from the caller to the heartbeat thread), so each
-//! role's count may differ from its budget times the calls by a small
-//! fixed number, either way. A background thread's budget per call is
-//! zero. The heartbeat rows run a client heartbeat
-//! probe beside the calls: a busy connection is never pinged, so each of
+//! run depend on thread timing (a racing wake, a queue growing once), so
+//! each role's count may differ from its budget times the calls by a
+//! small fixed number, either way. A background thread's budget per call
+//! is zero. The heartbeat rows run a client heartbeat probe beside the
+//! calls: a busy connection is neither read nor pinged by it, so each of
 //! the probe's scans must allocate nothing, and one allocation per scan
 //! would break the remainder rule.
 
@@ -113,17 +111,16 @@ fn read_counts(into: &mut [u64]) {
     }
 }
 
-/// Who a thread is, from its name. `client` is the test's own thread and
-/// the heartbeat thread, whose drain reads replies for a waiting caller
-/// when it holds the connection's reader; `server` is every thread that
-/// carries calls on a server (a router's included); any other thread is a
-/// background thread of its own, named without its port.
+/// Who a thread is, from its name. `client` is the test's own thread;
+/// `server` is every thread that carries calls on a server (a router's
+/// included); any other thread, the heartbeat's too, is a background
+/// thread of its own, named without its port.
 fn role(slot: usize, caller: usize) -> String {
     let tid = TABLE[slot].tid.load(Ordering::Relaxed);
     let name = std::fs::read_to_string(format!("/proc/self/task/{tid}/comm"))
         .map_or_else(|_| "exited".to_owned(), |name| name.trim_end().to_owned());
     let carriers = ["heidl-conn", "heidl-worker", "heidl-reactor", "heidl-overflow"];
-    if slot == caller || name.starts_with("heidl-heartbeat") {
+    if slot == caller {
         "client".to_owned()
     } else if carriers.iter().any(|prefix| name.starts_with(prefix)) {
         "server".to_owned()

@@ -434,14 +434,16 @@ fn fresh_session_id() -> u64 {
 /// fire-and-forget ([`MuxConnection::send_ping`]) and each tick begins by
 /// settling the previous round: a ping still unanswered after a whole tick
 /// means the peer is gone, so the connection is evicted and its breaker
-/// charged — and N dead peers cost one tick, not N serial timeouts.
+/// charged — and N dead peers cost one tick, not N serial timeouts. A ping
+/// whose connection a caller took up meanwhile is judged once it is idle.
 struct HeartbeatProbe {
     orb: Weak<OrbInner>,
     interval: Duration,
     /// The pool snapshot, reused so a tick allocates nothing.
     scan: PoolScan,
-    /// Last tick's pings: the connection, its endpoint's index in `scan`
-    /// (settled before the next scan rewrites it), and the request id.
+    /// Pings not yet judged: the connection, its endpoint's index in
+    /// `scan`, and the request id. A tick judges last tick's pings, and
+    /// keeps those whose connection is in use for a later tick.
     outstanding: Vec<(usize, Arc<MuxConnection>, u64)>,
 }
 
@@ -456,21 +458,36 @@ impl HeartbeatProbe {
         // Nobody reads an idle connection, so the pong is read here: once
         // drained, a pong (or the connection's death) removed the pending
         // entry, and a still-pending ping is a silent peer. A connection a
-        // caller took up since the ping is read by that caller, who also
-        // sees its death, so its ping is retired unjudged and unread.
-        for (at, conn, request_id) in self.outstanding.drain(..) {
+        // caller took up since the ping is read by that caller alone, so
+        // its ping is judged at a later tick, once it is idle again: a
+        // silent peer gives the caller nothing to read, and its deadline
+        // no verdict.
+        let scan = &self.scan;
+        self.outstanding.retain(|(at, conn, request_id)| {
             if conn.borrow_count() > 0 || conn.in_flight() > 1 {
-                conn.ping_unanswered(request_id);
-                continue;
+                return true;
             }
             conn.drain();
-            if conn.ping_unanswered(request_id) {
-                let endpoint = &self.scan.endpoints[at];
-                inner.pool.discard(endpoint, &conn);
+            if conn.ping_unanswered(*request_id) {
+                let endpoint = &scan.endpoints[*at];
+                inner.pool.discard(endpoint, conn);
                 inner.pool.breaker(endpoint).record_failure();
             }
-        }
+            false
+        });
         inner.pool.scan(&mut self.scan);
+        // A ping kept for later names its endpoint by its index in the
+        // snapshot just replaced; one whose connection left the pool
+        // (its callers saw it die) is retired.
+        let scan = &self.scan;
+        self.outstanding.retain_mut(|(at, conn, request_id)| {
+            let Some((now_at, _)) = scan.conns.iter().find(|(_, c)| Arc::ptr_eq(c, conn)) else {
+                conn.ping_unanswered(*request_id);
+                return false;
+            };
+            *at = *now_at;
+            true
+        });
         for (at, conn) in self.scan.conns.drain(..) {
             // Checked before draining: draining takes the reader token, so
             // on a connection in use this thread would read its callers'

@@ -48,7 +48,14 @@
 //!   after delivering every reply) re-homes the token. A token is pinned
 //!   only once forwarded: one refused before it reached any backend was
 //!   executed nowhere, and pinning it would hold it to a backend whose
-//!   breaker may stay open for all of the client's retries.
+//!   breaker may stay open for all of the client's retries. The pin is
+//!   claimed under one lock after the backend's dial succeeds, and only
+//!   if no live pin exists: of two attempts of one token in the router
+//!   at once, one refused by the winner and the other not, only the
+//!   first to claim forwards, and the other answers `Busy` unsent. A
+//!   token that skipped a refusing winner is protected by its pin alone:
+//!   if the pin is lost (a router restart, an expired pin), a retry goes
+//!   to the winner and runs again.
 //! * **Untokened calls** round-robin. Only *provably unsent* failures
 //!   (breaker refusal, dial failure, a `Busy` shed — all pre-dispatch)
 //!   move to the next backend; a failure after the request was sent is
@@ -84,6 +91,7 @@ use crate::trace::{self, TraceLevel};
 use crate::transport::Connector;
 use heidl_wire::{DecodeLimits, Protocol, TextProtocol};
 use parking_lot::Mutex;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -455,13 +463,15 @@ pub(crate) fn forward_one(
     let pinned = token.as_ref().and_then(|tok| {
         let pins = shared.affinity.lock();
         let (ep, at) = pins.get(&(tok.session, tok.seq))?;
-        (now.duration_since(*at) < shared.policy.affinity_ttl && backends.contains(ep))
-            .then(|| ep.clone())
+        let live = now.duration_since(*at) < shared.policy.affinity_ttl;
+        backends.iter().position(|e| e == ep).filter(|_| live)
     });
     let sticky = pinned.is_some();
     let mut candidates = backends;
     match (&token, pinned) {
-        (_, Some(pin)) => candidates.retain(|e| *e == pin),
+        // The pinned backend alone is tried; the rest stay in
+        // `candidates` as the membership a pin is judged against.
+        (_, Some(at)) => candidates.swap(0, at),
         // Not forwarded yet, so nothing to stick to: the membership in
         // rendezvous order, the winner first.
         (Some(tok), None) => {
@@ -477,7 +487,8 @@ pub(crate) fn forward_one(
     }
     let tokened = token.is_some();
     let mut last_busy: Option<Vec<u8>> = None;
-    for endpoint in &candidates {
+    let tries = if sticky { &candidates[..1] } else { &candidates[..] };
+    for endpoint in tries {
         let breaker = orb.connections().breaker(endpoint);
         // Breaker refusal is provably unsent *this time* — but a pinned
         // token may have executed on its backend before the breaker
@@ -519,6 +530,25 @@ pub(crate) fn forward_one(
                 continue;
             }
         };
+        // Claim the pin before sending. Two attempts of one token can be
+        // in the router at once (a client that lost its connection to
+        // the router resends); whichever claims first decides the one
+        // backend that may run it, and the other answers Busy unsent.
+        if let Some(tok) = &token {
+            if !pin(shared, (tok.session, tok.seq), endpoint, &candidates, now) {
+                // The dial succeeded: the backend is reachable, whatever
+                // the token's fate.
+                breaker.record_outcome(probe, true);
+                return response_expected.then(|| {
+                    ReplyBuilder::busy(
+                        protocol.as_ref(),
+                        request_id,
+                        "router: another attempt of this token holds its pin; \
+                         the token makes a later retry safe",
+                    )
+                });
+            }
+        }
         if !response_expected {
             // Oneway: fire at the first usable backend; a send failure is
             // not retried (the class promises at-most-once, nothing more).
@@ -533,9 +563,6 @@ pub(crate) fn forward_one(
                 }
             }
             return None;
-        }
-        if let Some(tok) = &token {
-            pin(shared, (tok.session, tok.seq), endpoint, now);
         }
         let policy = &shared.policy;
         match forward_exchange(orb, policy, conns, endpoint, conn, probe, body, request_id, tokened)
@@ -567,14 +594,41 @@ pub(crate) fn forward_one(
     }))
 }
 
-/// Pins token `id` to `endpoint`, where it is about to be forwarded
-/// (again); sweeps expired pins once the table is large.
-fn pin(shared: &RouterShared, id: (u64, u64), endpoint: &Endpoint, now: Instant) {
+/// Pins token `id` to `endpoint`, where it is about to be forwarded,
+/// unless a live pin (unexpired, its backend among `members`) holds it
+/// elsewhere: `false` then, and the token must not go to `endpoint`.
+/// One lock covers the read and the write, so of two attempts of one
+/// token only the first to claim may forward. Sweeps expired pins once
+/// the table is large.
+fn pin(
+    shared: &RouterShared,
+    id: (u64, u64),
+    endpoint: &Endpoint,
+    members: &[Endpoint],
+    now: Instant,
+) -> bool {
+    let ttl = shared.policy.affinity_ttl;
     let mut pins = shared.affinity.lock();
     if pins.len() >= AFFINITY_SWEEP_LEN && !pins.contains_key(&id) {
-        pins.retain(|_, (_, at)| now.duration_since(*at) < shared.policy.affinity_ttl);
+        pins.retain(|_, (_, at)| now.duration_since(*at) < ttl);
     }
-    pins.insert(id, (endpoint.clone(), now));
+    match pins.entry(id) {
+        Entry::Occupied(mut held) => {
+            let (ep, at) = held.get_mut();
+            let live = now.duration_since(*at) < ttl && members.contains(ep);
+            if ep != endpoint {
+                if live {
+                    return false;
+                }
+                *ep = endpoint.clone();
+            }
+            *at = now;
+        }
+        Entry::Vacant(free) => {
+            free.insert((endpoint.clone(), now));
+        }
+    }
+    true
 }
 
 /// Outcome of one backend exchange attempt (including sticky retries).

@@ -7,7 +7,7 @@
 
 use heidl_rmi::*;
 use heidl_wire::{Decoder, Encoder};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -256,6 +256,112 @@ fn heartbeat_reads_no_reply_of_a_waiting_caller() {
     }
     let read = heartbeat_read.load(Ordering::SeqCst);
     assert_eq!(read, 0, "the heartbeat thread read {read} bytes of replies to {calls} calls");
+    client.shutdown();
+    server.shutdown();
+}
+
+/// A TCP client connection whose incoming bytes can be cut off: once
+/// `cut` is set, everything that arrives is swallowed unread, as behind a
+/// partition that sends no RST.
+struct Partitionable {
+    inner: Box<dyn Transport>,
+    cut: Arc<AtomicBool>,
+}
+
+impl Transport for Partitionable {
+    fn send(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        self.inner.send(bytes)
+    }
+
+    fn recv_into(&mut self, buf: &mut Vec<u8>) -> std::io::Result<usize> {
+        let before = buf.len();
+        loop {
+            let got = self.inner.recv_into(buf)?;
+            if got == 0 || !self.cut.load(Ordering::SeqCst) {
+                return Ok(got);
+            }
+            buf.truncate(before);
+        }
+    }
+
+    fn peer(&self) -> String {
+        self.inner.peer()
+    }
+
+    fn split(self: Box<Self>) -> std::io::Result<(Box<dyn Transport>, Box<dyn Transport>)> {
+        let (writer, inner) = self.inner.split()?;
+        Ok((writer, Box::new(Partitionable { inner, cut: self.cut })))
+    }
+
+    fn shutdown(&mut self) {
+        self.inner.shutdown();
+    }
+
+    fn try_recv_into(&mut self, buf: &mut Vec<u8>, max: usize) -> std::io::Result<Option<usize>> {
+        let before = buf.len();
+        match self.inner.try_recv_into(buf, max)? {
+            Some(got) if got > 0 && self.cut.load(Ordering::SeqCst) => {
+                buf.truncate(before);
+                Ok(None)
+            }
+            other => Ok(other),
+        }
+    }
+
+    fn wait_readable(&mut self, timeout: Duration) -> std::io::Result<bool> {
+        self.inner.wait_readable(timeout)
+    }
+}
+
+/// Dials [`Partitionable`] TCP connections sharing one `cut` switch.
+#[derive(Debug, Default)]
+struct PartitionConnector {
+    cut: Arc<AtomicBool>,
+}
+
+impl Connector for PartitionConnector {
+    fn connect(&self, endpoint: &Endpoint) -> std::io::Result<Box<dyn Transport>> {
+        let inner = TcpConnector.connect(endpoint)?;
+        Ok(Box::new(Partitionable { inner, cut: Arc::clone(&self.cut) }))
+    }
+}
+
+/// A ping whose connection a caller takes up before the ping is judged is
+/// judged once the caller is done: a silent peer gives the caller nothing
+/// to read, so the heartbeat still evicts the connection on that first
+/// unanswered ping, without waiting to send another.
+#[test]
+fn silent_peer_is_evicted_on_a_ping_that_a_caller_outlasted() {
+    let (server, objref) = spawn_server(ServerPolicy::default());
+    let connector = Arc::new(PartitionConnector::default());
+    let cut = Arc::clone(&connector.cut);
+    let client = Orb::builder().connector(connector).heartbeat(Duration::from_millis(100)).build();
+
+    assert_eq!(call(&client, &objref).unwrap(), 42);
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while client.metrics().get(Counter::HeartbeatsSent) == 0 {
+        assert!(std::time::Instant::now() < deadline, "the idle connection was never pinged");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // The ping is out and the next tick is half an interval away: the
+    // peer goes silent and a caller takes the connection up past it.
+    cut.store(true, Ordering::SeqCst);
+    let mut c = client.call(&objref, "ping");
+    c.args().put_long(41);
+    let options = CallOptions::builder().deadline(Duration::from_millis(300)).build();
+    let err = client.invoke_with(c, options).unwrap_err();
+    assert!(matches!(err, RmiError::DeadlineExceeded { .. }), "{err}");
+
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while client.connections().pooled_count() > 0 {
+        assert!(std::time::Instant::now() < deadline, "the silent connection was never evicted");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(
+        client.metrics().get(Counter::HeartbeatsSent),
+        1,
+        "evicted on the ping the caller outlasted, not on a later one"
+    );
     client.shutdown();
     server.shutdown();
 }

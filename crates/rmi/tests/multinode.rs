@@ -17,11 +17,11 @@
 use heidl_rmi::fault::{Fault, FaultOp, FaultPlan, FaultRule, FaultyConnector};
 use heidl_rmi::retry::RetryPolicy;
 use heidl_rmi::*;
-use heidl_wire::{Decoder, Encoder};
+use heidl_wire::{Decoder, Encoder, Protocol};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 const REC_TYPE_ID: &str = "IDL:Test/Recorder:1.0";
@@ -175,6 +175,109 @@ fn a_fresh_token_skips_a_refusing_backend() {
     client.shutdown();
     router.shutdown();
     live.shutdown();
+}
+
+/// Dials TCP, except that every dial is refused while `refuse` is set,
+/// and the next dial after `hold` is armed signals its `Sender` and waits
+/// on its `Receiver` before connecting.
+#[derive(Debug, Default)]
+struct GatedConnector {
+    refuse: AtomicBool,
+    hold: Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
+}
+
+impl Connector for GatedConnector {
+    fn connect(&self, endpoint: &Endpoint) -> std::io::Result<Box<dyn Transport>> {
+        if self.refuse.load(Ordering::SeqCst) {
+            return Err(std::io::ErrorKind::ConnectionRefused.into());
+        }
+        let hold = self.hold.lock().take();
+        if let Some((entered, release)) = hold {
+            let _ = entered.send(());
+            let _ = release.recv();
+        }
+        TcpConnector.connect(endpoint)
+    }
+}
+
+/// Sends `body` to the router on a connection of its own and returns the
+/// reply's status.
+fn send_raw(
+    endpoint: &Endpoint,
+    protocol: &Arc<dyn Protocol>,
+    body: &[u8],
+    id: u64,
+) -> ReplyStatus {
+    let conn = MuxConnection::connect(endpoint, protocol).unwrap();
+    let reply = conn.call(id, body, Some(Duration::from_secs(10))).unwrap();
+    peek_reply_status(&reply, protocol.as_ref()).unwrap().1
+}
+
+/// Two attempts of one token in the router at once run on one backend.
+/// Both backends' breakers are half-open, so each admits one probe: the
+/// first attempt takes the rendezvous winner's and its dial is held, the
+/// second is refused by the winner and forwarded to the runner-up, which
+/// pins the token. When the held dial completes, the first attempt finds
+/// the token pinned elsewhere and answers `Busy` without sending.
+#[test]
+fn concurrent_attempts_of_one_token_run_on_one_backend() {
+    let ledger = Arc::new(Ledger::default());
+    let (a, a_ep) = spawn_backend(&ledger);
+    let (b, b_ep) = spawn_backend(&ledger);
+    let source = Arc::new(SharedBackends::with_endpoints([a_ep.clone(), b_ep.clone()]));
+    let connector = Arc::new(GatedConnector::default());
+    let cooldown = Duration::from_millis(50);
+    let router = Router::builder(source)
+        .connector(Arc::clone(&connector) as Arc<dyn Connector>)
+        .breaker_config(BreakerConfig {
+            failure_threshold: 1,
+            cooldown,
+            probe_budget: 1,
+            success_threshold: 1,
+        })
+        .start("127.0.0.1:0")
+        .unwrap();
+    let target = router.service_ref(1, REC_TYPE_ID);
+    let client = Orb::builder().retry_policy(RetryPolicy::default().with_max_attempts(1)).build();
+
+    // Trip both breakers: an untokened call tries each backend, and each
+    // dial is refused.
+    connector.refuse.store(true, Ordering::SeqCst);
+    assert!(invoke(&client, &target, "poke", -1, RetryClass::Safe).is_err());
+    connector.refuse.store(false, Ordering::SeqCst);
+    for ep in [&a_ep, &b_ep] {
+        assert_eq!(router.pool().breaker(ep).state(), BreakerState::Open);
+    }
+    std::thread::sleep(cooldown * 2);
+
+    let protocol = Arc::clone(client.protocol());
+    let mut call = client.call(&target, "put");
+    call.args().put_longlong(7);
+    assert!(call.attach_token(protocol.as_ref(), InvocationToken { session: 0x5EED, seq: 1 }));
+    let id = call.request_id();
+    let body = Arc::new(call.into_body());
+
+    let (entered_tx, entered) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel();
+    *connector.hold.lock() = Some((entered_tx, release_rx));
+    let first = {
+        let (endpoint, protocol, body) =
+            (router.endpoint().clone(), Arc::clone(&protocol), Arc::clone(&body));
+        std::thread::spawn(move || send_raw(&endpoint, &protocol, &body, id))
+    };
+    entered.recv_timeout(Duration::from_secs(10)).expect("the first attempt dials the winner");
+    let second = send_raw(router.endpoint(), &protocol, &body, id);
+    release.send(()).unwrap();
+    let first = first.join().unwrap();
+
+    assert_eq!(second, ReplyStatus::Ok, "the second attempt ran on the runner-up");
+    assert_eq!(first, ReplyStatus::Busy, "the first attempt found the token pinned elsewhere");
+    assert_eq!(ledger.puts.lock().get(&7), Some(&1), "the token ran once");
+
+    client.shutdown();
+    router.shutdown();
+    a.shutdown();
+    b.shutdown();
 }
 
 /// A backend servant that holds every `wait` call until `parties` of them

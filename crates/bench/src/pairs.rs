@@ -18,6 +18,12 @@
 //! The bounds and directions come from `BENCHMARK.json`, which this
 //! module only reads.
 //!
+//! Beside the verdicts: a drift figure per metric, the parent's own last
+//! quarter of runs against its first ([`drift`]), which says whether the
+//! host moved under the comparison; and exact rows for the counts a
+//! traced run reports, which a change either keeps or changes
+//! ([`same_count`]).
+//!
 //! The JSON reader and the median and quartiles are perfbench's own
 //! files, compiled in here as well, so the driver reads the result line
 //! and judges spread exactly as perfbench's `--repeat` table does.
@@ -150,6 +156,33 @@ pub fn compare(base: &[f64], change: &[f64], better: Direction, bound: f64) -> C
     Comparison { base: base_q, change: change_q, ratio, won, pairs, verdict }
 }
 
+/// How far the runs drifted while they were made: the median of the last
+/// quarter of `runs`, in the order they ran, over the median of the first
+/// quarter (a quarter is at least one run). Near 1 when the host held
+/// still; a drift larger than a claimed gain leaves the gain unproven.
+///
+/// # Panics
+///
+/// On an empty slice or a NaN.
+pub fn drift(runs: &[f64]) -> f64 {
+    let quarter = runs.len().div_ceil(4);
+    median(&mut runs[runs.len() - quarter..].to_vec()) / median(&mut runs[..quarter].to_vec())
+}
+
+/// Whether two traced runs report the same count per call, for a count
+/// the program makes exactly per call (allocations, wire bytes): compared
+/// to the whole unit, since background threads add a fraction that varies
+/// from run to run.
+pub fn same_count(base: f64, change: f64) -> bool {
+    base.round() == change.round()
+}
+
+/// The seed of pair `pair` (from 0) when the comparison starts at `seed`:
+/// each pair runs on its own inputs, so no one seed's inputs decide it.
+pub fn pair_seed(seed: u64, pair: usize) -> u64 {
+    seed.wrapping_add(pair as u64)
+}
+
 /// The end-to-end metrics `BENCHMARK.json` declares, in its order.
 ///
 /// # Errors
@@ -187,16 +220,28 @@ pub struct Run {
     pub failed: f64,
     /// Each metric's value, by name.
     pub metrics: BTreeMap<String, f64>,
+    /// The informational lines before the result line, `<workload>
+    /// <name> = <value> <unit>`, by name: `mix_open`'s `max_rate_ok`, for
+    /// one.
+    pub info: BTreeMap<String, f64>,
 }
 
 impl Run {
     /// Reads a run's result from its standard output: the last non-empty
-    /// line, a JSON object.
+    /// line, a JSON object, and the informational lines.
     ///
     /// # Errors
     ///
     /// When there is no such line or it lacks a field.
     pub fn from_output(stdout: &str) -> Result<Run, String> {
+        let info = stdout
+            .lines()
+            .filter_map(|line| {
+                let (name, value) = line.trim().split_once(' ')?.1.split_once(" = ")?;
+                let (value, _unit) = value.split_once(' ')?;
+                Some((name.to_owned(), value.parse().ok()?))
+            })
+            .collect();
         let line = stdout.lines().rev().find(|l| !l.trim().is_empty()).ok_or("no output")?;
         let doc = Json::parse(line)?;
         let number = |key: &str| doc.get(key).and_then(Json::as_f64).ok_or(format!("no `{key}`"));
@@ -215,6 +260,7 @@ impl Run {
             attempted: number("attempted")?,
             failed: number("failed")?,
             metrics,
+            info,
         })
     }
 }

@@ -34,6 +34,7 @@
 
 use crate::error::{RmiError, RmiResult};
 use crate::objref::ObjectRef;
+use crate::stream::STREAM_ACK_OBJECT_ID;
 use crate::trace::CallContext;
 use heidl_wire::{DecodeLimits, Decoder, Encoder, Protocol, Section};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -309,24 +310,46 @@ impl IncomingCall {
     }
 }
 
-/// One-pass routing peek for the server's reader thread: reads
-/// `(request-id, response-expected, target-object-id)` from a request body
-/// over a borrowed decoder — no body copy, one decode. The object id is
-/// `None` when the target does not parse as an object reference; such
-/// requests are never health probes, and the full parse on the dispatch
-/// path produces the diagnostic.
+/// What the server's reader needs to route one request, from
+/// [`peek_route`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RequestHead {
+    /// The correlation id.
+    pub request_id: u64,
+    /// False for a oneway.
+    pub response_expected: bool,
+    /// The target's object id; `None` when the target does not parse as
+    /// an object reference. Such requests are never health probes, and
+    /// the full parse on the dispatch path produces the diagnostic.
+    pub object_id: Option<u64>,
+    /// A stream credit ack's `(stream request id, consumed bytes)`, read
+    /// on in the same pass when the target is
+    /// [`STREAM_ACK_OBJECT_ID`]; `None` for any other request, and for an
+    /// ack whose arguments do not decode.
+    pub ack: Option<(u64, u64)>,
+}
+
+/// One-pass routing peek for the server's reader thread: reads the
+/// [`RequestHead`] from a request body over a borrowed decoder — no body copy,
+/// one decode.
 pub(crate) fn peek_route(
     body: &[u8],
     protocol: &dyn Protocol,
     limits: &DecodeLimits,
-) -> RmiResult<(u64, bool, Option<u64>)> {
+) -> RmiResult<RequestHead> {
     let mut dec = protocol.peek_decoder(body, limits)?;
     let request_id = dec.get_ulonglong()?;
     let target = dec.get_string()?;
     dec.skip_string()?; // method
     let response_expected = dec.get_bool()?;
     let object_id = target.parse::<ObjectRef>().ok().map(|r| r.object_id);
-    Ok((request_id, response_expected, object_id))
+    let ack = match object_id {
+        Some(STREAM_ACK_OBJECT_ID) => {
+            dec.get_ulonglong().and_then(|stream| Ok((stream, dec.get_ulonglong()?))).ok()
+        }
+        _ => None,
+    };
+    Ok(RequestHead { request_id, response_expected, object_id, ack })
 }
 
 /// Reads just the leading request id from a reply body without consuming
@@ -412,6 +435,30 @@ impl ReplyBuilder {
     }
 }
 
+/// Reads a reply's header off `dec`: the request id of an OK reply, with
+/// `dec` left at the first result; an exception reply's
+/// [`RmiError::Remote`] or [`RmiError::ServerBusy`].
+///
+/// # Errors
+///
+/// Unmarshalable headers, a bad status code, and the exception replies.
+pub(crate) fn read_reply_header(dec: &mut dyn Decoder) -> RmiResult<u64> {
+    let request_id = dec.get_ulonglong()?;
+    match ReplyStatus::from_code(dec.get_octet()?)? {
+        ReplyStatus::Ok => Ok(request_id),
+        ReplyStatus::UserException | ReplyStatus::SystemException => {
+            let repo_id = dec.get_string()?;
+            let detail = dec.get_string()?;
+            Err(RmiError::Remote { repo_id, detail })
+        }
+        ReplyStatus::Busy => {
+            let _repo_id = dec.get_string()?;
+            let detail = dec.get_string()?;
+            Err(RmiError::ServerBusy { detail })
+        }
+    }
+}
+
 /// A client-side view of a received reply.
 pub struct Reply {
     request_id: u64,
@@ -433,21 +480,8 @@ impl Reply {
     /// [`RmiError::Remote`].
     pub fn parse(body: Vec<u8>, protocol: &dyn Protocol) -> RmiResult<Reply> {
         let mut dec = protocol.decoder(body)?;
-        let request_id = dec.get_ulonglong()?;
-        let status = ReplyStatus::from_code(dec.get_octet()?)?;
-        match status {
-            ReplyStatus::Ok => Ok(Reply { request_id, dec }),
-            ReplyStatus::UserException | ReplyStatus::SystemException => {
-                let repo_id = dec.get_string()?;
-                let detail = dec.get_string()?;
-                Err(RmiError::Remote { repo_id, detail })
-            }
-            ReplyStatus::Busy => {
-                let _repo_id = dec.get_string()?;
-                let detail = dec.get_string()?;
-                Err(RmiError::ServerBusy { detail })
-            }
-        }
+        let request_id = read_reply_header(dec.as_mut())?;
+        Ok(Reply { request_id, dec })
     }
 
     /// The correlation id echoed from the request.
@@ -564,10 +598,28 @@ mod tests {
             let call = Call::oneway(&target(), "stop", p.as_ref());
             let id = call.request_id();
             let body = call.into_body();
-            assert_eq!(peek_route(&body, p.as_ref(), &limits).unwrap(), (id, false, Some(42)));
+            let route = RequestHead {
+                request_id: id,
+                response_expected: false,
+                object_id: Some(42),
+                ack: None,
+            };
+            assert_eq!(peek_route(&body, p.as_ref(), &limits).unwrap(), route);
             // The body is untouched and still parses fully.
             let incoming = IncomingCall::parse(body, p.as_ref()).unwrap();
             assert_eq!(incoming.request_id, id);
+
+            // A credit ack's arguments are read in the same pass.
+            let ack =
+                ObjectRef::new(Endpoint::new("tcp", "h", 1), STREAM_ACK_OBJECT_ID, "IDL:A:1.0");
+            for (args, read) in [(&[8, 32][..], Some((8, 32))), (&[8], None)] {
+                let mut call = Call::oneway(&ack, "ack", p.as_ref());
+                for &arg in args {
+                    call.args().put_ulonglong(arg);
+                }
+                let route = peek_route(&call.into_body(), p.as_ref(), &limits).unwrap();
+                assert_eq!((route.object_id, route.ack), (Some(STREAM_ACK_OBJECT_ID), read));
+            }
 
             let reply = ReplyBuilder::ok(p.as_ref(), 71).into_body();
             assert_eq!(peek_reply_id(&reply, p.as_ref()).unwrap(), 71);

@@ -197,6 +197,44 @@ impl ObjectCommunicator {
         }
     }
 
+    /// The next frame, waited for until `deadline` (`None` once it
+    /// passes first): [`Self::recv`] without a deadline; with one, a wait
+    /// for readability with a timeout and reads that do not block.
+    fn recv_until(&mut self, deadline: Option<Instant>) -> Option<RmiResult<Option<PooledBuf>>> {
+        let Some(deadline) = deadline else { return Some(self.recv()) };
+        loop {
+            if let Some(got) = self.try_recv() {
+                return Some(got);
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return None;
+            }
+            if let Err(e) = self.transport.wait_readable(deadline - now) {
+                return Some(Err(e.into()));
+            }
+        }
+    }
+
+    /// The next frame if one is to be had without waiting for the peer to
+    /// send more, else `None`. One that is buffered whole comes at once;
+    /// one whose bytes have begun to arrive, in the buffer or on one read
+    /// that does not block, is read to its end as [`Self::recv_until`]
+    /// reads, since a peer never stops mid-frame — so a large body still
+    /// arrives straight into its own buffer, not [`RECV_CHUNK`] at a time.
+    fn recv_readable(&mut self, deadline: Option<Instant>) -> Option<RmiResult<Option<PooledBuf>>> {
+        if self.inbuf.is_empty() {
+            let (input, max) = self.inbuf.input();
+            match self.transport.try_recv_into(input, max) {
+                Ok(Some(0)) => return Some(self.closed()),
+                Ok(Some(_)) => {}
+                Ok(None) => return None,
+                Err(e) => return Some(Err(e.into())),
+            }
+        }
+        self.recv_until(deadline)
+    }
+
     /// Whether bytes past the last message returned are already buffered.
     pub(crate) fn has_buffered(&self) -> bool {
         !self.inbuf.is_empty()
@@ -763,22 +801,7 @@ impl MuxConnection {
         deadline: Option<Instant>,
     ) -> bool {
         while !mailbox.ready() {
-            let got = match deadline {
-                None => demux.comm.recv(),
-                Some(deadline) => match demux.comm.try_recv() {
-                    Some(got) => got,
-                    None => {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            return false;
-                        }
-                        match demux.comm.transport.wait_readable(deadline - now) {
-                            Ok(_) => continue,
-                            Err(e) => Err(e.into()),
-                        }
-                    }
-                },
-            };
+            let Some(got) = demux.comm.recv_until(deadline) else { return false };
             if !demux.on_read(got) {
                 demux.die();
             }
@@ -852,22 +875,37 @@ impl MuxConnection {
         Ok(slot)
     }
 
-    /// The next frame of a streamed reply, waited for (and read when the
-    /// token is free) as a two-way caller does, for at most `limit`.
-    ///
-    /// # Errors
-    ///
-    /// The stream's failure, or [`RmiError::DeadlineExceeded`].
+    /// The next frame of a streamed reply, or the stream's failure, waited
+    /// for (and read when the token is free) as a two-way caller does;
+    /// `None` once `deadline` passes first.
     pub(crate) fn next_frame(
         &self,
         slot: &StreamSlot,
-        limit: Option<Duration>,
-    ) -> RmiResult<PooledBuf> {
-        if self.await_mail(slot, limit.map(|after| Instant::now() + after)) {
-            slot.pop()
-        } else {
-            Err(RmiError::DeadlineExceeded { after: limit.unwrap_or_default() })
+        deadline: Option<Instant>,
+    ) -> Option<RmiResult<PooledBuf>> {
+        self.await_mail(slot, deadline).then(|| slot.pop())
+    }
+
+    /// Reads the frames that are readable now, when the reader token is
+    /// free, posting each to its owner, and stops as soon as `slot` holds
+    /// one: whether it does (or the stream has failed). `false` also means
+    /// the stream's consumer would block — nothing readable is left, or
+    /// another caller holds the token — so the server may be waiting for
+    /// credit. A frame that has begun to arrive is read to its end, for at
+    /// most until `deadline`.
+    pub(crate) fn read_readable(&self, slot: &StreamSlot, deadline: Option<Instant>) -> bool {
+        if let Some(mut demux) = self.reader.try_lock() {
+            while !slot.ready() && self.is_alive() {
+                let Some(got) = demux.comm.recv_readable(deadline) else { break };
+                if !demux.on_read(got) {
+                    demux.die();
+                }
+            }
+            self.last_read.store(epoch_millis(), Ordering::Relaxed);
+            drop(demux);
+            self.hand_off();
         }
+        slot.ready()
     }
 
     /// Retires a stream registration; frames still in flight for it are

@@ -145,8 +145,8 @@ pub use serialize::{
 pub use server::{HEALTH_OBJECT_ID, HEALTH_TYPE_ID, METRICS_OBJECT_ID, METRICS_TYPE_ID};
 pub use skeleton::{DispatchOutcome, Skeleton, SkeletonBase};
 pub use stream::{
-    ReplyStream, StreamBody, StreamServant, StreamWindow, TokenBucket, STREAM_ACK_OBJECT_ID,
-    STREAM_ACK_TYPE_ID, STREAM_EXPIRED_REPO_ID,
+    Fragment, ReplyStream, StreamBody, StreamServant, StreamWindow, TokenBucket,
+    STREAM_ACK_OBJECT_ID, STREAM_ACK_TYPE_ID, STREAM_EXPIRED_REPO_ID,
 };
 pub use trace::{
     CallContext, ContextGuard, RingSink, StderrSink, TraceEvent, TraceInterceptor, TraceLevel,

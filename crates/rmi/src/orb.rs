@@ -560,6 +560,7 @@ const ONEWAY: CallKind =
     CallKind { send: SendKind::Oneway, token: false, cached: false, retry: false };
 
 /// What the invocation path's send stage got back, by call kind.
+#[allow(clippy::large_enum_variant)] // returned once per call; boxing a stream would allocate
 enum Sent {
     /// A two-way reply body, not yet classified.
     Raw(PooledBuf),

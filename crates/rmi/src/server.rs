@@ -60,7 +60,9 @@
 //! `HEIDL_FAULT_PLAN` run) always take the blocking driver, and are never
 //! lent.
 
-use crate::call::{peek_reply_id, peek_route, IncomingCall, ReplyBuilder, ReplyStatus};
+use crate::call::{
+    peek_reply_id, peek_route, IncomingCall, ReplyBuilder, ReplyStatus, RequestHead,
+};
 use crate::communicator::{with_frame, ObjectCommunicator};
 use crate::error::{RmiError, RmiResult};
 use crate::metrics::{Counter, Metrics};
@@ -1261,14 +1263,19 @@ fn route_frame(conn: &Connection, body: PooledBuf, lend: bool) -> Routed {
     // One borrowed decode pass yields everything routing needs: the
     // id, the reply-expected flag, and the target object id.
     let route = peek_route(&body, protocol.as_ref(), limits);
-    let reserved = route.as_ref().ok().and_then(|&(_, _, object_id)| Reserved::of(object_id?));
+    let reserved = route.as_ref().ok().and_then(|head| Reserved::of(head.object_id?));
     match (route, reserved) {
         // The reserved objects are the runtime's own: inline on the
-        // reader, unmetered, past admission (see [`Reserved`]).
-        (Ok(_), Some(Reserved::StreamAck)) => {
-            handle_stream_ack(body.into(), orb, shared, conn_id);
+        // reader, unmetered, past admission (see [`Reserved`]). A credit
+        // ack grants straight into its stream's window; a malformed one
+        // is dropped silently — acks are runtime chatter, and a hostile
+        // one can at worst refill a window the policy already capped.
+        (Ok(head), Some(Reserved::StreamAck)) => {
+            if let Some((stream_id, bytes)) = head.ack {
+                shared.grant_stream(conn_id, stream_id, bytes);
+            }
         }
-        (Ok((request_id, _, _)), Some(_)) => {
+        (Ok(RequestHead { request_id, .. }), Some(_)) => {
             if let Some(reply) = answer_builtin(body.into(), request_id, orb, shared) {
                 if sink.send_unmetered(reply).is_err() {
                     return Routed::Dead;
@@ -1278,14 +1285,14 @@ fn route_frame(conn: &Connection, body: PooledBuf, lend: bool) -> Routed {
         // oneway: dispatch inline so a client's oneway-then-call
         // sequence executes in order; there is no reply to write, so
         // an overload shed is silent (but counted).
-        (Ok((request_id, false, _)), None) => {
+        (Ok(RequestHead { request_id, response_expected: false, .. }), None) => {
             shared.metrics.add(Counter::BytesIn, body_len);
             match shared.try_admit(&conn.per_conn) {
                 Ok(_guard) => drop(execute(body.into(), request_id, false, orb, shared, backends)),
                 Err(_) => shared.shed_request(),
             }
         }
-        (Ok((request_id, true, object_id)), None) => {
+        (Ok(RequestHead { request_id, object_id, .. }), None) => {
             shared.metrics.add(Counter::BytesIn, body_len);
             match shared.try_admit(&conn.per_conn) {
                 Ok(guard) => {
@@ -1380,7 +1387,7 @@ enum Reserved {
     /// `_metrics`: answered by [`answer_builtin`].
     Metrics,
     /// Stream-credit acks: granted into the stream's window, never
-    /// answered ([`handle_stream_ack`]).
+    /// answered ([`route_frame`]).
     StreamAck,
 }
 
@@ -1618,25 +1625,6 @@ fn handle_request(
     let reply = dispatch_request(&mut call.incoming, orb, shared, protocol);
     complete_replay(shared, call.replay_key, &reply);
     call.incoming.response_expected.then_some(reply)
-}
-
-/// Handles one inbound flow-control ack (a oneway to the reserved
-/// [`STREAM_ACK_OBJECT_ID`]): `ulonglong stream-request-id · ulonglong
-/// consumed-bytes` grant straight into the stream's credit window.
-/// Malformed acks are dropped silently — they are runtime chatter, and a
-/// hostile one can at worst refill a window the policy already capped.
-fn handle_stream_ack(body: Vec<u8>, orb: &Orb, shared: &ServerShared, conn_id: u64) {
-    let protocol = orb.protocol();
-    let Ok(mut incoming) =
-        IncomingCall::parse_limited(body, protocol.as_ref(), &shared.policy.decode_limits)
-    else {
-        return;
-    };
-    let (Ok(stream_id), Ok(bytes)) = (incoming.args.get_ulonglong(), incoming.args.get_ulonglong())
-    else {
-        return;
-    };
-    shared.grant_stream(conn_id, stream_id, bytes);
 }
 
 /// Fallback credit-wait budget when the policy sets no `write_timeout`: a

@@ -12,21 +12,29 @@
 //! shared request id to a [`ReplyStream`], which reassembles fragments in
 //! order through a [`ChunkAssembler`]; its consumer waits for them, and
 //! reads them when the connection's reader token is free, as a two-way
-//! caller does.
+//! caller does. Each comes back as a [`Fragment`]: the chunk's frame
+//! itself, its text checked on arrival and read where it lies, so the
+//! client copies a chunk's bytes only out of the socket.
 //!
 //! Flow control is per stream, not per connection: the server spends a
 //! credit [`StreamWindow`] as it emits and the client replenishes it with
 //! oneway acks as it consumes, so a slow reader backpressures *its own*
-//! stream without stalling the other calls multiplexed on the socket. An
-//! optional [`TokenBucket`] additionally paces emission to a byte rate
+//! stream without stalling the other calls multiplexed on the socket. The
+//! client acks every half window it consumes, and before it would block:
+//! when its slot is empty and, once it has read every frame already
+//! readable on the connection, still empty — the only state in which the
+//! server can be waiting for credit. Each stream encodes its ack once and
+//! rewrites only the count. An optional [`TokenBucket`] additionally
+//! paces emission to a byte rate
 //! (`ServerPolicy::with_stream_rate_bytes_per_sec`).
 
-use crate::call::{Call, Reply};
+use crate::call::{read_reply_header, Call};
 use crate::communicator::{MuxConnection, StreamSlot};
 use crate::error::{RmiError, RmiResult};
 use crate::objref::ObjectRef;
-use heidl_wire::{pool, ChunkAssembler, DecodeLimits, Decoder, Protocol};
+use heidl_wire::{pool, ChunkAssembler, DecodeLimits, Decoder, PooledBuf, Protocol};
 use parking_lot::{Condvar, Mutex};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -260,19 +268,111 @@ pub trait StreamServant: Send + Sync {
     fn open(&self, method: &str, args: &mut dyn Decoder) -> RmiResult<StreamBody>;
 }
 
+/// One fragment of a streamed reply, as [`ReplyStream::next_chunk`]
+/// returns it.
+///
+/// It holds the chunk's frame, and its text is read where it lies in the
+/// frame: no copy is made. The text was checked when the frame arrived —
+/// its length against the decode limits, its terminator and its UTF-8 —
+/// with the errors `get_string` reports. A text-protocol fragment whose
+/// string was escaped on the wire holds its unescaped copy instead.
+pub struct Fragment(Text);
+
+enum Text {
+    /// The text at `span` of `frame`.
+    InFrame { frame: PooledBuf, span: Range<usize> },
+    /// Unescaped text.
+    Copied(String),
+}
+
+impl Fragment {
+    /// Reads an OK reply's one string result out of `frame`; an exception
+    /// reply is its error, as [`Reply::parse`](crate::Reply::parse)
+    /// reports it.
+    fn read(frame: PooledBuf, protocol: &dyn Protocol) -> RmiResult<Fragment> {
+        let span = {
+            let mut dec = protocol.peek_decoder(&frame, &DecodeLimits::default())?;
+            read_reply_header(dec.as_mut())?;
+            match dec.get_string_span()? {
+                Some(span) => span,
+                None => return Ok(Fragment(Text::Copied(dec.get_string()?))),
+            }
+        };
+        Ok(Fragment(Text::InFrame { frame, span }))
+    }
+
+    /// The text's bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            Text::InFrame { frame, span } => &frame[span.clone()],
+            Text::Copied(text) => text.as_bytes(),
+        }
+    }
+
+    /// The text's length in bytes.
+    pub fn len(&self) -> usize {
+        self.as_bytes().len()
+    }
+
+    /// Whether the text is empty.
+    pub fn is_empty(&self) -> bool {
+        self.as_bytes().is_empty()
+    }
+
+    /// The text. This checks the UTF-8 of the bytes again, one pass over
+    /// them: the check on arrival cannot be carried over without `unsafe`.
+    /// [`Fragment::as_bytes`] is free.
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(self.as_bytes()).expect("a fragment's UTF-8 is checked on arrival")
+    }
+
+    /// The text as an owned string, in the frame's own buffer: the text
+    /// moves to its front, and its UTF-8 is checked again.
+    pub fn into_string(self) -> String {
+        match self.0 {
+            Text::InFrame { frame, span } => {
+                let mut bytes = frame.detach();
+                bytes.truncate(span.end);
+                bytes.drain(..span.start);
+                String::from_utf8(bytes).expect("a fragment's UTF-8 is checked on arrival")
+            }
+            Text::Copied(text) => text,
+        }
+    }
+}
+
+impl PartialEq for Fragment {
+    fn eq(&self, other: &Fragment) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for Fragment {}
+
+impl std::fmt::Debug for Fragment {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Fragment").field(&self.as_str()).finish()
+    }
+}
+
 /// A streamed reply being consumed incrementally on the client.
 ///
 /// Produced by [`Orb::invoke_stream`](crate::Orb::invoke_stream). Each
 /// [`next_chunk`](ReplyStream::next_chunk) blocks for the next fragment;
 /// consumed bytes are acknowledged back to the server in batches (half a
-/// window, or whatever is pending whenever the reader is about to block),
-/// which is what keeps the server's credit window turning.
+/// window, or whatever is pending when the reader would block, having
+/// found nothing readable for this stream), which is what keeps the
+/// server's credit window turning.
 pub struct ReplyStream {
     conn: Arc<MuxConnection>,
     slot: Arc<StreamSlot>,
     protocol: Arc<dyn Protocol>,
     request_id: u64,
     ack_target: ObjectRef,
+    /// The credit ack's body, encoded once; only its last field, the
+    /// consumed count starting at `count_at`, is rewritten per ack.
+    ack: Vec<u8>,
+    count_at: usize,
     window: u64,
     consumed_since_ack: u64,
     asm: ChunkAssembler,
@@ -290,6 +390,22 @@ impl std::fmt::Debug for ReplyStream {
     }
 }
 
+/// A credit ack for the stream `request_id` — a oneway to the reserved ack
+/// object carrying `ulonglong stream-request-id · ulonglong
+/// consumed-bytes` — and where its count begins.
+fn encode_ack(
+    target: &ObjectRef,
+    request_id: u64,
+    consumed: u64,
+    protocol: &dyn Protocol,
+) -> (Vec<u8>, usize) {
+    let mut call = Call::oneway(target, "ack", protocol);
+    call.args().put_ulonglong(request_id);
+    let count_at = call.args().position();
+    call.args().put_ulonglong(consumed);
+    (call.into_body(), count_at)
+}
+
 impl ReplyStream {
     #[allow(clippy::too_many_arguments)] // crate-internal; one call site, the ORB's send stage
     pub(crate) fn new(
@@ -302,12 +418,15 @@ impl ReplyStream {
         limits: DecodeLimits,
         chunk_timeout: Option<Duration>,
     ) -> ReplyStream {
+        let (ack, count_at) = encode_ack(&ack_target, request_id, 0, protocol.as_ref());
         ReplyStream {
             conn,
             slot,
             protocol,
             request_id,
             ack_target,
+            ack,
+            count_at,
             window: window.max(1),
             consumed_since_ack: 0,
             asm: ChunkAssembler::new(limits),
@@ -342,30 +461,29 @@ impl ReplyStream {
     ///
     /// # Errors
     ///
-    /// Transport failures, a hostile or corrupt chunk sequence
-    /// ([`RmiError::Wire`]), a remote exception carried by any frame, or
-    /// [`RmiError::DeadlineExceeded`] when a per-chunk deadline was set.
-    /// Every error ends the stream.
-    pub fn next_chunk(&mut self) -> RmiResult<Option<String>> {
+    /// Transport failures, a hostile or corrupt chunk sequence or chunk
+    /// body ([`RmiError::Wire`]), a remote exception carried by any frame,
+    /// or [`RmiError::DeadlineExceeded`] when a per-chunk deadline was
+    /// set. Every error ends the stream.
+    pub fn next_chunk(&mut self) -> RmiResult<Option<Fragment>> {
         if self.done {
             return Ok(None);
         }
-        // About to block: flush any pending ack first, whatever its size.
-        // This is what makes window clamping deadlock-free — if the server
-        // stalled on credit, everything delivered has been consumed here,
-        // so the flushed ack always restarts it.
-        if self.slot.is_empty() {
+        let deadline = self.chunk_timeout.map(|after| Instant::now() + after);
+        // About to block: first read the frames already readable. Only if
+        // none of them is this stream's is any pending ack forced out,
+        // whatever its size. This is what makes window clamping
+        // deadlock-free — the server stalls on credit only once everything
+        // it sent has been read, and so consumed here, and then the forced
+        // ack restarts it — without an ack per chunk while frames keep
+        // arriving.
+        if self.slot.is_empty() && !self.conn.read_readable(&self.slot, deadline) {
             self.send_ack(true);
         }
-        let body = match self.conn.next_frame(&self.slot, self.chunk_timeout) {
-            Ok(b) => b,
-            Err(e) => {
-                self.finish();
-                return Err(e);
-            }
-        };
-        let tail = self.protocol.extract_chunk(&body);
-        let fragment = match self.consume_frame(body, tail) {
+        let frame = self.conn.next_frame(&self.slot, deadline).unwrap_or_else(|| {
+            Err(RmiError::DeadlineExceeded { after: self.chunk_timeout.unwrap_or_default() })
+        });
+        let fragment = match frame.and_then(|body| self.consume_frame(body)) {
             Ok(f) => f,
             Err(e) => {
                 self.finish();
@@ -392,54 +510,39 @@ impl ReplyStream {
     pub fn collect_string(&mut self) -> RmiResult<String> {
         let mut out = String::new();
         while let Some(fragment) = self.next_chunk()? {
-            out.push_str(&fragment);
+            out.push_str(fragment.as_str());
         }
         Ok(out)
     }
 
-    fn consume_frame(
-        &mut self,
-        body: heidl_wire::PooledBuf,
-        tail: Option<(u64, bool)>,
-    ) -> RmiResult<String> {
-        match tail {
+    fn consume_frame(&mut self, body: PooledBuf) -> RmiResult<Fragment> {
+        match self.protocol.extract_chunk(&body) {
             Some((index, last)) => {
                 self.asm.accept(index, last).map_err(RmiError::Wire)?;
-                let mut reply = Reply::parse(body.into(), self.protocol.as_ref())?;
-                let fragment = reply.results().get_string()?;
-                if last {
-                    self.done = true;
-                }
-                Ok(fragment)
+                self.done = last;
             }
-            None => {
-                // An unchunked reply: the server answered the whole payload
-                // in one envelope (or with an exception). Either way the
-                // stream ends with this frame.
-                self.done = true;
-                let mut reply = Reply::parse(body.into(), self.protocol.as_ref())?;
-                Ok(reply.results().get_string()?)
-            }
+            // An unchunked reply: the server answered the whole payload in
+            // one envelope (or with an exception). Either way the stream
+            // ends with this frame.
+            None => self.done = true,
         }
+        Fragment::read(body, self.protocol.as_ref())
     }
 
     /// Sends a credit ack when forced, or when half the window has been
     /// consumed since the last one. Best-effort: a send failure leaves the
     /// bytes pending and the next wait surfaces the dead connection.
     fn send_ack(&mut self, force: bool) {
-        if self.consumed_since_ack == 0 {
+        let consumed = self.consumed_since_ack;
+        if consumed == 0 || (!force && consumed.saturating_mul(2) < self.window) {
             return;
         }
-        if !force && self.consumed_since_ack.saturating_mul(2) < self.window {
-            return;
+        let protocol = self.protocol.as_ref();
+        if !protocol.put_ulonglong_at(&mut self.ack, self.count_at, consumed) {
+            (self.ack, self.count_at) =
+                encode_ack(&self.ack_target, self.request_id, consumed, protocol);
         }
-        let mut call = Call::oneway(&self.ack_target, "ack", self.protocol.as_ref());
-        call.args().put_ulonglong(self.request_id);
-        call.args().put_ulonglong(self.consumed_since_ack);
-        let body = call.into_body();
-        let sent = self.conn.send_oneway(&body).is_ok();
-        pool::recycle(body);
-        if sent {
+        if self.conn.send_oneway(&self.ack).is_ok() {
             self.consumed_since_ack = 0;
         }
     }
@@ -455,6 +558,7 @@ impl Drop for ReplyStream {
         // An abandoned stream must stop routing frames to its slot; late
         // chunks then drop exactly like late replies.
         self.conn.unregister_stream(self.request_id);
+        pool::recycle(std::mem::take(&mut self.ack));
     }
 }
 

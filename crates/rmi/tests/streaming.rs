@@ -7,7 +7,9 @@
 
 use heidl_rmi::*;
 use heidl_wire::{CdrProtocol, Decoder, Protocol, TextProtocol};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 const MODES: [TransportMode; 2] = [TransportMode::Threaded, TransportMode::Reactor];
 
@@ -110,7 +112,7 @@ fn bulk_stream_buffering_stays_under_the_credit_window_in_both_modes() {
         let mut sum: u64 = 0;
         while let Some(fragment) = stream.next_chunk().unwrap() {
             received += fragment.len();
-            sum += fragment.bytes().map(u64::from).sum::<u64>();
+            sum += fragment.as_bytes().iter().map(|&b| u64::from(b)).sum::<u64>();
         }
         assert_eq!(received, TOTAL, "mode {mode:?}");
         assert_eq!(sum, alphabet(TOTAL).bytes().map(u64::from).sum::<u64>(), "mode {mode:?}");
@@ -192,4 +194,63 @@ fn paced_stream_still_delivers_everything() {
     );
     client.shutdown();
     server.shutdown();
+}
+
+#[test]
+fn clamped_window_beside_two_way_calls_on_one_connection_keeps_flowing() {
+    // The server clamps the window to one chunk while the client asks for
+    // a megabyte, so the client never consumes half its window between
+    // frames: every chunk waits on an ack the client must force. A steady
+    // two-way caller shares the connection, so the bytes the consumer
+    // finds readable before it forces one are often that caller's
+    // replies. A missed ack stalls the server past its 2 s write timeout,
+    // which aborts the stream and fails the test in seconds.
+    const CHUNK: usize = 64 * 1024;
+    const TOTAL: usize = 4 * 1024 * 1024;
+    let protocols: [Arc<dyn Protocol>; 2] = [Arc::new(TextProtocol), Arc::new(CdrProtocol)];
+    for protocol in protocols {
+        for mode in MODES {
+            let name = format!("mode {mode:?} protocol {}", protocol.name());
+            let policy = ServerPolicy::default()
+                .with_stream_chunk_bytes(CHUNK)
+                .with_stream_window_bytes(CHUNK)
+                .with_write_timeout(Some(Duration::from_secs(2)));
+            let (server, objref) = serve(mode, Arc::clone(&protocol), policy);
+            let asks = ServerPolicy::default().with_stream_window_bytes(1024 * 1024);
+            let client = client(mode, Arc::clone(&protocol), asks);
+            let health = server.health_ref().unwrap();
+            let (stop, started) = (AtomicBool::new(false), Barrier::new(2));
+            let received = std::thread::scope(|s| {
+                let pinger = s.spawn(|| {
+                    for pings in 1.. {
+                        let mut pong = DynCall::new(&client, &health, "ping").invoke().unwrap();
+                        assert_eq!(pong.next_string().unwrap(), "pong");
+                        if pings == 1 {
+                            started.wait();
+                        }
+                        if stop.load(Ordering::Relaxed) {
+                            break;
+                        }
+                    }
+                });
+                started.wait();
+                let mut call = client.call(&objref, "pour");
+                call.args().put_long(TOTAL as i32);
+                let received = client.invoke_stream(call).and_then(|mut stream| {
+                    let mut received = 0;
+                    while let Some(fragment) = stream.next_chunk()? {
+                        received += fragment.len();
+                    }
+                    Ok(received)
+                });
+                stop.store(true, Ordering::Relaxed);
+                pinger.join().unwrap();
+                received
+            });
+            assert_eq!(received.unwrap(), TOTAL, "{name}");
+            assert_eq!(client.connections().opened_count(), 1, "{name}: one shared connection");
+            client.shutdown();
+            server.shutdown();
+        }
+    }
 }

@@ -10,7 +10,7 @@
 //! the large-frame path.
 
 use heidl_rmi::*;
-use heidl_wire::{CdrProtocol, DecodeLimits, Decoder, Encoder, Protocol, TextProtocol};
+use heidl_wire::{CdrProtocol, DecodeLimits, Decoder, Encoder, Protocol, TextProtocol, WireError};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -619,34 +619,46 @@ fn oversized_declared_length_is_refused_from_the_header_in_both_modes() {
     }
 }
 
-/// A scripted CDR peer in place of a stream server: accepts one
-/// connection, reads the stream request, and lets `answer` write what it
-/// likes to the request's id. It then half-closes and drains (the
-/// client's credit acks) until the client hangs up.
+/// A scripted peer in place of a stream server: accepts one connection,
+/// reads the stream request, and lets `answer` write what it likes to the
+/// request's id. It then half-closes and drains the client's credit acks
+/// until the client hangs up; the thread returns how many it read.
 fn scripted_stream_server(
+    protocol: Arc<dyn Protocol>,
     answer: impl FnOnce(&mut TcpStream, u64) + Send + 'static,
-) -> (ObjectRef, std::thread::JoinHandle<()>) {
+) -> (ObjectRef, std::thread::JoinHandle<usize>) {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let endpoint = Endpoint::new("giop", "127.0.0.1", listener.local_addr().unwrap().port());
+    let port = listener.local_addr().unwrap().port();
+    let endpoint = Endpoint::new(protocol.name(), "127.0.0.1", port);
     let peer = std::thread::spawn(move || {
         let (mut stream, _) = listener.accept().unwrap();
         stream.set_nodelay(true).unwrap();
-        let request = read_frame(&mut stream, &CdrProtocol, &mut Vec::new());
-        answer(&mut stream, request_id(&request));
+        let mut acc = Vec::new();
+        let request = read_frame(&mut stream, protocol.as_ref(), &mut acc);
+        answer(&mut stream, protocol.decoder(request).unwrap().get_ulonglong().unwrap());
         let _ = stream.shutdown(std::net::Shutdown::Write);
         stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        let _ = std::io::copy(&mut stream, &mut std::io::sink());
+        let (mut acks, mut chunk) = (0, [0u8; 4096]);
+        loop {
+            while protocol.deframe(&mut acc).unwrap().is_some() {
+                acks += 1;
+            }
+            match stream.read(&mut chunk) {
+                Ok(0) | Err(_) => return acks,
+                Ok(n) => acc.extend_from_slice(&chunk[..n]),
+            }
+        }
     });
     (ObjectRef::new(endpoint, 1, "IDL:Parity/Blob:1.0"), peer)
 }
 
-/// One framed chunk of a streamed CDR reply to `id`.
-fn chunk_frame(id: u64, index: u64, last: bool, fragment: &str) -> Vec<u8> {
-    let mut reply = ReplyBuilder::ok(&CdrProtocol, id);
-    reply.results().put_string(fragment);
-    CdrProtocol.encode_chunk(reply.results(), index, last);
+/// One framed chunk of a streamed reply to `id`.
+fn chunk_frame(protocol: &dyn Protocol, id: u64, index: u64, last: bool, text: &str) -> Vec<u8> {
+    let mut reply = ReplyBuilder::ok(protocol, id);
+    reply.results().put_string(text);
+    protocol.encode_chunk(reply.results(), index, last);
     let mut framed = Vec::new();
-    CdrProtocol.frame(&reply.into_body(), &mut framed);
+    protocol.frame(&reply.into_body(), &mut framed);
     framed
 }
 
@@ -663,22 +675,25 @@ fn client_reads_large_chunks_dribbled_or_batched_in_both_modes() {
     for mode in MODES {
         for batched in [false, true] {
             let frames = fragments.clone();
-            let (target, peer) = scripted_stream_server(move |stream, id| {
-                let mut bytes = Vec::new();
-                for (i, fragment) in frames.iter().enumerate() {
-                    bytes.extend(chunk_frame(id, i as u64, i + 1 == frames.len(), fragment));
-                }
-                if batched {
-                    stream.write_all(&bytes).unwrap();
-                } else {
-                    dribble(stream, &bytes, 5);
-                }
-            });
+            let (target, peer) =
+                scripted_stream_server(Arc::new(CdrProtocol), move |stream, id| {
+                    let mut bytes = Vec::new();
+                    for (i, fragment) in frames.iter().enumerate() {
+                        let last = i + 1 == frames.len();
+                        bytes.extend(chunk_frame(&CdrProtocol, id, i as u64, last, fragment));
+                    }
+                    if batched {
+                        stream.write_all(&bytes).unwrap();
+                    } else {
+                        dribble(stream, &bytes, 5);
+                    }
+                });
             let client = client(mode, Arc::new(CdrProtocol));
             let mut stream = open_stream(&client, &target);
             for fragment in &fragments {
                 let got = stream.next_chunk().unwrap();
-                assert_eq!(got.as_deref(), Some(fragment.as_str()), "mode {mode:?} {batched}");
+                let got = got.as_ref().map(Fragment::as_str);
+                assert_eq!(got, Some(fragment.as_str()), "mode {mode:?} {batched}");
             }
             assert_eq!(stream.next_chunk().unwrap(), None);
             // Hanging up (the pooled connection closes with its last
@@ -692,8 +707,8 @@ fn client_reads_large_chunks_dribbled_or_batched_in_both_modes() {
 #[test]
 fn peer_closing_mid_body_disconnects_the_stream_in_both_modes() {
     for mode in MODES {
-        let (target, peer) = scripted_stream_server(|stream, id| {
-            let frame = chunk_frame(id, 0, false, &large_text(200_000, 6));
+        let (target, peer) = scripted_stream_server(Arc::new(CdrProtocol), |stream, id| {
+            let frame = chunk_frame(&CdrProtocol, id, 0, false, &large_text(200_000, 6));
             stream.write_all(&frame[..frame.len() / 2]).unwrap();
         });
         let client = client(mode, Arc::new(CdrProtocol));
@@ -703,5 +718,110 @@ fn peer_closing_mid_body_disconnects_the_stream_in_both_modes() {
         assert!(matches!(got, Err(RmiError::Disconnected)), "mode {mode:?}: {got:?}");
         drop(client);
         peer.join().unwrap();
+    }
+}
+
+/// Both protocols, text first.
+fn protocols() -> [Arc<dyn Protocol>; 2] {
+    [Arc::new(TextProtocol), Arc::new(CdrProtocol)]
+}
+
+#[test]
+fn readable_chunks_are_acked_by_the_half_window_in_both_modes() {
+    // Chunks of a quarter window each, each larger than a read, written
+    // at once: the consumer always finds its next frame readable before
+    // it would block, so it acks only every half window, and never once
+    // per chunk.
+    const WINDOW: usize = 1024 * 1024;
+    const CHUNK: usize = WINDOW / 4;
+    const N: usize = 16;
+    for protocol in protocols() {
+        for mode in MODES {
+            let name = format!("mode {mode:?} protocol {}", protocol.name());
+            let script = Arc::clone(&protocol);
+            let (target, peer) =
+                scripted_stream_server(Arc::clone(&protocol), move |stream, id| {
+                    let text =
+                        "abcdefghijklmnopqrstuvwxyz".repeat(CHUNK / 26 + 1)[..CHUNK].to_owned();
+                    let mut bytes = Vec::new();
+                    for i in 0..N {
+                        bytes.extend(chunk_frame(script.as_ref(), id, i as u64, i + 1 == N, &text));
+                    }
+                    stream.write_all(&bytes).unwrap();
+                });
+            let asks = ServerPolicy::default().with_stream_window_bytes(WINDOW);
+            let client = Orb::builder()
+                .transport_mode(mode)
+                .protocol(Arc::clone(&protocol))
+                .server_policy(asks)
+                .build();
+            let mut stream = open_stream(&client, &target);
+            let mut chunks = 0;
+            while let Some(fragment) = stream.next_chunk().unwrap() {
+                assert_eq!(fragment.len(), CHUNK, "{name}");
+                chunks += 1;
+            }
+            assert_eq!(chunks, N, "{name}");
+            drop((stream, client));
+            let acks = peer.join().unwrap();
+            assert!(acks <= N.div_ceil(2) + 1, "{name}: {acks} acks for {N} chunks");
+        }
+    }
+}
+
+/// A chunk of a streamed CDR reply whose string has the length prefix
+/// `len` and the bytes `bytes`, whatever they are.
+fn cdr_chunk_body(id: u64, len: u32, bytes: &[u8]) -> Vec<u8> {
+    let mut reply = ReplyBuilder::ok(&CdrProtocol, id);
+    reply.results().put_ulong(len);
+    for &b in bytes {
+        reply.results().put_octet(b);
+    }
+    CdrProtocol.encode_chunk(reply.results(), 0, true);
+    reply.into_body()
+}
+
+#[test]
+fn hostile_chunk_bodies_fail_the_stream_in_both_modes() {
+    // A chunk's string is checked as `get_string` checks it, with its
+    // errors. Text has no length prefix: its string over the bound is a
+    // frame over the deframer's, which ends the connection instead.
+    type Case = (&'static str, fn(&WireError) -> bool, fn(u64) -> Vec<u8>);
+    let malformed: fn(&WireError) -> bool = |e| matches!(e, WireError::Malformed { .. });
+    let cdr: [Case; 3] = [
+        ("no NUL", malformed, |id| cdr_chunk_body(id, 4, b"abcd")),
+        ("not UTF-8", malformed, |id| cdr_chunk_body(id, 3, b"\xff\xfe\0")),
+        (
+            "over the bound",
+            |e| matches!(e, WireError::Bounds { what: "string", .. }),
+            |id| cdr_chunk_body(id, u32::MAX, b"ab\0"),
+        ),
+    ];
+    let text: [Case; 2] = [
+        ("no closing quote", malformed, |id| format!("{id} 0 \"abc").into_bytes()),
+        ("not UTF-8", malformed, |id| {
+            [format!("{id} 0 \"").as_bytes(), b"\xff\xfe\" \"~chunk\" 0 1"].concat()
+        }),
+    ];
+    let [text_protocol, cdr_protocol] = protocols();
+    let cases = cdr.map(|case| (Arc::clone(&cdr_protocol), case));
+    for (protocol, (case, expected, body)) in
+        cases.into_iter().chain(text.map(|case| (Arc::clone(&text_protocol), case)))
+    {
+        for mode in MODES {
+            let name = format!("mode {mode:?} protocol {} {case}", protocol.name());
+            let script = Arc::clone(&protocol);
+            let (target, peer) =
+                scripted_stream_server(Arc::clone(&protocol), move |stream, id| {
+                    let mut framed = Vec::new();
+                    script.frame(&body(id), &mut framed);
+                    stream.write_all(&framed).unwrap();
+                });
+            let client = client(mode, Arc::clone(&protocol));
+            let got = open_stream(&client, &target).next_chunk();
+            assert!(matches!(&got, Err(RmiError::Wire(e)) if expected(e)), "{name}: {got:?}");
+            drop(client);
+            peer.join().unwrap();
+        }
     }
 }

@@ -28,6 +28,7 @@
 use crate::codec::{primitive_seqs, Decoder, Encoder};
 use crate::error::{WireError, WireResult};
 use crate::limits::DecodeLimits;
+use std::ops::Range;
 
 /// A primitive's CDR layout: `SIZE` little-endian bytes aligned to `SIZE`.
 /// Size equals alignment for every CDR primitive, so a run of them needs
@@ -277,6 +278,30 @@ impl<B: AsRef<[u8]>> CdrDecoder<B> {
 }
 
 impl<B: AsRef<[u8]> + Send> CdrDecoder<B> {
+    /// The next string, checked — its length against the limits, its NUL
+    /// and its UTF-8 — and borrowed where it lies, with its offset.
+    fn string_in_place(&mut self) -> WireResult<(usize, &str)> {
+        let len = self.get_ulong()?;
+        let max = self.limits.max_string_bytes;
+        if len == 0 || len > max {
+            return Err(WireError::Bounds { what: "string", len: len.into(), max: max.into() });
+        }
+        let at = self.pos;
+        let bytes = self.take(len as usize, "string body")?;
+        let (body, nul) = bytes.split_at(len as usize - 1);
+        if nul != [0] {
+            return Err(WireError::Malformed {
+                what: "string",
+                detail: "missing NUL terminator".into(),
+            });
+        }
+        let text = std::str::from_utf8(body).map_err(|e| WireError::Malformed {
+            what: "string",
+            detail: format!("not valid UTF-8: {e}"),
+        })?;
+        Ok((at, text))
+    }
+
     fn get_one<T: CdrPrimitive>(&mut self) -> WireResult<T> {
         self.align(T::SIZE);
         T::read(self.take(T::SIZE, T::WHAT)?)
@@ -313,25 +338,14 @@ impl<B: AsRef<[u8]> + Send> Decoder for CdrDecoder<B> {
     primitive_seqs!(cdr_gets);
 
     fn get_string(&mut self) -> WireResult<String> {
-        let len = self.get_ulong()?;
-        let max = self.limits.max_string_bytes;
-        if len == 0 || len > max {
-            return Err(WireError::Bounds { what: "string", len: len.into(), max: max.into() });
-        }
-        let bytes = self.take(len as usize, "string body")?;
-        let (body, nul) = bytes.split_at(len as usize - 1);
-        if nul != [0] {
-            return Err(WireError::Malformed {
-                what: "string",
-                detail: "missing NUL terminator".into(),
-            });
-        }
         // Validate on the borrowed slice, then allocate the String once —
         // no intermediate Vec copy.
-        std::str::from_utf8(body).map(str::to_owned).map_err(|e| WireError::Malformed {
-            what: "string",
-            detail: format!("not valid UTF-8: {e}"),
-        })
+        self.string_in_place().map(|(_, s)| s.to_owned())
+    }
+
+    fn get_string_span(&mut self) -> WireResult<Option<Range<usize>>> {
+        let (at, s) = self.string_in_place()?;
+        Ok(Some(at..at + s.len()))
     }
 
     fn skip_string(&mut self) -> WireResult<()> {

@@ -240,6 +240,22 @@ pub trait Decoder: Send {
     fn skip_string(&mut self) -> WireResult<()> {
         self.get_string().map(|_| ())
     }
+    /// Reads one string as [`Decoder::get_string`] does, with the same
+    /// checks and the same errors, but reports where its text lies in the
+    /// message body instead of copying it out: the read-side mirror of
+    /// [`Protocol::put_string_spliced`](crate::Protocol::put_string_spliced).
+    /// A caller that owns the body keeps the text there.
+    ///
+    /// `Ok(None)` when the string's text is not its bytes on the wire (a
+    /// text-protocol string with escapes), and the default: nothing has
+    /// been read, and [`Decoder::get_string`] reads the string.
+    ///
+    /// # Errors
+    ///
+    /// As [`Decoder::get_string`].
+    fn get_string_span(&mut self) -> WireResult<Option<std::ops::Range<usize>>> {
+        Ok(None)
+    }
     /// Reads a sequence length prefix.
     ///
     /// # Errors

@@ -22,7 +22,7 @@ use crate::codec::{Decoder, Encoder};
 use crate::error::{WireError, WireResult};
 use crate::limits::DecodeLimits;
 use crate::pool::{self, FrameBuf, PooledBuf};
-use crate::text::{find, TextDecoder, TextEncoder};
+use crate::text::{find, push_integer, TextDecoder, TextEncoder};
 use std::fmt;
 
 /// Scratch space large enough for any shipped protocol's frame header
@@ -272,6 +272,18 @@ pub trait Protocol: Send + Sync + fmt::Debug {
     fn put_string_spliced(&self, enc: &mut dyn Encoder, len: usize) -> Option<usize> {
         let _ = (enc, len);
         None
+    }
+
+    /// Cuts a finished `body` back to `at`, a position its encoder
+    /// reported ([`Encoder::position`]), and appends `v` exactly as that
+    /// encoder's [`Encoder::put_ulonglong`] would have there: so a message
+    /// whose last field is a count is encoded once and resent with only
+    /// the count rewritten, byte-identical to encoding it afresh. Returns
+    /// `false` (the default), leaving `body` untouched, when the protocol
+    /// cannot; the caller then encodes the message again.
+    fn put_ulonglong_at(&self, body: &mut Vec<u8>, at: usize, v: u64) -> bool {
+        let _ = (body, at, v);
+        false
     }
 
     /// Appends an optional **trailing invocation-token section** (session
@@ -536,6 +548,19 @@ impl Protocol for TextProtocol {
         };
         Some((rest, a, b))
     }
+
+    fn put_ulonglong_at(&self, body: &mut Vec<u8>, at: usize, v: u64) -> bool {
+        if at > body.len() {
+            return false;
+        }
+        body.truncate(at);
+        // The separator the encoder writes before every token but the first.
+        if at > 0 {
+            body.push(b' ');
+        }
+        push_integer(body, v.into());
+        true
+    }
 }
 
 /// GIOP-lite header: magic, version 1.0, flags (bit 0 = little-endian),
@@ -717,6 +742,17 @@ impl Protocol for CdrProtocol {
         let at = enc.position();
         enc.put_octet(0);
         Some(at)
+    }
+
+    fn put_ulonglong_at(&self, body: &mut Vec<u8>, at: usize, v: u64) -> bool {
+        if at > body.len() {
+            return false;
+        }
+        // The encoder's padding up to 8-alignment, then the value.
+        body.truncate(at);
+        body.resize(at.next_multiple_of(8), 0);
+        body.extend_from_slice(&v.to_le_bytes());
+        true
     }
 }
 
@@ -981,6 +1017,67 @@ mod tests {
             }
         }
         assert_eq!(TextProtocol.put_string_spliced(&mut *TextProtocol.encoder(), 3), None);
+    }
+
+    /// A count rewritten in a finished body reads as the body encoded
+    /// with that count, at any alignment and across digit widths.
+    #[test]
+    fn a_rewritten_ulonglong_matches_encoding_it_afresh() {
+        for p in [&TextProtocol as &dyn Protocol, &CdrProtocol] {
+            for lead in 0..9 {
+                let encode = |v: u64| {
+                    let mut enc = p.encoder();
+                    for _ in 0..lead {
+                        enc.put_octet(7);
+                    }
+                    let at = enc.position();
+                    enc.put_ulonglong(v);
+                    (at, enc.finish())
+                };
+                let (at, mut body) = encode(5);
+                for v in [0, 9, 10, 262_144, u64::MAX, 3] {
+                    assert!(p.put_ulonglong_at(&mut body, at, v), "{}", p.name());
+                    assert_eq!(body, encode(v).1, "{} {lead} {v}", p.name());
+                }
+                let past = body.len() + 1;
+                assert!(!p.put_ulonglong_at(&mut body, past, 1), "{}", p.name());
+            }
+        }
+    }
+
+    /// A string's span covers exactly the text `get_string` returns, and
+    /// it fails where `get_string` fails, with the same error; text with
+    /// escapes has no span and leaves the string to `get_string`.
+    #[test]
+    fn string_spans_agree_with_get_string() {
+        let limits = DecodeLimits::default().with_max_string_bytes(64);
+        for p in [&TextProtocol as &dyn Protocol, &CdrProtocol] {
+            for s in ["", "a", "héllo wörld", &"z".repeat(62)] {
+                let mut enc = p.encoder();
+                enc.put_octet(1);
+                enc.put_string(s);
+                enc.put_long(9);
+                let body = enc.finish();
+                let mut dec = p.peek_decoder(&body, &limits).unwrap();
+                dec.get_octet().unwrap();
+                let span = dec.get_string_span().unwrap().expect("an unescaped string");
+                assert_eq!(&body[span], s.as_bytes(), "{}", p.name());
+                assert_eq!(dec.get_long().unwrap(), 9, "{}: the cursor moved past it", p.name());
+            }
+            let mut enc = p.encoder();
+            enc.put_string(&"z".repeat(80));
+            let body = enc.finish();
+            let span = p.peek_decoder(&body, &limits).unwrap().get_string_span();
+            let copy = p.peek_decoder(&body, &limits).unwrap().get_string();
+            assert!(matches!(span, Err(WireError::Bounds { .. })), "{}", p.name());
+            assert_eq!(span.unwrap_err(), copy.unwrap_err(), "{}", p.name());
+        }
+        let mut enc = TextProtocol.encoder();
+        enc.put_string("two\nlines");
+        let body = enc.finish();
+        let mut dec = TextProtocol.peek_decoder(&body, &limits).unwrap();
+        assert_eq!(dec.get_string_span().unwrap(), None);
+        assert_eq!(dec.get_string().unwrap(), "two\nlines");
     }
 
     #[test]

@@ -67,6 +67,25 @@ pub(crate) fn find<const N: usize>(hay: &[u8], needles: [u8; N]) -> Option<usize
     confirm(tail).map(|i| hay.len() - tail.len() + i)
 }
 
+/// Appends `v` in decimal, as the encoder writes every integer.
+pub(crate) fn push_integer(out: &mut Vec<u8>, v: i128) {
+    if v < 0 {
+        out.push(b'-');
+    }
+    let mut v = v.unsigned_abs() as u64;
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
 /// Encoder for the text protocol. Every primitive is written straight
 /// into the pooled output buffer — digits, float text and escapes
 /// included — so marshaling a value allocates nothing.
@@ -107,21 +126,7 @@ impl TextEncoder {
 
     fn integer(&mut self, v: i128) {
         self.sep();
-        if v < 0 {
-            self.out.push(b'-');
-        }
-        let mut v = v.unsigned_abs() as u64;
-        let mut digits = [0u8; 20];
-        let mut at = digits.len();
-        loop {
-            at -= 1;
-            digits[at] = b'0' + (v % 10) as u8;
-            v /= 10;
-            if v == 0 {
-                break;
-            }
-        }
-        self.out.extend_from_slice(&digits[at..]);
+        push_integer(&mut self.out, v);
     }
 
     /// `{:?}` is the shortest form that round-trips.
@@ -504,6 +509,20 @@ impl<B: AsRef<[u8]> + Send> Decoder for TextDecoder<B> {
 
     fn skip_string(&mut self) -> WireResult<()> {
         self.quoted("string", b'"').map(|_| ())
+    }
+
+    fn get_string_span(&mut self) -> WireResult<Option<std::ops::Range<usize>>> {
+        let at = self.pos;
+        let raw = self.quoted("string", b'"')?;
+        let (len, escaped) = (raw.len(), raw.contains(&b'\\'));
+        let checked = std::str::from_utf8(raw).map_err(|e| utf8_error("string", e));
+        if escaped {
+            self.pos = at;
+            return Ok(None);
+        }
+        checked?;
+        // The text starts one byte past the opening quote, which is at `at`.
+        Ok(Some(at + 1..at + 1 + len))
     }
 
     fn get_len(&mut self) -> WireResult<u32> {

@@ -1,7 +1,7 @@
 //! The exact allocation budget of one echo call, on the client's side and
 //! on the servers' side, over each wire protocol on each connection
 //! driver, with tracing off, and of one echo routed client -> `Router` ->
-//! backend. The test binary's global allocator counts every heap
+//! backend; and the caller's exact budget per chunk of a streamed reply. The test binary's global allocator counts every heap
 //! allocation in the process against the thread that makes it (servers
 //! and router are in-process), and each thread is put in a role by its
 //! name: the caller, the threads that carry calls on a server, or a
@@ -26,16 +26,20 @@
 #![cfg(target_os = "linux")]
 
 use heidl::rmi::{
-    Counter, DispatchKind, DispatchOutcome, Orb, RmiResult, Router, SharedBackends, Skeleton,
-    SkeletonBase, TransportMode,
+    Counter, DispatchKind, DispatchOutcome, Orb, RmiResult, Router, ServerPolicy, SharedBackends,
+    Skeleton, SkeletonBase, StreamBody, StreamServant, TransportMode,
 };
 use heidl::wire::{CdrProtocol, Decoder, Encoder, Protocol, TextProtocol};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// Held by each test for its whole run: the count names threads by role,
+/// so one test's server threads must not run beside another test's count.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 // ---- counting allocator, per thread -----------------------------------------
 
@@ -257,9 +261,11 @@ const LEND_WATCHER: &str = "heidl-lend";
 /// except a lend watcher's (see [`LEND_WATCHER`]).
 type Row = (&'static str, Arc<dyn Protocol>, TransportMode, bool, u64, u64);
 
-/// One test, so no other test's allocations land in the count.
+/// Every echo row in one test, run alone (see [`ONE_AT_A_TIME`]), so no
+/// other test's allocations land in the count.
 #[test]
 fn echo_allocations_per_call_are_exact() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let mut wrong = Vec::new();
     for heartbeat in [None, Some(HEARTBEAT)] {
         let rows: [Row; 6] = [
@@ -309,6 +315,108 @@ fn echo_allocations_per_call_are_exact() {
                 }
             }
         }
+    }
+    assert!(wrong.is_empty(), "{}", wrong.join("; "));
+}
+
+// ---- streamed replies -----------------------------------------------------------
+
+/// `stream string pour()`: [`STREAM_CHUNKS`] chunks of [`STREAM_CHUNK`]
+/// bytes, from one shared block.
+struct Pour {
+    block: Arc<str>,
+}
+
+impl StreamServant for Pour {
+    fn type_id(&self) -> &str {
+        "IDL:Bench/Pour:1.0"
+    }
+
+    fn open(&self, _method: &str, _args: &mut dyn Decoder) -> RmiResult<StreamBody> {
+        let (block, mut left) = (Arc::clone(&self.block), STREAM_CHUNKS);
+        Ok(StreamBody::from_fn(move |_| {
+            left = left.checked_sub(1)?;
+            Some(block.to_string())
+        }))
+    }
+}
+
+/// A stream's chunk: larger than the buffer pool retains and than one
+/// read, as in perfbench's `stream_bulk`.
+const STREAM_CHUNK: usize = 256 * 1024;
+/// Chunks per stream.
+const STREAM_CHUNKS: usize = 32;
+/// Streams pulled before counting, and counted: few, since opening one
+/// allocates up to four more when the buffer pool misses (see
+/// [`stream_allocations_per_chunk_are_exact`]).
+const STREAMS: u64 = 3;
+
+/// A stream budget row: name, the client and server's driver, and the
+/// caller's allocations per chunk and per stream.
+type StreamRow = (&'static str, TransportMode, u64, u64);
+
+/// The caller's allocations while it pulls whole streams over CDR, one
+/// credit window of four chunks at a time: per chunk, its frame's body
+/// (larger than the pool keeps) and the two borrowed decoders that peek
+/// at the frame, for its id and for its text; and per stream, opening it.
+/// The fragment's text is read in place, and a credit ack allocates
+/// nothing. Opening a stream takes 26 allocations, or up to 30 when the
+/// buffer pool, which the server's threads share, misses for its request
+/// or its ack: the budget is the middle, 28. Only the caller is counted:
+/// the server's side of a stream runs on a worker thread and its reader,
+/// whose share of each chunk depends on where the credit wait falls.
+#[test]
+fn stream_allocations_per_chunk_are_exact() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let rows: [StreamRow; 2] = [
+        ("cdr threaded", TransportMode::Threaded, 3, 28),
+        ("cdr reactor", TransportMode::Reactor, 3, 28),
+    ];
+    let mut wrong = Vec::new();
+    for (name, mode, per_chunk, per_stream) in rows {
+        let policy = ServerPolicy::default()
+            .with_stream_chunk_bytes(STREAM_CHUNK)
+            .with_stream_window_bytes(4 * STREAM_CHUNK);
+        let build = || {
+            Orb::builder()
+                .protocol(Arc::new(CdrProtocol))
+                .transport_mode(mode)
+                .server_policy(policy.clone())
+                .build()
+        };
+        let (server, client) = (build(), build());
+        server.serve("127.0.0.1:0").unwrap();
+        let block: Arc<str> = "x".repeat(STREAM_CHUNK).into();
+        let objref = server.export_stream(Arc::new(Pour { block })).unwrap();
+        let pull = || {
+            let mut stream = client.invoke_stream(client.call(&objref, "pour")).unwrap();
+            let mut received = 0;
+            while let Some(fragment) = stream.next_chunk().unwrap() {
+                received += fragment.len();
+            }
+            assert_eq!(received, STREAM_CHUNK * STREAM_CHUNKS, "{name}");
+        };
+        for _ in 0..STREAMS {
+            pull();
+        }
+        let caller = MINE.with(Cell::get);
+        let before = TABLE[caller].allocs.load(Ordering::Relaxed);
+        for _ in 0..STREAMS {
+            pull();
+        }
+        let allocs = TABLE[caller].allocs.load(Ordering::Relaxed) - before;
+        let chunks = STREAMS * STREAM_CHUNKS as u64;
+        let budget = per_chunk * chunks + per_stream * STREAMS;
+        let off = allocs.abs_diff(budget);
+        if off > STRAY {
+            wrong.push(format!(
+                "{name}: the caller made {allocs} allocations in {STREAMS} streams of \
+                 {STREAM_CHUNKS} chunks, {off} off its budget of {per_chunk} per chunk and \
+                 {per_stream} per stream"
+            ));
+        }
+        client.shutdown();
+        server.shutdown();
     }
     assert!(wrong.is_empty(), "{}", wrong.join("; "));
 }

@@ -2,7 +2,8 @@
 //! perfbench's result line and `BENCHMARK.json`'s bounds.
 
 use heidl_bench::pairs::{
-    compare, end_to_end, median, quartiles, spread, Direction, Json, Run, Verdict,
+    compare, drift, end_to_end, median, pair_seed, quartiles, same_count, spread, Direction, Json,
+    Run, Verdict,
 };
 
 #[test]
@@ -100,4 +101,36 @@ fn reads_a_perfbench_result_line_and_the_declared_bounds() {
     assert_eq!(declared[0].better, Direction::Higher);
     assert_eq!(declared[1].bound, 0.25);
     assert_eq!(Json::parse("[1, \"a\\\"b\", null, {}]").unwrap().get("x"), None);
+}
+
+#[test]
+fn drift_compares_the_last_quarter_of_runs_with_the_first() {
+    let steady = tight(100.0);
+    assert!((drift(&steady) - 1.0).abs() < 0.01, "{}", drift(&steady));
+    // Ten runs: quarters of three. The host slowed by a fifth midway.
+    let slowing: Vec<f64> = (0..10).map(|i| if i < 5 { 100.0 } else { 80.0 }).collect();
+    assert!((drift(&slowing) - 0.8).abs() < 1e-12);
+    assert_eq!(drift(&[4.0, 2.0]), 0.5, "a quarter is at least one run");
+}
+
+#[test]
+fn exact_rows_compare_whole_counts_and_seeds_rotate() {
+    assert!(same_count(27.0103, 27.0091), "background allocations are a fraction");
+    assert!(!same_count(27.0, 26.0));
+    assert!(!same_count(7214.2, 2109.6));
+    assert!(same_count(306.0, 306.0));
+    assert_eq!((0..3).map(|pair| pair_seed(41, pair)).collect::<Vec<_>>(), [41, 42, 43]);
+}
+
+#[test]
+fn reads_the_informational_lines_of_a_run() {
+    let stdout = "  mix_open step_r.p50_us = 70.8150 us\n\
+        \x20 mix_open max_rate_ok = 10000.0000 1/s\n\
+        \x20 mix_open ops_attempted = 11222  ops_failed = 0\n\
+        \x20 mix_open first failure: connection refused\n\
+        {\"correct\": true, \"attempted\": 1, \"failed\": 0, \"metrics\": {}}\n";
+    let run = Run::from_output(stdout).unwrap();
+    assert_eq!(run.info["max_rate_ok"], 10000.0);
+    assert_eq!(run.info["step_r.p50_us"], 70.815);
+    assert!(!run.info.contains_key("first"));
 }

@@ -36,7 +36,7 @@ use crate::error::{RmiError, RmiResult};
 use crate::objref::ObjectRef;
 use crate::stream::STREAM_ACK_OBJECT_ID;
 use crate::trace::CallContext;
-use heidl_wire::{DecodeLimits, Decoder, Encoder, Protocol, Section};
+use heidl_wire::{peek, DecodeLimits, Decoder, Encoder, Protocol, Section};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Repository id stamped on [`ReplyStatus::Busy`] replies.
@@ -337,19 +337,20 @@ pub(crate) fn peek_route(
     protocol: &dyn Protocol,
     limits: &DecodeLimits,
 ) -> RmiResult<RequestHead> {
-    let mut dec = protocol.peek_decoder(body, limits)?;
-    let request_id = dec.get_ulonglong()?;
-    let target = dec.get_string()?;
-    dec.skip_string()?; // method
-    let response_expected = dec.get_bool()?;
-    let object_id = target.parse::<ObjectRef>().ok().map(|r| r.object_id);
-    let ack = match object_id {
-        Some(STREAM_ACK_OBJECT_ID) => {
-            dec.get_ulonglong().and_then(|stream| Ok((stream, dec.get_ulonglong()?))).ok()
-        }
-        _ => None,
-    };
-    Ok(RequestHead { request_id, response_expected, object_id, ack })
+    peek(protocol, body, limits, |dec| {
+        let request_id = dec.get_ulonglong()?;
+        let target = dec.get_string()?;
+        dec.skip_string()?; // method
+        let response_expected = dec.get_bool()?;
+        let object_id = target.parse::<ObjectRef>().ok().map(|r| r.object_id);
+        let ack = match object_id {
+            Some(STREAM_ACK_OBJECT_ID) => {
+                dec.get_ulonglong().and_then(|stream| Ok((stream, dec.get_ulonglong()?))).ok()
+            }
+            _ => None,
+        };
+        Ok(RequestHead { request_id, response_expected, object_id, ack })
+    })?
 }
 
 /// Reads just the leading request id from a reply body without consuming
@@ -360,8 +361,7 @@ pub(crate) fn peek_route(
 ///
 /// Fails when the body does not start with an unmarshalable id.
 pub fn peek_reply_id(body: &[u8], protocol: &dyn Protocol) -> RmiResult<u64> {
-    let mut dec = protocol.peek_decoder(body, &DecodeLimits::default())?;
-    Ok(dec.get_ulonglong()?)
+    Ok(peek(protocol, body, &DecodeLimits::default(), |dec| dec.get_ulonglong())??)
 }
 
 /// Reads `(request-id, status)` from a reply body without consuming it,
@@ -373,10 +373,11 @@ pub fn peek_reply_id(body: &[u8], protocol: &dyn Protocol) -> RmiResult<u64> {
 ///
 /// Fails when the body does not start with an id and a valid status code.
 pub fn peek_reply_status(body: &[u8], protocol: &dyn Protocol) -> RmiResult<(u64, ReplyStatus)> {
-    let mut dec = protocol.peek_decoder(body, &DecodeLimits::default())?;
-    let request_id = dec.get_ulonglong()?;
-    let status = ReplyStatus::from_code(dec.get_octet()?)?;
-    Ok((request_id, status))
+    peek(protocol, body, &DecodeLimits::default(), |dec| {
+        let request_id = dec.get_ulonglong()?;
+        let status = ReplyStatus::from_code(dec.get_octet()?)?;
+        Ok((request_id, status))
+    })?
 }
 
 /// A server-side reply under construction.

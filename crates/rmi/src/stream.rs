@@ -32,7 +32,7 @@ use crate::call::{read_reply_header, Call};
 use crate::communicator::{MuxConnection, StreamSlot};
 use crate::error::{RmiError, RmiResult};
 use crate::objref::ObjectRef;
-use heidl_wire::{pool, ChunkAssembler, DecodeLimits, Decoder, PooledBuf, Protocol};
+use heidl_wire::{peek, pool, ChunkAssembler, DecodeLimits, Decoder, PooledBuf, Protocol};
 use parking_lot::{Condvar, Mutex};
 use std::ops::Range;
 use std::sync::Arc;
@@ -290,15 +290,17 @@ impl Fragment {
     /// reply is its error, as [`Reply::parse`](crate::Reply::parse)
     /// reports it.
     fn read(frame: PooledBuf, protocol: &dyn Protocol) -> RmiResult<Fragment> {
-        let span = {
-            let mut dec = protocol.peek_decoder(&frame, &DecodeLimits::default())?;
-            read_reply_header(dec.as_mut())?;
-            match dec.get_string_span()? {
-                Some(span) => span,
-                None => return Ok(Fragment(Text::Copied(dec.get_string()?))),
-            }
-        };
-        Ok(Fragment(Text::InFrame { frame, span }))
+        let span = peek(protocol, &frame, &DecodeLimits::default(), |dec| {
+            read_reply_header(dec)?;
+            RmiResult::Ok(match dec.get_string_span()? {
+                Some(span) => Ok(span),
+                None => Err(dec.get_string()?),
+            })
+        })??;
+        Ok(Fragment(match span {
+            Ok(span) => Text::InFrame { frame, span },
+            Err(copy) => Text::Copied(copy),
+        }))
     }
 
     /// The text's bytes.

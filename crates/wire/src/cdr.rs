@@ -234,7 +234,7 @@ impl Encoder for CdrEncoder {
 /// Generic over its backing storage `B`: an owned `Vec<u8>` (the
 /// default), a [`PooledBuf`](crate::PooledBuf) whose storage recycles
 /// when the decoder drops, or a borrowed `&[u8]` for zero-copy peeks at
-/// routing fields (see [`Protocol::peek_decoder`](crate::Protocol)).
+/// routing fields (see [`Protocol::peek_with`](crate::Protocol::peek_with)).
 #[derive(Debug)]
 pub struct CdrDecoder<B = Vec<u8>> {
     buf: B,

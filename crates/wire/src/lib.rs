@@ -47,8 +47,8 @@ pub use limits::DecodeLimits;
 pub use plan::{CdrStructPlan, FieldKind, PlanValue};
 pub use pool::{BufPool, FrameBuf, PooledBuf, RECV_CHUNK};
 pub use protocol::{
-    by_name, CdrProtocol, Protocol, Section, Tail, TextProtocol, CDR_CHUNK_LEN, CDR_CHUNK_MAGIC,
-    CDR_CONTEXT_LEN, CDR_CONTEXT_MAGIC, CDR_TOKEN_LEN, CDR_TOKEN_MAGIC, MAX_FRAME_HEADER,
-    TEXT_CHUNK_MARKER, TEXT_CONTEXT_MARKER, TEXT_TOKEN_MARKER,
+    by_name, peek, CdrProtocol, Protocol, Section, Tail, TextProtocol, CDR_CHUNK_LEN,
+    CDR_CHUNK_MAGIC, CDR_CONTEXT_LEN, CDR_CONTEXT_MAGIC, CDR_TOKEN_LEN, CDR_TOKEN_MAGIC,
+    MAX_FRAME_HEADER, TEXT_CHUNK_MARKER, TEXT_CONTEXT_MARKER, TEXT_TOKEN_MARKER,
 };
 pub use text::{TextDecoder, TextEncoder};

@@ -196,21 +196,25 @@ pub trait Protocol: Send + Sync + fmt::Debug {
         Ok(body.map(PooledBuf::from))
     }
 
-    /// Creates a decoder *borrowing* `body`, for peeking at routing fields
+    /// Lends `f` a decoder over `body`, for peeking at routing fields
     /// (request id, target, status) without copying the whole message.
-    /// The default copies (third-party protocols keep compiling); both
-    /// shipped protocols override it with a zero-copy borrow.
+    /// Both shipped protocols lend one that borrows `body` and lives on
+    /// the stack, so a peek allocates nothing; the default boxes a copy
+    /// from [`Protocol::decoder_with_limits`] (third-party protocols keep
+    /// compiling). An implementation that returns `Ok` has called `f`
+    /// exactly once. [`peek`] wraps it for a closure that returns a value.
     ///
     /// # Errors
     ///
-    /// As [`Protocol::decoder_with_limits`].
-    fn peek_decoder<'a>(
+    /// As [`Protocol::decoder_with_limits`], without calling `f`.
+    fn peek_with(
         &self,
-        body: &'a [u8],
+        body: &[u8],
         limits: &DecodeLimits,
-    ) -> WireResult<Box<dyn Decoder + 'a>> {
-        let boxed: Box<dyn Decoder> = self.decoder_with_limits(body.to_vec(), limits)?;
-        Ok(boxed)
+        f: &mut dyn FnMut(&mut dyn Decoder),
+    ) -> WireResult<()> {
+        f(self.decoder_with_limits(body.to_vec(), limits)?.as_mut());
+        Ok(())
     }
 
     /// Appends one optional **trailing section** carrying the values `a`
@@ -349,6 +353,23 @@ const SECTIONS: [(Section, &str, &[u8; 4], usize); 3] = [
     (Section::Context, TEXT_CONTEXT_MARKER, CDR_CONTEXT_MAGIC, CDR_CONTEXT_LEN),
     (Section::Chunk, TEXT_CHUNK_MARKER, CDR_CHUNK_MAGIC, CDR_CHUNK_LEN),
 ];
+
+/// Runs `f` on a decoder over `body` that `protocol` lends (see
+/// [`Protocol::peek_with`]) and returns what `f` returns.
+///
+/// # Errors
+///
+/// As [`Protocol::decoder_with_limits`], without calling `f`.
+pub fn peek<P: Protocol + ?Sized, R>(
+    protocol: &P,
+    body: &[u8],
+    limits: &DecodeLimits,
+    f: impl FnOnce(&mut dyn Decoder) -> R,
+) -> WireResult<R> {
+    let (mut f, mut out) = (Some(f), None);
+    protocol.peek_with(body, limits, &mut |dec| out = f.take().map(|f| f(dec)))?;
+    Ok(out.expect("`peek_with` returned `Ok` without lending its decoder"))
+}
 
 /// The one tail walker: peels the table's rows off the end of `body`,
 /// outermost first, down to `innermost`. Each row is tried once, so a
@@ -516,14 +537,16 @@ impl Protocol for TextProtocol {
         Ok(Some(body))
     }
 
-    fn peek_decoder<'a>(
+    fn peek_with(
         &self,
-        body: &'a [u8],
+        body: &[u8],
         limits: &DecodeLimits,
-    ) -> WireResult<Box<dyn Decoder + 'a>> {
+        f: &mut dyn FnMut(&mut dyn Decoder),
+    ) -> WireResult<()> {
         // Lazy: a header peek scans only the tokens it reads, and a
         // malformed token past them is the full parse's to report.
-        Ok(Box::new(TextDecoder::peek(body, *limits)))
+        f(&mut TextDecoder::peek(body, *limits));
+        Ok(())
     }
 
     fn attach_section(&self, enc: &mut dyn Encoder, section: Section, a: u64, b: u64) -> bool {
@@ -679,12 +702,14 @@ impl Protocol for CdrProtocol {
         buf.take_declared(|buffered| self.declared_body_len(buffered, limits))
     }
 
-    fn peek_decoder<'a>(
+    fn peek_with(
         &self,
-        body: &'a [u8],
+        body: &[u8],
         limits: &DecodeLimits,
-    ) -> WireResult<Box<dyn Decoder + 'a>> {
-        Ok(Box::new(CdrDecoder::with_limits(body, *limits)))
+        f: &mut dyn FnMut(&mut dyn Decoder),
+    ) -> WireResult<()> {
+        f(&mut CdrDecoder::with_limits(body, *limits));
+        Ok(())
     }
 
     fn attach_section(&self, enc: &mut dyn Encoder, section: Section, a: u64, b: u64) -> bool {
@@ -1058,26 +1083,35 @@ mod tests {
                 enc.put_string(s);
                 enc.put_long(9);
                 let body = enc.finish();
-                let mut dec = p.peek_decoder(&body, &limits).unwrap();
-                dec.get_octet().unwrap();
-                let span = dec.get_string_span().unwrap().expect("an unescaped string");
-                assert_eq!(&body[span], s.as_bytes(), "{}", p.name());
-                assert_eq!(dec.get_long().unwrap(), 9, "{}: the cursor moved past it", p.name());
+                peek(p, &body, &limits, |dec| {
+                    dec.get_octet().unwrap();
+                    let span = dec.get_string_span().unwrap().expect("an unescaped string");
+                    assert_eq!(&body[span], s.as_bytes(), "{}", p.name());
+                    assert_eq!(
+                        dec.get_long().unwrap(),
+                        9,
+                        "{}: the cursor moved past it",
+                        p.name()
+                    );
+                })
+                .unwrap();
             }
             let mut enc = p.encoder();
             enc.put_string(&"z".repeat(80));
             let body = enc.finish();
-            let span = p.peek_decoder(&body, &limits).unwrap().get_string_span();
-            let copy = p.peek_decoder(&body, &limits).unwrap().get_string();
+            let span = peek(p, &body, &limits, |dec| dec.get_string_span()).unwrap();
+            let copy = peek(p, &body, &limits, |dec| dec.get_string()).unwrap();
             assert!(matches!(span, Err(WireError::Bounds { .. })), "{}", p.name());
             assert_eq!(span.unwrap_err(), copy.unwrap_err(), "{}", p.name());
         }
         let mut enc = TextProtocol.encoder();
         enc.put_string("two\nlines");
         let body = enc.finish();
-        let mut dec = TextProtocol.peek_decoder(&body, &limits).unwrap();
-        assert_eq!(dec.get_string_span().unwrap(), None);
-        assert_eq!(dec.get_string().unwrap(), "two\nlines");
+        peek(&TextProtocol, &body, &limits, |dec| {
+            assert_eq!(dec.get_string_span().unwrap(), None);
+            assert_eq!(dec.get_string().unwrap(), "two\nlines");
+        })
+        .unwrap();
     }
 
     #[test]

@@ -86,6 +86,65 @@ pub(crate) fn push_integer(out: &mut Vec<u8>, v: i128) {
     out.extend_from_slice(&digits[at..]);
 }
 
+/// `10^0 ..= 10^22`: every power of ten that is exact as an `f64`, the
+/// range in which an integer below `2^53` divided by one is a single
+/// correctly rounded operation (Clinger's exact case). Both `f64` fast
+/// paths scale by it.
+const POW10: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
+
+/// Significant digits the `f64` fast paths take: `f64::DIGITS`, the most
+/// for which two distinct decimals never round to the same double.
+const DECIMAL_DIGITS: usize = f64::DIGITS as usize;
+
+/// Appends `v` exactly as `{:?}` writes it when that is a plain decimal
+/// of at most [`DECIMAL_DIGITS`] significant digits, and returns `false`,
+/// having written nothing, for every other value.
+///
+/// For `d = 0, 1, 2, ...` it rounds `|v| * 10^d` to an integer `m` and
+/// stops at the first `d` where `m / 10^d == |v|`. That division is exact
+/// in the sense of Clinger (`m < 2^53`, `10^d <= 10^22`), so the digits
+/// round-trip. Two decimals of at most 15 digits never round to the same
+/// double, and a product below `10^15` is off by less than 0.25 before
+/// it is rounded, so the first `d` that passes finds the shortest digits
+/// there are, which are the ones std prints. `{:?}` writes plain decimals
+/// for `1e-4 <= |v| < 1e16`; this takes `[1e-4, 1e15)`.
+fn push_decimal(out: &mut Vec<u8>, v: f64) -> bool {
+    let a = v.abs();
+    if !(1e-4..1e15).contains(&a) {
+        return false;
+    }
+    for (d, p) in POW10.into_iter().enumerate() {
+        // Rounds half up: adding 0.5 is exact below 2^52, far past the
+        // 10^15 that ends the search.
+        let m = (a * p + 0.5) as u64;
+        if m >= 1_000_000_000_000_000 {
+            return false;
+        }
+        if m as f64 / p == a {
+            if v < 0.0 {
+                out.push(b'-');
+            }
+            let mut digits = [b'0'; POW10.len() + 1];
+            let (mut m, mut at) = (m, digits.len());
+            while m > 0 {
+                at -= 1;
+                digits[at] = b'0' + (m % 10) as u8;
+                m /= 10;
+            }
+            // At least one integer digit, and `.0` for a whole number.
+            let point = digits.len() - d;
+            out.extend_from_slice(&digits[at.min(point - 1)..point]);
+            out.push(b'.');
+            out.extend_from_slice(if d == 0 { b"0" } else { &digits[point..] });
+            return true;
+        }
+    }
+    false
+}
+
 /// Encoder for the text protocol. Every primitive is written straight
 /// into the pooled output buffer — digits, float text and escapes
 /// included — so marshaling a value allocates nothing.
@@ -127,12 +186,6 @@ impl TextEncoder {
     fn integer(&mut self, v: i128) {
         self.sep();
         push_integer(&mut self.out, v);
-    }
-
-    /// `{:?}` is the shortest form that round-trips.
-    fn float(&mut self, v: impl std::fmt::Debug) {
-        self.sep();
-        write!(self.out, "{v:?}").expect("writing to a Vec cannot fail");
     }
 
     /// Writes `s` between `quote`s, copying unescaped runs whole.
@@ -192,12 +245,22 @@ impl Encoder for TextEncoder {
         self.quoted(b'\'', v.encode_utf8(&mut [0; 4]).as_bytes());
     }
 
+    /// `{:?}` is the shortest form that round-trips.
     fn put_float(&mut self, v: f32) {
-        self.float(v);
+        self.sep();
+        write!(self.out, "{v:?}").expect("writing to a Vec cannot fail");
     }
 
+    /// Writes `{:?}`, the shortest text that round-trips. A plain decimal
+    /// of at most 15 significant digits is found exactly by
+    /// `push_decimal` at a third to two thirds of std's cost; any other
+    /// value, the zeros, NaN, infinities and exponent forms included, goes
+    /// to std.
     fn put_double(&mut self, v: f64) {
-        self.float(v);
+        self.sep();
+        if !push_decimal(&mut self.out, v) {
+            write!(self.out, "{v:?}").expect("writing to a Vec cannot fail");
+        }
     }
 
     fn put_string(&mut self, v: &str) {
@@ -322,7 +385,7 @@ fn show(raw: &[u8], quote: u8) -> String {
 /// enforced as each token is scanned, so reading the first *k* tokens
 /// costs O(those tokens), not O(message). The storage `B` is a
 /// [`PooledBuf`] that recycles when the decoder drops, or a borrowed
-/// `&[u8]` for [`Protocol::peek_decoder`](crate::Protocol::peek_decoder).
+/// `&[u8]` for [`Protocol::peek_with`](crate::Protocol::peek_with).
 ///
 /// The full-parse constructors ([`TextDecoder::new`], `with_limits`,
 /// [`Protocol::decoder`](crate::Protocol), `decoder_with_limits`) first
@@ -436,6 +499,41 @@ impl<B: AsRef<[u8]>> TextDecoder<B> {
         }
     }
 
+    /// Doubles parse in the same pass that scans them when the token is
+    /// an optional `-`, then at most [`DECIMAL_DIGITS`] digits with at
+    /// most one interior `.` (a digit on each side), under the string
+    /// bound: the value is the integer of those digits divided by
+    /// `10^fraction digits`, one correctly rounded operation, so it has
+    /// the bits `str::parse` gives (`-0` is `-0.0`). Anything else is left
+    /// unread for [`TextDecoder::parse_num`], which accepts or diagnoses
+    /// it exactly as `str::parse` does.
+    fn parse_double(&mut self) -> WireResult<f64> {
+        let buf = self.buf.as_ref();
+        let negative = buf.get(self.pos) == Some(&b'-');
+        let start = self.pos + usize::from(negative);
+        let (mut end, mut m, mut digits, mut point) = (start, 0u64, 0, None);
+        loop {
+            match buf.get(end) {
+                Some(&b) if b.is_ascii_digit() && digits < DECIMAL_DIGITS => {
+                    m = m * 10 + u64::from(b - b'0');
+                    digits += 1;
+                }
+                Some(b'.') if point.is_none() => point = Some(end),
+                _ => break,
+            }
+            end += 1;
+        }
+        let fits = end - self.pos < self.limits.max_string_bytes as usize;
+        let whole = end > start && buf.get(end).is_none_or(|&b| is_sep(b));
+        let interior = point.is_none_or(|p| p > start && p + 1 < end);
+        if !(fits && whole && interior) {
+            return self.parse_num("double");
+        }
+        let v = m as f64 / POW10[point.map_or(0, |p| end - p - 1)];
+        self.pos = skip_seps(buf, end);
+        Ok(if negative { -v } else { v })
+    }
+
     /// The next token's raw bytes; it must be quoted with `quote`.
     fn quoted(&mut self, what: &'static str, quote: u8) -> WireResult<&[u8]> {
         match self.next(what)? {
@@ -498,9 +596,12 @@ impl<B: AsRef<[u8]> + Send> Decoder for TextDecoder<B> {
         self.parse_num("float")
     }
 
+    /// A plain decimal of at most 15 digits parses in its scan (see
+    /// `parse_double`); any other token goes to `str::parse`, with the
+    /// same bits and the same errors either way.
     #[inline(never)]
     fn get_double(&mut self) -> WireResult<f64> {
-        self.parse_num("double")
+        self.parse_double()
     }
 
     fn get_string(&mut self) -> WireResult<String> {

@@ -227,10 +227,12 @@ proptest! {
         }
         // The lazy peek decoder reports a malformed token when it reaches
         // it (and stays there), so its drain is bounded by count.
-        let mut peek = TextProtocol.peek_decoder(line.as_bytes(), &limits).unwrap();
-        for _ in 0..=line.len() {
-            let _ = peek.get_string().is_err() && peek.get_double().is_err();
-        }
+        heidl_wire::peek(&TextProtocol, line.as_bytes(), &limits, |peek| {
+            for _ in 0..=line.len() {
+                let _ = peek.get_string().is_err() && peek.get_double().is_err();
+            }
+        })
+        .unwrap();
         if let Ok(mut dec) = TextProtocol.decoder_with_limits(line.clone().into_bytes(), &limits) {
             let mut tokens = 0;
             while !dec.at_end() {
@@ -250,4 +252,84 @@ fn vertical_tab_line_returns() {
     assert!(matches!(dec.get_long(), Err(WireError::Malformed { .. })));
     assert_eq!(dec.get_long().unwrap(), 2);
     assert!(dec.at_end());
+}
+
+/// Double tokens the `f64` fast path must leave to `str::parse` (a point
+/// at either end, two points, signs it does not take, exponents, hex,
+/// words, 16 and 17 digits, the wrong token class), and a few it takes.
+const DOUBLE_TOKENS: &[&str] = &[
+    "1.",
+    ".5",
+    "-.5",
+    ".",
+    "-.",
+    "1.2.3",
+    "-",
+    "--1",
+    "+1.5",
+    "1e5",
+    "1E-3",
+    "986.5452293525111",
+    "7764096.3149999995",
+    "1234567890123456",
+    "0x1p3",
+    "inf",
+    "NaN",
+    "-0",
+    "-0.0",
+    "007.50",
+    "\"1.5\"",
+    "'1'",
+    "2.5",
+    "-7.25",
+    "0.0001",
+    "123456789012345",
+    "1234567",
+    "-123456",
+    "1.23456",
+];
+
+/// What `get_double` returned for `token` before it had a fast path: the
+/// scan's bound (it counts a quoted token's quotes, and one byte more
+/// for a bare token), the token class, then `str::parse`. None of the
+/// tokens holds an escape.
+fn double_by_str_parse(token: &str, max: u32) -> WireResult<u64> {
+    let quoted = token.starts_with(['"', '\'']);
+    let len = token.len() as u64 + u64::from(!quoted);
+    if len > u64::from(max) {
+        return Err(WireError::Bounds { what: "string", len, max: max.into() });
+    }
+    if quoted {
+        let detail = format!("expected bare token, got quoted `{}`", &token[1..token.len() - 1]);
+        return Err(WireError::Malformed { what: "double", detail });
+    }
+    token
+        .parse::<f64>()
+        .map(f64::to_bits)
+        .map_err(|e| WireError::Malformed { what: "double", detail: format!("`{token}`: {e}") })
+}
+
+/// Every hostile double token, and digit runs that fit the string bound
+/// and that are one byte over it, read lazily (so the getter, not the
+/// pre-scan, meets the token): the same bits or the same `WireError` as
+/// `str::parse`, and a good token leaves the cursor on the next one.
+#[test]
+fn hostile_double_tokens_read_as_str_parse_does() {
+    for max in [8, 512] {
+        let limits = DecodeLimits::default().with_max_string_bytes(max);
+        let runs = ["1".repeat(max as usize - 1), "1".repeat(max as usize)];
+        let tokens = DOUBLE_TOKENS.iter().copied().chain(runs.iter().map(String::as_str));
+        for token in tokens {
+            let line = format!("{token} 2.5");
+            heidl_wire::peek(&TextProtocol, line.as_bytes(), &limits, |dec| {
+                let got = dec.get_double().map(f64::to_bits);
+                assert_eq!(got, double_by_str_parse(token, max), "`{token}` under {max} bytes");
+                if got.is_ok() {
+                    assert_eq!(dec.get_double(), Ok(2.5), "after `{token}`");
+                    assert!(dec.at_end());
+                }
+            })
+            .unwrap();
+        }
+    }
 }

@@ -287,8 +287,11 @@ proptest! {
 /// Tokens an element parser must refuse, or accept exactly as
 /// `str::parse` does: a sign it may or may not take, an unsigned `-0`, a
 /// lone `-`, an overflow, the wrong token class, exponent and hex forms,
-/// and two tokens over the 32-byte string bound the decoder runs under.
-const HOSTILE: [&str; 12] = [
+/// and tokens over the 32-byte string bound the decoder runs under. The
+/// decimal ones are those the `f64` fast path leaves to `str::parse`: a
+/// point at either end, two points, signs it does not take, exponents,
+/// 16 and 17 digits, and words; `-0.0` and `007.50` it takes.
+const HOSTILE: [&str; 31] = [
     "+5",
     "-0",
     "-",
@@ -301,6 +304,25 @@ const HOSTILE: [&str; 12] = [
     "{",
     "1234567890123456789012345678901234567890",
     "\"a token quoted past the string bound\"",
+    "1.",
+    ".5",
+    "-.5",
+    ".",
+    "-.",
+    "1.2.3",
+    "--1",
+    "+1.5",
+    "1e5",
+    "1E-3",
+    "986.5452293525111",
+    "7764096.3149999995",
+    "0x1p3",
+    "inf",
+    "NaN",
+    "-0.0",
+    "007.50",
+    "\"1.5\"",
+    "11111111111111111111111111111111",
 ];
 
 /// A sequence's text with element `at` replaced by `bad`, then the
@@ -323,11 +345,12 @@ fn read_hostile<T>(
     body: impl FnOnce(&mut dyn Decoder) -> WireResult<T>,
 ) -> WireResult<T> {
     let limits = heidl_wire::DecodeLimits::default().with_max_string_bytes(32);
-    let mut dec = TextProtocol.peek_decoder(line.as_bytes(), &limits)?;
-    let v = body(&mut *dec)?;
-    assert_eq!(dec.get_double()?, TRAILER, "cursor after the sequence");
-    assert!(dec.at_end());
-    Ok(v)
+    heidl_wire::peek(&TextProtocol, line.as_bytes(), &limits, |dec| {
+        let v = body(dec)?;
+        assert_eq!(dec.get_double()?, TRAILER, "cursor after the sequence");
+        assert!(dec.at_end());
+        Ok(v)
+    })?
 }
 
 macro_rules! text_bulk_fails_like_the_loop {

@@ -12,6 +12,7 @@
 
 package require Itcl
 namespace import itcl::*
+namespace eval heidl {}
 
 # ---------------------------------------------------------------------------
 # Marshaling: one newline-terminated line of space-separated tokens.

@@ -134,9 +134,10 @@ pub struct CdrEncoder {
 impl CdrEncoder {
     /// Creates an empty encoder. The output buffer is drawn from the
     /// process-wide [`pool`](crate::pool), so steady-state encoding does
-    /// not allocate.
+    /// not allocate; when the pool has none, one allocation sized for a
+    /// typical request stands in.
     pub fn new() -> Self {
-        CdrEncoder { buf: crate::pool::global().take_vec(), depth: 0 }
+        CdrEncoder { buf: crate::pool::encoder_vec(), depth: 0 }
     }
 
     fn align(&mut self, n: usize) {

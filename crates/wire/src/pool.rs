@@ -178,6 +178,25 @@ pub fn recycle(buf: Vec<u8>) {
     GLOBAL.recycle(buf);
 }
 
+/// What an encoder's buffer holds when the pool has none to lend: a
+/// request header (id, object reference, operation, flags) and a short
+/// argument, such as a 96-byte string echo's 150-200 bytes. Grown from
+/// empty, a buffer reaches that size in six allocations (8, 16, ...,
+/// 256 bytes); sized up front, in one.
+const ENCODER_CAPACITY: usize = 256;
+
+/// An encoder's output buffer: a pooled one, else one of
+/// [`ENCODER_CAPACITY`] bytes. A pooled buffer is never empty of
+/// capacity ([`BufPool::recycle`] drops those), so a zero capacity is a
+/// miss.
+pub(crate) fn encoder_vec() -> Vec<u8> {
+    let buf = GLOBAL.take_vec();
+    if buf.capacity() == 0 {
+        return Vec::with_capacity(ENCODER_CAPACITY);
+    }
+    buf
+}
+
 /// An owned byte buffer whose storage returns to a [`BufPool`] on drop.
 ///
 /// Derefs to `Vec<u8>`; compares equal to anything byte-slice-like.

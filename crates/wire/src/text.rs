@@ -166,9 +166,10 @@ pub struct TextEncoder {
 impl TextEncoder {
     /// Creates an empty encoder. The output buffer is drawn from the
     /// process-wide [`pool`](crate::pool), so steady-state encoding does
-    /// not allocate.
+    /// not allocate; when the pool has none, one allocation sized for a
+    /// typical request stands in.
     pub fn new() -> Self {
-        TextEncoder { out: crate::pool::global().take_vec(), depth: 0 }
+        TextEncoder { out: crate::pool::encoder_vec(), depth: 0 }
     }
 
     /// Starts a token: one space after whatever came before.
@@ -434,12 +435,31 @@ impl<B: AsRef<[u8]>> TextDecoder<B> {
         TextDecoder { buf, pos, depth: 0, limits }
     }
 
-    /// [`TextDecoder::peek`] after a pre-scan of every token.
+    /// [`TextDecoder::peek`] after a pre-scan that fails exactly as
+    /// [`scan`]ning every token in turn would, with the same error.
+    ///
+    /// Only a quoted token can fail once no bare token can exceed the
+    /// string bound, which holds from the cursor on when the rest of the
+    /// line is shorter than the bound. There the pass jumps from quote to
+    /// quote: a quote at the cursor or right after a separator opens a
+    /// token, which [`scan`] reads; any other quote sits inside a bare
+    /// token, and the cursor moves to that token's end. Before that point
+    /// every token is scanned.
     pub(crate) fn validated(buf: B, limits: DecodeLimits) -> WireResult<Self> {
         let bytes = buf.as_ref();
         std::str::from_utf8(bytes).map_err(|e| utf8_error("text message", e))?;
         let mut at = skip_seps(bytes, 0);
         while at < bytes.len() {
+            if bytes.len() - at < limits.max_string_bytes as usize {
+                let Some(n) = find(&bytes[at..], [b'"', b'\'']) else { break };
+                let quote = at + n;
+                if quote > at && !is_sep(bytes[quote - 1]) {
+                    let end = find(&bytes[quote..], SEPS).map_or(bytes.len(), |n| quote + n);
+                    at = skip_seps(bytes, end);
+                    continue;
+                }
+                at = quote;
+            }
             at = skip_seps(bytes, scan(bytes, at, &limits)?.2);
         }
         Ok(TextDecoder::peek(buf, limits))

@@ -333,3 +333,68 @@ fn hostile_double_tokens_read_as_str_parse_does() {
         }
     }
 }
+
+/// A quoted token that the full-parse pre-scan rejects.
+fn quoted(detail: &str) -> WireResult<()> {
+    Err(WireError::Malformed { what: "quoted token", detail: detail.into() })
+}
+
+/// A token over the string bound.
+fn over(len: u64, max: u64) -> WireResult<()> {
+    Err(WireError::Bounds { what: "string", len, max })
+}
+
+/// Not UTF-8.
+fn not_utf8(detail: &str) -> WireResult<()> {
+    Err(WireError::Malformed { what: "text message", detail: format!("not valid UTF-8: {detail}") })
+}
+
+/// The full-parse constructor on lines where a quote does and does not
+/// open a token, under a string bound (`0` for the default): a quote
+/// inside a bare token (after a letter or U+000B, which is no
+/// separator), a quote right after a closing one, bare text glued to a
+/// closing quote, an escape at the end, CR and LF inside and between
+/// tokens, multi-byte and invalid UTF-8, and bare tokens just over and
+/// just under the bound.
+#[test]
+fn quotes_open_tokens_only_at_token_starts() {
+    let cases: &[(&[u8], u32, WireResult<()>)] = &[
+        (b"ab\"c", 0, Ok(())),
+        (b"x'y", 0, Ok(())),
+        (b"ab\"c x'y 'z'", 0, Ok(())),
+        (b"\"a\"\"b\"", 0, Ok(())),
+        (b"\"a\"'b'", 0, Ok(())),
+        (b"\"a\"b\"c", 0, Ok(())),
+        (b"\"a\"\"b", 0, quoted("unterminated quote")),
+        (b"\"a\"'b", 0, quoted("unterminated quote")),
+        (b"\"a\"b \"c", 0, quoted("unterminated quote")),
+        (b"\"ab\\", 0, quoted("dangling escape")),
+        (b"1 '\\", 0, quoted("dangling escape")),
+        (b"\"a\\\"\" b\\", 0, Ok(())),
+        (b"\"a\r\nb\"\r\n'\\n'\t\"c\"", 0, Ok(())),
+        (b"\x0b\"a b\"", 0, Ok(())),
+        (b"\"a\" \x0b\"b", 0, Ok(())),
+        (b"\"a\" \x0b \"b", 0, quoted("unterminated quote")),
+        ("\"é\" é\"ü 'ß'".as_bytes(), 0, Ok(())),
+        (b"\"a\" \xff", 0, not_utf8("invalid utf-8 sequence of 1 bytes from index 4")),
+        (b"\"\xc3\" b", 0, not_utf8("invalid utf-8 sequence of 1 bytes from index 1")),
+        (b"abc \"d\"", 3, over(4, 3)),
+        (b"ab\"cd", 5, over(6, 5)),
+        (b"ab\"cd", 6, Ok(())),
+        (b"\"ab", 3, over(4, 3)),
+        (b"\"ab", 4, quoted("unterminated quote")),
+        (b"abcdefgh \"i\" j\"k", 8, over(9, 8)),
+        (b"abcdefg \"i\" j\"k", 8, Ok(())),
+        (b"abcdefg \"i\" j\"k \"", 8, quoted("unterminated quote")),
+    ];
+    for (line, max, expected) in cases {
+        let limits = match max {
+            0 => DecodeLimits::default(),
+            &max => DecodeLimits::default().with_max_string_bytes(max),
+        };
+        let got = heidl_wire::TextDecoder::with_limits(line, limits).map(|_| ());
+        assert_eq!(&got, expected, "{:?} under {max}", String::from_utf8_lossy(line));
+        let owned = TextProtocol.decoder_with_limits(line.to_vec(), &limits).map(|_| ());
+        assert_eq!(&owned, expected, "{:?} owned", String::from_utf8_lossy(line));
+    }
+}

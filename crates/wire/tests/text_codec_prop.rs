@@ -10,7 +10,16 @@
 //!   reference, for getter sequences that consume the whole line;
 //! * (c) the one intended difference: a *peek* of the first `k` tokens
 //!   succeeds even when a later token is malformed, while every
-//!   full-parse constructor still rejects the line at construction.
+//!   full-parse constructor still rejects the line at construction;
+//! * (d) the full-parse constructor's structural pre-scan, which jumps
+//!   from quote to quote, accepts and rejects every line exactly as
+//!   the per-token loop it replaced, kept here as the reference, with
+//!   the same `Debug` of the result. The long sweep is `#[ignore]`d; run
+//!   it in release:
+//!
+//! ```text
+//! cargo test --release -p heidl-wire --test text_codec_prop -- --include-ignored
+//! ```
 
 use heidl_wire::{
     DecodeLimits, Decoder, Encoder, Protocol, TextDecoder, TextEncoder, TextProtocol, WireError,
@@ -788,5 +797,177 @@ proptest! {
             prop_assert!(TextDecoder::new(&line).is_err());
             prop_assert!(TextProtocol.decoder(line.clone()).is_err());
         }
+    }
+}
+
+// ---- (d) the pre-scan -----------------------------------------------------
+
+/// The bytes that separate tokens.
+const SEPS: [u8; 4] = [b' ', b'\t', b'\n', b'\r'];
+
+fn skip_seps(line: &[u8], at: usize) -> usize {
+    line[at..].iter().position(|b| !SEPS.contains(b)).map_or(line.len(), |n| at + n)
+}
+
+/// The token at `at` (not a separator), scanned as the decoder's getters
+/// scan it: the offset just past it, or its error.
+fn scan_token(line: &[u8], at: usize, limits: &DecodeLimits) -> WireResult<usize> {
+    let max = limits.max_string_bytes as usize;
+    let over = |len: usize| match len > max {
+        true => Err(WireError::Bounds { what: "string", len: len as u64, max: max as u64 }),
+        false => Ok(()),
+    };
+    let quote = line[at];
+    if quote != b'"' && quote != b'\'' {
+        let end = line[at..].iter().position(|b| SEPS.contains(b)).map_or(line.len(), |n| at + n);
+        over(end - at + 1)?;
+        return Ok(end);
+    }
+    let (start, mut i, mut escapes) = (at + 1, at + 1, 0);
+    let detail = loop {
+        i += line[i..].iter().position(|&b| b == quote || b == b'\\').unwrap_or(line.len() - i);
+        over(i - start - escapes + 2)?;
+        match line.get(i) {
+            None => break "unterminated quote",
+            Some(b'\\') if i + 1 == line.len() => break "dangling escape",
+            Some(b'\\') => (i, escapes) = (i + 2, escapes + 1),
+            Some(_) => return Ok(i + 1),
+        }
+    };
+    Err(WireError::Malformed { what: "quoted token", detail: detail.into() })
+}
+
+/// The pre-scan before it went quote to quote: UTF-8, then every token
+/// in turn.
+fn prescan_by_tokens(line: &[u8], limits: &DecodeLimits) -> WireResult<()> {
+    std::str::from_utf8(line).map_err(|e| WireError::Malformed {
+        what: "text message",
+        detail: format!("not valid UTF-8: {e}"),
+    })?;
+    let mut at = skip_seps(line, 0);
+    while at < line.len() {
+        at = skip_seps(line, scan_token(line, at, limits)?);
+    }
+    Ok(())
+}
+
+/// Every string bound the pre-scan must agree under: small ones, so a
+/// line has bare tokens over the bound and the pass switches from
+/// scanning tokens to jumping between quotes partway through; the
+/// line's own length and its neighbours, where the switch comes at the
+/// first token; and the default, where it never scans a bare token.
+fn prescan_limits(len: usize) -> impl Iterator<Item = DecodeLimits> {
+    let max = |m: usize| DecodeLimits { max_string_bytes: m as u32, ..DecodeLimits::default() };
+    [2, 3, 5, 8, 16, len.saturating_sub(1), len, len + 1]
+        .map(max)
+        .into_iter()
+        .chain([DecodeLimits::default()])
+}
+
+/// The full-parse constructor fails exactly where the reference does,
+/// with the same error, under every bound.
+fn assert_same_prescan(line: &[u8]) -> Result<(), TestCaseError> {
+    for limits in prescan_limits(line.len()) {
+        let reference = format!("{:?}", prescan_by_tokens(line, &limits));
+        let structural = format!("{:?}", TextDecoder::with_limits(line, limits).map(|_| ()));
+        prop_assert_eq!(
+            &reference,
+            &structural,
+            "{:?} under {} string bytes",
+            String::from_utf8_lossy(line),
+            limits.max_string_bytes
+        );
+    }
+    Ok(())
+}
+
+/// The pre-scan's alphabet: both quotes and the escape, every
+/// separator, U+000B (not a separator), two letters, and the bytes of
+/// `é` (`\xc3\xa9`), which alone or out of order are not UTF-8, as
+/// `\xff` never is.
+const PRESCAN_BYTES: [u8; 13] =
+    [b'"', b'\'', b'\\', b' ', b'\t', b'\r', b'\n', b'\x0b', b'a', b'b', 0xc3, 0xa9, 0xff];
+
+/// Lines the pass must tell apart: a quote inside a bare token, a quote
+/// right after a closing one, bare text glued to a closing quote, an
+/// escape at the end, separators of every kind, multi-byte and invalid
+/// UTF-8.
+const PRESCAN_LINES: &[&[u8]] = &[
+    b"ab\"c",
+    b"x'y",
+    b"ab\"c \"d e\"",
+    b"x'y 'z",
+    b"\"a\"\"b\"",
+    b"\"a\"'b'",
+    b"\"a\"'b",
+    b"\"a\"b\"c",
+    b"\"a\"b\"c\"",
+    b"\"a\"b \"c",
+    b"\"ab\\",
+    b"'\\",
+    b"\"a\\\"\" b\\",
+    b"1 2 \"x\\",
+    b"\"a\r\nb\"\r\n'\\n'\t\"c\"\x0b\"d\"",
+    b"\x0b\"a b\" \x0b'c",
+    "\"é\" é\"ü 'ß'".as_bytes(),
+    b"\"a\" \xff",
+    b"\"\xc3\" b",
+    b"abc def ghi \"j\"",
+    b"abcdefghijklmnop \"q\"",
+    b"a b c d e f g h i j k l m n o p \"q",
+    b"",
+    b" \t\r\n",
+];
+
+#[test]
+fn prescan_fixed_lines_fail_as_the_token_loop_does() {
+    for line in PRESCAN_LINES {
+        assert_same_prescan(line).unwrap();
+    }
+}
+
+/// Every line of up to `len` bytes over [`PRESCAN_BYTES`].
+fn prescan_sweep(len: u32) {
+    let n = PRESCAN_BYTES.len();
+    let mut line = Vec::new();
+    for len in 0..=len {
+        for mut i in 0..n.pow(len) {
+            line.clear();
+            for _ in 0..len {
+                line.push(PRESCAN_BYTES[i % n]);
+                i /= n;
+            }
+            assert_same_prescan(&line).unwrap();
+        }
+    }
+}
+
+#[test]
+fn prescan_agrees_on_every_short_line() {
+    prescan_sweep(4);
+}
+
+#[test]
+#[ignore = "the long sweep: about a minute in release, run it with --release"]
+fn prescan_agrees_on_every_line_of_six_bytes() {
+    prescan_sweep(6);
+}
+
+fn prescan_line() -> impl Strategy<Value = Vec<u8>> {
+    // Mostly the alphabet; one byte in six is any byte.
+    let byte = (0..PRESCAN_BYTES.len() + 3, any::<u8>())
+        .prop_map(|(i, any)| PRESCAN_BYTES.get(i).copied().unwrap_or(any));
+    proptest::collection::vec(byte, 0..96)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// (d) Random lines dense in quotes, escapes and separators, and
+    /// lines of hostile fragments.
+    #[test]
+    fn prescan_fails_as_the_token_loop_does(line in prescan_line(), hostile in hostile_line()) {
+        assert_same_prescan(&line)?;
+        assert_same_prescan(&hostile)?;
     }
 }

@@ -347,7 +347,7 @@ const STREAM_CHUNK: usize = 256 * 1024;
 /// Chunks per stream.
 const STREAM_CHUNKS: usize = 32;
 /// Streams pulled before counting, and counted: few, since opening one
-/// allocates up to four more when the buffer pool misses (see
+/// allocates up to two more when the buffer pool misses (see
 /// [`stream_allocations_per_chunk_are_exact`]).
 const STREAMS: u64 = 3;
 
@@ -361,17 +361,18 @@ type StreamRow = (&'static str, TransportMode, u64, u64);
 /// a frame, for its id and for its text, lend decoders on the stack, the
 /// fragment's text is read in place, and a credit ack allocates nothing.
 /// Opening a stream takes 26 allocations (25 before its first chunk and
-/// one more at it), or up to 30 when the buffer pool, which the server's
-/// threads share, misses for its request or its ack: the budget is the
-/// middle, 28. Only the caller is counted:
+/// one more at it), and one more for each of its request's and its ack's
+/// encoders that the buffer pool, which the server's threads share,
+/// misses (27 in up to 4 of 40 streams measured): the budget is 26. Only
+/// the caller is counted:
 /// the server's side of a stream runs on a worker thread and its reader,
 /// whose share of each chunk depends on where the credit wait falls.
 #[test]
 fn stream_allocations_per_chunk_are_exact() {
     let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let rows: [StreamRow; 2] = [
-        ("cdr threaded", TransportMode::Threaded, 1, 28),
-        ("cdr reactor", TransportMode::Reactor, 1, 28),
+        ("cdr threaded", TransportMode::Threaded, 1, 26),
+        ("cdr reactor", TransportMode::Reactor, 1, 26),
     ];
     let mut wrong = Vec::new();
     for (name, mode, per_chunk, per_stream) in rows {
